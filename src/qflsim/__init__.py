@@ -16,7 +16,6 @@ from .federated import (
     RoundRecord,
     ServerState,
     TrainConfig,
-    centralized_train,
     evaluate,
     federated_average,
     local_train,

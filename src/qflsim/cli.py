@@ -22,13 +22,8 @@ import numpy as np
 
 from . import metrics
 from .datagen import GenConfig, generate_federated_dataset
-from .errors import ConfigError, DatasetFormatError, QflError, TrainingError
-from .federated import (
-    OptimizerConfig,
-    TrainConfig,
-    centralized_train,
-    run_training,
-)
+from .errors import ConfigError, DatasetFormatError, QflError
+from .federated import OPTIMIZER_KINDS, OptimizerConfig, TrainConfig, run_training
 from .model import build_architecture
 from .store import read_dataset, write_dataset
 
@@ -55,13 +50,29 @@ def _add_gen_flags(parser: argparse.ArgumentParser):
                         help="excitation threshold in radians")
 
 
-def _add_train_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--optimizer", default="adam",
-                        choices=("sgd", "adam", "rmsprop"))
+def add_local_training_flags(parser: argparse.ArgumentParser):
+    """Client optimizer and batching flags, shared by the experiment
+    commands and ``qflsim.worker``; opt_config turns them into an
+    OptimizerConfig."""
+    parser.add_argument("--optimizer", default="adam", choices=OPTIMIZER_KINDS)
     parser.add_argument("--lr", type=float, default=0.02)
-    parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--epochs", type=int, default=1)
     parser.add_argument("--batch-size", type=int, default=16)
+
+
+def _add_train_flags(parser: argparse.ArgumentParser):
+    add_local_training_flags(parser)
+    parser.add_argument("--rounds", type=int, default=30)
+
+
+def add_architecture_flags(parser: argparse.ArgumentParser):
+    """Model architecture flags, shared by ``train`` and ``qflsim.worker``;
+    build_architecture(n_qubits, stages, readout_qubit, include_fc=fc)
+    turns them into an ArchitectureSpec."""
+    parser.add_argument("--stages", type=int, default=None)
+    parser.add_argument("--readout-qubit", type=int, default=None)
+    parser.add_argument("--fc", action="store_true",
+                        help="append the 3-parameter fully connected layer")
 
 
 def _gen_config(args, n_clients=None, samples=None, seed=None) -> GenConfig:
@@ -79,7 +90,7 @@ def _gen_config(args, n_clients=None, samples=None, seed=None) -> GenConfig:
     )
 
 
-def _opt_config(args) -> OptimizerConfig:
+def opt_config(args) -> OptimizerConfig:
     return OptimizerConfig(kind=args.optimizer, learning_rate=args.lr)
 
 
@@ -95,34 +106,38 @@ def _split_ids(dataset, n_train: int, n_test: int) -> tuple[tuple, tuple]:
     return ids[:n_train], ids[len(ids) - n_test:]
 
 
-def _round_row(experiment: str, seed: int, record, t0: float, context: dict) -> dict:
-    row = {
-        "kind": "round",
-        "experiment": experiment,
-        "seed": seed,
-        "round": record.round,
-        "test_accuracy": record.test_accuracy,
-        "test_mse": record.test_mse,
-        "wall_time": time.perf_counter() - t0,
-    }
-    if record.train_accuracy is not None:
-        row["train_accuracy"] = record.train_accuracy
-        row["train_mse"] = record.train_mse
-    row.update(context)
-    return row
-
-
-def _run_logged(dataset, cfg: TrainConfig, out_path, experiment: str,
-                context: dict, centralized_client=None):
+def _run_experiment(dataset, cfg: TrainConfig, out_path, experiment: str,
+                    context: dict, mse_x100: bool = False):
+    """One training run: a round row per record, then a summary row.
+    Returns the final record."""
     t0 = time.perf_counter()
 
     def on_round(record, _server):
-        metrics.append_rows(out_path, [_round_row(
-            experiment, cfg.seed, record, t0, context)])
+        row = {
+            "kind": "round",
+            "experiment": experiment,
+            "seed": cfg.seed,
+            "round": record.round,
+            "test_accuracy": record.test_accuracy,
+            "test_mse": record.test_mse,
+            "wall_time": time.perf_counter() - t0,
+        }
+        if record.train_accuracy is not None:
+            row["train_accuracy"] = record.train_accuracy
+            row["train_mse"] = record.train_mse
+        metrics.append_rows(out_path, [{**row, **context}])
 
-    if centralized_client is None:
-        return run_training(dataset, cfg, on_round=on_round)
-    return centralized_train(centralized_client, dataset, cfg, on_round=on_round)
+    final = run_training(dataset, cfg, on_round=on_round)[-1]
+    row = {
+        "kind": "summary", "experiment": experiment, "seed": cfg.seed,
+        "final_test_accuracy": final.test_accuracy,
+        "final_test_mse": final.test_mse,
+    }
+    if mse_x100:
+        row["final_test_mse_x100"] = 100.0 * final.test_mse
+    row["wall_time"] = time.perf_counter() - t0
+    metrics.append_rows(out_path, [{**row, **context}])
+    return final
 
 
 def cmd_gen_data(args) -> int:
@@ -143,13 +158,11 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     dataset = read_dataset(args.dataset)
     train_ids, test_ids = _split_ids(dataset, args.train_clients, args.test_clients)
-    arch = None
-    if args.stages is not None or args.readout_qubit is not None or args.fc:
-        arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
-                                  args.readout_qubit, include_fc=args.fc)
+    arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
+                              args.readout_qubit, include_fc=args.fc)
     cfg = TrainConfig(
         rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
-        epochs=args.epochs, batch_size=args.batch_size, opt=_opt_config(args),
+        epochs=args.epochs, batch_size=args.batch_size, opt=opt_config(args),
         seed=args.seed, arch=arch,
     )
     experiment = (f"train-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
@@ -160,16 +173,7 @@ def cmd_train(args) -> int:
         "rounds": args.rounds, "epochs": args.epochs,
         "batch_size": args.batch_size,
     }
-    t0 = time.perf_counter()
-    records = _run_logged(dataset, cfg, args.out, experiment, context)
-    final = records[-1]
-    metrics.append_rows(args.out, [{
-        "kind": "summary", "experiment": experiment, "seed": args.seed,
-        "final_test_accuracy": final.test_accuracy,
-        "final_test_mse": final.test_mse,
-        "wall_time": time.perf_counter() - t0,
-        **context,
-    }])
+    final = _run_experiment(dataset, cfg, args.out, experiment, context)
     print(f"final round={final.round} test_accuracy={final.test_accuracy:.4f} "
           f"test_mse={final.test_mse:.6f}")
     return 0
@@ -187,8 +191,9 @@ def cmd_sweep_clients(args) -> int:
     for total, n_train, n_test in CLIENT_SWEEP_SPLITS:
         centralized = total == 1
         if centralized:
-            # Single-client baseline: train on the first client, evaluate
-            # on the standard 5-client test block of the 30-client split.
+            # Centralized baseline: a run with one training client (the
+            # first), evaluated on the 5-client test block of the 30-client
+            # split.
             train_ids = ids[:1]
             test_ids = ids[25:30]
         else:
@@ -197,26 +202,14 @@ def cmd_sweep_clients(args) -> int:
         cfg = TrainConfig(
             rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
             epochs=args.epochs, batch_size=args.batch_size,
-            opt=_opt_config(args), seed=args.seed,
+            opt=opt_config(args), seed=args.seed,
         )
         context = {
             "n_clients": total, "train_clients": len(train_ids),
             "test_clients": len(test_ids), "optimizer": args.optimizer,
             "lr": args.lr, "centralized": centralized,
         }
-        t0 = time.perf_counter()
-        records = _run_logged(
-            dataset, cfg, args.out, experiment, context,
-            centralized_client=dataset.clients[0] if centralized else None,
-        )
-        final = records[-1]
-        metrics.append_rows(args.out, [{
-            "kind": "summary", "experiment": experiment, "seed": args.seed,
-            "final_test_accuracy": final.test_accuracy,
-            "final_test_mse": final.test_mse,
-            "wall_time": time.perf_counter() - t0,
-            **context,
-        }])
+        final = _run_experiment(dataset, cfg, args.out, experiment, context)
         print(f"clients={total:2d} train={len(train_ids):2d} "
               f"test={len(test_ids)} final_accuracy={final.test_accuracy:.4f}")
     return 0
@@ -241,7 +234,7 @@ def cmd_sweep_datasize(args) -> int:
                 train_clients=train_ids[:1] if centralized else train_ids,
                 test_clients=test_ids,
                 epochs=args.epochs, batch_size=args.batch_size,
-                opt=_opt_config(args), seed=seed,
+                opt=opt_config(args), seed=seed,
             )
             context = {
                 "samples_per_client": size, "centralized": centralized,
@@ -249,19 +242,7 @@ def cmd_sweep_datasize(args) -> int:
                 "train_clients": len(cfg.train_clients),
                 "test_clients": len(test_ids),
             }
-            t0 = time.perf_counter()
-            records = _run_logged(
-                dataset, cfg, args.out, experiment, context,
-                centralized_client=dataset.clients[0] if centralized else None,
-            )
-            final = records[-1]
-            metrics.append_rows(args.out, [{
-                "kind": "summary", "experiment": experiment, "seed": seed,
-                "final_test_accuracy": final.test_accuracy,
-                "final_test_mse": final.test_mse,
-                "wall_time": time.perf_counter() - t0,
-                **context,
-            }])
+            final = _run_experiment(dataset, cfg, args.out, experiment, context)
             mode = "centralized" if centralized else "federated"
             print(f"size={size:4d} {mode:11s} "
                   f"final_accuracy={final.test_accuracy:.4f}")
@@ -278,21 +259,12 @@ def cmd_compare_iid(args) -> int:
         cfg = TrainConfig(
             rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
             epochs=args.epochs, batch_size=args.batch_size,
-            opt=_opt_config(args), seed=args.seed,
+            opt=opt_config(args), seed=args.seed,
         )
         context = {"dataset": tag, "non_iid_fraction": fraction,
                    "optimizer": args.optimizer, "lr": args.lr}
-        t0 = time.perf_counter()
-        records = _run_logged(dataset, cfg, args.out, experiment, context)
-        final = records[-1]
-        metrics.append_rows(args.out, [{
-            "kind": "summary", "experiment": experiment, "seed": args.seed,
-            "final_test_accuracy": final.test_accuracy,
-            "final_test_mse": final.test_mse,
-            "final_test_mse_x100": 100.0 * final.test_mse,
-            "wall_time": time.perf_counter() - t0,
-            **context,
-        }])
+        final = _run_experiment(dataset, cfg, args.out, experiment, context,
+                                mse_x100=True)
         print(f"{tag:8s} accuracy={final.test_accuracy:.4f} "
               f"mse={final.test_mse:.6f} mse_x100={100 * final.test_mse:.3f}")
     return 0
@@ -304,6 +276,7 @@ def cmd_error_bars(args) -> int:
         raise ConfigError(f"need at least 3 seeds, got {len(seeds)}")
     experiment = f"error-bars-{args.optimizer}-lr{args.lr:g}"
     finals = []
+    t0 = time.perf_counter()
     for seed in seeds:
         dataset = generate_federated_dataset(_gen_config(args, seed=seed))
         train_ids, test_ids = _split_ids(dataset, args.train_clients,
@@ -311,20 +284,11 @@ def cmd_error_bars(args) -> int:
         cfg = TrainConfig(
             rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
             epochs=args.epochs, batch_size=args.batch_size,
-            opt=_opt_config(args), seed=seed, eval_train=True,
+            opt=opt_config(args), seed=seed, eval_train=True,
         )
         context = {"optimizer": args.optimizer, "lr": args.lr}
-        t0 = time.perf_counter()
-        records = _run_logged(dataset, cfg, args.out, experiment, context)
-        final = records[-1]
+        final = _run_experiment(dataset, cfg, args.out, experiment, context)
         finals.append(final)
-        metrics.append_rows(args.out, [{
-            "kind": "summary", "experiment": experiment, "seed": seed,
-            "final_test_accuracy": final.test_accuracy,
-            "final_test_mse": final.test_mse,
-            "wall_time": time.perf_counter() - t0,
-            **context,
-        }])
         print(f"seed={seed} test_accuracy={final.test_accuracy:.4f} "
               f"train_accuracy={final.train_accuracy:.4f}")
     aggregate = {"kind": "summary", "experiment": experiment,
@@ -364,10 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--train-clients", type=int, default=25)
     p.add_argument("--test-clients", type=int, default=5)
-    p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--readout-qubit", type=int, default=None)
-    p.add_argument("--fc", action="store_true",
-                   help="append the 3-parameter fully connected layer")
+    add_architecture_flags(p)
     p.add_argument("--out", default="train_metrics.jsonl")
     p.set_defaults(func=cmd_train)
 
@@ -410,23 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_command(func, args) -> int:
+    """``func(args)``, with a package or I/O error reported on stderr and
+    mapped to its exit code: 2 configuration, 3 I/O or dataset format,
+    4 training."""
+    try:
+        return func(args)
+    except (QflError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ConfigError):
+            return 2
+        if isinstance(exc, (DatasetFormatError, OSError)):
+            return 3
+        return 4
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DatasetFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (TrainingError, QflError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

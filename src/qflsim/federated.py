@@ -9,8 +9,7 @@ across rounds, which makes single-client federated training coincide
 exactly with plain centralized training.
 """
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .model import (
     Model,
     ModelEvaluator,
     ParamVector,
-    Sample,
     build_model,
     default_architecture,
     init_params,
@@ -292,21 +290,37 @@ class EvalContext:
         )
 
 
-def run_round(server: ServerState, clients: Sequence[ClientState],
-              cfg: TrainConfig, ctx: EvalContext) -> tuple[ServerState, RoundRecord]:
-    """One broadcast -> local train -> aggregate -> evaluate cycle."""
+class LocalTransport:
+    """In-process clients behind the same ``round_trip`` as SocketFedServer."""
+
+    def __init__(self, clients: Sequence[ClientState], cfg: TrainConfig):
+        self.clients = {c.client_id: c for c in clients}
+        self.cfg = cfg
+
+    def round_trip(self, round_index: int, params: ParamVector,
+                   order: list[str]) -> list[ClientUpdate]:
+        cfg = self.cfg
+        updates = []
+        for cid in order:
+            try:
+                updates.append(local_train(
+                    self.clients[cid], params, cfg.epochs, cfg.batch_size,
+                    cfg.opt, round_index=round_index))
+            except Exception as exc:
+                raise TrainingError(
+                    f"client {cid} failed in round {round_index}: {exc}"
+                ) from exc
+        return updates
+
+
+def run_round(server: ServerState, transport, cfg: TrainConfig,
+              ctx: EvalContext) -> tuple[ServerState, RoundRecord]:
+    """One broadcast -> local train -> aggregate -> evaluate cycle; the
+    transport (LocalTransport or qflsim.transport.SocketFedServer) runs
+    the clients."""
     round_index = server.round + 1
-    updates = []
-    for client in clients:
-        try:
-            updates.append(
-                local_train(client, server.params, cfg.epochs, cfg.batch_size,
-                            cfg.opt, round_index=round_index)
-            )
-        except Exception as exc:
-            raise TrainingError(
-                f"client {client.client_id} failed in round {round_index}: {exc}"
-            ) from exc
+    updates = transport.round_trip(round_index, server.params,
+                                   list(cfg.train_clients))
     new_params = federated_average(updates, server.client_weights)
     new_server = ServerState(new_params, round_index, server.client_weights)
     record = ctx.record(
@@ -343,29 +357,42 @@ def _split_datasets(dataset: FederatedDataset, cfg: TrainConfig):
     return train, test
 
 
-def build_run(dataset: FederatedDataset, cfg: TrainConfig):
-    """Model, evaluator, initial server state, client states and context."""
-    train_data, test_data = _split_datasets(dataset, cfg)
+def build_clients(dataset: FederatedDataset, cfg: TrainConfig,
+                  client_ids: Sequence[str]):
+    """Model, initial parameters and one ClientState per client of
+    ``client_ids``, all derived from the dataset and ``cfg`` alone, so a
+    socket worker builds the same ones as an in-process run."""
+    ordinals = {c.client_id: i for i, c in enumerate(dataset.clients)}
     arch = cfg.arch or default_architecture(dataset.gen_config.n_qubits)
     model = build_model(arch)
-    names = parameter_names(arch)
-    evaluator = ModelEvaluator(model, names)
+    evaluator = ModelEvaluator(model, parameter_names(arch))
     params0 = init_params(arch, cfg.seed)
-    weights = normalized_weights(cfg.weights, len(train_data))
-    server = ServerState(params0, 0, weights)
-    ordinals = {c.client_id: i for i, c in enumerate(dataset.clients)}
-    clients = [
-        ClientState(
-            client_id=c.client_id,
-            seed_key=ordinals[c.client_id],
-            dataset=c,
+    clients = []
+    for cid in client_ids:
+        if cid not in ordinals:
+            raise ConfigError(f"unknown client {cid!r}")
+        clients.append(ClientState(
+            client_id=cid,
+            seed_key=ordinals[cid],
+            dataset=dataset.clients[ordinals[cid]],
             params=params0,
             opt_state=OptimizerState.zeros(len(params0)),
             evaluator=evaluator,
             base_seed=cfg.seed,
-        )
-        for c in train_data
-    ]
+        ))
+    return model, params0, clients
+
+
+def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = True):
+    """Model, initial server state, client states and evaluation context.
+
+    With ``in_process`` false the clients run elsewhere and no client
+    state is built here."""
+    train_data, test_data = _split_datasets(dataset, cfg)
+    model, params0, clients = build_clients(
+        dataset, cfg, cfg.train_clients if in_process else ())
+    weights = normalized_weights(cfg.weights, len(train_data))
+    server = ServerState(params0, 0, weights)
     ctx = EvalContext(model, test_data, train_data if cfg.eval_train else None)
     return model, server, clients, ctx
 
@@ -376,72 +403,18 @@ def run_training(dataset: FederatedDataset, cfg: TrainConfig,
     """Full federated run; returns one record per round plus the round-0
     evaluation of the initial parameters.
 
-    With ``transport`` set, the broadcast/update exchange goes through it
-    (see qflsim.transport) instead of calling the local clients directly.
+    Without a ``transport`` the training clients run in process behind a
+    LocalTransport; otherwise the transport (see qflsim.transport) runs them.
     """
-    model, server, clients, ctx = build_run(dataset, cfg)
+    _model, server, clients, ctx = build_run(dataset, cfg, transport is None)
+    if transport is None:
+        transport = LocalTransport(clients, cfg)
     records = [ctx.record(0, server.params, {})]
     if on_round:
         on_round(records[0], server)
     for _ in range(cfg.rounds):
-        if transport is None:
-            server, record = run_round(server, clients, cfg, ctx)
-        else:
-            round_index = server.round + 1
-            updates = transport.round_trip(
-                round_index, server.params, list(cfg.train_clients)
-            )
-            new_params = federated_average(updates, server.client_weights)
-            server = ServerState(new_params, round_index, server.client_weights)
-            record = ctx.record(
-                round_index, new_params,
-                {u.client_id: u.local_loss for u in updates},
-            )
+        server, record = run_round(server, transport, cfg, ctx)
         records.append(record)
         if on_round:
             on_round(record, server)
-    return records
-
-
-def centralized_train(client_data: ClientDataset, dataset: FederatedDataset,
-                      cfg: TrainConfig,
-                      on_round: Callable[[RoundRecord, ServerState], None] | None = None,
-                      ) -> list[RoundRecord]:
-    """Plain (non-federated) training on a single client's data.
-
-    Runs rounds * epochs epochs of mini-batch optimization with the same
-    seed schedule as federated training, evaluating on cfg.test_clients
-    after every ``epochs`` epochs so the records line up round for round.
-    """
-    if client_data.client_id in cfg.test_clients:
-        raise ConfigError("centralized training client overlaps the test set")
-    arch = cfg.arch or default_architecture(dataset.gen_config.n_qubits)
-    model = build_model(arch)
-    evaluator = ModelEvaluator(model, parameter_names(arch))
-    params = init_params(arch, cfg.seed)
-    by_id = {c.client_id: c for c in dataset.clients}
-    test_data = tuple(by_id[cid] for cid in cfg.test_clients)
-    ordinals = {c.client_id: i for i, c in enumerate(dataset.clients)}
-    client = ClientState(
-        client_id=client_data.client_id,
-        seed_key=ordinals.get(client_data.client_id, 0),
-        dataset=client_data,
-        params=params,
-        opt_state=OptimizerState.zeros(len(params)),
-        evaluator=evaluator,
-        base_seed=cfg.seed,
-    )
-    ctx = EvalContext(model, test_data,
-                      (client_data,) if cfg.eval_train else None)
-    records = [ctx.record(0, params, {})]
-    if on_round:
-        on_round(records[0], ServerState(params, 0, np.array([1.0])))
-    for block in range(1, cfg.rounds + 1):
-        update = local_train(client, params, cfg.epochs, cfg.batch_size,
-                             cfg.opt, round_index=block)
-        params = update.params
-        record = ctx.record(block, params, {update.client_id: update.local_loss})
-        records.append(record)
-        if on_round:
-            on_round(record, ServerState(params, block, np.array([1.0])))
     return records

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError, TrainingError
-from .federated import ClientState, ClientUpdate, OptimizerConfig, TrainConfig, local_train
+from .federated import ClientState, ClientUpdate, OptimizerConfig, local_train
 from .model import ParamVector
 from .store import format_angle
 
@@ -99,7 +99,10 @@ def decode_message(line: str):
     if parts[0] == "GLOBAL":
         if len(parts) != 3:
             raise ProtocolError(f"bad GLOBAL: {line!r}")
-        return Global(int(parts[1]), _parse_values(parts[2]))
+        try:
+            return Global(int(parts[1]), _parse_values(parts[2]))
+        except ValueError:
+            raise ProtocolError(f"bad GLOBAL round: {line!r}") from None
     if parts[0] == "UPDATE":
         if len(parts) != 6:
             raise ProtocolError(f"bad UPDATE: {line!r}")

@@ -5,14 +5,17 @@ trains whenever a round is broadcast:
 
     python -m qflsim.worker --host 127.0.0.1 --port 5000 \
         --dataset data.qfd --client-id client_003 --seed 7
+
+The architecture flags (--stages, --readout-qubit, --fc) are those of
+``qflsim train`` and must match the server's. Exit codes are those of
+the ``qflsim`` command.
 """
 
 import argparse
 
-import numpy as np
-
-from .federated import ClientState, OptimizerConfig, OptimizerState
-from .model import ModelEvaluator, build_model, default_architecture, init_params, parameter_names
+from .cli import add_architecture_flags, add_local_training_flags, opt_config, run_command
+from .federated import TrainConfig, build_clients
+from .model import build_architecture
 from .store import read_dataset
 from .transport import run_socket_client
 
@@ -24,36 +27,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dataset", required=True)
     parser.add_argument("--client-id", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", type=int, default=1)
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--optimizer", default="adam",
-                        choices=("sgd", "adam", "rmsprop"))
-    parser.add_argument("--lr", type=float, default=0.02)
+    add_local_training_flags(parser)
+    add_architecture_flags(parser)
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def serve(args) -> int:
     dataset = read_dataset(args.dataset)
-    client_data = dataset.client(args.client_id)
-    ordinal = dataset.client_ids().index(args.client_id)
-    arch = default_architecture(dataset.gen_config.n_qubits)
-    model = build_model(arch)
-    names = parameter_names(arch)
-    params0 = init_params(arch, args.seed)
-    client = ClientState(
-        client_id=args.client_id,
-        seed_key=ordinal,
-        dataset=client_data,
-        params=params0,
-        opt_state=OptimizerState.zeros(len(names)),
-        evaluator=ModelEvaluator(model, names),
-        base_seed=args.seed,
+    arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
+                              args.readout_qubit, include_fc=args.fc)
+    cfg = TrainConfig(
+        rounds=0, train_clients=(args.client_id,), test_clients=(),
+        epochs=args.epochs, batch_size=args.batch_size, opt=opt_config(args),
+        seed=args.seed, arch=arch,
     )
-    opt = OptimizerConfig(kind=args.optimizer, learning_rate=args.lr)
-    run_socket_client(args.host, args.port, client, args.epochs,
-                      args.batch_size, opt)
+    _model, _params0, (client,) = build_clients(dataset, cfg, cfg.train_clients)
+    run_socket_client(args.host, args.port, client, cfg.epochs,
+                      cfg.batch_size, cfg.opt)
     return 0
+
+
+def main(argv=None) -> int:
+    return run_command(serve, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

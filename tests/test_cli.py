@@ -77,6 +77,24 @@ class TestTrain:
                      "--train-clients", "5", "--test-clients", "2",
                      "--out", str(tmp_path / "m.jsonl")]) == 2
 
+    def test_fc_layer_changes_the_model(self, tmp_path):
+        data = _gen(tmp_path)
+        rows = {}
+        for arch_flags in ([], ["--fc"]):
+            out = tmp_path / f"m{len(arch_flags)}.jsonl"
+            assert main(["train", "--dataset", str(data), *FAST_TRAIN,
+                         "--train-clients", "4", "--test-clients", "2",
+                         "--seed", "3", *arch_flags, "--out", str(out)]) == 0
+            rows[tuple(arch_flags)] = read_metrics(out)
+        plain, fc = rows[()], rows[("--fc",)]
+        assert [r["kind"] for r in fc] == ["round", "round", "summary"]
+        assert [r["test_mse"] for r in fc[:2]] != [r["test_mse"] for r in plain[:2]]
+
+    def test_bad_stage_count_exits_2(self, tmp_path):
+        data = _gen(tmp_path)
+        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
+                     "--stages", "2", "--out", str(tmp_path / "m.jsonl")]) == 2
+
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["train", "--dataset", str(tmp_path / "nope.qfd"),
                      *FAST_TRAIN, "--out", str(tmp_path / "m.jsonl")]) == 3
@@ -189,6 +207,10 @@ class TestErrorBars:
         per_seed = [r for r in rows if r["kind"] == "round"]
         assert {r["seed"] for r in per_seed} == {1, 2, 3}
         assert all("train_accuracy" in r for r in per_seed)
+        # The aggregate row's wall_time covers every seed's run.
+        summaries = [r for r in rows if r["kind"] == "summary"]
+        assert len(summaries) == 4
+        assert agg["wall_time"] >= sum(r["wall_time"] for r in summaries[:-1])
 
 
 class TestMetricsSchema:

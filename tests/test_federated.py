@@ -10,12 +10,12 @@ from qflsim.errors import ConfigError, TrainingError
 from qflsim.federated import (
     ClientState,
     EvalContext,
+    LocalTransport,
     OptimizerConfig,
     OptimizerState,
     ServerState,
     TrainConfig,
     build_run,
-    centralized_train,
     evaluate,
     federated_average,
     local_train,
@@ -35,6 +35,7 @@ from qflsim.model import (
     parameter_names,
 )
 from qflsim.sim import Circuit, h
+from qflsim.store import params_checksum
 
 
 def _tiny_dataset(n_clients=3, samples=16, seed=1, n_qubits=2):
@@ -225,7 +226,7 @@ class TestRunRound:
                           test_clients=(ds.clients[1].client_id,), batch_size=4,
                           seed=3)
         model, server, clients, ctx = build_run(ds, cfg)
-        new_server, record = run_round(server, clients, cfg, ctx)
+        new_server, record = run_round(server, LocalTransport(clients, cfg), cfg, ctx)
         assert np.allclose(new_server.params.values, clients[0].params.values)
         assert record.round == 1 and new_server.round == 1
 
@@ -261,7 +262,8 @@ class TestRunRound:
                 local_train(c, server2.params, cfg.epochs, cfg.batch_size,
                             cfg.opt, round_index=1))
         expected = federated_average(expected_updates, server2.client_weights)
-        new_server, _record = run_round(server, clients, cfg, ctx)
+        new_server, _record = run_round(server, LocalTransport(clients, cfg),
+                                         cfg, ctx)
         assert np.array_equal(new_server.params.values, expected.values)
 
     def test_client_failure_aborts_round(self):
@@ -272,7 +274,7 @@ class TestRunRound:
         _model, server, clients, ctx = build_run(ds, cfg)
         clients[1].prep_states = clients[1].prep_states[:3]  # poisoned shapes
         with pytest.raises(TrainingError, match=clients[1].client_id):
-            run_round(server, clients, cfg, ctx)
+            run_round(server, LocalTransport(clients, cfg), cfg, ctx)
 
 
 class TestEvaluate:
@@ -388,6 +390,26 @@ class TestRunTraining:
         assert records[-1].train_mse is not None
 
 
+def _centralized_params(ds, cfg):
+    """Plain mini-batch training on the first client alone, one ``epochs``
+    block per round: the parameters after each block, starting with the
+    initial ones."""
+    arch = default_architecture(ds.gen_config.n_qubits)
+    model = build_model(arch)
+    params = init_params(arch, cfg.seed)
+    client = ClientState(
+        client_id=ds.clients[0].client_id, seed_key=0, dataset=ds.clients[0],
+        params=params, opt_state=OptimizerState.zeros(len(params)),
+        evaluator=ModelEvaluator(model, parameter_names(arch)),
+        base_seed=cfg.seed)
+    history = [params.values]
+    for _ in range(cfg.rounds):
+        params = local_train(client, params, cfg.epochs, cfg.batch_size,
+                             cfg.opt).params
+        history.append(params.values)
+    return history
+
+
 class TestSingleClientEquivalence:
     def test_federated_k1_equals_centralized(self):
         ds = _tiny_dataset(n_clients=2, samples=16)
@@ -397,9 +419,7 @@ class TestSingleClientEquivalence:
         fed_params = []
         run_training(ds, cfg,
                      on_round=lambda rec, srv: fed_params.append(srv.params.values))
-        cent_params = []
-        centralized_train(ds.clients[0], ds, cfg,
-                          on_round=lambda rec, srv: cent_params.append(srv.params.values))
+        cent_params = _centralized_params(ds, cfg)
         assert len(fed_params) == len(cent_params) == 6
         for a, b in zip(fed_params, cent_params):
             assert np.max(np.abs(a - b)) <= 1e-12
@@ -411,9 +431,9 @@ class TestSingleClientEquivalence:
                           epochs=2, batch_size=8, seed=33,
                           opt=OptimizerConfig(kind="rmsprop", learning_rate=0.002))
         a = run_training(ds, cfg)
-        b = centralized_train(ds.clients[0], ds, cfg)
+        b = _centralized_params(ds, cfg)
         assert [r.server_params_checksum for r in a] == \
-               [r.server_params_checksum for r in b]
+               [params_checksum(values) for values in b]
 
 
 class TestServerState:

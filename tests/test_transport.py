@@ -1,5 +1,6 @@
 """Wire protocol: message codec, socket rounds, subprocess workers."""
 
+import argparse
 import socket
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from qflsim.cli import add_architecture_flags
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ProtocolError
 from qflsim.federated import (
@@ -21,6 +23,7 @@ from qflsim.federated import (
 from qflsim.model import (
     ModelEvaluator,
     ParamVector,
+    build_architecture,
     build_model,
     default_architecture,
     init_params,
@@ -98,7 +101,7 @@ class TestMessageCodec:
         "UPDATE 1 c x 0.5 1.0",
     ])
     def test_malformed_lines_rejected(self, line):
-        with pytest.raises((ProtocolError, ValueError)):
+        with pytest.raises(ProtocolError):
             decode_message(line)
 
 
@@ -165,30 +168,53 @@ class TestSocketRounds:
             t.join(timeout=5)
 
 
+def _worker_cmd(*args):
+    return [sys.executable, "-m", "qflsim.worker", *args]
+
+
 class TestWorkerProcess:
     def test_subprocess_workers_match_in_process(self, tmp_path):
         ds = _tiny_dataset(n_clients=2, samples=8, seed=6)
         ids = ds.client_ids()
         path = tmp_path / "tiny.qfd"
         write_dataset(ds, path)
-        cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[1:],
-                          batch_size=4, seed=12)
-        reference = run_training(ds, cfg)
+        parser = argparse.ArgumentParser()
+        add_architecture_flags(parser)
+        for arch_flags in ([], ["--fc"]):
+            flags = parser.parse_args(arch_flags)
+            arch = build_architecture(2, flags.stages, flags.readout_qubit,
+                                      include_fc=flags.fc)
+            cfg = TrainConfig(rounds=1, train_clients=ids[:1],
+                              test_clients=ids[1:], batch_size=4, seed=12,
+                              arch=arch)
+            reference = run_training(ds, cfg)
 
-        names = parameter_names(default_architecture(2))
-        server = SocketFedServer(1, names)
-        host, port = server.address
-        proc = subprocess.Popen([
-            sys.executable, "-m", "qflsim.worker",
-            "--host", host, "--port", str(port),
-            "--dataset", str(path), "--client-id", ids[0],
-            "--seed", "12", "--batch-size", "4",
-        ])
-        try:
-            server.wait_for_clients(timeout=60)
-            records = run_training(ds, cfg, transport=server)
-        finally:
-            server.shutdown()
-            proc.wait(timeout=60)
-        assert proc.returncode == 0
-        assert records == reference
+            server = SocketFedServer(1, parameter_names(arch))
+            host, port = server.address
+            proc = subprocess.Popen(_worker_cmd(
+                "--host", host, "--port", str(port),
+                "--dataset", str(path), "--client-id", ids[0],
+                "--seed", "12", "--batch-size", "4", *arch_flags,
+            ))
+            try:
+                server.wait_for_clients(timeout=60)
+                records = run_training(ds, cfg, transport=server)
+            finally:
+                server.shutdown()
+                proc.wait(timeout=60)
+            assert proc.returncode == 0
+            assert records == reference
+
+    @pytest.mark.parametrize("dataset, client_id, code", [
+        ("tiny.qfd", "ghost", 2),
+        ("missing.qfd", "client_000", 3),
+    ])
+    def test_bad_config_exit_codes(self, tmp_path, dataset, client_id, code):
+        write_dataset(_tiny_dataset(n_clients=2, samples=8), tmp_path / "tiny.qfd")
+        # Fails before connecting, so no server is needed.
+        proc = subprocess.run(
+            _worker_cmd("--port", "1", "--dataset", str(tmp_path / dataset),
+                        "--client-id", client_id),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error: ")
