@@ -20,6 +20,7 @@ from .federated import (
     federated_average,
     local_train,
     optimizer_step,
+    prepare_clients,
     run_round,
     run_training,
 )

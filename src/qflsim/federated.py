@@ -21,6 +21,7 @@ from .model import (
     Model,
     ModelEvaluator,
     ParamVector,
+    Sample,
     build_model,
     default_architecture,
     init_params,
@@ -29,6 +30,9 @@ from .model import (
 from .store import params_checksum
 
 OPTIMIZER_KINDS = ("sgd", "adam", "rmsprop")
+
+# Samples per forward pass in evaluate; bounds its temporary states.
+EVAL_BATCH = 64
 
 # Seed-derivation namespaces; init_params uses 0.
 _SHUFFLE_NS = 1
@@ -246,32 +250,53 @@ def federated_average(updates: Sequence, weights) -> ParamVector:
     return ParamVector(names, weights @ stacked)
 
 
-def evaluate(params: ParamVector, test_clients: Sequence[ClientDataset],
+@dataclass(frozen=True, eq=False)
+class PreparedClient:
+    """One client's samples with their labels and prepared input states,
+    simulated once and reused by every evaluation of a run."""
+
+    samples: tuple[Sample, ...]
+    labels: np.ndarray
+    prep_states: np.ndarray
+
+
+def prepare_clients(clients: Sequence[ClientDataset],
+                    model: Model) -> tuple[PreparedClient, ...]:
+    """Each client's labels and preparation states, ready for evaluate."""
+    ev = ModelEvaluator(model, model.circuit.symbols())
+    return tuple(
+        PreparedClient(c.samples, np.array([s.label for s in c.samples], dtype=float),
+                       ev.prep_states(c.samples))
+        for c in clients
+    )
+
+
+def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
              model: Model) -> tuple[float, float]:
     """(binary accuracy at threshold 0.5, mean squared error) over the
-    pooled samples of the given clients. Ties at p = 0.5 count as label 0."""
-    samples = [s for c in test_clients for s in c.samples]
-    if not samples:
+    pooled samples of the given prepared clients (see prepare_clients).
+    Ties at p = 0.5 count as label 0."""
+    if not any(len(c.samples) for c in test_clients):
         raise ConfigError("evaluation needs at least one sample")
     ev = ModelEvaluator(model, params.names)
-    labels = np.array([s.label for s in samples], dtype=float)
-    preds = np.empty(len(samples))
-    for start in range(0, len(samples), 512):
-        chunk = samples[start:start + 512]
-        prep = ev.prep_states(chunk)
-        preds[start:start + len(chunk)] = ev.predictions(prep, params.values)
+    labels = np.concatenate([c.labels for c in test_clients])
+    preds = np.concatenate([
+        ev.predictions(c.prep_states[start:start + EVAL_BATCH], params.values)
+        for c in test_clients for start in range(0, len(c.samples), EVAL_BATCH)
+    ])
     accuracy = float(np.mean((preds > 0.5) == (labels == 1)))
-    mse = float(np.sum((labels - preds) ** 2) / (2 * len(samples)))
+    mse = float(np.sum((labels - preds) ** 2) / (2 * len(labels)))
     return accuracy, mse
 
 
 @dataclass
 class EvalContext:
-    """Evaluation inputs shared by every round of one training run."""
+    """Evaluation inputs shared by every round of one training run, with
+    the clients' preparation states simulated once (see build_run)."""
 
     model: Model
-    test_clients: tuple[ClientDataset, ...]
-    train_clients: tuple[ClientDataset, ...] | None = None
+    test_clients: tuple[PreparedClient, ...]
+    train_clients: tuple[PreparedClient, ...] | None = None
 
     def record(self, round_index: int, params: ParamVector,
                client_losses: dict[str, float]) -> RoundRecord:
@@ -393,7 +418,8 @@ def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = Tr
         dataset, cfg, cfg.train_clients if in_process else ())
     weights = normalized_weights(cfg.weights, len(train_data))
     server = ServerState(params0, 0, weights)
-    ctx = EvalContext(model, test_data, train_data if cfg.eval_train else None)
+    ctx = EvalContext(model, prepare_clients(test_data, model),
+                      prepare_clients(train_data, model) if cfg.eval_train else None)
     return model, server, clients, ctx
 
 

@@ -254,6 +254,15 @@ def _parse_sample(line: str, lineno: int, n_qubits: int) -> Sample:
     return Sample(circuit, label)
 
 
+def _header_int(line: str, key: str, path) -> int:
+    if not line.startswith(key + "="):
+        raise DatasetFormatError(f"{path}: missing {key}")
+    try:
+        return int(line[len(key) + 1:])
+    except ValueError:
+        raise DatasetFormatError(f"{path}: {key} is not an integer: {line!r}") from None
+
+
 def read_dataset(path) -> FederatedDataset:
     """Parse and checksum-verify a container written by write_dataset."""
     raw = Path(path).read_bytes()
@@ -273,17 +282,18 @@ def read_dataset(path) -> FederatedDataset:
             f"{path}: checksum mismatch (declared {declared}, actual {actual})"
         )
 
-    lines = body.decode("utf-8").split("\n")
+    try:
+        lines = body.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(
+            f"{path}: body is not UTF-8 (byte {exc.start} after the checksum line)"
+        ) from None
     if len(lines) < 3:
         raise DatasetFormatError(f"{path}: truncated body")
-    if not lines[0].startswith("format_version="):
-        raise DatasetFormatError(f"{path}: missing format_version")
-    version = int(lines[0].split("=", 1)[1])
+    version = _header_int(lines[0], "format_version", path)
     if version > FORMAT_VERSION:
         raise DatasetVersionError(f"{path}: format_version {version} unsupported")
-    if not lines[1].startswith("n_clients="):
-        raise DatasetFormatError(f"{path}: missing n_clients")
-    n_clients = int(lines[1].split("=", 1)[1])
+    n_clients = _header_int(lines[1], "n_clients", path)
     if not lines[2].startswith("gen_config "):
         raise DatasetFormatError(f"{path}: missing gen_config")
     gen_config = _parse_gen_config(lines[2])
@@ -306,7 +316,12 @@ def read_dataset(path) -> FederatedDataset:
             raise DatasetFormatError(
                 f"line {i + 3}: unknown distribution {parts[2]!r}"
             ) from None
-        count = int(parts[3])
+        try:
+            count = int(parts[3])
+        except ValueError:
+            raise DatasetFormatError(
+                f"line {i + 3}: bad sample count {parts[3]!r}"
+            ) from None
         samples = []
         for j in range(count):
             idx = i + 1 + j

@@ -119,26 +119,29 @@ def predict_oracle(prep_circuit, model_circuit, bindings, readout_qubit) -> floa
 
 def shift_rule_gradient(prep_circuit, model_ops, values_by_symbol, names,
                         readout_qubit, n_qubits):
-    """Literal per-occurrence shift-rule d<Z>/d(theta) via full re-simulation.
+    """Literal per-occurrence shift-rule d<Z>/d(theta) via re-simulation.
 
     For every parameter and every gate occurrence referencing it, the
-    whole circuit is re-run twice with that one occurrence's angle moved
-    by +-pi/2; the halved difference is summed over occurrences.
+    circuit is re-run twice from that occurrence on, with that one
+    occurrence's angle moved by +-pi/2; the halved difference is summed
+    over occurrences. Every gate is embedded once and the unshifted state
+    before each gate is shared between runs.
     """
-    import qflsim.sim as sim
-
     bound = []
     for op in model_ops:
         angle = _resolved_angle(op, values_by_symbol)
         bound.append((op.kind, op.targets, angle, op.symbol, op.sign))
+    full = [embed(small_matrix(kind, angle), targets, n_qubits)
+            for kind, targets, angle, _symbol, _sign in bound]
+    before = [run_circuit(prep_circuit)]
+    for gate in full:
+        before.append(gate @ before[-1])
 
-    def z_with(occurrence_shift=None):
-        psi = run_circuit(prep_circuit)
-        for t, (kind, targets, angle, _symbol, _sign) in enumerate(bound):
-            a = angle
-            if occurrence_shift is not None and occurrence_shift[0] == t:
-                a = angle + occurrence_shift[1]
-            psi = embed(small_matrix(kind, a), targets, n_qubits) @ psi
+    def z_shifted(t, shift):
+        kind, targets, angle = bound[t][:3]
+        psi = embed(small_matrix(kind, angle + shift), targets, n_qubits) @ before[t]
+        for gate in full[t + 1:]:
+            psi = gate @ psi
         return z_expectation(psi, readout_qubit)
 
     grad = np.zeros(len(names))
@@ -146,8 +149,8 @@ def shift_rule_gradient(prep_circuit, model_ops, values_by_symbol, names,
     for t, (_kind, _targets, _angle, symbol, sign) in enumerate(bound):
         if symbol is None:
             continue
-        plus = z_with((t, math.pi / 2))
-        minus = z_with((t, -math.pi / 2))
+        plus = z_shifted(t, math.pi / 2)
+        minus = z_shifted(t, -math.pi / 2)
         grad[index[symbol]] += sign * (plus - minus) / 2
     return grad
 

@@ -8,7 +8,7 @@ import pytest
 
 from qflsim.cli import main
 from qflsim.metrics import MetricsSchemaError, read_metrics, validate_row
-from qflsim.store import read_dataset
+from qflsim.store import checksum_bytes, read_dataset
 
 TINY = ["--clients", "6", "--samples-per-client", "8", "--qubits", "2"]
 FAST_TRAIN = ["--rounds", "1", "--batch-size", "4", "--epochs", "1"]
@@ -98,6 +98,16 @@ class TestTrain:
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["train", "--dataset", str(tmp_path / "nope.qfd"),
                      *FAST_TRAIN, "--out", str(tmp_path / "m.jsonl")]) == 3
+
+    def test_malformed_dataset_header_exits_3(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        magic, _checksum, body = data.read_bytes().split(b"\n", 2)
+        body = body.replace(b"format_version=1", b"format_version=x", 1)
+        data.write_bytes(magic + b"\nchecksum=" + checksum_bytes(body).encode()
+                         + b"\n" + body)
+        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
+                     "--out", str(tmp_path / "m.jsonl")]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         assert main(["train", "--no-such-flag"]) == 2

@@ -17,6 +17,7 @@ from qflsim.federated import (
     TrainConfig,
     build_run,
     evaluate,
+    prepare_clients,
     federated_average,
     local_train,
     normalized_weights,
@@ -287,7 +288,7 @@ class TestEvaluate:
         client = type(ds.clients[0])(
             "c", tuple(Sample(Circuit(8), 1) for _ in range(6)),
             ds.clients[0].distribution_tag)
-        acc, mse = evaluate(params, [client], model)
+        acc, mse = evaluate(params, prepare_clients([client], model), model)
         assert acc == 1.0 and mse == pytest.approx(0.0, abs=1e-12)
 
     def test_half_probability_ties_count_as_label_zero(self):
@@ -298,7 +299,7 @@ class TestEvaluate:
         samples = tuple(Sample(prep, lab) for lab in (0, 0, 1))
         client = _tiny_dataset(1, 8, 1, 8).clients[0]
         client = type(client)("c", samples, client.distribution_tag)
-        acc, _ = evaluate(params, [client], model)
+        acc, _ = evaluate(params, prepare_clients([client], model), model)
         assert acc == pytest.approx(2 / 3)
 
     def test_matches_per_sample_tally(self):
@@ -306,7 +307,7 @@ class TestEvaluate:
         arch = default_architecture(2)
         model = build_model(arch)
         params = init_params(arch, 7)
-        acc, mse = evaluate(params, ds.clients, model)
+        acc, mse = evaluate(params, prepare_clients(ds.clients, model), model)
         from qflsim.model import predict
 
         hits = 0

@@ -30,7 +30,16 @@ from qflsim.model import (
     predict,
     readout_gradient,
 )
-from qflsim.sim import Circuit, apply_circuit, cnot, h, new_zero_state, rx
+from qflsim.sim import (
+    PARAMETRIZED_GATES,
+    Circuit,
+    GateOp,
+    apply_circuit,
+    cnot,
+    h,
+    new_zero_state,
+    rx,
+)
 from qflsim.store import serialize_circuit
 
 # Dense-oracle values for the seed-0 client-0 batch under seed-0 parameters,
@@ -46,6 +55,24 @@ def _sample_batch(n=4, seed=0):
 def _rand_state(rng, n):
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return psi / np.linalg.norm(psi)
+
+
+# (qubits, gates, seed) of the random symbolic circuits checked against
+# the oracles; a 1-qubit model and 2- to 4-qubit circuits.
+_RANDOM_CASES = ((1, 12, 0), (2, 20, 1), (3, 30, 2), (3, 30, 3), (4, 40, 4))
+
+
+def _symbolic_circuit(rng, n_qubits, n_gates, n_symbols=3):
+    """A seeded random circuit in which most rotations reference one of a
+    few shared symbols, with either sign."""
+    names = [f"s{i}" for i in range(n_symbols)]
+    ops = []
+    for op in oracles.random_circuit(rng, n_qubits, n_gates).ops:
+        if op.kind in PARAMETRIZED_GATES and rng.random() < 0.75:
+            op = GateOp(op.kind, op.targets, symbol=names[rng.integers(n_symbols)],
+                        sign=int(rng.choice([1, -1])))
+        ops.append(op)
+    return Circuit(n_qubits, tuple(ops))
 
 
 class TestArchitecture:
@@ -207,6 +234,30 @@ class TestPredict:
             base, abs=1e-12)
 
 
+class TestPrepStates:
+    def test_grouped_preparation_matches_per_sample_simulation(self):
+        # Generated samples share their cluster prefix and differ in the
+        # excitation target and angle; random circuits share nothing.
+        rng = np.random.default_rng(6)
+        samples = list(_sample_batch(12)) + [
+            Sample(oracles.random_circuit(rng, 8, 20), 0) for _ in range(3)]
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        got = ev.prep_states(samples)
+        for row, sample in zip(got, samples):
+            want = oracles.run_circuit(sample.prep_circuit)
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_unbound_symbol_rejected(self):
+        model = build_model(default_architecture(2))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        bound = Sample(Circuit(2, (rx(0, 0.3),)), 0)
+        unbound = Sample(Circuit(2, (rx(0, symbol="a"),)), 0)
+        with pytest.raises(UnresolvedParameterError):
+            ev.prep_states([bound, unbound])
+
+
 class TestMseLoss:
     def test_zero_when_predictions_equal_labels(self):
         model = build_model(default_architecture(8))
@@ -281,18 +332,81 @@ class TestGradient:
             params.names, arch.readout_qubit, 2)
         assert np.max(np.abs(dz - literal)) < 1e-12
 
-    def test_fused_and_numpy_paths_agree(self):
+    @pytest.mark.parametrize("n_qubits,n_gates,seed", _RANDOM_CASES)
+    def test_random_symbolic_circuits_match_oracles(self, n_qubits, n_gates, seed):
+        rng = np.random.default_rng(seed)
+        circuit = _symbolic_circuit(rng, n_qubits, n_gates)
+        names = circuit.symbols()
+        arch = ArchitectureSpec(n_qubits, (), n_qubits - 1)
+        ev = ModelEvaluator(Model(arch, circuit), names)
+        values = rng.uniform(-math.pi, math.pi, size=len(names))
+        bindings = dict(zip(names, values.tolist()))
+        preps = [oracles.random_circuit(rng, n_qubits, 8) for _ in range(3)]
+        z, dz = ev.readout_z_and_gradient(
+            ev.prep_states([Sample(p, 0) for p in preps]), values)
+        for i, prep in enumerate(preps):
+            psi = oracles.circuit_unitary(circuit, bindings) @ oracles.run_circuit(prep)
+            assert abs(z[i] - oracles.z_expectation(psi, n_qubits - 1)) < 1e-12
+            literal = oracles.shift_rule_gradient(
+                prep, circuit.ops, bindings, names, n_qubits - 1, n_qubits)
+            assert np.max(np.abs(dz[:, i] - literal)) < 1e-12
+
+    def test_random_circuits_cover_block_shapes(self):
+        # What the oracle test above relies on: both block sizes, both
+        # two-qubit target orders, fixed gates inside a two-qubit block and
+        # negated references to shared symbols.
+        sizes, orders, fixed_in_pair, negated_shared = set(), set(), False, False
+        for n, g, seed in _RANDOM_CASES:
+            c = _symbolic_circuit(np.random.default_rng(seed), n, g)
+            ev = ModelEvaluator(Model(ArchitectureSpec(n, (), 0), c), c.symbols())
+            sizes |= {len(q) for q in ev.block_qubits}
+            for op in c.ops:
+                if len(op.targets) == 2:
+                    orders.add(op.targets[0] > op.targets[1])
+                    fixed_in_pair |= op.kind in ("CZ", "CNOT")
+                if op.sign == -1:
+                    negated_shared |= sum(o.symbol == op.symbol for o in c.ops) > 1
+        assert sizes == {1, 2} and orders == {True, False}
+        assert fixed_in_pair and negated_shared
+
+    def test_default_arch_matches_literal_shift_rule(self):
+        model = build_model(default_architecture(8))
+        params = init_params(model.arch, 2)
+        sample = _sample_batch(1, seed=2)[0]
+        dz = readout_gradient(params, sample, model)
+        literal = oracles.shift_rule_gradient(
+            sample.prep_circuit, model.circuit.ops, params.bindings(),
+            params.names, model.readout_qubit, 8)
+        assert np.max(np.abs(dz - literal)) < 1e-12
+
+    def test_default_arch_applies_one_matrix_per_block(self, monkeypatch):
+        # 265 gates fuse into 19 blocks; a forward and adjoint sweep apply
+        # at most two matrices per block, never one per gate.
+        import qflsim.model as model_module
+
         model = build_model(default_architecture(8))
         ev = ModelEvaluator(model, parameter_names(model.arch))
-        params = init_params(model.arch, 2)
-        batch = _sample_batch(3, seed=2)
-        prep = ev.prep_states(batch)
-        z_a, dz_a = ev.readout_z_and_gradient(prep, params.values)
-        z_b, dz_b = ev._readout_z_and_gradient_numpy(prep, params.values)
-        assert np.max(np.abs(z_a - z_b)) < 1e-13
-        assert np.max(np.abs(dz_a - dz_b)) < 1e-13
-        assert np.max(np.abs(ev.readout_z(prep, params.values)
-                             - ev._readout_z_numpy(prep, params.values))) < 1e-13
+        assert len(model.circuit.ops) == 265
+        assert len(ev.block_qubits) == 19
+        prep = ev.prep_states(_sample_batch(2))
+        calls = []
+        real = model_module.apply_matrix
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(model_module, "apply_matrix", counting)
+        ev.readout_z_and_gradient(prep, init_params(model.arch, 0).values)
+        assert 19 <= len(calls) <= 2 * 19
+
+    def test_gateless_model_reads_the_prepared_state(self):
+        arch = ArchitectureSpec(2, (), 1)
+        ev = ModelEvaluator(Model(arch, Circuit(2)), ("t",))
+        prep = ev.prep_states([Sample(Circuit(2, (h(1),)), 0), Sample(Circuit(2), 1)])
+        z, dz = ev.readout_z_and_gradient(prep, np.zeros(1))
+        assert z == pytest.approx([0.0, 1.0], abs=1e-15)
+        assert np.array_equal(dz, np.zeros((1, 2)))
 
     def test_shared_symbol_sums_occurrences(self):
         # Two RX gates sharing one symbol: d<Z>/dt of RX(2t) is -2 sin(2t).

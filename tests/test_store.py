@@ -22,6 +22,7 @@ from qflsim.errors import (
 from qflsim.model import Sample
 from qflsim.sim import Circuit, cz, h, rx, ry, rz
 from qflsim.store import (
+    checksum_bytes,
     parse_circuit,
     read_dataset,
     serialize_circuit,
@@ -32,6 +33,15 @@ from qflsim.store import (
 def _tiny_dataset(n_clients=2, samples=16, seed=1):
     return generate_federated_dataset(
         GenConfig(n_clients=n_clients, samples_per_client=samples, seed=seed))
+
+
+def _rewrite_body(path, edit):
+    """Apply ``edit`` to the body after the checksum line and re-sign it,
+    so only parsing can reject the file."""
+    magic, _checksum, body = path.read_bytes().split(b"\n", 2)
+    edited = edit(body)
+    assert edited != body
+    path.write_bytes(magic + b"\nchecksum=" + checksum_bytes(edited).encode() + b"\n" + edited)
 
 
 class TestSerializeCircuit:
@@ -191,6 +201,19 @@ class TestDatasetContainer:
         from qflsim.store import checksum_bytes
         blob = f"{head}\nchecksum={checksum_bytes(new_body.encode())}\n{new_body}"
         path.write_text(blob)
+        with pytest.raises(DatasetFormatError):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("old,new", [
+        (b"format_version=1\n", b"format_version=one\n"),
+        (b"n_clients=2\n", b"n_clients=2.0\n"),
+        (b"client_000 uniform_pi 16\n", b"client_000 uniform_pi 1e1\n"),
+        (b"n_clients=2\n", b"n_clients=2\n\xff\xfe\n"),
+    ], ids=["format-version", "n-clients", "sample-count", "not-utf8"])
+    def test_malformed_header_with_valid_checksum(self, tmp_path, old, new):
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: body.replace(old, new, 1))
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
 
