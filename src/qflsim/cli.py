@@ -52,8 +52,8 @@ def _add_gen_flags(parser: argparse.ArgumentParser):
 
 def add_local_training_flags(parser: argparse.ArgumentParser):
     """Client optimizer and batching flags, shared by the experiment
-    commands and ``qflsim.worker``; opt_config turns them into an
-    OptimizerConfig."""
+    commands and ``qflsim.worker``; train_config turns them into a
+    TrainConfig."""
     parser.add_argument("--optimizer", default="adam", choices=OPTIMIZER_KINDS)
     parser.add_argument("--lr", type=float, default=0.02)
     parser.add_argument("--epochs", type=int, default=1)
@@ -90,8 +90,16 @@ def _gen_config(args, n_clients=None, samples=None, seed=None) -> GenConfig:
     )
 
 
-def opt_config(args) -> OptimizerConfig:
-    return OptimizerConfig(kind=args.optimizer, learning_rate=args.lr)
+def train_config(args, rounds: int, train_ids, test_ids, seed: int,
+                 **extra) -> TrainConfig:
+    """A TrainConfig with the local-training flags of ``args`` (see
+    add_local_training_flags); ``extra`` sets further TrainConfig fields."""
+    return TrainConfig(
+        rounds=rounds, train_clients=train_ids, test_clients=test_ids,
+        epochs=args.epochs, batch_size=args.batch_size,
+        opt=OptimizerConfig(kind=args.optimizer, learning_rate=args.lr),
+        seed=seed, **extra,
+    )
 
 
 def _split_ids(dataset, n_train: int, n_test: int) -> tuple[tuple, tuple]:
@@ -160,11 +168,7 @@ def cmd_train(args) -> int:
     train_ids, test_ids = _split_ids(dataset, args.train_clients, args.test_clients)
     arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
                               args.readout_qubit, include_fc=args.fc)
-    cfg = TrainConfig(
-        rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
-        epochs=args.epochs, batch_size=args.batch_size, opt=opt_config(args),
-        seed=args.seed, arch=arch,
-    )
+    cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed, arch=arch)
     experiment = (f"train-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
                   f"-r{args.rounds}")
     context = {
@@ -199,11 +203,7 @@ def cmd_sweep_clients(args) -> int:
         else:
             train_ids = ids[:n_train]
             test_ids = ids[total - n_test:total]
-        cfg = TrainConfig(
-            rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
-            epochs=args.epochs, batch_size=args.batch_size,
-            opt=opt_config(args), seed=args.seed,
-        )
+        cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed)
         context = {
             "n_clients": total, "train_clients": len(train_ids),
             "test_clients": len(test_ids), "optimizer": args.optimizer,
@@ -229,13 +229,9 @@ def cmd_sweep_datasize(args) -> int:
         train_ids, test_ids = _split_ids(dataset, args.train_clients,
                                          args.test_clients)
         for centralized in (False, True):
-            cfg = TrainConfig(
-                rounds=args.rounds,
-                train_clients=train_ids[:1] if centralized else train_ids,
-                test_clients=test_ids,
-                epochs=args.epochs, batch_size=args.batch_size,
-                opt=opt_config(args), seed=seed,
-            )
+            cfg = train_config(args, args.rounds,
+                               train_ids[:1] if centralized else train_ids,
+                               test_ids, seed)
             context = {
                 "samples_per_client": size, "centralized": centralized,
                 "optimizer": args.optimizer, "lr": args.lr,
@@ -256,11 +252,7 @@ def cmd_compare_iid(args) -> int:
         dataset = generate_federated_dataset(config, fraction)
         train_ids, test_ids = _split_ids(dataset, args.train_clients,
                                          args.test_clients)
-        cfg = TrainConfig(
-            rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
-            epochs=args.epochs, batch_size=args.batch_size,
-            opt=opt_config(args), seed=args.seed,
-        )
+        cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed)
         context = {"dataset": tag, "non_iid_fraction": fraction,
                    "optimizer": args.optimizer, "lr": args.lr}
         final = _run_experiment(dataset, cfg, args.out, experiment, context,
@@ -281,11 +273,8 @@ def cmd_error_bars(args) -> int:
         dataset = generate_federated_dataset(_gen_config(args, seed=seed))
         train_ids, test_ids = _split_ids(dataset, args.train_clients,
                                          args.test_clients)
-        cfg = TrainConfig(
-            rounds=args.rounds, train_clients=train_ids, test_clients=test_ids,
-            epochs=args.epochs, batch_size=args.batch_size,
-            opt=opt_config(args), seed=seed, eval_train=True,
-        )
+        cfg = train_config(args, args.rounds, train_ids, test_ids, seed,
+                           eval_train=True)
         context = {"optimizer": args.optimizer, "lr": args.lr}
         final = _run_experiment(dataset, cfg, args.out, experiment, context)
         finals.append(final)

@@ -81,12 +81,6 @@ class FederatedDataset:
     def client_ids(self) -> tuple[str, ...]:
         return tuple(c.client_id for c in self.clients)
 
-    def client(self, client_id: str) -> ClientDataset:
-        for c in self.clients:
-            if c.client_id == client_id:
-                return c
-        raise ConfigError(f"no client {client_id!r} in dataset")
-
 
 def cluster_state_circuit(n_qubits: int) -> Circuit:
     """Hadamard on every qubit, then CZ around the ring.

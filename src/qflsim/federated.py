@@ -7,6 +7,11 @@ vectors (a unit-step move toward that mean is the mean itself, so no
 separate server optimizer exists). Client optimizer moments persist
 across rounds, which makes single-client federated training coincide
 exactly with plain centralized training.
+
+A run compiles one ModelEvaluator and prepares each client's input
+states once, into a PreparedClient (samples, labels, prepared states).
+Local training reads a client's record, and evaluation reads the test
+clients' records and, with ``eval_train``, the same training records.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +23,6 @@ from .datagen import ClientDataset, FederatedDataset
 from .errors import ConfigError, TrainingError
 from .model import (
     ArchitectureSpec,
-    Model,
     ModelEvaluator,
     ParamVector,
     Sample,
@@ -30,6 +34,11 @@ from .model import (
 from .store import params_checksum
 
 OPTIMIZER_KINDS = ("sgd", "adam", "rmsprop")
+# Moment decay rates and the denominator guard, the same for every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+RMSPROP_DECAY = 0.9
+EPSILON = 1e-7
 
 # Samples per forward pass in evaluate; bounds its temporary states.
 EVAL_BATCH = 64
@@ -42,10 +51,6 @@ _SHUFFLE_NS = 1
 class OptimizerConfig:
     kind: str = "adam"
     learning_rate: float = 0.02
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    epsilon: float = 1e-7
-    rmsprop_decay: float = 0.9
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -83,20 +88,40 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
         new = params - lr * grads
         return new, OptimizerState(state.m, state.v, t)
     if config.kind == "adam":
-        m = config.adam_beta1 * state.m + (1 - config.adam_beta1) * grads
-        v = config.adam_beta2 * state.v + (1 - config.adam_beta2) * grads**2
-        m_hat = m / (1 - config.adam_beta1**t)
-        v_hat = v / (1 - config.adam_beta2**t)
-        new = params - lr * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+        v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        new = params - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
         return new, OptimizerState(m, v, t)
-    v = config.rmsprop_decay * state.v + (1 - config.rmsprop_decay) * grads**2
-    new = params - lr * grads / np.sqrt(v + config.epsilon)
+    v = RMSPROP_DECAY * state.v + (1 - RMSPROP_DECAY) * grads**2
+    new = params - lr * grads / np.sqrt(v + EPSILON)
     return new, OptimizerState(state.m, v, t)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedClient:
+    """One client's samples with their labels and prepared input states,
+    simulated once per run and used by its local training and evaluation."""
+
+    samples: tuple[Sample, ...]
+    labels: np.ndarray = field(repr=False)
+    prep_states: np.ndarray = field(repr=False)
+
+
+def prepare_clients(clients: Sequence[ClientDataset],
+                    evaluator: ModelEvaluator) -> tuple[PreparedClient, ...]:
+    """Each client's labels and preparation states."""
+    return tuple(
+        PreparedClient(c.samples, np.array([s.label for s in c.samples], dtype=float),
+                       evaluator.prep_states(c.samples))
+        for c in clients
+    )
 
 
 @dataclass
 class ClientState:
-    """One client's identity, data, parameters and optimizer moments.
+    """One client's identity, prepared data, parameters and optimizer moments.
 
     ``seed_key`` is the client's stable ordinal in the dataset; together
     with the run seed and a cumulative epoch counter it determines every
@@ -105,22 +130,12 @@ class ClientState:
 
     client_id: str
     seed_key: int
-    dataset: ClientDataset
+    data: PreparedClient
     params: ParamVector
     opt_state: OptimizerState
     evaluator: ModelEvaluator
     base_seed: int
     epochs_done: int = 0
-    prep_states: np.ndarray = field(repr=False, default=None)
-    labels: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.prep_states is None:
-            self.prep_states = self.evaluator.prep_states(self.dataset.samples)
-        if self.labels is None:
-            self.labels = np.array(
-                [s.label for s in self.dataset.samples], dtype=float
-            )
 
 
 @dataclass(frozen=True)
@@ -200,7 +215,7 @@ def local_train(client: ClientState, global_params: ParamVector, epochs: int,
         raise ConfigError("epochs must be >= 1")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    n_samples = len(client.dataset.samples)
+    n_samples = len(client.data.samples)
     if n_samples == 0:
         raise ConfigError(f"client {client.client_id} has no data")
     values = np.array(global_params.values, dtype=float)
@@ -213,7 +228,7 @@ def local_train(client: ClientState, global_params: ParamVector, epochs: int,
         for start in range(0, n_samples, batch_size):
             idx = order[start:start + batch_size]
             loss, grad = client.evaluator.loss_and_gradient(
-                client.prep_states[idx], client.labels[idx], values
+                client.data.prep_states[idx], client.data.labels[idx], values
             )
             values, opt_state = optimizer_step(opt_state, values, grad, opt)
             losses.append(loss)
@@ -250,38 +265,18 @@ def federated_average(updates: Sequence, weights) -> ParamVector:
     return ParamVector(names, weights @ stacked)
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedClient:
-    """One client's samples with their labels and prepared input states,
-    simulated once and reused by every evaluation of a run."""
-
-    samples: tuple[Sample, ...]
-    labels: np.ndarray
-    prep_states: np.ndarray
-
-
-def prepare_clients(clients: Sequence[ClientDataset],
-                    model: Model) -> tuple[PreparedClient, ...]:
-    """Each client's labels and preparation states, ready for evaluate."""
-    ev = ModelEvaluator(model, model.circuit.symbols())
-    return tuple(
-        PreparedClient(c.samples, np.array([s.label for s in c.samples], dtype=float),
-                       ev.prep_states(c.samples))
-        for c in clients
-    )
-
-
 def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
-             model: Model) -> tuple[float, float]:
+             evaluator: ModelEvaluator) -> tuple[float, float]:
     """(binary accuracy at threshold 0.5, mean squared error) over the
     pooled samples of the given prepared clients (see prepare_clients).
     Ties at p = 0.5 count as label 0."""
+    if params.names != evaluator.param_names:
+        raise ConfigError("parameter names differ from the evaluator's")
     if not any(len(c.samples) for c in test_clients):
         raise ConfigError("evaluation needs at least one sample")
-    ev = ModelEvaluator(model, params.names)
     labels = np.concatenate([c.labels for c in test_clients])
     preds = np.concatenate([
-        ev.predictions(c.prep_states[start:start + EVAL_BATCH], params.values)
+        evaluator.predictions(c.prep_states[start:start + EVAL_BATCH], params.values)
         for c in test_clients for start in range(0, len(c.samples), EVAL_BATCH)
     ])
     accuracy = float(np.mean((preds > 0.5) == (labels == 1)))
@@ -291,19 +286,19 @@ def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
 
 @dataclass
 class EvalContext:
-    """Evaluation inputs shared by every round of one training run, with
-    the clients' preparation states simulated once (see build_run)."""
+    """The run's evaluator and the prepared clients every round of one
+    training run is evaluated on (see build_run)."""
 
-    model: Model
+    evaluator: ModelEvaluator
     test_clients: tuple[PreparedClient, ...]
     train_clients: tuple[PreparedClient, ...] | None = None
 
     def record(self, round_index: int, params: ParamVector,
                client_losses: dict[str, float]) -> RoundRecord:
-        test_acc, test_mse = evaluate(params, self.test_clients, self.model)
+        test_acc, test_mse = evaluate(params, self.test_clients, self.evaluator)
         train_acc = train_mse = None
         if self.train_clients is not None:
-            train_acc, train_mse = evaluate(params, self.train_clients, self.model)
+            train_acc, train_mse = evaluate(params, self.train_clients, self.evaluator)
         return RoundRecord(
             round=round_index,
             server_params_checksum=params_checksum(params.values),
@@ -384,43 +379,45 @@ def _split_datasets(dataset: FederatedDataset, cfg: TrainConfig):
 
 def build_clients(dataset: FederatedDataset, cfg: TrainConfig,
                   client_ids: Sequence[str]):
-    """Model, initial parameters and one ClientState per client of
-    ``client_ids``, all derived from the dataset and ``cfg`` alone, so a
-    socket worker builds the same ones as an in-process run."""
+    """The run's evaluator, initial parameters and one ClientState per
+    client of ``client_ids``, all derived from the dataset and ``cfg``
+    alone, so a socket worker builds the same ones as an in-process run."""
     ordinals = {c.client_id: i for i, c in enumerate(dataset.clients)}
-    arch = cfg.arch or default_architecture(dataset.gen_config.n_qubits)
-    model = build_model(arch)
-    evaluator = ModelEvaluator(model, parameter_names(arch))
-    params0 = init_params(arch, cfg.seed)
-    clients = []
     for cid in client_ids:
         if cid not in ordinals:
             raise ConfigError(f"unknown client {cid!r}")
-        clients.append(ClientState(
-            client_id=cid,
-            seed_key=ordinals[cid],
-            dataset=dataset.clients[ordinals[cid]],
-            params=params0,
-            opt_state=OptimizerState.zeros(len(params0)),
-            evaluator=evaluator,
-            base_seed=cfg.seed,
-        ))
-    return model, params0, clients
+    arch = cfg.arch or default_architecture(dataset.gen_config.n_qubits)
+    evaluator = ModelEvaluator(build_model(arch), parameter_names(arch))
+    params0 = init_params(arch, cfg.seed)
+    prepared = prepare_clients(
+        [dataset.clients[ordinals[cid]] for cid in client_ids], evaluator)
+    clients = [
+        ClientState(client_id=cid, seed_key=ordinals[cid], data=data,
+                    params=params0, opt_state=OptimizerState.zeros(len(params0)),
+                    evaluator=evaluator, base_seed=cfg.seed)
+        for cid, data in zip(client_ids, prepared)
+    ]
+    return evaluator, params0, clients
 
 
 def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = True):
     """Model, initial server state, client states and evaluation context.
 
     With ``in_process`` false the clients run elsewhere and no client
-    state is built here."""
+    state is built here. With ``cfg.eval_train`` in process, the training
+    clients' own prepared data is evaluated, so every sample is prepared
+    once per run."""
     train_data, test_data = _split_datasets(dataset, cfg)
-    model, params0, clients = build_clients(
+    evaluator, params0, clients = build_clients(
         dataset, cfg, cfg.train_clients if in_process else ())
     weights = normalized_weights(cfg.weights, len(train_data))
     server = ServerState(params0, 0, weights)
-    ctx = EvalContext(model, prepare_clients(test_data, model),
-                      prepare_clients(train_data, model) if cfg.eval_train else None)
-    return model, server, clients, ctx
+    train_eval = None
+    if cfg.eval_train:
+        train_eval = (tuple(c.data for c in clients) if in_process
+                      else prepare_clients(train_data, evaluator))
+    ctx = EvalContext(evaluator, prepare_clients(test_data, evaluator), train_eval)
+    return evaluator.model, server, clients, ctx
 
 
 def run_training(dataset: FederatedDataset, cfg: TrainConfig,

@@ -49,8 +49,6 @@ _OPTIONAL_TYPES = {
     "non_iid_fraction": float,
     "dataset": str,
     "centralized": bool,
-    "label_balance": float,
-    "local_loss_mean": float,
     "test_accuracy_mean": float,
     "test_accuracy_min": float,
     "test_accuracy_max": float,

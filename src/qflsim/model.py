@@ -387,9 +387,10 @@ class ModelEvaluator:
         self.model = model
         self.n_qubits = model.n_qubits
         self.readout = model.readout_qubit
-        name_to_idx = {name: i for i, name in enumerate(param_names)}
+        self.param_names = tuple(param_names)
+        name_to_idx = {name: i for i, name in enumerate(self.param_names)}
         self.n_params = len(name_to_idx)
-        if len(name_to_idx) != len(tuple(param_names)):
+        if len(name_to_idx) != len(self.param_names):
             raise ConfigError("parameter names must be unique")
         blocks = _fuse_blocks(model.circuit.ops)
         self.block_qubits = [qubits for qubits, _run in blocks]

@@ -291,7 +291,7 @@ def read_dataset(path) -> FederatedDataset:
     if len(lines) < 3:
         raise DatasetFormatError(f"{path}: truncated body")
     version = _header_int(lines[0], "format_version", path)
-    if version > FORMAT_VERSION:
+    if not 1 <= version <= FORMAT_VERSION:
         raise DatasetVersionError(f"{path}: format_version {version} unsupported")
     n_clients = _header_int(lines[1], "n_clients", path)
     if not lines[2].startswith("gen_config "):
@@ -299,8 +299,7 @@ def read_dataset(path) -> FederatedDataset:
     gen_config = _parse_gen_config(lines[2])
 
     clients: list[ClientDataset] = []
-    i = 3
-    lineno = i + 3  # account for magic + checksum lines in reported numbers
+    i = 3  # reported line numbers add 3: the magic and checksum lines
     while i < len(lines):
         line = lines[i]
         if not line:
@@ -319,9 +318,9 @@ def read_dataset(path) -> FederatedDataset:
         try:
             count = int(parts[3])
         except ValueError:
-            raise DatasetFormatError(
-                f"line {i + 3}: bad sample count {parts[3]!r}"
-            ) from None
+            count = -1  # reported below, like a negative count
+        if count < 0:
+            raise DatasetFormatError(f"line {i + 3}: bad sample count {parts[3]!r}")
         samples = []
         for j in range(count):
             idx = i + 1 + j

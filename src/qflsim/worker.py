@@ -13,8 +13,8 @@ the ``qflsim`` command.
 
 import argparse
 
-from .cli import add_architecture_flags, add_local_training_flags, opt_config, run_command
-from .federated import TrainConfig, build_clients
+from .cli import add_architecture_flags, add_local_training_flags, run_command, train_config
+from .federated import build_clients
 from .model import build_architecture
 from .store import read_dataset
 from .transport import run_socket_client
@@ -36,12 +36,8 @@ def serve(args) -> int:
     dataset = read_dataset(args.dataset)
     arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
                               args.readout_qubit, include_fc=args.fc)
-    cfg = TrainConfig(
-        rounds=0, train_clients=(args.client_id,), test_clients=(),
-        epochs=args.epochs, batch_size=args.batch_size, opt=opt_config(args),
-        seed=args.seed, arch=arch,
-    )
-    _model, _params0, (client,) = build_clients(dataset, cfg, cfg.train_clients)
+    cfg = train_config(args, 0, (args.client_id,), (), args.seed, arch=arch)
+    _evaluator, _params0, (client,) = build_clients(dataset, cfg, cfg.train_clients)
     run_socket_client(args.host, args.port, client, cfg.epochs,
                       cfg.batch_size, cfg.opt)
     return 0

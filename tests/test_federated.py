@@ -1,5 +1,6 @@
 """Optimizers, federated averaging, local training and the round loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qflsim.federated import (
     LocalTransport,
     OptimizerConfig,
     OptimizerState,
+    PreparedClient,
     ServerState,
     TrainConfig,
     build_run,
@@ -175,7 +177,7 @@ class TestLocalTrain:
         params = init_params(arch, seed)
         client = ClientState(
             client_id=ds.clients[0].client_id, seed_key=0,
-            dataset=ds.clients[0], params=params,
+            data=prepare_clients(ds.clients, evaluator)[0], params=params,
             opt_state=OptimizerState.zeros(len(params)),
             evaluator=evaluator, base_seed=seed)
         return client, params, model
@@ -194,18 +196,16 @@ class TestLocalTrain:
     def test_full_batch_sgd_step_matches_gradient_oracle(self):
         client, params, model = self._client()
         lr = 0.05
-        update = local_train(client, params, 1, len(client.dataset.samples),
+        update = local_train(client, params, 1, len(client.data.samples),
                              OptimizerConfig(kind="sgd", learning_rate=lr))
-        g = gradient(params, list(client.dataset.samples), model)
+        g = gradient(params, list(client.data.samples), model)
         assert np.allclose(update.params.values, params.values - lr * g,
                            atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         client, params, _ = self._client()
-        client.dataset = type(client.dataset)(client.dataset.client_id, (),
-                                              client.dataset.distribution_tag)
-        client.prep_states = client.prep_states[:0]
-        client.labels = client.labels[:0]
+        client.data = PreparedClient((), client.data.labels[:0],
+                                     client.data.prep_states[:0])
         with pytest.raises(ConfigError):
             local_train(client, params, 1, 4, OptimizerConfig(kind="sgd"))
 
@@ -238,7 +238,8 @@ class TestRunRound:
         evaluator = ModelEvaluator(model, parameter_names(arch))
         params = init_params(arch, 0)
         clients = [
-            ClientState(client_id=f"c{i}", seed_key=0, dataset=ds.clients[0],
+            ClientState(client_id=f"c{i}", seed_key=0,
+                        data=prepare_clients(ds.clients[:1], evaluator)[0],
                         params=params,
                         opt_state=OptimizerState.zeros(len(params)),
                         evaluator=evaluator, base_seed=5)
@@ -273,7 +274,8 @@ class TestRunRound:
         cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
                           batch_size=4, seed=1)
         _model, server, clients, ctx = build_run(ds, cfg)
-        clients[1].prep_states = clients[1].prep_states[:3]  # poisoned shapes
+        clients[1].data = dataclasses.replace(  # poisoned shapes
+            clients[1].data, prep_states=clients[1].data.prep_states[:3])
         with pytest.raises(TrainingError, match=clients[1].client_id):
             run_round(server, LocalTransport(clients, cfg), cfg, ctx)
 
@@ -282,24 +284,24 @@ class TestEvaluate:
     def test_all_correct(self):
         ds = _tiny_dataset(n_clients=1, n_qubits=8, samples=8, seed=2)
         arch = default_architecture(8)
-        model = build_model(arch)
+        ev = ModelEvaluator(build_model(arch), parameter_names(arch))
         # Zero model predicts 1 for the bare |0..0> prep.
         params = ParamVector(parameter_names(arch), np.zeros(63))
         client = type(ds.clients[0])(
             "c", tuple(Sample(Circuit(8), 1) for _ in range(6)),
             ds.clients[0].distribution_tag)
-        acc, mse = evaluate(params, prepare_clients([client], model), model)
+        acc, mse = evaluate(params, prepare_clients([client], ev), ev)
         assert acc == 1.0 and mse == pytest.approx(0.0, abs=1e-12)
 
     def test_half_probability_ties_count_as_label_zero(self):
         arch = default_architecture(8)
-        model = build_model(arch)
+        ev = ModelEvaluator(build_model(arch), parameter_names(arch))
         params = ParamVector(parameter_names(arch), np.zeros(63))
         prep = Circuit(8, (h(7),))  # <Z> = 0 exactly on the readout
         samples = tuple(Sample(prep, lab) for lab in (0, 0, 1))
         client = _tiny_dataset(1, 8, 1, 8).clients[0]
         client = type(client)("c", samples, client.distribution_tag)
-        acc, _ = evaluate(params, prepare_clients([client], model), model)
+        acc, _ = evaluate(params, prepare_clients([client], ev), ev)
         assert acc == pytest.approx(2 / 3)
 
     def test_matches_per_sample_tally(self):
@@ -307,7 +309,8 @@ class TestEvaluate:
         arch = default_architecture(2)
         model = build_model(arch)
         params = init_params(arch, 7)
-        acc, mse = evaluate(params, prepare_clients(ds.clients, model), model)
+        ev = ModelEvaluator(model, parameter_names(arch))
+        acc, mse = evaluate(params, prepare_clients(ds.clients, ev), ev)
         from qflsim.model import predict
 
         hits = 0
@@ -325,7 +328,17 @@ class TestEvaluate:
     def test_empty_rejected(self):
         arch = default_architecture(2)
         with pytest.raises(ConfigError):
-            evaluate(init_params(arch, 0), [], build_model(arch))
+            evaluate(init_params(arch, 0), [],
+                     ModelEvaluator(build_model(arch), parameter_names(arch)))
+
+    def test_reordered_parameter_names_rejected(self):
+        ds = _tiny_dataset(n_clients=1)
+        arch = default_architecture(2)
+        ev = ModelEvaluator(build_model(arch), parameter_names(arch))
+        params = init_params(arch, 0)
+        reordered = ParamVector(params.names[::-1], params.values[::-1])
+        with pytest.raises(ConfigError, match="parameter names"):
+            evaluate(reordered, prepare_clients(ds.clients, ev), ev)
 
 
 class TestRunTraining:
@@ -390,6 +403,29 @@ class TestRunTraining:
         assert records[-1].train_accuracy is not None
         assert records[-1].train_mse is not None
 
+    def test_eval_train_run_prepares_each_sample_once(self, monkeypatch):
+        ds = _tiny_dataset(n_clients=4, samples=8)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=2, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=4, eval_train=True)
+        reference = run_training(ds, cfg)
+        built, prepared = [], []
+        init, prep_states = ModelEvaluator.__init__, ModelEvaluator.prep_states
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def counting_prep_states(self, samples):
+            prepared.extend(samples)
+            return prep_states(self, samples)
+
+        monkeypatch.setattr(ModelEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(ModelEvaluator, "prep_states", counting_prep_states)
+        assert run_training(ds, cfg) == reference
+        assert len(built) == 1
+        assert len(prepared) == sum(len(c.samples) for c in ds.clients)
+
 
 def _centralized_params(ds, cfg):
     """Plain mini-batch training on the first client alone, one ``epochs``
@@ -398,11 +434,12 @@ def _centralized_params(ds, cfg):
     arch = default_architecture(ds.gen_config.n_qubits)
     model = build_model(arch)
     params = init_params(arch, cfg.seed)
+    evaluator = ModelEvaluator(model, parameter_names(arch))
     client = ClientState(
-        client_id=ds.clients[0].client_id, seed_key=0, dataset=ds.clients[0],
+        client_id=ds.clients[0].client_id, seed_key=0,
+        data=prepare_clients(ds.clients[:1], evaluator)[0],
         params=params, opt_state=OptimizerState.zeros(len(params)),
-        evaluator=ModelEvaluator(model, parameter_names(arch)),
-        base_seed=cfg.seed)
+        evaluator=evaluator, base_seed=cfg.seed)
     history = [params.values]
     for _ in range(cfg.rounds):
         params = local_train(client, params, cfg.epochs, cfg.batch_size,

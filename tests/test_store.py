@@ -204,17 +204,29 @@ class TestDatasetContainer:
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
 
-    @pytest.mark.parametrize("old,new", [
-        (b"format_version=1\n", b"format_version=one\n"),
-        (b"n_clients=2\n", b"n_clients=2.0\n"),
-        (b"client_000 uniform_pi 16\n", b"client_000 uniform_pi 1e1\n"),
-        (b"n_clients=2\n", b"n_clients=2\n\xff\xfe\n"),
-    ], ids=["format-version", "n-clients", "sample-count", "not-utf8"])
-    def test_malformed_header_with_valid_checksum(self, tmp_path, old, new):
+    @pytest.mark.parametrize("old,new,error", [
+        (b"format_version=1\n", b"format_version=one\n", DatasetFormatError),
+        (b"n_clients=2\n", b"n_clients=2.0\n", DatasetFormatError),
+        (b"client_000 uniform_pi 16\n", b"client_000 uniform_pi 1e1\n",
+         DatasetFormatError),
+        (b"n_clients=2\n", b"n_clients=2\n\xff\xfe\n", DatasetFormatError),
+        (b"client_000 uniform_pi 16\n", b"client_000 uniform_pi -1\n",
+         DatasetFormatError),
+        (b"client_001 uniform_pi 16\n", b"client_001 uniform_pi -2\n",
+         DatasetFormatError),
+        (b"client_001 uniform_pi 16\n", b"client_001 uniform_pi -3\n",
+         DatasetFormatError),
+        (b"format_version=1\n", b"format_version=0\n", DatasetVersionError),
+        (b"format_version=1\n", b"format_version=-1\n", DatasetVersionError),
+    ], ids=["format-version", "n-clients", "sample-count", "not-utf8",
+            "count-minus-1", "count-minus-2", "count-minus-3",
+            "format-version-0", "format-version-negative"])
+    def test_malformed_header_with_valid_checksum(self, tmp_path, old, new, error):
         path = tmp_path / "data.qfd"
         write_dataset(_tiny_dataset(), path)
         _rewrite_body(path, lambda body: body.replace(old, new, 1))
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(error, match="sample count|format_version|"
+                                        "not an integer|not UTF-8"):
             read_dataset(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):

@@ -18,6 +18,7 @@ from qflsim.federated import (
     OptimizerConfig,
     OptimizerState,
     TrainConfig,
+    prepare_clients,
     run_training,
 )
 from qflsim.model import (
@@ -56,11 +57,12 @@ def _make_client(ds, index, seed):
     model = build_model(arch)
     names = parameter_names(arch)
     params = init_params(arch, seed)
+    evaluator = ModelEvaluator(model, names)
     return ClientState(
         client_id=ds.clients[index].client_id, seed_key=index,
-        dataset=ds.clients[index], params=params,
-        opt_state=OptimizerState.zeros(len(names)),
-        evaluator=ModelEvaluator(model, names), base_seed=seed)
+        data=prepare_clients(ds.clients[index:index + 1], evaluator)[0],
+        params=params, opt_state=OptimizerState.zeros(len(names)),
+        evaluator=evaluator, base_seed=seed)
 
 
 class TestMessageCodec:
@@ -133,6 +135,41 @@ class TestSocketRounds:
             for t in threads:
                 t.join(timeout=10)
         assert records == reference
+
+    def test_socket_run_with_eval_train_matches_in_process(self, monkeypatch):
+        ds = _tiny_dataset()
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=2, train_clients=ids[:2], test_clients=ids[2:],
+                          batch_size=4, seed=6, eval_train=True)
+        reference = run_training(ds, cfg)
+        clients = [_make_client(ds, i, cfg.seed) for i in range(2)]
+        built = []
+        init = ModelEvaluator.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ModelEvaluator, "__init__", counting_init)
+        server = SocketFedServer(2, parameter_names(default_architecture(2)))
+        host, port = server.address
+        threads = [threading.Thread(
+            target=run_socket_client,
+            args=(host, port, c, cfg.epochs, cfg.batch_size, cfg.opt))
+            for c in clients]
+        for t in threads:
+            t.start()
+        try:
+            server.wait_for_clients()
+            records = run_training(ds, cfg, transport=server)
+        finally:
+            server.shutdown()
+            for t in threads:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert records == reference
+        assert records[-1].train_accuracy is not None
+        assert len(built) == 1
 
     def test_version_mismatch_rejected(self):
         server = SocketFedServer(1, ("a",))
