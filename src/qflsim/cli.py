@@ -24,7 +24,7 @@ from . import metrics
 from .datagen import GenConfig, generate_federated_dataset
 from .errors import ConfigError, DatasetFormatError, QflError
 from .federated import OPTIMIZER_KINDS, OptimizerConfig, TrainConfig, run_training
-from .model import build_architecture
+from .model import ArchitectureSpec, build_architecture
 from .store import read_dataset, write_dataset
 
 CLIENT_SWEEP_SPLITS = ((1, 1, 0), (6, 4, 2), (12, 9, 3), (18, 14, 4),
@@ -67,12 +67,17 @@ def _add_train_flags(parser: argparse.ArgumentParser):
 
 def add_architecture_flags(parser: argparse.ArgumentParser):
     """Model architecture flags, shared by ``train`` and ``qflsim.worker``;
-    build_architecture(n_qubits, stages, readout_qubit, include_fc=fc)
-    turns them into an ArchitectureSpec."""
+    architecture_from_flags turns them into an ArchitectureSpec."""
     parser.add_argument("--stages", type=int, default=None)
     parser.add_argument("--readout-qubit", type=int, default=None)
     parser.add_argument("--fc", action="store_true",
                         help="append the 3-parameter fully connected layer")
+
+
+def architecture_from_flags(args, n_qubits: int) -> ArchitectureSpec:
+    """The architecture the flags of add_architecture_flags select."""
+    return build_architecture(n_qubits, args.stages, args.readout_qubit,
+                              include_fc=args.fc)
 
 
 def _gen_config(args, n_clients=None, samples=None, seed=None) -> GenConfig:
@@ -166,8 +171,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     dataset = read_dataset(args.dataset)
     train_ids, test_ids = _split_ids(dataset, args.train_clients, args.test_clients)
-    arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
-                              args.readout_qubit, include_fc=args.fc)
+    arch = architecture_from_flags(args, dataset.gen_config.n_qubits)
     cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed, arch=arch)
     experiment = (f"train-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
                   f"-r{args.rounds}")

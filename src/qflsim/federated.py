@@ -1,10 +1,10 @@
-"""Federated training loop: broadcast, local optimization, weighted averaging.
+"""Federated training loop: broadcast, local optimization, averaging.
 
 Each round the server broadcasts its parameters, every client resets to
 them and runs seeded mini-batch gradient steps on its own data, and the
-server replaces its parameters with the weighted mean of the returned
-vectors (a unit-step move toward that mean is the mean itself, so no
-separate server optimizer exists). Client optimizer moments persist
+server replaces its parameters with the mean of the returned vectors,
+each client weighing 1/K (a unit-step move toward that mean is the mean
+itself, so no separate server optimizer exists). Client optimizer moments persist
 across rounds, which makes single-client federated training coincide
 exactly with plain centralized training.
 
@@ -29,7 +29,6 @@ from .model import (
     build_model,
     default_architecture,
     init_params,
-    parameter_names,
 )
 from .store import params_checksum
 
@@ -182,7 +181,6 @@ class TrainConfig:
     batch_size: int = 16
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
-    weights: tuple[float, ...] | None = None
     eval_train: bool = False
     arch: ArchitectureSpec | None = None
 
@@ -349,19 +347,6 @@ def run_round(server: ServerState, transport, cfg: TrainConfig,
     return new_server, record
 
 
-def normalized_weights(weights, n_clients: int) -> np.ndarray:
-    """Uniform 1/K when unspecified; otherwise scaled to sum to one."""
-    if weights is None:
-        return np.full(n_clients, 1.0 / n_clients)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n_clients,):
-        raise ConfigError(f"expected {n_clients} weights, got {weights.shape}")
-    total = float(weights.sum())
-    if total <= 0 or np.any(weights < 0):
-        raise ConfigError("weights must be nonnegative with positive sum")
-    return weights / total
-
-
 def _split_datasets(dataset: FederatedDataset, cfg: TrainConfig):
     by_id = {c.client_id: c for c in dataset.clients}
     for cid in cfg.train_clients + cfg.test_clients:
@@ -387,7 +372,8 @@ def build_clients(dataset: FederatedDataset, cfg: TrainConfig,
         if cid not in ordinals:
             raise ConfigError(f"unknown client {cid!r}")
     arch = cfg.arch or default_architecture(dataset.gen_config.n_qubits)
-    evaluator = ModelEvaluator(build_model(arch), parameter_names(arch))
+    model = build_model(arch)
+    evaluator = ModelEvaluator(model, model.circuit.symbols())
     params0 = init_params(arch, cfg.seed)
     prepared = prepare_clients(
         [dataset.clients[ordinals[cid]] for cid in client_ids], evaluator)
@@ -410,8 +396,7 @@ def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = Tr
     train_data, test_data = _split_datasets(dataset, cfg)
     evaluator, params0, clients = build_clients(
         dataset, cfg, cfg.train_clients if in_process else ())
-    weights = normalized_weights(cfg.weights, len(train_data))
-    server = ServerState(params0, 0, weights)
+    server = ServerState(params0, 0, np.full(len(train_data), 1.0 / len(train_data)))
     train_eval = None
     if cfg.eval_train:
         train_eval = (tuple(c.data for c in clients) if in_process

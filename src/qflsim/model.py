@@ -1,10 +1,13 @@
 """Quantum convolutional classifier: architecture, forward pass, loss, gradients.
 
-The network alternates convolution layers (one shared 15-parameter
-two-qubit unit swept over adjacent pairs of the active qubits) with
-pooling layers (a 6-parameter controlled unit that halves the active
-set), ending in a single-qubit Z readout mapped to a prediction
-p = (1 + <Z>)/2 in [0, 1].
+The network is a stack of stages. Each stage sweeps one shared
+15-parameter two-qubit convolution unit over adjacent pairs of the
+active qubits, then pools every pair with a 6-parameter controlled unit
+that halves the active set. A single-qubit Z readout, optionally after a
+3-parameter rotation triple, is mapped to a prediction
+p = (1 + <Z>)/2 in [0, 1]. ArchitectureSpec holds the four settings
+(qubits, stages, readout qubit, fc unit); build_model_circuit is the one
+walk over the stages, and the parameter names are its circuit's symbols.
 
 ModelEvaluator compiles the model circuit once into blocks: maximal runs
 of consecutive gates whose targets together span at most two qubits
@@ -54,77 +57,50 @@ CONV_PARAMS = 15
 POOL_PARAMS = 6
 FC_PARAMS = 3
 
-_LAYER_KINDS = ("conv", "pool", "fc")
-_LAYER_PARAMS = {"conv": CONV_PARAMS, "pool": POOL_PARAMS, "fc": FC_PARAMS}
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    active_qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in _LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        active = tuple(int(q) for q in self.active_qubits)
-        object.__setattr__(self, "active_qubits", active)
-        if len(set(active)) != len(active):
-            raise ConfigError("active qubits must be distinct")
-        if self.kind == "conv" and len(active) < 2:
-            raise ConfigError("conv layer needs at least 2 active qubits")
-        if self.kind == "pool" and len(active) % 2 != 0:
-            raise ConfigError("pool layer needs an even number of active qubits")
-        if self.kind == "fc" and len(active) != 1:
-            raise ConfigError("fc layer acts on exactly one qubit")
-
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
+    """The QCNN's shape: ``n_stages`` conv/pool stages on ``n_qubits``,
+    a Z readout on ``readout_qubit`` and, with ``include_fc``, a final
+    rotation triple on it. Zero stages leave every qubit active, for
+    models whose circuit is built by hand."""
+
     n_qubits: int
-    layers: tuple[LayerSpec, ...]
+    n_stages: int
     readout_qubit: int
+    include_fc: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        active = tuple(range(self.n_qubits))
-        fc_seen = False
-        for layer in self.layers:
-            if fc_seen:
-                raise ConfigError("fc layer must be last")
-            if layer.kind == "fc":
-                fc_seen = True
-                continue
-            if layer.active_qubits != active:
-                raise ConfigError(
-                    f"{layer.kind} layer active set {layer.active_qubits} is "
-                    f"inconsistent with pooling reduction (expected {active})"
-                )
-            if layer.kind == "pool":
-                active = active[1::2]
-        if self.readout_qubit not in active:
+        if self.n_stages < 0:
+            raise ConfigError(f"n_stages must be >= 0, got {self.n_stages}")
+        if self.n_qubits % (1 << self.n_stages) != 0:
+            raise ConfigError(
+                f"{self.n_qubits} qubits do not halve evenly over "
+                f"{self.n_stages} stages"
+            )
+        if self.readout_qubit not in stage_qubits(self)[-1]:
             raise ConfigError(
                 f"readout qubit {self.readout_qubit} does not survive pooling"
             )
 
 
-def param_count(arch: ArchitectureSpec) -> int:
-    return sum(_LAYER_PARAMS[layer.kind] for layer in arch.layers)
+def stage_qubits(arch: ArchitectureSpec) -> list[tuple[int, ...]]:
+    """The active qubits of each stage, then the survivors: every pool
+    unit retires the first qubit of its pair, so each stage keeps every
+    second active qubit."""
+    active = [tuple(range(arch.n_qubits))]
+    for _ in range(arch.n_stages):
+        active.append(active[-1][1::2])
+    return active
 
 
 def parameter_names(arch: ArchitectureSpec) -> tuple[str, ...]:
-    """Symbol names in layer-major order: c0_*, p0_*, c1_*, ..., f_*."""
-    names: list[str] = []
-    counters = {"conv": 0, "pool": 0}
-    for layer in arch.layers:
-        if layer.kind == "conv":
-            names += [f"c{counters['conv']}_{j}" for j in range(CONV_PARAMS)]
-            counters["conv"] += 1
-        elif layer.kind == "pool":
-            names += [f"p{counters['pool']}_{j}" for j in range(POOL_PARAMS)]
-            counters["pool"] += 1
-        else:
-            names += [f"f_{j}" for j in range(FC_PARAMS)]
-    return tuple(names)
+    """Symbol names in stage-major order: c0_*, p0_*, c1_*, ..., f_*."""
+    return build_model_circuit(arch).symbols()
+
+
+def param_count(arch: ArchitectureSpec) -> int:
+    return len(parameter_names(arch))
 
 
 def build_architecture(n_qubits: int, n_stages: int | None = None,
@@ -134,7 +110,8 @@ def build_architecture(n_qubits: int, n_stages: int | None = None,
 
     ``n_qubits`` must be a power of two in [2, 16]. The default stage
     count halves all the way down to one surviving qubit; with fewer
-    stages the readout may be any surviving qubit (default: the last).
+    stages the readout may be any surviving qubit (default: the last,
+    which survives every stage).
     """
     if n_qubits < 2 or n_qubits > 16 or (n_qubits & (n_qubits - 1)) != 0:
         raise ConfigError(
@@ -147,17 +124,9 @@ def build_architecture(n_qubits: int, n_stages: int | None = None,
         raise ConfigError(
             f"n_stages must be in [1, {max_stages}] for {n_qubits} qubits"
         )
-    layers: list[LayerSpec] = []
-    active = tuple(range(n_qubits))
-    for _ in range(n_stages):
-        layers.append(LayerSpec("conv", active))
-        layers.append(LayerSpec("pool", active))
-        active = active[1::2]
     if readout_qubit is None:
-        readout_qubit = active[-1]
-    if include_fc:
-        layers.append(LayerSpec("fc", (readout_qubit,)))
-    return ArchitectureSpec(n_qubits, tuple(layers), readout_qubit)
+        readout_qubit = n_qubits - 1
+    return ArchitectureSpec(n_qubits, n_stages, readout_qubit, include_fc)
 
 
 def default_architecture(n_qubits: int) -> ArchitectureSpec:
@@ -215,8 +184,6 @@ def conv_unit(q_a: int, q_b: int, symbols: Sequence[str]) -> tuple[GateOp, ...]:
     sy = tuple(symbols)
     if len(sy) != CONV_PARAMS or len(set(sy)) != CONV_PARAMS:
         raise ConfigError(f"conv unit needs {CONV_PARAMS} distinct symbols")
-    if q_a == q_b:
-        raise ConfigError("conv unit qubits must be distinct")
     return (
         rx(q_a, symbol=sy[0]), ry(q_a, symbol=sy[1]), rz(q_a, symbol=sy[2]),
         rx(q_b, symbol=sy[3]), ry(q_b, symbol=sy[4]), rz(q_b, symbol=sy[5]),
@@ -233,13 +200,11 @@ def pool_unit(source: int, sink: int, symbols: Sequence[str]) -> tuple[GateOp, .
 
     Rotation triple on the sink, triple on the source, CNOT(source, sink),
     then the exact inverse of the sink triple (negated angles, reversed
-    order). Later layers must never address the source again.
+    order). Later stages must never address the source again.
     """
     sy = tuple(symbols)
     if len(sy) != POOL_PARAMS or len(set(sy)) != POOL_PARAMS:
         raise ConfigError(f"pool unit needs {POOL_PARAMS} distinct symbols")
-    if source == sink:
-        raise ConfigError("pool unit qubits must be distinct")
     return (
         rx(sink, symbol=sy[0]), ry(sink, symbol=sy[1]), rz(sink, symbol=sy[2]),
         rx(source, symbol=sy[3]), ry(source, symbol=sy[4]), rz(source, symbol=sy[5]),
@@ -258,42 +223,28 @@ def fc_unit(q: int, symbols: Sequence[str]) -> tuple[GateOp, ...]:
     return (rx(q, symbol=sy[0]), ry(q, symbol=sy[1]), rz(q, symbol=sy[2]))
 
 
-def _conv_pairs(active: tuple[int, ...]) -> list[tuple[int, int]]:
-    # Even-offset adjacent pairs, then odd-offset pairs with cyclic wrap;
-    # on two qubits the wrap pair would duplicate the even pair.
-    n = len(active)
-    pairs = [(active[i], active[i + 1]) for i in range(0, n - 1, 2)]
-    if n > 2:
-        pairs += [(active[i], active[(i + 1) % n]) for i in range(1, n, 2)]
-    return pairs
-
-
-def _pool_pairs(active: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(active[i], active[i + 1]) for i in range(0, len(active), 2)]
-
-
 def build_model_circuit(arch: ArchitectureSpec) -> Circuit:
     """Symbolic model circuit with translational weight sharing.
 
-    All conv units of one layer reference the same 15 symbols; all pool
-    units of one layer share their 6 symbols. Symbol order matches
-    parameter_names(arch).
+    Stage i sweeps one conv unit with the symbols c{i}_0..14 over the
+    even-offset pairs of its active qubits, then over the odd-offset
+    pairs with cyclic wrap (on two qubits the wrap pair would repeat the
+    first), and pools each even-offset pair (first into second) with the
+    symbols p{i}_0..5; the fc unit's are f_0..2. The circuit's symbols
+    in first-use order are parameter_names(arch).
     """
     ops: list[GateOp] = []
-    counters = {"conv": 0, "pool": 0}
-    for layer in arch.layers:
-        if layer.kind == "conv":
-            sy = [f"c{counters['conv']}_{j}" for j in range(CONV_PARAMS)]
-            for a, b in _conv_pairs(layer.active_qubits):
-                ops += conv_unit(a, b, sy)
-            counters["conv"] += 1
-        elif layer.kind == "pool":
-            sy = [f"p{counters['pool']}_{j}" for j in range(POOL_PARAMS)]
-            for source, sink in _pool_pairs(layer.active_qubits):
-                ops += pool_unit(source, sink, sy)
-            counters["pool"] += 1
-        else:
-            ops += fc_unit(layer.active_qubits[0], [f"f_{j}" for j in range(FC_PARAMS)])
+    for i, active in enumerate(stage_qubits(arch)[:-1]):
+        conv = [f"c{i}_{j}" for j in range(CONV_PARAMS)]
+        pool = [f"p{i}_{j}" for j in range(POOL_PARAMS)]
+        pairs = list(zip(active[0::2], active[1::2]))
+        wrapped = list(zip(active[1::2], active[2::2] + active[:1]))
+        for a, b in pairs + (wrapped if len(active) > 2 else []):
+            ops += conv_unit(a, b, conv)
+        for source, sink in pairs:
+            ops += pool_unit(source, sink, pool)
+    if arch.include_fc:
+        ops += fc_unit(arch.readout_qubit, [f"f_{j}" for j in range(FC_PARAMS)])
     return Circuit(arch.n_qubits, tuple(ops))
 
 
@@ -320,18 +271,18 @@ def build_model(arch: ArchitectureSpec) -> Model:
 INIT_ANGLE_SCALE = 0.5
 
 
-def init_params(arch: ArchitectureSpec, seed: int,
-                scale: float = INIT_ANGLE_SCALE) -> ParamVector:
-    """Uniform initial angles on [-scale, scale) from a seeded generator.
+def init_params(arch: ArchitectureSpec, seed: int) -> ParamVector:
+    """Uniform initial angles on [-INIT_ANGLE_SCALE, INIT_ANGLE_SCALE)
+    from a seeded generator.
 
-    The default half-radian spread matters: near-identity starts (0.1 rad
+    The half-radian spread matters: near-identity starts (0.1 rad
     or less) leave training stuck on an accuracy plateau around 0.85 on
     the excitation task, while 0.5 rad trains to ~0.99 under the same
     optimizer budget.
     """
     names = parameter_names(arch)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    return ParamVector(names, rng.uniform(-scale, scale, size=len(names)))
+    return ParamVector(names, rng.uniform(-INIT_ANGLE_SCALE, INIT_ANGLE_SCALE, size=len(names)))
 
 
 def _fuse_blocks(ops: Sequence[GateOp]) -> list[tuple[tuple[int, ...], list[GateOp]]]:

@@ -245,6 +245,8 @@ def _parse_sample(line: str, lineno: int, n_qubits: int) -> Sample:
         raise DatasetFormatError(f"line {lineno}: bad label {parts[1]!r}") from None
     if label not in (0, 1):
         raise DatasetFormatError(f"line {lineno}: label must be 0 or 1")
+    if "$" in parts[2]:
+        raise DatasetFormatError(f"line {lineno}: sample circuit has a symbol")
     circuit = parse_circuit(parts[2].replace(";", "\n"))
     if circuit.n_qubits != n_qubits:
         raise DatasetFormatError(

@@ -58,9 +58,12 @@ def _format_values(values) -> str:
 
 def _parse_values(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ProtocolError(f"bad parameter list {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ProtocolError(f"non-finite parameter in {text!r}")
+    return values
 
 
 def encode_hello(client_id: str) -> str:
@@ -107,10 +110,13 @@ def decode_message(line: str):
         if len(parts) != 6:
             raise ProtocolError(f"bad UPDATE: {line!r}")
         try:
-            return Update(int(parts[1]), parts[2], int(parts[3]),
-                          float(parts[4]), _parse_values(parts[5]))
+            update = Update(int(parts[1]), parts[2], int(parts[3]),
+                            float(parts[4]), _parse_values(parts[5]))
         except ValueError:
             raise ProtocolError(f"bad UPDATE fields: {line!r}") from None
+        if update.num_samples < 0 or not np.isfinite(update.loss):
+            raise ProtocolError(f"bad UPDATE sample count or loss: {line!r}")
+        return update
     raise ProtocolError(f"unknown message {line!r}")
 
 

@@ -13,9 +13,9 @@ the ``qflsim`` command.
 
 import argparse
 
-from .cli import add_architecture_flags, add_local_training_flags, run_command, train_config
+from .cli import (add_architecture_flags, add_local_training_flags, architecture_from_flags,
+                  run_command, train_config)
 from .federated import build_clients
-from .model import build_architecture
 from .store import read_dataset
 from .transport import run_socket_client
 
@@ -34,8 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def serve(args) -> int:
     dataset = read_dataset(args.dataset)
-    arch = build_architecture(dataset.gen_config.n_qubits, args.stages,
-                              args.readout_qubit, include_fc=args.fc)
+    arch = architecture_from_flags(args, dataset.gen_config.n_qubits)
     cfg = train_config(args, 0, (args.client_id,), (), args.seed, arch=arch)
     _evaluator, _params0, (client,) = build_clients(dataset, cfg, cfg.train_clients)
     run_socket_client(args.host, args.port, client, cfg.epochs,

@@ -22,7 +22,6 @@ from qflsim.federated import (
     prepare_clients,
     federated_average,
     local_train,
-    normalized_weights,
     optimizer_step,
     run_round,
     run_training,
@@ -155,16 +154,6 @@ class TestFederatedAverage:
             a = federated_average([_pv(v) for v in vecs], w).values
             b = federated_average([_pv(vecs[i]) for i in perm], w[perm]).values
             assert np.allclose(a, b, atol=1e-12)
-
-    def test_weight_rescaling_invariance(self):
-        rng = np.random.default_rng(14)
-        vecs = [rng.normal(size=5) for _ in range(4)]
-        raw = rng.uniform(0.2, 1.0, size=4)
-        a = federated_average([_pv(v) for v in vecs],
-                              normalized_weights(tuple(raw), 4)).values
-        b = federated_average([_pv(v) for v in vecs],
-                              normalized_weights(tuple(3.7 * raw), 4)).values
-        assert np.allclose(a, b, atol=1e-12)
 
 
 class TestLocalTrain:
@@ -480,6 +469,8 @@ class TestServerState:
             ServerState(_pv([0.0]), 0, np.array([0.5, 0.6]))
 
     def test_uniform_default(self):
-        w = normalized_weights(None, 4)
-        assert np.allclose(w, 0.25)
-        assert abs(w.sum() - 1.0) < 1e-12
+        ds = _tiny_dataset(n_clients=5, samples=8)
+        cfg = TrainConfig(rounds=0, train_clients=ds.client_ids()[:4],
+                          test_clients=ds.client_ids()[4:])
+        w = build_run(ds, cfg)[1].client_weights
+        assert np.array_equal(w, np.full(4, 0.25))

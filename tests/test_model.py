@@ -10,7 +10,6 @@ from qflsim.datagen import GenConfig, cluster_state_circuit, generate_client_dat
 from qflsim.errors import ConfigError, UnresolvedParameterError
 from qflsim.model import (
     ArchitectureSpec,
-    LayerSpec,
     Model,
     ModelEvaluator,
     ParamVector,
@@ -29,6 +28,7 @@ from qflsim.model import (
     pool_unit,
     predict,
     readout_gradient,
+    stage_qubits,
 )
 from qflsim.sim import (
     PARAMETRIZED_GATES,
@@ -79,9 +79,8 @@ class TestArchitecture:
     def test_default_eight_qubits(self):
         arch = default_architecture(8)
         assert param_count(arch) == 63
-        assert [l.kind for l in arch.layers] == ["conv", "pool"] * 3
-        assert arch.layers[2].active_qubits == (1, 3, 5, 7)
-        assert arch.layers[4].active_qubits == (3, 7)
+        assert arch.n_stages == 3
+        assert stage_qubits(arch)[1:] == [(1, 3, 5, 7), (3, 7), (7,)]
         assert arch.readout_qubit == 7
 
     def test_two_qubits(self):
@@ -97,7 +96,7 @@ class TestArchitecture:
     def test_fully_connected_adds_three(self):
         arch = build_architecture(8, include_fc=True)
         assert param_count(arch) == 66
-        assert arch.layers[-1].kind == "fc"
+        assert arch.include_fc
         assert parameter_names(arch)[-3:] == ("f_0", "f_1", "f_2")
 
     def test_partial_stages(self):
@@ -109,9 +108,33 @@ class TestArchitecture:
         with pytest.raises(ConfigError):
             build_architecture(8, readout_qubit=0)
 
-    def test_layer_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            ArchitectureSpec(4, (LayerSpec("conv", (0, 1)),), 3)
+    def test_spec_rejects_impossible_stacks(self):
+        # Two stages cannot halve 6 qubits evenly (the second would pool 3).
+        with pytest.raises(ConfigError, match="halve"):
+            ArchitectureSpec(6, 2, 5)
+        with pytest.raises(ConfigError, match="n_stages"):
+            ArchitectureSpec(4, -1, 3)
+        with pytest.raises(ConfigError, match="survive"):
+            ArchitectureSpec(4, 1, 2)
+        assert stage_qubits(ArchitectureSpec(1, 0, 0)) == [(0,)]
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_every_setting_counts_and_retires_qubits(self, n):
+        # Every stage count, the default and every surviving readout, with
+        # and without fc: 72 settings over the four qubit counts.
+        for stages in range(1, n.bit_length()):
+            survivors = [q for q in range(n) if (q + 1) % (1 << stages) == 0]
+            for readout in [None] + survivors:
+                for fc in (False, True):
+                    arch = build_architecture(n, stages, readout, include_fc=fc)
+                    assert param_count(arch) == 21 * stages + 3 * fc
+                    assert stage_qubits(arch)[-1] == tuple(survivors)
+                    retired = set()
+                    for op in build_model_circuit(arch).ops:
+                        assert not retired & set(op.targets)
+                        if op.kind == "CNOT":  # a pool unit retires its source
+                            retired.add(op.targets[0])
+                    assert retired == set(range(n)) - set(survivors)
 
     def test_parameter_names_unique_and_layer_major(self):
         names = parameter_names(default_architecture(8))
@@ -293,7 +316,7 @@ class TestMseLoss:
 
 class TestGradient:
     def test_zero_at_optimum(self):
-        arch = ArchitectureSpec(1, (), 0)
+        arch = ArchitectureSpec(1, 0, 0)
         model = Model(arch, Circuit(1, (rx(0, symbol="t"),)))
         params = ParamVector(("t",), np.zeros(1))
         g = gradient(params, [Sample(Circuit(1), 1)], model)
@@ -301,7 +324,7 @@ class TestGradient:
 
     @pytest.mark.parametrize("theta", [0.5, 1.3])
     def test_rx_readout_derivative_is_minus_sine(self, theta):
-        arch = ArchitectureSpec(1, (), 0)
+        arch = ArchitectureSpec(1, 0, 0)
         model = Model(arch, Circuit(1, (rx(0, symbol="t"),)))
         params = ParamVector(("t",), np.array([theta]))
         dz = readout_gradient(params, Sample(Circuit(1), 0), model)
@@ -337,7 +360,7 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         circuit = _symbolic_circuit(rng, n_qubits, n_gates)
         names = circuit.symbols()
-        arch = ArchitectureSpec(n_qubits, (), n_qubits - 1)
+        arch = ArchitectureSpec(n_qubits, 0, n_qubits - 1)
         ev = ModelEvaluator(Model(arch, circuit), names)
         values = rng.uniform(-math.pi, math.pi, size=len(names))
         bindings = dict(zip(names, values.tolist()))
@@ -358,7 +381,7 @@ class TestGradient:
         sizes, orders, fixed_in_pair, negated_shared = set(), set(), False, False
         for n, g, seed in _RANDOM_CASES:
             c = _symbolic_circuit(np.random.default_rng(seed), n, g)
-            ev = ModelEvaluator(Model(ArchitectureSpec(n, (), 0), c), c.symbols())
+            ev = ModelEvaluator(Model(ArchitectureSpec(n, 0, 0), c), c.symbols())
             sizes |= {len(q) for q in ev.block_qubits}
             for op in c.ops:
                 if len(op.targets) == 2:
@@ -401,7 +424,7 @@ class TestGradient:
         assert 19 <= len(calls) <= 2 * 19
 
     def test_gateless_model_reads_the_prepared_state(self):
-        arch = ArchitectureSpec(2, (), 1)
+        arch = ArchitectureSpec(2, 0, 1)
         ev = ModelEvaluator(Model(arch, Circuit(2)), ("t",))
         prep = ev.prep_states([Sample(Circuit(2, (h(1),)), 0), Sample(Circuit(2), 1)])
         z, dz = ev.readout_z_and_gradient(prep, np.zeros(1))
@@ -410,7 +433,7 @@ class TestGradient:
 
     def test_shared_symbol_sums_occurrences(self):
         # Two RX gates sharing one symbol: d<Z>/dt of RX(2t) is -2 sin(2t).
-        arch = ArchitectureSpec(1, (), 0)
+        arch = ArchitectureSpec(1, 0, 0)
         model = Model(arch, Circuit(1, (rx(0, symbol="t"), rx(0, symbol="t"))))
         theta = 0.4
         params = ParamVector(("t",), np.array([theta]))
@@ -418,7 +441,7 @@ class TestGradient:
         assert dz[0] == pytest.approx(-2 * math.sin(2 * theta), abs=1e-12)
 
     def test_unknown_symbol_rejected(self):
-        arch = ArchitectureSpec(1, (), 0)
+        arch = ArchitectureSpec(1, 0, 0)
         model = Model(arch, Circuit(1, (rx(0, symbol="t"),)))
         with pytest.raises(ConfigError):
             gradient(ParamVector(("other",), np.zeros(1)),

@@ -218,15 +218,16 @@ class TestDatasetContainer:
          DatasetFormatError),
         (b"format_version=1\n", b"format_version=0\n", DatasetVersionError),
         (b"format_version=1\n", b"format_version=-1\n", DatasetVersionError),
+        (b";RX 0 ", b";RX 0 $t;RX 0 ", DatasetFormatError),
     ], ids=["format-version", "n-clients", "sample-count", "not-utf8",
             "count-minus-1", "count-minus-2", "count-minus-3",
-            "format-version-0", "format-version-negative"])
+            "format-version-0", "format-version-negative", "symbolic-sample"])
     def test_malformed_header_with_valid_checksum(self, tmp_path, old, new, error):
         path = tmp_path / "data.qfd"
         write_dataset(_tiny_dataset(), path)
         _rewrite_body(path, lambda body: body.replace(old, new, 1))
         with pytest.raises(error, match="sample count|format_version|"
-                                        "not an integer|not UTF-8"):
+                                        "not an integer|not UTF-8|line 7: .*symbol"):
             read_dataset(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):

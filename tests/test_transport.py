@@ -101,6 +101,11 @@ class TestMessageCodec:
         "GLOBAL x 1.0",
         "WAT 1 2",
         "UPDATE 1 c x 0.5 1.0",
+        "GLOBAL 1 nan,inf",
+        "GLOBAL 1 1.0,-inf",
+        "UPDATE 1 c 16 nan 1.0",
+        "UPDATE 1 c 16 0.5 nan",
+        "UPDATE 1 c -1 0.5 1.0",
     ])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ProtocolError):
