@@ -29,6 +29,7 @@ from .model import (
     build_model,
     default_architecture,
     init_params,
+    stream_rng,
 )
 from .store import params_checksum
 
@@ -42,8 +43,8 @@ EPSILON = 1e-7
 # Samples per forward pass in evaluate; bounds its temporary states.
 EVAL_BATCH = 64
 
-# Seed-derivation namespaces; init_params uses 0.
-_SHUFFLE_NS = 1
+# Random-stream namespace of the batch shuffles (see stream_rng).
+_SHUFFLE_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,7 @@ class TrainConfig:
 
 
 def _shuffle_rng(base_seed: int, seed_key: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(base_seed), _SHUFFLE_NS, int(seed_key), int(epoch)])
-    )
+    return stream_rng(base_seed, _SHUFFLE_STREAM, seed_key, epoch)
 
 
 def local_train(client: ClientState, global_params: ParamVector, epochs: int,

@@ -269,11 +269,19 @@ def build_model(arch: ArchitectureSpec) -> Model:
 
 
 INIT_ANGLE_SCALE = 0.5
+_INIT_STREAM = 0  # stream_rng namespace; batch shuffles use 1
+
+
+def stream_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator of the random stream ``key`` of a run seed. The key is the
+    SeedSequence spawn key, which the dataset generators (entropy [seed,
+    client index]) never set, so the two cannot coincide for equal seeds."""
+    return np.random.default_rng(
+        np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key))))
 
 
 def init_params(arch: ArchitectureSpec, seed: int) -> ParamVector:
-    """Uniform initial angles on [-INIT_ANGLE_SCALE, INIT_ANGLE_SCALE)
-    from a seeded generator.
+    """Seeded uniform initial angles on [-INIT_ANGLE_SCALE, INIT_ANGLE_SCALE).
 
     The half-radian spread matters: near-identity starts (0.1 rad
     or less) leave training stuck on an accuracy plateau around 0.85 on
@@ -281,8 +289,9 @@ def init_params(arch: ArchitectureSpec, seed: int) -> ParamVector:
     optimizer budget.
     """
     names = parameter_names(arch)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    return ParamVector(names, rng.uniform(-INIT_ANGLE_SCALE, INIT_ANGLE_SCALE, size=len(names)))
+    values = stream_rng(seed, _INIT_STREAM).uniform(
+        -INIT_ANGLE_SCALE, INIT_ANGLE_SCALE, size=len(names))
+    return ParamVector(names, values)
 
 
 def _fuse_blocks(ops: Sequence[GateOp]) -> list[tuple[tuple[int, ...], list[GateOp]]]:

@@ -9,6 +9,7 @@ import oracles
 from qflsim.datagen import GenConfig, cluster_state_circuit, generate_client_dataset
 from qflsim.errors import ConfigError, UnresolvedParameterError
 from qflsim.model import (
+    INIT_ANGLE_SCALE,
     ArchitectureSpec,
     Model,
     ModelEvaluator,
@@ -43,9 +44,9 @@ from qflsim.sim import (
 from qflsim.store import serialize_circuit
 
 # Dense-oracle values for the seed-0 client-0 batch under seed-0 parameters,
-# computed with tests/oracles.py before wiring the assertions.
-GOLDEN_P0 = 0.49489352353996441
-GOLDEN_MSE4 = 0.12614316816246679
+# computed with oracles.predict_oracle before wiring the assertions.
+GOLDEN_P0 = 0.4980682004234587
+GOLDEN_MSE4 = 0.12855779334255188
 
 
 def _sample_batch(n=4, seed=0):
@@ -461,6 +462,22 @@ class TestParamVector:
         pv = ParamVector(("a",), np.zeros(1))
         with pytest.raises(ValueError):
             pv.values[0] = 1.0
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_training_streams_differ_from_dataset_streams(self, seed):
+        # Equal data and training seeds are the common case; the initial
+        # angles and the first batch shuffle must not replay a dataset
+        # client's draws.
+        from qflsim.datagen import client_rng
+        from qflsim.federated import _shuffle_rng
+
+        init = init_params(default_architecture(8), seed).values + INIT_ANGLE_SCALE
+        shuffle = _shuffle_rng(seed, 0, 0).random(63)
+        assert not np.allclose(init, shuffle)
+        for c in range(4):
+            draws = client_rng(seed, c).random(63)
+            assert not np.allclose(init, draws)
+            assert not np.allclose(shuffle, draws)
 
     def test_init_params_seeded_and_bounded(self):
         arch = default_architecture(8)
