@@ -4,9 +4,9 @@ Each round the server broadcasts its parameters, every client resets to
 them and runs seeded mini-batch gradient steps on its own data, and the
 server replaces its parameters with the mean of the returned vectors,
 each client weighing 1/K (a unit-step move toward that mean is the mean
-itself, so no separate server optimizer exists). Client optimizer moments persist
-across rounds, which makes single-client federated training coincide
-exactly with plain centralized training.
+itself, so no separate server optimizer exists). Client optimizer
+moments persist across rounds, which makes single-client federated
+training coincide exactly with plain centralized training.
 
 A run compiles one ModelEvaluator and prepares each client's input
 states once, into a PreparedClient (samples, labels, prepared states).

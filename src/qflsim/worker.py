@@ -13,8 +13,8 @@ the ``qflsim`` command.
 
 import argparse
 
-from .cli import (add_architecture_flags, add_local_training_flags, architecture_from_flags,
-                  run_command, train_config)
+from .cli import (add_architecture_flags, add_local_training_flags,
+                  architecture_from_flags, run_command, train_config)
 from .federated import build_clients
 from .store import read_dataset
 from .transport import run_socket_client

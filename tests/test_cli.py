@@ -100,24 +100,17 @@ class TestTrain:
                      *FAST_TRAIN, "--out", str(tmp_path / "m.jsonl")]) == 3
 
     def test_malformed_dataset_header_exits_3(self, tmp_path, capsys):
-        data = _gen(tmp_path)
-        magic, _checksum, body = data.read_bytes().split(b"\n", 2)
-        body = body.replace(b"format_version=1", b"format_version=x", 1)
-        data.write_bytes(magic + b"\nchecksum=" + checksum_bytes(body).encode()
-                         + b"\n" + body)
-        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
-                     "--out", str(tmp_path / "m.jsonl")]) == 3
-        assert "error:" in capsys.readouterr().err
-
-    def test_symbolic_sample_exits_3(self, tmp_path, capsys):
-        data = _gen(tmp_path)
-        magic, _checksum, body = data.read_bytes().split(b"\n", 2)
-        body = body.replace(b";RX 0 ", b";RX 0 $t;RX 0 ", 1)
-        data.write_bytes(magic + b"\nchecksum=" + checksum_bytes(body).encode()
-                         + b"\n" + body)
-        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
-                     "--out", str(tmp_path / "m.jsonl")]) == 3
-        assert "symbol" in capsys.readouterr().err
+        # A bad header field, then a sample circuit with a symbol.
+        for old, new in ((b"format_version=1", b"format_version=x"),
+                         (b";RX 0 ", b";RX 0 $t;RX 0 ")):
+            data = _gen(tmp_path)
+            magic, _checksum, body = data.read_bytes().split(b"\n", 2)
+            body = body.replace(old, new, 1)
+            data.write_bytes(magic + b"\nchecksum=" + checksum_bytes(body).encode()
+                             + b"\n" + body)
+            assert main(["train", "--dataset", str(data), *FAST_TRAIN,
+                         "--out", str(tmp_path / "m.jsonl")]) == 3
+            assert "error:" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         assert main(["train", "--no-such-flag"]) == 2
