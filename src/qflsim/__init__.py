@@ -34,21 +34,16 @@ from .model import (
     build_model_circuit,
     conv_unit,
     default_architecture,
-    gradient,
     init_params,
-    mse_loss,
     param_count,
     parameter_names,
     pool_unit,
-    predict,
 )
 from .sim import (
     Circuit,
     GateOp,
     StateVector,
     apply_circuit,
-    apply_gate,
-    expectation_z,
     gate_matrix,
     new_zero_state,
 )

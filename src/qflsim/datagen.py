@@ -6,6 +6,7 @@ cycling the target across samples. The sample is labeled 1 (excited) when
 the rotation magnitude exceeds the threshold, else 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -44,8 +45,8 @@ class GenConfig:
             )
         if not 0.0 < self.excitation_threshold < math.pi:
             raise ConfigError("excitation_threshold must be in (0, pi)")
-        if self.trunc_normal_sigma <= 0:
-            raise ConfigError("trunc_normal_sigma must be positive")
+        if not 0 < self.trunc_normal_sigma < math.inf:
+            raise ConfigError("trunc_normal_sigma must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         object.__setattr__(
@@ -82,11 +83,13 @@ class FederatedDataset:
         return tuple(c.client_id for c in self.clients)
 
 
+@functools.cache
 def cluster_state_circuit(n_qubits: int) -> Circuit:
     """Hadamard on every qubit, then CZ around the ring.
 
     The wraparound pair (n-1, 0) duplicates (0, 1) for n = 2, so the
-    degenerate ring keeps a single CZ.
+    degenerate ring keeps a single CZ. Built once per qubit count: every
+    sample shares these frozen ops.
     """
     if n_qubits < 2:
         raise ConfigError(f"cluster state needs >= 2 qubits, got {n_qubits}")

@@ -14,6 +14,7 @@ Local training reads a client's record, and evaluation reads the test
 clients' records and, with ``eval_train``, the same training records.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -55,8 +56,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -194,6 +195,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
 
 
 def _shuffle_rng(base_seed: int, seed_key: int, epoch: int) -> np.random.Generator:

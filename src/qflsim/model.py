@@ -324,6 +324,11 @@ def _embed(mat: np.ndarray, targets: tuple[int, ...],
     return out
 
 
+def _check_batch(prep_states: np.ndarray):
+    if len(prep_states) == 0:
+        raise ConfigError("batch must be nonempty")
+
+
 def _local_overlap(psi: np.ndarray, lam: np.ndarray, qubits: tuple[int, ...],
                    n_qubits: int) -> np.ndarray:
     """R[b, x, y]: psi[b] times conj(lam[b]) summed over every qubit outside
@@ -447,6 +452,7 @@ class ModelEvaluator:
         return psi
 
     def readout_z(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
+        _check_batch(prep_states)
         _slots, prefix = self._block_products(values)
         psi = prep_states
         for b, qubits in enumerate(self.block_qubits):
@@ -474,6 +480,7 @@ class ModelEvaluator:
         block matrix with slot j differentiated. This equals the
         shift-rule value (E(+pi/2) - E(-pi/2)) / 2 of every occurrence.
         """
+        _check_batch(prep_states)
         n = self.n_qubits
         batch, dim = prep_states.shape
         slots, prefix = self._block_products(values)
@@ -517,40 +524,3 @@ class ModelEvaluator:
         grad = dz @ (p - labels) / (2 * m)
         return loss, grad
 
-
-def _check_batch(batch: Sequence[Sample]):
-    if len(batch) == 0:
-        raise ConfigError("batch must be nonempty")
-
-
-def predict(sample_prep: Circuit, model: Model, params: ParamVector) -> float:
-    """p = (1 + <Z>_readout)/2 for |0...0> -> sample_prep -> model."""
-    ev = ModelEvaluator(model, params.names)
-    prep = ev.prep_states([Sample(sample_prep, 0)])
-    return float(ev.predictions(prep, params.values)[0])
-
-
-def mse_loss(params: ParamVector, batch: Sequence[Sample], model: Model) -> float:
-    """Mean squared error with 1/(2M) normalization."""
-    _check_batch(batch)
-    ev = ModelEvaluator(model, params.names)
-    prep = ev.prep_states(batch)
-    labels = np.array([s.label for s in batch], dtype=float)
-    return ev.loss(prep, labels, params.values)
-
-
-def gradient(params: ParamVector, batch: Sequence[Sample], model: Model) -> np.ndarray:
-    """Exact shift-rule gradient of mse_loss with respect to every parameter."""
-    _check_batch(batch)
-    ev = ModelEvaluator(model, params.names)
-    prep = ev.prep_states(batch)
-    labels = np.array([s.label for s in batch], dtype=float)
-    return ev.loss_and_gradient(prep, labels, params.values)[1]
-
-
-def readout_gradient(params: ParamVector, sample: Sample, model: Model) -> np.ndarray:
-    """d<Z>/d(theta_j) for one sample, one entry per parameter."""
-    ev = ModelEvaluator(model, params.names)
-    prep = ev.prep_states([sample])
-    _z, dz = ev.readout_z_and_gradient(prep, params.values)
-    return dz[:, 0]

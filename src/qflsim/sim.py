@@ -248,20 +248,6 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
     return out.transpose(_BITS_BACK[k]).reshape(states.shape)
 
 
-def _check_targets(op: GateOp, n_qubits: int):
-    if any(q >= n_qubits for q in op.targets):
-        raise ConfigError(
-            f"{op.kind} targets {op.targets} out of range for {n_qubits} qubits"
-        )
-
-
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """State after one gate; the input state is left untouched."""
-    n = _infer_n_qubits(state)
-    _check_targets(op, n)
-    return apply_matrix(state[None, :], gate_matrix(op), op.targets, n)[0]
-
-
 def apply_circuit(state: StateVector, circuit: Circuit,
                   bindings: Mapping[str, float] | None = None) -> StateVector:
     """State after all gates of ``circuit``, applied in order.
@@ -278,14 +264,6 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     for op in circuit.ops:
         psi = apply_matrix(psi, resolve_matrix(op, bindings), op.targets, n)
     return psi[0]
-
-
-def expectation_z(state: StateVector, qubit: int) -> float:
-    """<Z> on one qubit: +1 weight where its bit is 0, -1 where it is 1."""
-    n = _infer_n_qubits(state)
-    if not 0 <= qubit < n:
-        raise ConfigError(f"qubit {qubit} out of range for {n} qubits")
-    return float(expectation_z_many(state[None, :], qubit, n)[0])
 
 
 def expectation_z_many(states: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:

@@ -26,6 +26,12 @@ Container layout (UTF-8 text, '\\n' line endings):
 The checksum is the first 64 bits (16 hex chars) of SHA-256 over every
 byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
+
+A read parses each distinct gate line once and shares the op among the
+samples that repeat it (16 of the 17 gate lines of a generated sample). A
+socket worker reads only its own client: it verifies the checksum and
+every client header but parses only that client's samples; the
+server's full read validates every sample.
 """
 
 import hashlib
@@ -96,7 +102,13 @@ def _parse_angle_token(token: str, lineno: int) -> tuple[float | None, str | Non
 
 def parse_circuit(text: str) -> Circuit:
     """Inverse of serialize_circuit; errors carry a 1-based line number."""
-    lines = text.split("\n")
+    return _parse_lines(text.split("\n"), {})
+
+
+def _parse_lines(lines: list[str], memo: dict[tuple[str, int], GateOp]) -> Circuit:
+    """parse_circuit over a circuit's lines. ``memo`` maps (stripped line,
+    qubit count) to the op parsed from it, so a caller parsing many
+    circuits builds each repeated gate once; failed lines are not kept."""
     header = lines[0].strip() if lines else ""
     if not header.startswith(CIRCUIT_MAGIC + " qubits="):
         raise CircuitParseError(f"line 1: bad header {header!r}")
@@ -109,36 +121,43 @@ def parse_circuit(text: str) -> Circuit:
         line = raw.strip()
         if not line:
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind not in GATE_ARITY:
-            raise CircuitParseError(f"line {lineno}: unknown gate {kind!r}")
-        arity = GATE_ARITY[kind]
-        n_tokens = 1 + arity + (1 if kind in PARAMETRIZED_GATES else 0)
-        if len(tokens) != n_tokens:
-            raise CircuitParseError(
-                f"line {lineno}: {kind} expects {n_tokens - 1} argument(s)"
-            )
-        try:
-            targets = tuple(int(t) for t in tokens[1:1 + arity])
-        except ValueError:
-            raise CircuitParseError(f"line {lineno}: bad qubit index") from None
-        angle, symbol, sign = (None, None, 1)
-        if kind in PARAMETRIZED_GATES:
-            angle, symbol, sign = _parse_angle_token(tokens[1 + arity], lineno)
-        try:
-            op = GateOp(kind, targets, angle, symbol, sign)
-        except ConfigError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
-        if any(q >= n_qubits for q in targets):
-            raise CircuitParseError(
-                f"line {lineno}: qubit out of range for qubits={n_qubits}"
-            )
+        op = memo.get((line, n_qubits))
+        if op is None:
+            op = memo[line, n_qubits] = _parse_op(line, lineno, n_qubits)
         ops.append(op)
     try:
         return Circuit(n_qubits, tuple(ops))
     except ConfigError as exc:
         raise CircuitParseError(f"line 1: {exc}") from None
+
+
+def _parse_op(line: str, lineno: int, n_qubits: int) -> GateOp:
+    tokens = line.split()
+    kind = tokens[0]
+    if kind not in GATE_ARITY:
+        raise CircuitParseError(f"line {lineno}: unknown gate {kind!r}")
+    arity = GATE_ARITY[kind]
+    n_tokens = 1 + arity + (1 if kind in PARAMETRIZED_GATES else 0)
+    if len(tokens) != n_tokens:
+        raise CircuitParseError(
+            f"line {lineno}: {kind} expects {n_tokens - 1} argument(s)"
+        )
+    try:
+        targets = tuple(int(t) for t in tokens[1:1 + arity])
+    except ValueError:
+        raise CircuitParseError(f"line {lineno}: bad qubit index") from None
+    angle, symbol, sign = (None, None, 1)
+    if kind in PARAMETRIZED_GATES:
+        angle, symbol, sign = _parse_angle_token(tokens[1 + arity], lineno)
+    try:
+        op = GateOp(kind, targets, angle, symbol, sign)
+    except ConfigError as exc:
+        raise CircuitParseError(f"line {lineno}: {exc}") from None
+    if any(q >= n_qubits for q in targets):
+        raise CircuitParseError(
+            f"line {lineno}: qubit out of range for qubits={n_qubits}"
+        )
+    return op
 
 
 @dataclass(frozen=True)
@@ -235,7 +254,8 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
     )
 
 
-def _parse_sample(line: str, lineno: int, n_qubits: int) -> Sample:
+def _parse_sample(line: str, lineno: int, n_qubits: int,
+                  memo: dict[tuple[str, int], GateOp]) -> Sample:
     parts = line.split(" ", 2)
     if len(parts) != 3 or parts[0] != "s":
         raise DatasetFormatError(f"line {lineno}: bad sample line")
@@ -247,7 +267,7 @@ def _parse_sample(line: str, lineno: int, n_qubits: int) -> Sample:
         raise DatasetFormatError(f"line {lineno}: label must be 0 or 1")
     if "$" in parts[2]:
         raise DatasetFormatError(f"line {lineno}: sample circuit has a symbol")
-    circuit = parse_circuit(parts[2].replace(";", "\n"))
+    circuit = _parse_lines(parts[2].split(";"), memo)
     if circuit.n_qubits != n_qubits:
         raise DatasetFormatError(
             f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
@@ -265,8 +285,14 @@ def _header_int(line: str, key: str, path) -> int:
         raise DatasetFormatError(f"{path}: {key} is not an integer: {line!r}") from None
 
 
-def read_dataset(path) -> FederatedDataset:
-    """Parse and checksum-verify a container written by write_dataset."""
+def read_dataset(path, clients=None) -> FederatedDataset:
+    """Parse and checksum-verify a container written by write_dataset.
+
+    With ``clients``, a collection of client ids, only those clients'
+    sample lines are parsed; the checksum, every header and the client
+    count are still checked. Every client stays in file order, so its
+    ordinal is unchanged, and the clients not named have no samples.
+    """
     raw = Path(path).read_bytes()
     head, sep, rest = raw.partition(b"\n")
     magic = head.decode("utf-8", errors="replace")
@@ -290,6 +316,8 @@ def read_dataset(path) -> FederatedDataset:
         raise DatasetFormatError(
             f"{path}: body is not UTF-8 (byte {exc.start} after the checksum line)"
         ) from None
+    if lines[-1] == "":
+        del lines[-1]  # the body's final newline ends its last line
     if len(lines) < 3:
         raise DatasetFormatError(f"{path}: truncated body")
     version = _header_int(lines[0], "format_version", path)
@@ -300,7 +328,9 @@ def read_dataset(path) -> FederatedDataset:
         raise DatasetFormatError(f"{path}: missing gen_config")
     gen_config = _parse_gen_config(lines[2])
 
-    clients: list[ClientDataset] = []
+    wanted = None if clients is None else set(clients)
+    memo: dict[tuple[str, int], GateOp] = {}
+    parsed: list[ClientDataset] = []
     i = 3  # reported line numbers add 3: the magic and checksum lines
     while i < len(lines):
         line = lines[i]
@@ -308,7 +338,7 @@ def read_dataset(path) -> FederatedDataset:
             i += 1
             continue
         parts = line.split()
-        if parts[0] != "client" or len(parts) != 4:
+        if len(parts) != 4 or parts[0] != "client":
             raise DatasetFormatError(f"line {i + 3}: expected client header")
         client_id = parts[1]
         try:
@@ -323,22 +353,27 @@ def read_dataset(path) -> FederatedDataset:
             count = -1  # reported below, like a negative count
         if count < 0:
             raise DatasetFormatError(f"line {i + 3}: bad sample count {parts[3]!r}")
-        samples = []
-        for j in range(count):
-            idx = i + 1 + j
-            if idx >= len(lines):
-                raise DatasetFormatError(f"{path}: truncated client {client_id}")
-            samples.append(_parse_sample(lines[idx], idx + 3, gen_config.n_qubits))
-        clients.append(ClientDataset(client_id, tuple(samples), dist))
+        if i + count >= len(lines):
+            raise DatasetFormatError(f"{path}: truncated client {client_id}")
+        samples = ()
+        if wanted is None or client_id in wanted:
+            samples = tuple(
+                _parse_sample(lines[idx], idx + 3, gen_config.n_qubits, memo)
+                for idx in range(i + 1, i + 1 + count))
+        parsed.append(ClientDataset(client_id, samples, dist))
         i += 1 + count
-    if len(clients) != n_clients:
+    if len(parsed) != n_clients:
         raise DatasetFormatError(
-            f"{path}: header declares {n_clients} clients, found {len(clients)}"
+            f"{path}: header declares {n_clients} clients, found {len(parsed)}"
         )
     try:
-        return FederatedDataset(tuple(clients), gen_config, version)
+        dataset = FederatedDataset(tuple(parsed), gen_config, version)
     except ConfigError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
+    unknown = sorted((wanted or set()) - set(dataset.client_ids()))
+    if unknown:
+        raise ConfigError(f"{path}: unknown client(s) {', '.join(unknown)}")
+    return dataset
 
 
 def params_checksum(values) -> str:

@@ -1,7 +1,7 @@
 """Subprocess entry point for a wire-protocol client.
 
-Loads its own slice of a dataset file, connects to the given server and
-trains whenever a round is broadcast:
+Reads its own client from a dataset file, connects to the given server
+and trains whenever a round is broadcast:
 
     python -m qflsim.worker --host 127.0.0.1 --port 5000 \
         --dataset data.qfd --client-id client_003 --seed 7
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def serve(args) -> int:
-    dataset = read_dataset(args.dataset)
+    dataset = read_dataset(args.dataset, clients=(args.client_id,))
     arch = architecture_from_flags(args, dataset.gen_config.n_qubits)
     cfg = train_config(args, 0, (args.client_id,), (), args.seed, arch=arch)
     _evaluator, _params0, (client,) = build_clients(dataset, cfg, cfg.train_clients)

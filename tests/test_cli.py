@@ -41,10 +41,18 @@ class TestGenData:
         assert tags[:3] == ["truncated_normal"] * 3
 
     def test_bad_sample_count_exits_2(self, tmp_path, capsys):
-        code = main(["gen-data", "--clients", "2", "--samples-per-client", "7",
-                     "--qubits", "2", "--out", str(tmp_path / "x.qfd")])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        # Also a non-finite sigma, which would keep the truncated-normal
+        # draw from ever accepting.
+        for bad in (["--samples-per-client", "7"],
+                    ["--samples-per-client", "8", "--sigma", "nan",
+                     "--non-iid-fraction", "1"],
+                    ["--samples-per-client", "8", "--sigma", "inf",
+                     "--non-iid-fraction", "1"]):
+            code = main(["gen-data", "--clients", "2", "--qubits", "2", *bad,
+                         "--out", str(tmp_path / "x.qfd")])
+            assert code == 2
+            assert "error" in capsys.readouterr().err
+            assert not (tmp_path / "x.qfd").exists()
 
 
 class TestTrain:
@@ -71,11 +79,17 @@ class TestTrain:
         rows = read_metrics(out)
         assert [r["kind"] for r in rows] == ["round", "summary"]
 
-    def test_bad_split_exits_2(self, tmp_path):
+    def test_bad_split_exits_2(self, tmp_path, capsys):
+        # Also a negative seed and a learning rate that is not a positive
+        # finite number; none of them may write a metrics row.
         data = _gen(tmp_path)
-        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
-                     "--train-clients", "5", "--test-clients", "2",
-                     "--out", str(tmp_path / "m.jsonl")]) == 2
+        for bad in (["--train-clients", "5"], ["--seed", "-1"], ["--lr", "nan"],
+                    ["--lr", "inf"], ["--lr", "0"]):
+            args = ["--train-clients", "4", "--test-clients", "2", *bad]
+            assert main(["train", "--dataset", str(data), *FAST_TRAIN, *args,
+                         "--out", str(tmp_path / "m.jsonl")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "m.jsonl").exists()
 
     def test_fc_layer_changes_the_model(self, tmp_path):
         data = _gen(tmp_path)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, TrainingError
 from qflsim.federated import (
@@ -32,7 +33,6 @@ from qflsim.model import (
     Sample,
     build_model,
     default_architecture,
-    gradient,
     init_params,
     parameter_names,
 )
@@ -187,7 +187,11 @@ class TestLocalTrain:
         lr = 0.05
         update = local_train(client, params, 1, len(client.data.samples),
                              OptimizerConfig(kind="sgd", learning_rate=lr))
-        g = gradient(params, list(client.data.samples), model)
+        ev = ModelEvaluator(model, params.names)
+        samples = client.data.samples
+        _loss, g = ev.loss_and_gradient(
+            ev.prep_states(samples), np.array([s.label for s in samples], dtype=float),
+            params.values)
         assert np.allclose(update.params.values, params.values - lr * g,
                            atol=1e-12)
 
@@ -300,14 +304,13 @@ class TestEvaluate:
         params = init_params(arch, 7)
         ev = ModelEvaluator(model, parameter_names(arch))
         acc, mse = evaluate(params, prepare_clients(ds.clients, ev), ev)
-        from qflsim.model import predict
-
         hits = 0
         err = 0.0
         count = 0
         for client in ds.clients:
             for s in client.samples:
-                p = predict(s.prep_circuit, model, params)
+                p = oracles.predict_oracle(s.prep_circuit, model.circuit,
+                                           params.bindings(), arch.readout_qubit)
                 hits += int((p > 0.5) == (s.label == 1))
                 err += (s.label - p) ** 2
                 count += 1

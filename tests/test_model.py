@@ -21,14 +21,10 @@ from qflsim.model import (
     conv_unit,
     default_architecture,
     fc_unit,
-    gradient,
     init_params,
-    mse_loss,
     param_count,
     parameter_names,
     pool_unit,
-    predict,
-    readout_gradient,
     stage_qubits,
 )
 from qflsim.sim import (
@@ -51,6 +47,32 @@ GOLDEN_MSE4 = 0.12855779334255188
 
 def _sample_batch(n=4, seed=0):
     return generate_client_dataset(GenConfig(n_clients=1, seed=seed), 0).samples[:n]
+
+
+def _evaluate(model, params, batch):
+    """A fresh evaluator for ``params`` and the batch's prepared states."""
+    ev = ModelEvaluator(model, params.names)
+    return ev, ev.prep_states(batch), np.array([s.label for s in batch], dtype=float)
+
+
+def predict(sample_prep, model, params):
+    ev, prep, _labels = _evaluate(model, params, [Sample(sample_prep, 0)])
+    return float(ev.predictions(prep, params.values)[0])
+
+
+def mse_loss(params, batch, model):
+    ev, prep, labels = _evaluate(model, params, batch)
+    return ev.loss(prep, labels, params.values)
+
+
+def gradient(params, batch, model):
+    ev, prep, labels = _evaluate(model, params, batch)
+    return ev.loss_and_gradient(prep, labels, params.values)[1]
+
+
+def readout_gradient(params, sample, model):
+    ev, prep, _labels = _evaluate(model, params, [sample])
+    return ev.readout_z_and_gradient(prep, params.values)[1][:, 0]
 
 
 def _rand_state(rng, n):
@@ -301,6 +323,8 @@ class TestMseLoss:
         params = init_params(model.arch, 0)
         with pytest.raises(ConfigError):
             mse_loss(params, [], model)
+        with pytest.raises(ConfigError):
+            gradient(params, [], model)
 
     def test_loss_nonnegative(self):
         model = build_model(default_architecture(8))

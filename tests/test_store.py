@@ -18,6 +18,7 @@ from qflsim.errors import (
     DatasetCorruptionError,
     DatasetFormatError,
     DatasetVersionError,
+    QflError,
 )
 from qflsim.model import Sample
 from qflsim.sim import Circuit, cz, h, rx, ry, rz
@@ -42,6 +43,14 @@ def _rewrite_body(path, edit):
     edited = edit(body)
     assert edited != body
     path.write_bytes(magic + b"\nchecksum=" + checksum_bytes(edited).encode() + b"\n" + edited)
+
+
+def _edit_sample(body, index, old, new):
+    """``body`` with the first ``old`` in its ``index``-th sample line replaced."""
+    lines = body.split(b"\n")
+    at = [i for i, line in enumerate(lines) if line.startswith(b"s ")][index]
+    lines[at] = lines[at].replace(old, new, 1)
+    return b"\n".join(lines)
 
 
 class TestSerializeCircuit:
@@ -109,6 +118,36 @@ class TestParseCircuit:
     def test_duplicate_targets_rejected(self):
         with pytest.raises(CircuitParseError, match="line 2"):
             parse_circuit("QFLCIRC v1 qubits=2\nCZ 1 1")
+
+    def test_read_reports_the_line_of_a_bad_gate_after_repeats(self, tmp_path):
+        # The third sample's CZ 7 0 (circuit line 17) becomes CZ 7 7, after
+        # two samples whose lines were all parsed already.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: _edit_sample(body, 2, b";CZ 7 0;", b";CZ 7 7;"))
+        with pytest.raises(CircuitParseError, match="line 17: CZ targets must be distinct"):
+            read_dataset(path)
+
+    def test_read_checks_a_repeated_line_against_each_qubit_count(self, tmp_path):
+        # H 2 is valid in the first sample (qubits=8) and out of range in
+        # the second once its header says qubits=2.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: _edit_sample(body, 1, b"qubits=8", b"qubits=2"))
+        with pytest.raises(CircuitParseError, match="line 4: qubit out of range for qubits=2"):
+            read_dataset(path)
+
+    def test_read_shares_each_repeated_gate(self, tmp_path):
+        # Every generated sample is the same 16 cluster-state gates plus
+        # its own RX, both as generated and as read back.
+        ds = _tiny_dataset(n_clients=3)
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        for dataset in (ds, back):
+            samples = [s for c in dataset.clients for s in c.samples]
+            ops = {id(op) for s in samples for op in s.prep_circuit.ops}
+            assert len(ops) == len(samples) + 16
 
 
 class TestDatasetContainer:
@@ -229,6 +268,52 @@ class TestDatasetContainer:
         with pytest.raises(error, match="sample count|format_version|"
                                         "not an integer|not UTF-8|line 7: .*symbol"):
             read_dataset(path)
+
+    def test_client_read_matches_the_full_read(self, tmp_path):
+        ds = _tiny_dataset(n_clients=3, samples=8)
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        full = read_dataset(path)
+        part = read_dataset(path, clients=["client_001"])
+        assert part.client_ids() == full.client_ids()
+        assert part.gen_config == full.gen_config
+        assert part.clients[1] == full.clients[1]
+        assert [len(c.samples) for c in part.clients] == [0, 8, 0]
+
+    def test_client_read_checks_the_whole_file(self, tmp_path):
+        path = tmp_path / "data.qfd"
+        bad = [
+            # checksum
+            (lambda p: p.write_bytes(p.read_bytes().replace(b"RX 0 ", b"RX 1 ", 1)),
+             DatasetCorruptionError, "checksum mismatch"),
+            # another client's header
+            (lambda p: _rewrite_body(p, lambda b: b.replace(
+                b"client_000 uniform_pi 16", b"client_000 uniform 16")),
+             DatasetFormatError, "unknown distribution"),
+            # the file's last line cut off
+            (lambda p: _rewrite_body(p, lambda b: b[:b.rindex(b"\ns ") + 1]),
+             DatasetFormatError, "truncated client client_002"),
+            # the file's last client block cut off
+            (lambda p: _rewrite_body(p, lambda b: b[:b.rindex(b"client_002")]),
+             DatasetFormatError, "expected client header"),
+            # spaces where a client header belongs
+            (lambda p: _rewrite_body(p, lambda b: b.replace(
+                b"\nclient client_002", b"\n  \nclient client_002")),
+             DatasetFormatError, "line 40: expected client header"),
+        ]
+        for damage, error, match in bad:
+            write_dataset(_tiny_dataset(n_clients=3), path)
+            assert read_dataset(path, clients=["client_001"]).clients[1].samples
+            damage(path)
+            for clients in (["client_001"], None):
+                with pytest.raises(error, match=match):
+                    read_dataset(path, clients=clients)
+
+    def test_client_read_rejects_an_unknown_client(self, tmp_path):
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        with pytest.raises(QflError, match="client_009"):
+            read_dataset(path, clients=["client_000", "client_009"])
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
