@@ -9,22 +9,34 @@ p = (1 + <Z>)/2 in [0, 1]. ArchitectureSpec holds the four settings
 (qubits, stages, readout qubit, fc unit); build_model_circuit is the one
 walk over the stages, and the parameter names are its circuit's symbols.
 
-ModelEvaluator compiles the model circuit once into blocks: maximal runs
-of consecutive gates whose targets together span at most two qubits
-(gate fusion as in qsim). The default 8-qubit model's 265 gates become
-19 blocks of 4x4; a block on one qubit stays 2x2. Each evaluation builds
-every gate matrix of every block from the angles in one vectorised
-cos/sin step and multiplies them into the block matrices, so the forward
-pass applies one matrix per block.
+ModelEvaluator compiles the model circuit once into a block program.
+Blocks are maximal runs of consecutive gates whose targets together
+span at most two qubits (gate fusion as in qsim): the default 8-qubit
+model's 265 gates become 19 blocks of 4x4 (a block on one qubit stays
+2x2). Blocks whose gates agree slot for slot (gate, local target order,
+symbol, sign, angle) share a kind; weight sharing makes the default
+model's 19 blocks 7 kinds. Per evaluation, every slot matrix of every
+kind is built from the angles in one vectorised cos/sin step and
+multiplied into the kinds' block matrices, in real 8x8 form
+[[Re, -Im], [Im, Re]] with the slots stored depth-major.
+
+A state lives in the layout of the block that last wrote it: that
+block's qubits, then the batch, then the other qubits. The
+permutations between consecutive layouts are fixed at compile time, so
+each block step is one transposed copy plus one matmul. The evaluator
+owns its work buffers (the tape and two spare states) and grows them
+only for a batch larger than any before it.
 
 Gradients are exact. Every gate has the form exp(-i*theta/2*G) with
 G^2 = I, so each occurrence of a parameter contributes the shift-rule
 value ( <Z>(theta + pi/2) - <Z>(theta - pi/2) ) / 2, and shared symbols
 sum their occurrences. The engine gets the same values from one adjoint
-sweep taken at block level: it keeps the input state of each block,
-contracts it with the adjoint state over the qubits the block does not
-touch, and differentiates each block matrix through the products of the
-gates before and after the occurrence.
+sweep taken at block level (Jones & Gacon, arXiv:2009.02823): the tape
+keeps each block's gathered input, which contracted with the adjoint
+state over the qubits the block does not touch gives a 4x4 overlap per
+sample. Overlaps are summed per kind, and each kind's block matrix is
+differentiated through the products of the slots before and after each
+occurrence.
 """
 
 from dataclasses import dataclass
@@ -40,9 +52,7 @@ from .sim import (
     PAULI_GENERATORS,
     apply_circuit,
     apply_matrix,
-    bit_axes_first,
     cnot,
-    expectation_z_many,
     gate_matrix,
     new_zero_state,
     rx,
@@ -329,28 +339,63 @@ def _check_batch(prep_states: np.ndarray):
         raise ConfigError("batch must be nonempty")
 
 
-def _local_overlap(psi: np.ndarray, lam: np.ndarray, qubits: tuple[int, ...],
-                   n_qubits: int) -> np.ndarray:
-    """R[b, x, y]: psi[b] times conj(lam[b]) summed over every qubit outside
-    ``qubits``, with x and y their local basis indices."""
-    d, batch = 1 << len(qubits), psi.shape[0]
-    p = bit_axes_first(psi, qubits, n_qubits).reshape(d, batch, -1)
-    q = bit_axes_first(lam, qubits, n_qubits).reshape(d, batch, -1)
-    return p.transpose(1, 0, 2) @ q.conj().transpose(1, 2, 0)
+def _real_form(mats: np.ndarray) -> np.ndarray:
+    """Complex (..., 4, 4) matrices as real (..., 8, 8) [[Re, -Im], [Im, Re]].
+    Products carry over, and the top-left and bottom-left quarters of a
+    product are its real and imaginary parts."""
+    re, im = mats.real, mats.imag
+    return np.block([[re, -im], [im, re]])
+
+
+_BATCH = -1  # the batch axis among a layout's qubit labels
+
+
+def _layout(qubits: tuple[int, ...], n_qubits: int) -> tuple[int, ...]:
+    """Axis order of the state block ``qubits`` reads and writes: its
+    qubits, then the batch, then the other qubits high to low."""
+    rest = tuple(q for q in range(n_qubits - 1, -1, -1) if q not in qubits)
+    return qubits + (_BATCH,) + rest
+
+
+def _move(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """(shape, axes): a state in layout ``src`` viewed with one axis per
+    label, and the transpose that orders those axes as ``dst``."""
+    shape = tuple(-1 if label == _BATCH else 2 for label in src)
+    return shape, tuple(src.index(label) for label in dst)
+
+
+def _regather(state: np.ndarray, move: tuple, out: np.ndarray):
+    """Copy ``state`` into the contiguous ``out`` in the layout ``move``
+    leads to."""
+    shape, axes = move
+    moved = state.reshape(shape).transpose(axes)
+    np.copyto(out.reshape(moved.shape), moved)
+
+
+def _block_step(mat: np.ndarray, state: np.ndarray, out: np.ndarray,
+                move: tuple | None = None, dest: np.ndarray | None = None):
+    """One block of a sweep: out = mat @ state, both (2^k, rest) with the
+    block's k qubits leading; then, given a move, out regathered into
+    ``dest`` in the next block's layout."""
+    np.matmul(mat, state, out=out)
+    if move is not None:
+        _regather(out, move, dest)
 
 
 class ModelEvaluator:
     """Batched forward and gradient evaluation of one model.
 
     Compiles the model circuit once against a fixed parameter-name order
-    into blocks of at most two qubits (see the module docstring); sample
-    preparation states are parameter-independent and can be cached by
-    the caller across optimization steps.
+    into a block program (see the module docstring); sample preparation
+    states are parameter-independent and can be cached by the caller
+    across optimization steps. The evaluator owns the work buffers of
+    its sweeps, so it serves one thread at a time; the arrays it returns
+    are never reused.
     """
 
     def __init__(self, model: Model, param_names: Sequence[str]):
         self.model = model
-        self.n_qubits = model.n_qubits
+        n = self.n_qubits = model.n_qubits
         self.readout = model.readout_qubit
         self.param_names = tuple(param_names)
         name_to_idx = {name: i for i, name in enumerate(self.param_names)}
@@ -359,51 +404,139 @@ class ModelEvaluator:
             raise ConfigError("parameter names must be unique")
         blocks = _fuse_blocks(model.circuit.ops)
         self.block_qubits = [qubits for qubits, _run in blocks]
-        depth = max((len(run) for _qubits, run in blocks), default=1)
-        shape = (len(blocks), depth)
-        # Slot (block, j) holds cos(a/2) * cos_part + sin(a/2) * sin_part
+        # Blocks whose slots agree gate for gate (kind, local targets,
+        # symbol, sign, angle) share one kind and its matrices.
+        kinds: dict[tuple, int] = {}
+        kind_runs: list[tuple[tuple[int, ...], list[GateOp]]] = []
+        self.block_kinds = []
+        for qubits, run in blocks:
+            key = (len(qubits),) + tuple(
+                (op.kind, tuple(map(qubits.index, op.targets)), op.symbol,
+                 op.sign, op.angle) for op in run)
+            if key not in kinds:
+                kinds[key] = len(kind_runs)
+                kind_runs.append((qubits, run))
+            self.block_kinds.append(kinds[key])
+        depth = max((len(run) for _qubits, run in kind_runs), default=1)
+        shape = (depth, len(kind_runs))
+        # Slot (j, kind) holds cos(a/2) * cos_part + sin(a/2) * sin_part
         # with a = angle + sign * values[param]; empty slots are identities.
-        self._cos_part = np.broadcast_to(np.eye(4, dtype=complex), shape + (4, 4)).copy()
-        self._sin_part = np.zeros(shape + (4, 4), dtype=complex)
+        cos_part = np.broadcast_to(np.eye(4, dtype=complex), shape + (4, 4)).copy()
+        sin_part = np.zeros(shape + (4, 4), dtype=complex)
         self._angle = np.zeros(shape)
         self._sign = np.zeros(shape)
         self._param = np.full(shape, -1, dtype=np.int64)
-        for b, (qubits, run) in enumerate(blocks):
+        for k, (qubits, run) in enumerate(kind_runs):
             for j, op in enumerate(run):
                 if op.kind not in PARAMETRIZED_GATES:
-                    self._cos_part[b, j] = _embed(gate_matrix(op), op.targets, qubits)
+                    cos_part[j, k] = _embed(gate_matrix(op), op.targets, qubits)
                     continue
-                gen = _embed(PAULI_GENERATORS[op.kind], op.targets, qubits)
-                self._sin_part[b, j] = -1j * gen
+                sin_part[j, k] = -1j * _embed(PAULI_GENERATORS[op.kind], op.targets, qubits)
                 if op.symbol is None:
-                    self._angle[b, j] = op.angle
+                    self._angle[j, k] = op.angle
                     continue
                 if op.symbol not in name_to_idx:
                     raise ConfigError(f"model symbol {op.symbol!r} not in parameters")
-                self._param[b, j] = name_to_idx[op.symbol]
-                self._sign[b, j] = op.sign
-        # d(slot)/d(value) = sign * (-i/2) G * slot; dz sums slots per parameter.
+                self._param[j, k] = name_to_idx[op.symbol]
+                self._sign[j, k] = op.sign
+        self._cos_part = _real_form(cos_part)
+        self._sin_part = _real_form(sin_part)
+        # d(slot)/d(value) = sign * (-i/2) G * slot; dz sums slots per
+        # parameter, over the (kind, slot) order of the traces.
         self._dgen = 0.5 * self._sign[..., None, None] * self._sin_part
-        self._scatter = np.zeros((self.n_params, self._param.size))
-        slots = np.flatnonzero(self._param.ravel() >= 0)
-        self._scatter[self._param.ravel()[slots], slots] = 1.0
+        param = self._param.T.ravel()
+        self._scatter = np.zeros((self.n_params, param.size))
+        used = np.flatnonzero(param >= 0)
+        self._scatter[param[used], used] = 1.0
+        self._kind_sum = np.zeros((len(kind_runs), len(blocks)), dtype=complex)
+        self._kind_sum[self.block_kinds, np.arange(len(blocks))] = 1.0
+        # Slots, prefix, suffix, scratch and derivative matrices.
+        self._algebra = np.empty((5,) + shape + (8, 8))
 
-    def _block_products(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slot matrices and their prefix products, both (blocks, depth, 4, 4):
-        prefix entry j is slot j times every earlier slot of its block, so
-        prefix entry -1 is the block matrix."""
+        layouts = [_layout((), n)] + [_layout(q, n) for q in self.block_qubits]
+        self._dims = [1 << len(q) for q in self.block_qubits]
+        # _into[b] regathers block b-1's output (or the prepared states)
+        # for block b; _back[b] takes block b's layout back to b-1's.
+        self._into = [_move(a, b) for a, b in zip(layouts, layouts[1:])]
+        self._back = [None] + [_move(layouts[b + 1], layouts[b])
+                               for b in range(1, len(blocks))]
+        last = [q for q in layouts[-1] if q != _BATCH]
+        bits = (np.arange(1 << n) >> (n - 1 - last.index(self.readout))) & 1
+        self._z_signs = (1.0 - 2.0 * bits).reshape(1 << layouts[-1].index(_BATCH), -1)
+
+        self._spare = np.empty((2, 0), dtype=complex)
+        self._tape = np.empty((len(blocks), 0), dtype=complex)
+        self._overlaps = np.zeros((len(blocks), 0, 4, 4), dtype=complex)
+
+    def _spares(self, batch: int) -> np.ndarray:
+        """Two reused state buffers, grown only for a batch larger than
+        any before it."""
+        size = batch << self.n_qubits
+        if self._spare.shape[1] < size:
+            self._spare = np.empty((2, size), dtype=complex)
+        return self._spare[:, :size]
+
+    def _tape_rows(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The reused tape (one gathered input per block) and overlaps
+        (block, sample, 4, 4); a one-qubit block's padding stays zero."""
+        size = batch << self.n_qubits
+        if self._tape.shape[1] < size:
+            self._tape = np.empty((len(self.block_qubits), size), dtype=complex)
+            self._overlaps = np.zeros((len(self.block_qubits), batch, 4, 4),
+                                      dtype=complex)
+        return self._tape[:, :size], self._overlaps[:, :batch]
+
+    def _block_matrices(self, values: np.ndarray) -> np.ndarray:
+        """Each kind's complex 4x4 block matrix (a one-qubit kind's is its
+        top-left 2x2), from slot matrices and their depth-major prefix
+        products in real form: prefix[j] is slot j times every earlier
+        slot of its kind."""
+        slots, prefix, _suffix, scratch, _deriv = self._algebra
         bound = np.append(np.asarray(values, dtype=float), 0.0)[self._param]
         half = 0.5 * (self._angle + self._sign * bound)
-        slots = (np.cos(half)[..., None, None] * self._cos_part
-                 + np.sin(half)[..., None, None] * self._sin_part)
-        prefix = slots.copy()
-        for j in range(1, slots.shape[1]):
-            prefix[:, j] = slots[:, j] @ prefix[:, j - 1]
-        return slots, prefix
+        np.multiply(np.cos(half)[..., None, None], self._cos_part, out=slots)
+        np.multiply(np.sin(half)[..., None, None], self._sin_part, out=scratch)
+        slots += scratch
+        prefix[0] = slots[0]
+        for j in range(1, len(slots)):
+            np.matmul(slots[j], prefix[j - 1], out=prefix[j])
+        return prefix[-1, :, :4, :4] + 1j * prefix[-1, :, 4:, :4]
 
-    def _block_matrix(self, prefix: np.ndarray, b: int) -> np.ndarray:
-        d = 1 << len(self.block_qubits[b])
-        return prefix[b, -1, :d, :d]
+    def _slot_derivatives(self) -> np.ndarray:
+        """After _block_matrices: for every kind and slot j, the block
+        matrix with slot j differentiated, suffix_j dgen_j prefix_j, as
+        (kind, slot, 32) rows [Re dU | -Im dU] (row index y, column x)
+        that dot [Re R^T | Im R^T] to Re tr(dU R)."""
+        slots, prefix, suffix, scratch, deriv = self._algebra
+        suffix[-1] = np.eye(8)
+        for j in range(len(slots) - 2, -1, -1):
+            np.matmul(suffix[j + 1], slots[j + 1], out=suffix[j])
+        np.matmul(self._dgen, prefix, out=scratch)
+        np.matmul(suffix, scratch, out=deriv)
+        rows = np.concatenate([deriv[..., :4, :4], -deriv[..., 4:, :4]], axis=-1)
+        return rows.transpose(1, 0, 2, 3).reshape(len(self._kind_sum), len(slots), 32)
+
+    def _per_block(self, kind_mats: np.ndarray) -> list[np.ndarray]:
+        return [kind_mats[k, :d, :d] for k, d in zip(self.block_kinds, self._dims)]
+
+    def _sweep(self, prep_states: np.ndarray, mats: list[np.ndarray],
+               inputs, out: np.ndarray) -> np.ndarray:
+        """Forward sweep: block b reads inputs[b] and writes ``out``,
+        which is regathered into inputs[b + 1]. Returns the final states
+        as (2^k, batch, rest) in the last block's layout."""
+        batch = len(prep_states)
+        if not mats:
+            return prep_states.reshape(1, batch, -1)
+        _regather(prep_states, self._into[0], inputs[0])
+        for b, mat in enumerate(mats):
+            d, more = self._dims[b], b + 1 < len(mats)
+            _block_step(mat, inputs[b].reshape(d, -1), out.reshape(d, -1),
+                        self._into[b + 1] if more else None,
+                        inputs[b + 1] if more else None)
+        return out.reshape(self._dims[-1], batch, -1)
+
+    def _readout(self, final: np.ndarray) -> np.ndarray:
+        return np.einsum("xbr,xr->b", np.abs(final) ** 2, self._z_signs)
 
     def prep_states(self, samples: Sequence[Sample]) -> np.ndarray:
         """(n_samples, 2^n) array of each sample's prepared input state.
@@ -453,11 +586,9 @@ class ModelEvaluator:
 
     def readout_z(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         _check_batch(prep_states)
-        _slots, prefix = self._block_products(values)
-        psi = prep_states
-        for b, qubits in enumerate(self.block_qubits):
-            psi = apply_matrix(psi, self._block_matrix(prefix, b), qubits, self.n_qubits)
-        return expectation_z_many(psi, self.readout, self.n_qubits)
+        psi, out = self._spares(len(prep_states))
+        mats = self._per_block(self._block_matrices(values))
+        return self._readout(self._sweep(prep_states, mats, [psi] * len(mats), out))
 
     def predictions(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 + self.readout_z(prep_states, values))
@@ -472,47 +603,42 @@ class ModelEvaluator:
         """Per-sample <Z> and its exact derivative for every parameter.
 
         Returns (z, dz) with z of shape (batch,) and dz of shape
-        (n_params, batch). Block inputs are recorded on the forward
-        sweep; an adjoint state lam, the Z observable pulled back through
-        the later blocks, is swept backwards. Per block, psi_in and lam
-        contracted over the untouched qubits give R (batch, 4, 4), and
-        slot j adds 2 Re tr(dU_j R) to its parameter, where dU_j is the
-        block matrix with slot j differentiated. This equals the
-        shift-rule value (E(+pi/2) - E(-pi/2)) / 2 of every occurrence.
+        (n_params, batch). The forward sweep keeps each block's gathered
+        input on the tape. The adjoint sweep carries lam* = conj(lam),
+        where lam is the Z observable pulled back through the later
+        blocks: lam* starts as Z psi*, and block U takes it back by U^T.
+        Per block, psi_in and lam* summed over the untouched qubits give
+        R (batch, 4, 4); R is summed over the blocks of each kind, and
+        slot j of the kind adds 2 Re tr(dU_j R) to its parameter, where
+        dU_j is the block matrix with slot j differentiated. This equals
+        the shift-rule value (E(+pi/2) - E(-pi/2)) / 2 of every occurrence.
         """
         _check_batch(prep_states)
-        n = self.n_qubits
-        batch, dim = prep_states.shape
-        slots, prefix = self._block_products(values)
-        n_blocks = len(self.block_qubits)
-        fwd = np.empty((n_blocks + 1, batch, dim), dtype=complex)
-        fwd[0] = prep_states
-        for b, qubits in enumerate(self.block_qubits):
-            fwd[b + 1] = apply_matrix(fwd[b], self._block_matrix(prefix, b), qubits, n)
+        batch = len(prep_states)
+        kind_mats = self._block_matrices(values)
+        tape, overlaps = self._tape_rows(batch)
+        out, spare = self._spares(batch)
+        final = self._sweep(prep_states, self._per_block(kind_mats), tape, out)
+        z = self._readout(final)
 
-        bits = (np.arange(dim) >> self.readout) & 1
-        z_signs = 1.0 - 2.0 * bits
-        z = (np.abs(fwd[n_blocks]) ** 2) @ z_signs
-
-        lam = fwd[n_blocks] * z_signs
-        overlaps = np.zeros((n_blocks, batch, 4, 4), dtype=complex)
-        for b in range(n_blocks - 1, -1, -1):
-            qubits = self.block_qubits[b]
-            d = 1 << len(qubits)
-            overlaps[b, :, :d, :d] = _local_overlap(fwd[b], lam, qubits, n)
+        lam = np.conjugate(final, out=out.reshape(final.shape))
+        lam *= self._z_signs[:, None, :]
+        back = self._per_block(kind_mats.transpose(0, 2, 1).copy())
+        for b in range(len(back) - 1, -1, -1):
+            d = self._dims[b]
+            np.matmul(tape[b].reshape(d, batch, -1).transpose(1, 0, 2),
+                      lam.reshape(d, batch, -1).transpose(1, 2, 0),
+                      out=overlaps[b, :, :d, :d])
             if b:
-                lam = apply_matrix(lam, self._block_matrix(prefix, b).conj().T, qubits, n)
+                _block_step(back[b], lam.reshape(d, -1), spare.reshape(d, -1),
+                            self._back[b], lam)
 
-        # suffix[:, j] is the product of the slots after j in its block.
-        suffix = np.empty_like(prefix)
-        suffix[:, -1] = np.eye(4)
-        for j in range(prefix.shape[1] - 2, -1, -1):
-            suffix[:, j] = suffix[:, j + 1] @ slots[:, j + 1]
-        d_block = suffix @ self._dgen @ prefix
-        # tr(dU R) for every slot and sample, as one product per block.
-        traces = d_block.reshape(n_blocks, prefix.shape[1], 16) @ \
-            overlaps.transpose(0, 3, 2, 1).reshape(n_blocks, 16, batch)
-        dz = self._scatter @ (2.0 * traces.real).reshape(-1, batch)
+        n_kinds, n_blocks = self._kind_sum.shape
+        r = (self._kind_sum @ overlaps.reshape(n_blocks, batch * 16)).reshape(
+            n_kinds, batch, 4, 4).transpose(0, 1, 3, 2)
+        r = np.concatenate([r.real, r.imag], axis=-1).reshape(n_kinds, batch, 32)
+        traces = self._slot_derivatives() @ r.transpose(0, 2, 1)
+        dz = self._scatter @ (2.0 * traces).reshape(-1, batch)
         return z, dz
 
     def loss_and_gradient(self, prep_states: np.ndarray, labels: np.ndarray,
@@ -523,4 +649,3 @@ class ModelEvaluator:
         loss = float(np.sum((labels - p) ** 2) / (2 * m))
         grad = dz @ (p - labels) / (2 * m)
         return loss, grad
-

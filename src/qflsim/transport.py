@@ -25,6 +25,9 @@ from .store import format_angle
 
 PROTOCOL_VERSION = 1
 
+# Longest wait, in seconds, for one line from a connected client.
+READ_TIMEOUT_S = 300.0
+
 
 @dataclass(frozen=True)
 class Hello:
@@ -121,12 +124,17 @@ def decode_message(line: str):
 
 
 class SocketFedServer:
-    """Server side of the wire protocol; usable as a run_training transport."""
+    """Server side of the wire protocol; usable as a run_training transport.
+
+    Every read from an accepted connection waits at most ``read_timeout``
+    seconds, so a hung client fails its round instead of blocking it.
+    """
 
     def __init__(self, n_clients: int, param_names, host: str = "127.0.0.1",
-                 port: int = 0):
+                 port: int = 0, *, read_timeout: float = READ_TIMEOUT_S):
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
+        self.read_timeout = read_timeout
         self._listener = socket.create_server((host, port))
         self._conns: dict[str, tuple] = {}
 
@@ -139,6 +147,7 @@ class SocketFedServer:
         self._listener.settimeout(timeout)
         while len(self._conns) < self.n_clients:
             conn, _addr = self._listener.accept()
+            conn.settimeout(self.read_timeout)
             reader = conn.makefile("r", encoding="utf-8", newline="\n")
             writer = conn.makefile("w", encoding="utf-8", newline="\n")
             msg = decode_message(reader.readline())
@@ -167,7 +176,13 @@ class SocketFedServer:
         updates = []
         for cid in order:
             _conn, reader, _writer = self._conns[cid]
-            raw = reader.readline()
+            try:
+                raw = reader.readline()
+            except TimeoutError:
+                raise TrainingError(
+                    f"client {cid} sent no update for round {round_index} "
+                    f"within {self.read_timeout} s"
+                ) from None
             if not raw:
                 raise TrainingError(f"client {cid} disconnected mid-round")
             msg = decode_message(raw)

@@ -438,15 +438,67 @@ class TestGradient:
         assert len(ev.block_qubits) == 19
         prep = ev.prep_states(_sample_batch(2))
         calls = []
-        real = model_module.apply_matrix
+        real = model_module._block_step
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[0].shape)
             return real(*args)
 
-        monkeypatch.setattr(model_module, "apply_matrix", counting)
+        monkeypatch.setattr(model_module, "_block_step", counting)
         ev.readout_z_and_gradient(prep, init_params(model.arch, 0).values)
         assert 19 <= len(calls) <= 2 * 19
+
+    def test_default_arch_compiles_to_seven_block_kinds(self):
+        # Translational weight sharing: the 19 blocks are 7 kinds. The
+        # wrapped pair (7, 0) puts the unit's first qubit high, the pair
+        # (0, 1) puts it low, so the two cannot share block matrices.
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        assert len(ev.block_qubits) == 19
+        assert len(set(ev.block_kinds)) == 7
+        assert ev.block_qubits[:8] == [(1, 0), (3, 2), (5, 4), (7, 6),
+                                       (2, 1), (4, 3), (6, 5), (7, 0)]
+        assert len(set(ev.block_kinds[:7])) == 1
+        assert ev.block_kinds[7] != ev.block_kinds[0]
+
+    def test_batches_are_independent_and_results_outlive_buffers(self):
+        # The evaluator reuses its work buffers and grows them only for a
+        # larger batch; every sample's result must not depend on its batch,
+        # and arrays returned earlier must not change.
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        values = init_params(model.arch, 4).values
+        prep = ev.prep_states(_sample_batch(64, seed=3))
+        single = [ev.readout_z_and_gradient(prep[i:i + 1], values) for i in range(64)]
+        results = []
+        for start, size in ((0, 16), (0, 64), (7, 1), (40, 16)):
+            z, dz = ev.readout_z_and_gradient(prep[start:start + size], values)
+            results.append((start, z, dz, z.copy(), dz.copy()))
+        for start, z, dz, z_then, dz_then in results:
+            assert np.array_equal(z, z_then) and np.array_equal(dz, dz_then)
+            for i in range(len(z)):
+                z1, dz1 = single[start + i]
+                assert abs(z[i] - z1[0]) <= 1e-13
+                assert np.max(np.abs(dz[:, i] - dz1[:, 0])) <= 1e-13
+            forward = ev.readout_z(prep[start:start + len(z)], values)
+            assert np.max(np.abs(forward - z)) <= 1e-13
+
+    def test_steady_steps_do_not_fault_pages(self):
+        # Reused buffers: after a warm-up, steps at one batch size touch no
+        # fresh memory. Per-step temporaries of the tape's size would
+        # fault hundreds of pages per step.
+        resource = pytest.importorskip("resource")
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        batch = _sample_batch(16)
+        prep = ev.prep_states(batch)
+        labels = np.array([s.label for s in batch], dtype=float)
+        values = init_params(model.arch, 0).values
+        ev.loss_and_gradient(prep, labels, values)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            ev.loss_and_gradient(prep, labels, values)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_gateless_model_reads_the_prepared_state(self):
         arch = ArchitectureSpec(2, 0, 1)

@@ -11,7 +11,7 @@ import pytest
 
 from qflsim.cli import add_architecture_flags
 from qflsim.datagen import GenConfig, generate_federated_dataset
-from qflsim.errors import ProtocolError
+from qflsim.errors import ProtocolError, TrainingError
 from qflsim.federated import (
     ClientState,
     ClientUpdate,
@@ -208,6 +208,30 @@ class TestSocketRounds:
         finally:
             server.shutdown()
             t.join(timeout=5)
+
+    def test_silent_client_fails_its_round_by_name(self):
+        # A client that says HELLO and then never answers must fail the
+        # round within the read deadline, not block it.
+        server = SocketFedServer(1, ("a",), read_timeout=0.2)
+        host, port = server.address
+        release = threading.Event()
+
+        def silent():
+            with socket.create_connection((host, port)) as conn:
+                conn.sendall(b"HELLO v1 quiet\n")
+                release.wait(timeout=10)
+
+        t = threading.Thread(target=silent)
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            with pytest.raises(TrainingError, match="client quiet .* round 3"):
+                server.round_trip(3, ParamVector(("a",), np.zeros(1)), ["quiet"])
+        finally:
+            release.set()
+            server.shutdown()
+            t.join(timeout=5)
+        assert not t.is_alive()
 
 
 def _worker_cmd(*args):
