@@ -264,10 +264,3 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     for op in circuit.ops:
         psi = apply_matrix(psi, resolve_matrix(op, bindings), op.targets, n)
     return psi[0]
-
-
-def expectation_z_many(states: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Per-row <Z> of a (batch, 2^n) state array."""
-    bits = (np.arange(states.shape[-1]) >> qubit) & 1
-    signs = 1.0 - 2.0 * bits
-    return (np.abs(states) ** 2) @ signs

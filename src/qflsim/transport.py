@@ -6,14 +6,19 @@ with 17 significant digits):
     HELLO v<protocol> <client_id>
     GLOBAL <round> <p1,...,pP>
     UPDATE <round> <client_id> <num_samples> <loss> <p1,...,pP>
+    ALIVE
     DONE
 
 A client connects, introduces itself with HELLO, then answers every
 GLOBAL broadcast with exactly one UPDATE until the server sends DONE.
-The server keeps one in-flight round per client.
+The server keeps one in-flight round per client. While it trains, a
+client sends ALIVE every KEEPALIVE_S seconds; the server fails the round
+of a client that sends nothing for READ_TIMEOUT_S seconds, so a hung
+client is caught while a long local training is not.
 """
 
 import socket
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +28,12 @@ from .federated import ClientState, ClientUpdate, OptimizerConfig, local_train
 from .model import ParamVector
 from .store import format_angle
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Longest wait, in seconds, for one line from a connected client.
 READ_TIMEOUT_S = 300.0
+# How often, in seconds, a training client says ALIVE.
+KEEPALIVE_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,11 @@ class Update:
     num_samples: int
     loss: float
     values: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class Alive:
+    pass
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,10 @@ def encode_update(update: ClientUpdate) -> str:
     )
 
 
+def encode_alive() -> str:
+    return "ALIVE\n"
+
+
 def encode_done() -> str:
     return "DONE\n"
 
@@ -93,6 +109,8 @@ def decode_message(line: str):
     line = line.rstrip("\n")
     if line == "DONE":
         return Done()
+    if line == "ALIVE":
+        return Alive()
     parts = line.split(" ")
     if parts[0] == "HELLO":
         if len(parts) != 3 or not parts[1].startswith("v"):
@@ -126,15 +144,14 @@ def decode_message(line: str):
 class SocketFedServer:
     """Server side of the wire protocol; usable as a run_training transport.
 
-    Every read from an accepted connection waits at most ``read_timeout``
+    Every read from an accepted connection waits at most READ_TIMEOUT_S
     seconds, so a hung client fails its round instead of blocking it.
     """
 
     def __init__(self, n_clients: int, param_names, host: str = "127.0.0.1",
-                 port: int = 0, *, read_timeout: float = READ_TIMEOUT_S):
+                 port: int = 0):
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
-        self.read_timeout = read_timeout
         self._listener = socket.create_server((host, port))
         self._conns: dict[str, tuple] = {}
 
@@ -147,7 +164,7 @@ class SocketFedServer:
         self._listener.settimeout(timeout)
         while len(self._conns) < self.n_clients:
             conn, _addr = self._listener.accept()
-            conn.settimeout(self.read_timeout)
+            conn.settimeout(READ_TIMEOUT_S)
             reader = conn.makefile("r", encoding="utf-8", newline="\n")
             writer = conn.makefile("w", encoding="utf-8", newline="\n")
             msg = decode_message(reader.readline())
@@ -175,17 +192,7 @@ class SocketFedServer:
             writer.flush()
         updates = []
         for cid in order:
-            _conn, reader, _writer = self._conns[cid]
-            try:
-                raw = reader.readline()
-            except TimeoutError:
-                raise TrainingError(
-                    f"client {cid} sent no update for round {round_index} "
-                    f"within {self.read_timeout} s"
-                ) from None
-            if not raw:
-                raise TrainingError(f"client {cid} disconnected mid-round")
-            msg = decode_message(raw)
+            msg = self._next_message(cid, round_index)
             if not isinstance(msg, Update):
                 raise ProtocolError(f"expected UPDATE from {cid}, got {msg!r}")
             if msg.round != round_index:
@@ -204,6 +211,23 @@ class SocketFedServer:
                 local_loss=msg.loss,
             ))
         return updates
+
+    def _next_message(self, cid: str, round_index: int):
+        """The client's next message other than ALIVE."""
+        conn, reader, _writer = self._conns[cid]
+        while True:
+            try:
+                raw = reader.readline()
+            except TimeoutError:
+                raise TrainingError(
+                    f"client {cid} sent nothing in round {round_index} "
+                    f"for {conn.gettimeout()} s"
+                ) from None
+            if not raw:
+                raise TrainingError(f"client {cid} disconnected mid-round")
+            msg = decode_message(raw)
+            if not isinstance(msg, Alive):
+                return msg
 
     def shutdown(self):
         for _conn, _reader, writer in self._conns.values():
@@ -228,6 +252,16 @@ class SocketFedServer:
         self.shutdown()
 
 
+def _say_alive(writer, stop: threading.Event):
+    """Write ALIVE every KEEPALIVE_S seconds until ``stop`` is set."""
+    while not stop.wait(KEEPALIVE_S):
+        try:
+            writer.write(encode_alive())
+            writer.flush()
+        except OSError:
+            return
+
+
 def run_socket_client(host: str, port: int, client: ClientState,
                       epochs: int, batch_size: int, opt: OptimizerConfig):
     """Connect to the server and answer GLOBAL broadcasts until DONE."""
@@ -248,7 +282,15 @@ def run_socket_client(host: str, port: int, client: ClientState,
             global_params = ParamVector(
                 client.params.names, np.array(msg.values)
             )
-            update = local_train(client, global_params, epochs, batch_size,
-                                 opt, round_index=msg.round)
+            stop = threading.Event()
+            beat = threading.Thread(target=_say_alive, args=(writer, stop),
+                                    daemon=True)
+            beat.start()
+            try:
+                update = local_train(client, global_params, epochs, batch_size,
+                                     opt, round_index=msg.round)
+            finally:
+                stop.set()
+                beat.join()
             writer.write(encode_update(update))
             writer.flush()

@@ -495,9 +495,11 @@ class TestGradient:
         labels = np.array([s.label for s in batch], dtype=float)
         values = init_params(model.arch, 0).values
         ev.loss_and_gradient(prep, labels, values)
+        buffers = [id(ev._tape), id(ev._spare), id(ev._overlaps)]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(20):
             ev.loss_and_gradient(prep, labels, values)
+            assert [id(ev._tape), id(ev._spare), id(ev._overlaps)] == buffers
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_gateless_model_reads_the_prepared_state(self):

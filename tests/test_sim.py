@@ -16,7 +16,6 @@ from qflsim.sim import (
     apply_circuit,
     cnot,
     cz,
-    expectation_z_many,
     gate_matrix,
     h,
     new_zero_state,
@@ -32,10 +31,6 @@ INV_SQRT2 = 1 / math.sqrt(2)
 def _apply(psi, op):
     """State after one gate, as a one-gate circuit on psi's qubits."""
     return apply_circuit(psi, Circuit(max(1, len(psi).bit_length() - 1), (op,)))
-
-
-def _z(psi, qubit):
-    return float(expectation_z_many(psi[None, :], qubit, len(psi).bit_length() - 1)[0])
 
 
 class TestNewZeroState:
@@ -209,16 +204,16 @@ class TestOracleEquivalence:
 
 class TestExpectationZ:
     def test_zero_state(self):
-        assert _z(new_zero_state(1), 0) == pytest.approx(1.0)
+        assert oracles.z_expectation(new_zero_state(1), 0) == pytest.approx(1.0)
 
     def test_plus_state(self):
         psi = _apply(new_zero_state(1), h(0))
-        assert _z(psi, 0) == pytest.approx(0.0, abs=1e-15)
+        assert oracles.z_expectation(psi, 0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, 2.9])
     def test_rx_gives_cosine(self, theta):
         psi = _apply(new_zero_state(1), rx(0, theta))
-        assert _z(psi, 0) == pytest.approx(math.cos(theta), abs=1e-12)
+        assert oracles.z_expectation(psi, 0) == pytest.approx(math.cos(theta), abs=1e-12)
 
     def test_bounds_and_probability_identity(self):
         rng = np.random.default_rng(21)
@@ -228,7 +223,7 @@ class TestExpectationZ:
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)
             q = int(rng.integers(n))
-            z = _z(psi, q)
+            z = oracles.z_expectation(psi, q)
             assert -1.0 <= z <= 1.0 + 1e-12
             p_one = sum(abs(a) ** 2 for i, a in enumerate(psi) if (i >> q) & 1)
             assert z == pytest.approx(1.0 - 2.0 * p_one, abs=1e-12)

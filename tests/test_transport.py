@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from qflsim.model import (
     init_params,
     parameter_names,
 )
+import qflsim.transport as transport
 from qflsim.store import write_dataset
 from qflsim.transport import (
+    PROTOCOL_VERSION,
     Done,
     Global,
     Hello,
@@ -68,7 +71,7 @@ def _make_client(ds, index, seed):
 class TestMessageCodec:
     def test_hello_round_trip(self):
         msg = decode_message(encode_hello("client_003"))
-        assert msg == Hello("client_003", 1)
+        assert msg == Hello("client_003", PROTOCOL_VERSION)
 
     def test_global_round_trip(self):
         values = np.array([0.1, -2.5, 3.141592653589793])
@@ -194,7 +197,7 @@ class TestSocketRounds:
         def impostor():
             with socket.create_connection((host, port)) as conn:
                 reader = conn.makefile("r")
-                conn.sendall(b"HELLO v1 c1\n")
+                conn.sendall(encode_hello("c1").encode())
                 reader.readline()  # GLOBAL
                 conn.sendall(b"UPDATE 9 c1 4 0.5 0.0\n")
                 reader.readline()
@@ -209,16 +212,17 @@ class TestSocketRounds:
             server.shutdown()
             t.join(timeout=5)
 
-    def test_silent_client_fails_its_round_by_name(self):
+    def test_silent_client_fails_its_round_by_name(self, monkeypatch):
         # A client that says HELLO and then never answers must fail the
         # round within the read deadline, not block it.
-        server = SocketFedServer(1, ("a",), read_timeout=0.2)
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.2)
+        server = SocketFedServer(1, ("a",))
         host, port = server.address
         release = threading.Event()
 
         def silent():
             with socket.create_connection((host, port)) as conn:
-                conn.sendall(b"HELLO v1 quiet\n")
+                conn.sendall(encode_hello("quiet").encode())
                 release.wait(timeout=10)
 
         t = threading.Thread(target=silent)
@@ -232,6 +236,41 @@ class TestSocketRounds:
             server.shutdown()
             t.join(timeout=5)
         assert not t.is_alive()
+
+    def test_training_longer_than_the_deadline_keeps_its_round(self, monkeypatch):
+        # A client whose local training outlasts the read deadline says
+        # ALIVE meanwhile, so its round completes with the usual update.
+        ds = _tiny_dataset()
+        opt = OptimizerConfig(kind="adam", learning_rate=0.02)
+        params = init_params(default_architecture(2), 1)
+        expected = transport.local_train(_make_client(ds, 0, 5), params, 1, 4,
+                                         opt, round_index=1)
+        real_train = transport.local_train
+
+        def slow_train(*args, **kwargs):
+            time.sleep(1.0)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(transport, "KEEPALIVE_S", 0.05)
+        monkeypatch.setattr(transport, "local_train", slow_train)
+        server = SocketFedServer(1, parameter_names(default_architecture(2)))
+        host, port = server.address
+        t = threading.Thread(
+            target=run_socket_client,
+            args=(host, port, _make_client(ds, 0, 5), 1, 4, opt))
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            (update,) = server.round_trip(1, params, [expected.client_id])
+        finally:
+            server.shutdown()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert (update.client_id, update.round, update.num_samples,
+                update.local_loss) == (expected.client_id, 1, expected.num_samples,
+                                       expected.local_loss)
+        assert np.array_equal(update.params.values, expected.params.values)
 
 
 def _worker_cmd(*args):
