@@ -35,7 +35,6 @@ from .model import (
     conv_unit,
     default_architecture,
     init_params,
-    param_count,
     parameter_names,
     pool_unit,
 )

@@ -40,6 +40,21 @@ def _derived_seed(base_seed: int, *keys: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _int_list(minimum: int):
+    """argparse type of a comma-joined list of integers >= ``minimum``."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(item) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-joined integers, got {text!r}") from None
+        if min(values) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"every item must be >= {minimum}, got {text!r}")
+        return values
+    return parse
+
+
 def _add_gen_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--clients", type=int, default=30)
     parser.add_argument("--samples-per-client", type=int, default=160)
@@ -220,9 +235,8 @@ def cmd_sweep_clients(args) -> int:
 
 
 def cmd_sweep_datasize(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     experiment = f"sweep-datasize-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
-    for size in sizes:
+    for size in args.sizes:
         if size % args.qubits != 0:
             raise ConfigError(
                 f"per-client size {size} is not divisible by {args.qubits} qubits"
@@ -267,13 +281,12 @@ def cmd_compare_iid(args) -> int:
 
 
 def cmd_error_bars(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    if len(seeds) < 3:
-        raise ConfigError(f"need at least 3 seeds, got {len(seeds)}")
+    if len(args.seeds) < 3:
+        raise ConfigError(f"need at least 3 seeds, got {len(args.seeds)}")
     experiment = f"error-bars-{args.optimizer}-lr{args.lr:g}"
     finals = []
     t0 = time.perf_counter()
-    for seed in seeds:
+    for seed in args.seeds:
         dataset = generate_federated_dataset(_gen_config(args, seed=seed))
         train_ids, test_ids = _split_ids(dataset, args.train_clients,
                                          args.test_clients)
@@ -335,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-datasize", help="dataset-size series")
     _add_gen_flags(p)
     _add_train_flags(p)
-    p.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_DATASIZES))
+    p.add_argument("--sizes", type=_int_list(1), default=DEFAULT_DATASIZES)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--train-clients", type=int, default=25)
     p.add_argument("--test-clients", type=int, default=5)
@@ -355,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("error-bars", help="repeat one run across seeds")
     _add_gen_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seeds", default="1,2,3,4,5")
+    p.add_argument("--seeds", type=_int_list(0), default=(1, 2, 3, 4, 5))
     p.add_argument("--train-clients", type=int, default=25)
     p.add_argument("--test-clients", type=int, default=5)
     p.add_argument("--out", default="error_bars_metrics.jsonl")

@@ -71,7 +71,6 @@ class ClientDataset:
 class FederatedDataset:
     clients: tuple[ClientDataset, ...]
     gen_config: GenConfig
-    format_version: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "clients", tuple(self.clients))

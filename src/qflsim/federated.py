@@ -10,8 +10,11 @@ training coincide exactly with plain centralized training.
 
 A run compiles one ModelEvaluator and prepares each client's input
 states once, into a PreparedClient (samples, labels, prepared states).
-Local training reads a client's record, and evaluation reads the test
-clients' records and, with ``eval_train``, the same training records.
+build_clients turns those into ClientStates, each carrying the run's
+TrainConfig, so local_train needs only the client and the broadcast
+parameters, in process and in a socket worker alike. Evaluation reads
+the test clients' records and, with ``eval_train``, the same training
+records.
 """
 
 import math
@@ -120,25 +123,6 @@ def prepare_clients(clients: Sequence[ClientDataset],
     )
 
 
-@dataclass
-class ClientState:
-    """One client's identity, prepared data, parameters and optimizer moments.
-
-    ``seed_key`` is the client's stable ordinal in the dataset; together
-    with the run seed and a cumulative epoch counter it determines every
-    batch shuffle, so runs are reproducible regardless of transport.
-    """
-
-    client_id: str
-    seed_key: int
-    data: PreparedClient
-    params: ParamVector
-    opt_state: OptimizerState
-    evaluator: ModelEvaluator
-    base_seed: int
-    epochs_done: int = 0
-
-
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: str
@@ -199,46 +183,62 @@ class TrainConfig:
             raise ConfigError("seed must be a nonnegative integer")
 
 
+@dataclass
+class ClientState:
+    """One client of a run, as build_clients makes it: its identity,
+    prepared data, the run's evaluator and TrainConfig, and the optimizer
+    moments and epoch count that local_train carries across rounds.
+
+    ``seed_key`` is the client's stable ordinal in the dataset; together
+    with ``cfg.seed`` and the cumulative epoch counter it determines every
+    batch shuffle, so runs are reproducible regardless of transport.
+    """
+
+    client_id: str
+    seed_key: int
+    data: PreparedClient
+    evaluator: ModelEvaluator
+    cfg: TrainConfig
+    opt_state: OptimizerState
+    epochs_done: int = 0
+
+
 def _shuffle_rng(base_seed: int, seed_key: int, epoch: int) -> np.random.Generator:
     return stream_rng(base_seed, _SHUFFLE_STREAM, seed_key, epoch)
 
 
-def local_train(client: ClientState, global_params: ParamVector, epochs: int,
-                batch_size: int, opt: OptimizerConfig,
+def local_train(client: ClientState, global_params: ParamVector,
                 round_index: int = 0) -> ClientUpdate:
-    """Reset to the broadcast parameters, then run seeded mini-batch steps.
+    """Reset to the broadcast parameters, then run the seeded mini-batch
+    steps of ``client.cfg`` (epochs, batch size, optimizer, seed).
 
-    Mutates the client's parameters, moments and epoch counter; returns
-    the final parameters with the mean per-batch loss.
+    Mutates the client's moments and epoch counter; returns the final
+    parameters with the mean per-batch loss.
     """
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
+    cfg = client.cfg
     n_samples = len(client.data.samples)
     if n_samples == 0:
         raise ConfigError(f"client {client.client_id} has no data")
     values = np.array(global_params.values, dtype=float)
     opt_state = client.opt_state
     losses = []
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         order = _shuffle_rng(
-            client.base_seed, client.seed_key, client.epochs_done
+            cfg.seed, client.seed_key, client.epochs_done
         ).permutation(n_samples)
-        for start in range(0, n_samples, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n_samples, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
             loss, grad = client.evaluator.loss_and_gradient(
                 client.data.prep_states[idx], client.data.labels[idx], values
             )
-            values, opt_state = optimizer_step(opt_state, values, grad, opt)
+            values, opt_state = optimizer_step(opt_state, values, grad, cfg.opt)
             losses.append(loss)
         client.epochs_done += 1
-    client.params = global_params.with_values(values)
     client.opt_state = opt_state
     return ClientUpdate(
         client_id=client.client_id,
         round=round_index,
-        params=client.params,
+        params=global_params.with_values(values),
         num_samples=n_samples,
         local_loss=float(np.mean(losses)),
     )
@@ -313,19 +313,15 @@ class EvalContext:
 class LocalTransport:
     """In-process clients behind the same ``round_trip`` as SocketFedServer."""
 
-    def __init__(self, clients: Sequence[ClientState], cfg: TrainConfig):
+    def __init__(self, clients: Sequence[ClientState]):
         self.clients = {c.client_id: c for c in clients}
-        self.cfg = cfg
 
     def round_trip(self, round_index: int, params: ParamVector,
                    order: list[str]) -> list[ClientUpdate]:
-        cfg = self.cfg
         updates = []
         for cid in order:
             try:
-                updates.append(local_train(
-                    self.clients[cid], params, cfg.epochs, cfg.batch_size,
-                    cfg.opt, round_index=round_index))
+                updates.append(local_train(self.clients[cid], params, round_index))
             except Exception as exc:
                 raise TrainingError(
                     f"client {cid} failed in round {round_index}: {exc}"
@@ -381,15 +377,15 @@ def build_clients(dataset: FederatedDataset, cfg: TrainConfig,
         [dataset.clients[ordinals[cid]] for cid in client_ids], evaluator)
     clients = [
         ClientState(client_id=cid, seed_key=ordinals[cid], data=data,
-                    params=params0, opt_state=OptimizerState.zeros(len(params0)),
-                    evaluator=evaluator, base_seed=cfg.seed)
+                    evaluator=evaluator, cfg=cfg,
+                    opt_state=OptimizerState.zeros(len(params0)))
         for cid, data in zip(client_ids, prepared)
     ]
     return evaluator, params0, clients
 
 
 def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = True):
-    """Model, initial server state, client states and evaluation context.
+    """Initial server state, client states and evaluation context.
 
     With ``in_process`` false the clients run elsewhere and no client
     state is built here. With ``cfg.eval_train`` in process, the training
@@ -404,7 +400,7 @@ def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = Tr
         train_eval = (tuple(c.data for c in clients) if in_process
                       else prepare_clients(train_data, evaluator))
     ctx = EvalContext(evaluator, prepare_clients(test_data, evaluator), train_eval)
-    return evaluator.model, server, clients, ctx
+    return server, clients, ctx
 
 
 def run_training(dataset: FederatedDataset, cfg: TrainConfig,
@@ -416,9 +412,9 @@ def run_training(dataset: FederatedDataset, cfg: TrainConfig,
     Without a ``transport`` the training clients run in process behind a
     LocalTransport; otherwise the transport (see qflsim.transport) runs them.
     """
-    _model, server, clients, ctx = build_run(dataset, cfg, transport is None)
+    server, clients, ctx = build_run(dataset, cfg, transport is None)
     if transport is None:
-        transport = LocalTransport(clients, cfg)
+        transport = LocalTransport(clients)
     records = [ctx.record(0, server.params, {})]
     if on_round:
         on_round(records[0], server)

@@ -109,10 +109,6 @@ def parameter_names(arch: ArchitectureSpec) -> tuple[str, ...]:
     return build_model_circuit(arch).symbols()
 
 
-def param_count(arch: ArchitectureSpec) -> int:
-    return len(parameter_names(arch))
-
-
 def build_architecture(n_qubits: int, n_stages: int | None = None,
                        readout_qubit: int | None = None,
                        include_fc: bool = False) -> ArchitectureSpec:
@@ -165,9 +161,6 @@ class ParamVector:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def bindings(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values.tolist()))
 
     def with_values(self, values) -> "ParamVector":
         return ParamVector(self.names, values)

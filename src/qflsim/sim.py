@@ -14,7 +14,6 @@ immutable: every operation returns a fresh array.
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -184,15 +183,6 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     return _FIXED_MATRICES[op.kind].copy()
 
 
-def resolve_matrix(op: GateOp, bindings: Mapping[str, float] | None = None) -> np.ndarray:
-    """Like gate_matrix but resolves symbol references through ``bindings``."""
-    if op.symbol is not None:
-        if bindings is None or op.symbol not in bindings:
-            raise UnresolvedParameterError(f"no binding for symbol {op.symbol!r}")
-        return rotation_matrix(op.kind, op.sign * float(bindings[op.symbol]))
-    return gate_matrix(op)
-
-
 def new_zero_state(n_qubits: int) -> StateVector:
     """|0...0> on ``n_qubits`` qubits."""
     if not 1 <= n_qubits <= MAX_QUBITS:
@@ -248,13 +238,9 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
     return out.transpose(_BITS_BACK[k]).reshape(states.shape)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit,
-                  bindings: Mapping[str, float] | None = None) -> StateVector:
-    """State after all gates of ``circuit``, applied in order.
-
-    Every symbol appearing in the circuit must have an entry in
-    ``bindings``; the effective angle of a reference is sign * value.
-    """
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """State after all gates of ``circuit``, applied in order; a symbolic
+    gate raises UnresolvedParameterError (see gate_matrix)."""
     n = _infer_n_qubits(state)
     if n != circuit.n_qubits:
         raise SimulationError(
@@ -262,5 +248,5 @@ def apply_circuit(state: StateVector, circuit: Circuit,
         )
     psi = np.array(state[None, :], dtype=complex)
     for op in circuit.ops:
-        psi = apply_matrix(psi, resolve_matrix(op, bindings), op.targets, n)
+        psi = apply_matrix(psi, gate_matrix(op), op.targets, n)
     return psi[0]

@@ -34,6 +34,7 @@ every client header but parses only that client's samples; the
 server's full read validates every sample.
 """
 
+import dataclasses
 import hashlib
 import os
 import tempfile
@@ -171,40 +172,39 @@ class DatasetFile:
 
 
 def _gen_config_line(cfg: GenConfig) -> str:
-    fields = [
-        f"n_clients={cfg.n_clients}",
-        f"n_qubits={cfg.n_qubits}",
-        f"samples_per_client={cfg.samples_per_client}",
-        f"angle_distribution={cfg.angle_distribution.value}",
-        f"trunc_normal_sigma={format_angle(cfg.trunc_normal_sigma)}",
-        f"excitation_threshold={format_angle(cfg.excitation_threshold)}",
-        f"seed={cfg.seed}",
-    ]
-    return "gen_config " + " ".join(fields)
+    """Every GenConfig field in declaration order as key=value: floats
+    with 17 significant digits, the distribution by its value."""
+    tokens = []
+    for f in dataclasses.fields(GenConfig):
+        value = getattr(cfg, f.name)
+        if f.type is float:
+            value = format_angle(value)
+        tokens.append(f"{f.name}={getattr(value, 'value', value)}")
+    return "gen_config " + " ".join(tokens)
 
 
 def _parse_gen_config(line: str) -> GenConfig:
+    """Inverse of _gen_config_line; each value is parsed by its field's type."""
     kv = {}
     for token in line.split()[1:]:
-        if "=" not in token:
+        key, sep, value = token.partition("=")
+        if not sep:
             raise DatasetFormatError(f"bad gen_config token {token!r}")
-        key, value = token.split("=", 1)
         kv[key] = value
+    types = {f.name: f.type for f in dataclasses.fields(GenConfig)}
+    if kv.keys() != types.keys():
+        raise DatasetFormatError(
+            f"gen_config keys: missing {sorted(types.keys() - kv.keys())}, "
+            f"unknown {sorted(kv.keys() - types.keys())}")
     try:
-        return GenConfig(
-            n_clients=int(kv["n_clients"]),
-            n_qubits=int(kv["n_qubits"]),
-            samples_per_client=int(kv["samples_per_client"]),
-            angle_distribution=AngleDistribution(kv["angle_distribution"]),
-            trunc_normal_sigma=float(kv["trunc_normal_sigma"]),
-            excitation_threshold=float(kv["excitation_threshold"]),
-            seed=int(kv["seed"]),
-        )
-    except (KeyError, ValueError, ConfigError) as exc:
+        return GenConfig(**{name: kind(kv[name]) for name, kind in types.items()})
+    except (ValueError, ConfigError) as exc:
         raise DatasetFormatError(f"bad gen_config line: {exc}") from None
 
 
-def _client_id_ok(client_id: str) -> bool:
+def client_id_ok(client_id: str) -> bool:
+    """The one client-id rule, for dataset files and wire messages alike:
+    nonempty, letters, digits, '_' and '-'."""
     return bool(client_id) and all(
         ch.isalnum() or ch in "_-" for ch in client_id
     )
@@ -212,12 +212,12 @@ def _client_id_ok(client_id: str) -> bool:
 
 def _render_body(ds: FederatedDataset) -> str:
     lines = [
-        f"format_version={ds.format_version}",
+        f"format_version={FORMAT_VERSION}",
         f"n_clients={len(ds.clients)}",
         _gen_config_line(ds.gen_config),
     ]
     for client in ds.clients:
-        if not _client_id_ok(client.client_id):
+        if not client_id_ok(client.client_id):
             raise ConfigError(f"client id {client.client_id!r} not storable")
         lines.append(
             f"client {client.client_id} {client.distribution_tag.value} "
@@ -341,6 +341,8 @@ def read_dataset(path, clients=None) -> FederatedDataset:
         if len(parts) != 4 or parts[0] != "client":
             raise DatasetFormatError(f"line {i + 3}: expected client header")
         client_id = parts[1]
+        if not client_id_ok(client_id):
+            raise DatasetFormatError(f"line {i + 3}: bad client id {client_id!r}")
         try:
             dist = AngleDistribution(parts[2])
         except ValueError:
@@ -367,7 +369,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
             f"{path}: header declares {n_clients} clients, found {len(parsed)}"
         )
     try:
-        dataset = FederatedDataset(tuple(parsed), gen_config, version)
+        dataset = FederatedDataset(tuple(parsed), gen_config)
     except ConfigError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
     unknown = sorted((wanted or set()) - set(dataset.client_ids()))

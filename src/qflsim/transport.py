@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError, TrainingError
-from .federated import ClientState, ClientUpdate, OptimizerConfig, local_train
+from .federated import ClientState, ClientUpdate, local_train
 from .model import ParamVector
-from .store import format_angle
+from .store import client_id_ok, format_angle
 
 PROTOCOL_VERSION = 2
 
@@ -104,8 +104,15 @@ def encode_done() -> str:
     return "DONE\n"
 
 
+def _checked_id(client_id: str, line: str) -> str:
+    if not client_id_ok(client_id):
+        raise ProtocolError(f"bad client id {client_id!r}: {line!r}")
+    return client_id
+
+
 def decode_message(line: str):
-    """Parse one protocol line into a message object."""
+    """Parse one protocol line into a message object; a client id must
+    pass the dataset files' rule (store.client_id_ok)."""
     line = line.rstrip("\n")
     if line == "DONE":
         return Done()
@@ -119,7 +126,7 @@ def decode_message(line: str):
             version = int(parts[1][1:])
         except ValueError:
             raise ProtocolError(f"bad HELLO version: {line!r}") from None
-        return Hello(parts[2], version)
+        return Hello(_checked_id(parts[2], line), version)
     if parts[0] == "GLOBAL":
         if len(parts) != 3:
             raise ProtocolError(f"bad GLOBAL: {line!r}")
@@ -131,8 +138,8 @@ def decode_message(line: str):
         if len(parts) != 6:
             raise ProtocolError(f"bad UPDATE: {line!r}")
         try:
-            update = Update(int(parts[1]), parts[2], int(parts[3]),
-                            float(parts[4]), _parse_values(parts[5]))
+            update = Update(int(parts[1]), _checked_id(parts[2], line),
+                            int(parts[3]), float(parts[4]), _parse_values(parts[5]))
         except ValueError:
             raise ProtocolError(f"bad UPDATE fields: {line!r}") from None
         if update.num_samples < 0 or not np.isfinite(update.loss):
@@ -262,9 +269,9 @@ def _say_alive(writer, stop: threading.Event):
             return
 
 
-def run_socket_client(host: str, port: int, client: ClientState,
-                      epochs: int, batch_size: int, opt: OptimizerConfig):
-    """Connect to the server and answer GLOBAL broadcasts until DONE."""
+def run_socket_client(host: str, port: int, client: ClientState):
+    """Connect to the server and answer GLOBAL broadcasts until DONE,
+    training ``client`` as its TrainConfig says."""
     with socket.create_connection((host, port)) as conn:
         reader = conn.makefile("r", encoding="utf-8", newline="\n")
         writer = conn.makefile("w", encoding="utf-8", newline="\n")
@@ -280,15 +287,14 @@ def run_socket_client(host: str, port: int, client: ClientState,
             if not isinstance(msg, Global):
                 raise ProtocolError(f"expected GLOBAL or DONE, got {msg!r}")
             global_params = ParamVector(
-                client.params.names, np.array(msg.values)
+                client.evaluator.param_names, np.array(msg.values)
             )
             stop = threading.Event()
             beat = threading.Thread(target=_say_alive, args=(writer, stop),
                                     daemon=True)
             beat.start()
             try:
-                update = local_train(client, global_params, epochs, batch_size,
-                                     opt, round_index=msg.round)
+                update = local_train(client, global_params, msg.round)
             finally:
                 stop.set()
                 beat.join()

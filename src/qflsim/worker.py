@@ -37,8 +37,7 @@ def serve(args) -> int:
     arch = architecture_from_flags(args, dataset.gen_config.n_qubits)
     cfg = train_config(args, 0, (args.client_id,), (), args.seed, arch=arch)
     _evaluator, _params0, (client,) = build_clients(dataset, cfg, cfg.train_clients)
-    run_socket_client(args.host, args.port, client, cfg.epochs,
-                      cfg.batch_size, cfg.opt)
+    run_socket_client(args.host, args.port, client)
     return 0
 
 

@@ -188,10 +188,15 @@ class TestSweepDatasize:
         got = {(r["samples_per_client"], r["centralized"]) for r in summaries}
         assert got == {(4, False), (4, True), (8, False), (8, True)}
 
-    def test_indivisible_size_exits_2(self, tmp_path):
-        assert main(["sweep-datasize", "--clients", "6", "--qubits", "2",
-                     "--sizes", "7", "--rounds", "1",
-                     "--out", str(tmp_path / "m.jsonl")]) == 2
+    def test_indivisible_size_exits_2(self, tmp_path, capsys):
+        # Also a non-integer or nonpositive size, which the flag rejects
+        # before anything runs.
+        for sizes in ("7", "4,x", "-8", "0"):
+            assert main(["sweep-datasize", "--clients", "6", "--qubits", "2",
+                         "--sizes", sizes, "--rounds", "1",
+                         "--out", str(tmp_path / "m.jsonl")]) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "m.jsonl").exists()
 
 
 class TestCompareIid:
@@ -208,10 +213,15 @@ class TestCompareIid:
 
 
 class TestErrorBars:
-    def test_requires_three_seeds(self, tmp_path):
-        assert main(["error-bars", *TINY, *FAST_TRAIN, "--seeds", "1,2",
-                     "--train-clients", "4", "--test-clients", "2",
-                     "--out", str(tmp_path / "m.jsonl")]) == 2
+    def test_requires_three_seeds(self, tmp_path, capsys):
+        # Also a non-integer or negative seed, which the flag rejects
+        # before anything runs.
+        for seeds in ("1,2", "1,2,x", "1,2,-1"):
+            assert main(["error-bars", *TINY, *FAST_TRAIN, "--seeds", seeds,
+                         "--train-clients", "4", "--test-clients", "2",
+                         "--out", str(tmp_path / "m.jsonl")]) == 2
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "m.jsonl").exists()
 
     def test_identical_seeds_zero_spread(self, tmp_path):
         out = tmp_path / "m.jsonl"

@@ -10,7 +10,6 @@ import oracles
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, TrainingError
 from qflsim.federated import (
-    ClientState,
     EvalContext,
     LocalTransport,
     OptimizerConfig,
@@ -18,6 +17,7 @@ from qflsim.federated import (
     PreparedClient,
     ServerState,
     TrainConfig,
+    build_clients,
     build_run,
     evaluate,
     prepare_clients,
@@ -157,36 +157,31 @@ class TestFederatedAverage:
 
 
 class TestLocalTrain:
-    def _client(self, samples=16, seed=1, lr=0.1, n_qubits=2):
-        ds = _tiny_dataset(n_clients=1, samples=samples, seed=seed,
-                           n_qubits=n_qubits)
-        arch = default_architecture(n_qubits)
-        model = build_model(arch)
-        evaluator = ModelEvaluator(model, parameter_names(arch))
-        params = init_params(arch, seed)
-        client = ClientState(
-            client_id=ds.clients[0].client_id, seed_key=0,
-            data=prepare_clients(ds.clients, evaluator)[0], params=params,
-            opt_state=OptimizerState.zeros(len(params)),
-            evaluator=evaluator, base_seed=seed)
-        return client, params, model
+    def _client(self, samples=16, seed=1, **train):
+        """The one client of a ``samples``-sample dataset, built for a run
+        with the TrainConfig fields ``train``; with its initial parameters
+        and model."""
+        ds = _tiny_dataset(n_clients=1, samples=samples, seed=seed)
+        cfg = TrainConfig(rounds=1, train_clients=ds.client_ids(),
+                          test_clients=(), seed=seed, **train)
+        evaluator, params, (client,) = build_clients(ds, cfg, cfg.train_clients)
+        return client, params, evaluator.model
 
     def test_zero_epochs_rejected(self):
-        client, params, _ = self._client()
         with pytest.raises(ConfigError):
-            local_train(client, params, 0, 4, OptimizerConfig(kind="sgd"))
+            self._client(epochs=0, batch_size=4)
 
     def test_tiny_lr_keeps_params_near_global(self):
-        client, params, _ = self._client()
-        update = local_train(client, params, 1, 4,
-                             OptimizerConfig(kind="sgd", learning_rate=1e-300))
+        client, params, _ = self._client(
+            batch_size=4, opt=OptimizerConfig(kind="sgd", learning_rate=1e-300))
+        update = local_train(client, params)
         assert np.allclose(update.params.values, params.values, atol=1e-12)
 
     def test_full_batch_sgd_step_matches_gradient_oracle(self):
-        client, params, model = self._client()
         lr = 0.05
-        update = local_train(client, params, 1, len(client.data.samples),
-                             OptimizerConfig(kind="sgd", learning_rate=lr))
+        client, params, model = self._client(
+            batch_size=16, opt=OptimizerConfig(kind="sgd", learning_rate=lr))
+        update = local_train(client, params)
         ev = ModelEvaluator(model, params.names)
         samples = client.data.samples
         _loss, g = ev.loss_and_gradient(
@@ -196,16 +191,15 @@ class TestLocalTrain:
                            atol=1e-12)
 
     def test_empty_dataset_rejected(self):
-        client, params, _ = self._client()
+        client, params, _ = self._client(batch_size=4)
         client.data = PreparedClient((), client.data.labels[:0],
                                      client.data.prep_states[:0])
         with pytest.raises(ConfigError):
-            local_train(client, params, 1, 4, OptimizerConfig(kind="sgd"))
+            local_train(client, params)
 
     def test_update_metadata(self):
-        client, params, _ = self._client()
-        update = local_train(client, params, 2, 4,
-                             OptimizerConfig(kind="adam"), round_index=7)
+        client, params, _ = self._client(epochs=2, batch_size=4)
+        update = local_train(client, params, round_index=7)
         assert update.round == 7
         assert update.num_samples == 16
         assert update.client_id == client.client_id
@@ -219,27 +213,20 @@ class TestRunRound:
         cfg = TrainConfig(rounds=1, train_clients=(ds.clients[0].client_id,),
                           test_clients=(ds.clients[1].client_id,), batch_size=4,
                           seed=3)
-        model, server, clients, ctx = build_run(ds, cfg)
-        new_server, record = run_round(server, LocalTransport(clients, cfg), cfg, ctx)
-        assert np.allclose(new_server.params.values, clients[0].params.values)
+        server, clients, ctx = build_run(ds, cfg)
+        (fresh,) = build_run(ds, cfg)[1]
+        expected = local_train(fresh, server.params, round_index=1)
+        new_server, record = run_round(server, LocalTransport(clients), cfg, ctx)
+        assert np.allclose(new_server.params.values, expected.params.values)
         assert record.round == 1 and new_server.round == 1
 
     def test_identical_clients_average_to_either(self):
         ds = _tiny_dataset(n_clients=2)
-        arch = default_architecture(2)
-        model = build_model(arch)
-        evaluator = ModelEvaluator(model, parameter_names(arch))
-        params = init_params(arch, 0)
-        clients = [
-            ClientState(client_id=f"c{i}", seed_key=0,
-                        data=prepare_clients(ds.clients[:1], evaluator)[0],
-                        params=params,
-                        opt_state=OptimizerState.zeros(len(params)),
-                        evaluator=evaluator, base_seed=5)
-            for i in range(2)
-        ]
-        ups = [local_train(c, params, 1, 4, OptimizerConfig(kind="adam"),
-                           round_index=1) for c in clients]
+        first = ds.client_ids()[:1]
+        cfg = TrainConfig(rounds=1, train_clients=first, test_clients=(),
+                          batch_size=4, seed=5, opt=OptimizerConfig(kind="adam"))
+        _evaluator, params, clients = build_clients(ds, cfg, first * 2)
+        ups = [local_train(c, params, round_index=1) for c in clients]
         assert np.array_equal(ups[0].params.values, ups[1].params.values)
         avg = federated_average(ups, [0.5, 0.5])
         assert np.allclose(avg.values, ups[0].params.values, atol=1e-12)
@@ -249,16 +236,12 @@ class TestRunRound:
         ids = ds.client_ids()
         cfg = TrainConfig(rounds=1, train_clients=ids[:4], test_clients=ids[4:],
                           batch_size=4, seed=11)
-        model, server, clients, ctx = build_run(ds, cfg)
-        expected_updates = []
-        _, server2, clients2, _ = build_run(ds, cfg)
-        for c in clients2:
-            expected_updates.append(
-                local_train(c, server2.params, cfg.epochs, cfg.batch_size,
-                            cfg.opt, round_index=1))
+        server, clients, ctx = build_run(ds, cfg)
+        server2, clients2, _ = build_run(ds, cfg)
+        expected_updates = [local_train(c, server2.params, round_index=1)
+                            for c in clients2]
         expected = federated_average(expected_updates, server2.client_weights)
-        new_server, _record = run_round(server, LocalTransport(clients, cfg),
-                                         cfg, ctx)
+        new_server, _record = run_round(server, LocalTransport(clients), cfg, ctx)
         assert np.array_equal(new_server.params.values, expected.values)
 
     def test_client_failure_aborts_round(self):
@@ -266,11 +249,11 @@ class TestRunRound:
         ids = ds.client_ids()
         cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
                           batch_size=4, seed=1)
-        _model, server, clients, ctx = build_run(ds, cfg)
+        server, clients, ctx = build_run(ds, cfg)
         clients[1].data = dataclasses.replace(  # poisoned shapes
             clients[1].data, prep_states=clients[1].data.prep_states[:3])
         with pytest.raises(TrainingError, match=clients[1].client_id):
-            run_round(server, LocalTransport(clients, cfg), cfg, ctx)
+            run_round(server, LocalTransport(clients), cfg, ctx)
 
 
 class TestEvaluate:
@@ -310,7 +293,8 @@ class TestEvaluate:
         for client in ds.clients:
             for s in client.samples:
                 p = oracles.predict_oracle(s.prep_circuit, model.circuit,
-                                           params.bindings(), arch.readout_qubit)
+                                           dict(zip(params.names, params.values)),
+                                           arch.readout_qubit)
                 hits += int((p > 0.5) == (s.label == 1))
                 err += (s.label - p) ** 2
                 count += 1
@@ -423,19 +407,10 @@ def _centralized_params(ds, cfg):
     """Plain mini-batch training on the first client alone, one ``epochs``
     block per round: the parameters after each block, starting with the
     initial ones."""
-    arch = default_architecture(ds.gen_config.n_qubits)
-    model = build_model(arch)
-    params = init_params(arch, cfg.seed)
-    evaluator = ModelEvaluator(model, parameter_names(arch))
-    client = ClientState(
-        client_id=ds.clients[0].client_id, seed_key=0,
-        data=prepare_clients(ds.clients[:1], evaluator)[0],
-        params=params, opt_state=OptimizerState.zeros(len(params)),
-        evaluator=evaluator, base_seed=cfg.seed)
+    _evaluator, params, (client,) = build_clients(ds, cfg, ds.client_ids()[:1])
     history = [params.values]
     for _ in range(cfg.rounds):
-        params = local_train(client, params, cfg.epochs, cfg.batch_size,
-                             cfg.opt).params
+        params = local_train(client, params).params
         history.append(params.values)
     return history
 
@@ -475,5 +450,5 @@ class TestServerState:
         ds = _tiny_dataset(n_clients=5, samples=8)
         cfg = TrainConfig(rounds=0, train_clients=ds.client_ids()[:4],
                           test_clients=ds.client_ids()[4:])
-        w = build_run(ds, cfg)[1].client_weights
+        w = build_run(ds, cfg)[0].client_weights
         assert np.array_equal(w, np.full(4, 0.25))

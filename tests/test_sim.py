@@ -160,11 +160,6 @@ class TestApplyCircuit:
         with pytest.raises(UnresolvedParameterError, match="alpha"):
             apply_circuit(new_zero_state(1), circuit)
 
-    def test_negated_symbol_reference(self):
-        circuit = Circuit(1, (rx(0, symbol="a"), rx(0, symbol="a", sign=-1)))
-        out = apply_circuit(new_zero_state(1), circuit, {"a": 1.234})
-        assert np.allclose(out, [1, 0], atol=1e-15)
-
     def test_three_qubit_cluster_vs_dense_oracle(self):
         ops = (h(0), h(1), h(2), cz(0, 1), cz(1, 2), cz(2, 0))
         circuit = Circuit(3, ops)

@@ -198,7 +198,7 @@ class TestDatasetContainer:
             read_dataset(path)
 
     def test_empty_dataset_round_trip(self, tmp_path):
-        ds = FederatedDataset((), GenConfig(n_clients=0), 1)
+        ds = FederatedDataset((), GenConfig(n_clients=0))
         path = tmp_path / "empty.qfd"
         info = write_dataset(ds, path)
         assert info.n_clients == 0
@@ -258,15 +258,20 @@ class TestDatasetContainer:
         (b"format_version=1\n", b"format_version=0\n", DatasetVersionError),
         (b"format_version=1\n", b"format_version=-1\n", DatasetVersionError),
         (b";RX 0 ", b";RX 0 $t;RX 0 ", DatasetFormatError),
+        (b" seed=", b" colour=red seed=", DatasetFormatError),
+        (b" n_qubits=8 ", b" ", DatasetFormatError),
+        (b"client_001 uniform_pi", b"client_0$1 uniform_pi", DatasetFormatError),
     ], ids=["format-version", "n-clients", "sample-count", "not-utf8",
             "count-minus-1", "count-minus-2", "count-minus-3",
-            "format-version-0", "format-version-negative", "symbolic-sample"])
+            "format-version-0", "format-version-negative", "symbolic-sample",
+            "gen-config-unknown-key", "gen-config-missing-key", "client-id"])
     def test_malformed_header_with_valid_checksum(self, tmp_path, old, new, error):
         path = tmp_path / "data.qfd"
         write_dataset(_tiny_dataset(), path)
         _rewrite_body(path, lambda body: body.replace(old, new, 1))
         with pytest.raises(error, match="sample count|format_version|"
-                                        "not an integer|not UTF-8|line 7: .*symbol"):
+                                        "not an integer|not UTF-8|line 7: .*symbol|"
+                                        "gen_config keys|bad client id"):
             read_dataset(path)
 
     def test_client_read_matches_the_full_read(self, tmp_path):

@@ -14,19 +14,16 @@ from qflsim.cli import add_architecture_flags
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ProtocolError, TrainingError
 from qflsim.federated import (
-    ClientState,
     ClientUpdate,
     OptimizerConfig,
-    OptimizerState,
     TrainConfig,
-    prepare_clients,
+    build_clients,
     run_training,
 )
 from qflsim.model import (
     ModelEvaluator,
     ParamVector,
     build_architecture,
-    build_model,
     default_architecture,
     init_params,
     parameter_names,
@@ -55,17 +52,11 @@ def _tiny_dataset(n_clients=3, samples=16, seed=8):
                   samples_per_client=samples, seed=seed))
 
 
-def _make_client(ds, index, seed):
-    arch = default_architecture(ds.gen_config.n_qubits)
-    model = build_model(arch)
-    names = parameter_names(arch)
-    params = init_params(arch, seed)
-    evaluator = ModelEvaluator(model, names)
-    return ClientState(
-        client_id=ds.clients[index].client_id, seed_key=index,
-        data=prepare_clients(ds.clients[index:index + 1], evaluator)[0],
-        params=params, opt_state=OptimizerState.zeros(len(names)),
-        evaluator=evaluator, base_seed=seed)
+def _make_client(ds, index, cfg):
+    """Client ``index`` of ``ds`` as a socket worker builds it for ``cfg``."""
+    _evaluator, _params, (client,) = build_clients(
+        ds, cfg, ds.client_ids()[index:index + 1])
+    return client
 
 
 class TestMessageCodec:
@@ -109,6 +100,9 @@ class TestMessageCodec:
         "UPDATE 1 c 16 nan 1.0",
         "UPDATE 1 c 16 0.5 nan",
         "UPDATE 1 c -1 0.5 1.0",
+        "HELLO v2 ",
+        "UPDATE 1  16 0.5 1.0",
+        "HELLO v2 a\tb",
     ])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ProtocolError):
@@ -129,10 +123,9 @@ class TestSocketRounds:
         host, port = server.address
         threads = []
         for i in range(2):
-            client = _make_client(ds, i, cfg.seed)
-            t = threading.Thread(
-                target=run_socket_client,
-                args=(host, port, client, cfg.epochs, cfg.batch_size, cfg.opt))
+            client = _make_client(ds, i, cfg)
+            t = threading.Thread(target=run_socket_client,
+                                 args=(host, port, client))
             t.start()
             threads.append(t)
         try:
@@ -150,7 +143,7 @@ class TestSocketRounds:
         cfg = TrainConfig(rounds=2, train_clients=ids[:2], test_clients=ids[2:],
                           batch_size=4, seed=6, eval_train=True)
         reference = run_training(ds, cfg)
-        clients = [_make_client(ds, i, cfg.seed) for i in range(2)]
+        clients = [_make_client(ds, i, cfg) for i in range(2)]
         built = []
         init = ModelEvaluator.__init__
 
@@ -161,10 +154,8 @@ class TestSocketRounds:
         monkeypatch.setattr(ModelEvaluator, "__init__", counting_init)
         server = SocketFedServer(2, parameter_names(default_architecture(2)))
         host, port = server.address
-        threads = [threading.Thread(
-            target=run_socket_client,
-            args=(host, port, c, cfg.epochs, cfg.batch_size, cfg.opt))
-            for c in clients]
+        threads = [threading.Thread(target=run_socket_client, args=(host, port, c))
+                   for c in clients]
         for t in threads:
             t.start()
         try:
@@ -241,10 +232,13 @@ class TestSocketRounds:
         # A client whose local training outlasts the read deadline says
         # ALIVE meanwhile, so its round completes with the usual update.
         ds = _tiny_dataset()
-        opt = OptimizerConfig(kind="adam", learning_rate=0.02)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[1:],
+                          batch_size=4, seed=5,
+                          opt=OptimizerConfig(kind="adam", learning_rate=0.02))
         params = init_params(default_architecture(2), 1)
-        expected = transport.local_train(_make_client(ds, 0, 5), params, 1, 4,
-                                         opt, round_index=1)
+        expected = transport.local_train(_make_client(ds, 0, cfg), params,
+                                         round_index=1)
         real_train = transport.local_train
 
         def slow_train(*args, **kwargs):
@@ -256,9 +250,8 @@ class TestSocketRounds:
         monkeypatch.setattr(transport, "local_train", slow_train)
         server = SocketFedServer(1, parameter_names(default_architecture(2)))
         host, port = server.address
-        t = threading.Thread(
-            target=run_socket_client,
-            args=(host, port, _make_client(ds, 0, 5), 1, 4, opt))
+        t = threading.Thread(target=run_socket_client,
+                             args=(host, port, _make_client(ds, 0, cfg)))
         t.start()
         try:
             server.wait_for_clients(timeout=5)
