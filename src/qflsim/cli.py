@@ -46,11 +46,10 @@ def _int_list(minimum: int):
         try:
             values = tuple(int(item) for item in text.split(","))
         except ValueError:
+            values = ()
+        if not values or min(values) < minimum:
             raise argparse.ArgumentTypeError(
-                f"expected comma-joined integers, got {text!r}") from None
-        if min(values) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"every item must be >= {minimum}, got {text!r}")
+                f"expected comma-joined integers >= {minimum}, got {text!r}")
         return values
     return parse
 

@@ -1,7 +1,9 @@
 """Property tests of the three text inputs from outside the program:
 circuit text, dataset files and wire lines. Each input gives a value or
 a typed QflError, never another exception, and what parses round-trips
-through its writer. Examples are drawn by the profile in conftest.py."""
+through its writer. Inputs are arbitrary text and valid text with a few
+pieces replaced, inserted, deleted or spliced; examples are drawn by the
+profile in conftest.py."""
 
 import pytest
 
@@ -37,27 +39,49 @@ from qflsim.transport import (  # noqa: E402
     encode_update,
 )
 
+_ANY = st.text(max_size=40)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# Numbers as the grammars' parsers meet them, valid or not.
+# Numbers as the parsers meet them, valid or not.
 _NUMBER = st.one_of(
     st.integers(-3, 20).map(str),
     st.floats().map(repr),
     st.sampled_from(["1e400", "-0", "1_0", "+2", "１", "0x1", ""]),
 )
-_ANY = st.text(max_size=40)
+
+
+def _edit(text: str, sep: str, edits) -> str:
+    """``text`` with its ``sep``-separated pieces edited in order; each edit
+    is (operation, position, new piece)."""
+    pieces = text.split(sep)
+    for op, at, new in edits:
+        i = at % len(pieces)
+        if op == "replace":
+            pieces[i] = new
+        elif op == "insert":
+            pieces.insert(i, new)
+        elif op == "delete" and len(pieces) > 1:
+            del pieces[i]
+        elif op == "splice":
+            j = at % (len(pieces[i]) + 1)
+            pieces[i] = pieces[i][:j] + new[:3] + pieces[i][j + 1:]
+    return sep.join(pieces)
+
+
+def _edits(new_pieces):
+    return st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete", "splice")),
+                              st.integers(0, 60), new_pieces), max_size=3)
+
+
+def _edited(texts, sep, new_pieces):
+    """Texts drawn from ``texts``, some left whole and some edited."""
+    return st.builds(lambda text, edits: _edit(text, sep, edits),
+                     texts, _edits(new_pieces))
 
 
 # --- circuit text -----------------------------------------------------
 
 _SYMBOL = st.text(st.characters(codec="utf-8").filter(lambda c: not c.isspace()),
                   min_size=1, max_size=4)
-_CIRCUIT_TOKEN = st.one_of(
-    st.sampled_from(sorted(GATE_ARITY)), _NUMBER,
-    st.sampled_from(["$a", "-$a", "$", "-$", "$$b", "--$a"]), st.text(max_size=4))
-_CIRCUIT_TEXT = st.one_of(_ANY, st.builds(
-    lambda header, lines: "\n".join([header, *lines]),
-    st.one_of(_NUMBER.map("QFLCIRC v1 qubits={}".format), _ANY),
-    st.lists(st.lists(_CIRCUIT_TOKEN, max_size=4).map(" ".join), max_size=6)))
 
 
 @st.composite
@@ -66,8 +90,9 @@ def _circuits(draw):
     ops = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(sorted(GATE_ARITY)))
-        targets = tuple(draw(st.lists(st.integers(0, n - 1), min_size=GATE_ARITY[kind],
-                                      max_size=GATE_ARITY[kind], unique=True)))
+        arity = GATE_ARITY[kind]
+        targets = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                                      max_size=arity, unique=True)))
         if kind not in PARAMETRIZED_GATES:
             ops.append(GateOp(kind, targets))
         elif draw(st.booleans()):
@@ -78,7 +103,14 @@ def _circuits(draw):
     return Circuit(n, tuple(ops))
 
 
-@given(_CIRCUIT_TEXT)
+_CIRCUIT_LINE = st.lists(st.one_of(
+    st.sampled_from(sorted(GATE_ARITY)), _NUMBER,
+    st.sampled_from(["$a", "-$a", "$", "-$", "$$b", "--$a", "QFLCIRC", "qubits=2"]),
+    st.text(max_size=4)), max_size=4).map(" ".join)
+
+
+@given(st.one_of(_ANY, _edited(_circuits().map(serialize_circuit), "\n",
+                               st.one_of(_CIRCUIT_LINE, _ANY))))
 def test_circuit_text_parses_or_raises_typed(text):
     try:
         circuit = parse_circuit(text)
@@ -100,24 +132,6 @@ _DATASET_LINE = st.one_of(_ANY, st.sampled_from([
     "s 1 QFLCIRC v1 qubits=2;H 0;CZ 0 1;RX 1 0.5", "s 0 QFLCIRC v1 qubits=3",
     "n_clients=3", "format_version=2", "gen_config n_clients=1",
 ]))
-_EDIT = st.tuples(st.sampled_from(("replace", "insert", "delete", "splice")),
-                  st.integers(0, 60), _DATASET_LINE)
-
-
-def _edit_lines(body: str, edits) -> str:
-    lines = body.split("\n")
-    for op, at, text in edits:
-        i = at % len(lines)
-        if op == "replace":
-            lines[i] = text
-        elif op == "insert":
-            lines.insert(i, text)
-        elif op == "delete" and len(lines) > 1:
-            del lines[i]
-        elif op == "splice":
-            j = at % (len(lines[i]) + 1)
-            lines[i] = lines[i][:j] + text[:3] + lines[i][j + 1:]
-    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +144,11 @@ def files(tmp_path_factory):
     return root, (root / "base.qfd").read_bytes().split(b"\n", 2)[2].decode()
 
 
-@given(edits=st.lists(_EDIT, min_size=1, max_size=4),
+@given(edits=_edits(_DATASET_LINE),
        raw=st.one_of(st.none(), st.binary(max_size=48)))
 def test_dataset_bodies_read_or_raise_typed(files, edits, raw):
     root, base = files
-    body = raw if raw is not None else _edit_lines(base, edits).encode()
+    body = raw if raw is not None else _edit(base, "\n", edits).encode()
     path = root / "edited.qfd"
     path.write_bytes(b"QFLDATA v1\nchecksum=%s\n%s"
                      % (checksum_bytes(body).encode(), body))
@@ -152,12 +166,6 @@ _CLIENT_ID = st.text(st.one_of(st.characters(categories=("L", "N")),
                                st.sampled_from("_-")),
                      min_size=1, max_size=8).filter(client_id_ok)
 _VALUES = st.lists(_FINITE, min_size=1, max_size=6).map(tuple)
-_WIRE_TOKEN = st.one_of(
-    st.sampled_from(["HELLO", "GLOBAL", "UPDATE", "ALIVE", "DONE",
-                     f"v{PROTOCOL_VERSION}", "v", "v99", "c1", "a\tb"]),
-    _NUMBER, st.lists(_NUMBER, min_size=1, max_size=3).map(",".join),
-    st.text(max_size=5))
-_WIRE_LINE = st.one_of(_ANY, st.lists(_WIRE_TOKEN, min_size=1, max_size=7).map(" ".join))
 _MESSAGE = st.one_of(
     st.builds(Hello, _CLIENT_ID, st.just(PROTOCOL_VERSION)),
     st.builds(Global, st.integers(-5, 10**6), _VALUES),
@@ -181,7 +189,14 @@ def _encode(msg) -> str:
     return encode_alive() if isinstance(msg, Alive) else encode_done()
 
 
-@given(_WIRE_LINE)
+_WIRE_TOKEN = st.one_of(
+    st.sampled_from(["HELLO", "GLOBAL", "UPDATE", "ALIVE", "DONE",
+                     f"v{PROTOCOL_VERSION}", "v", "v99", "c1", "a\tb"]),
+    _NUMBER, st.lists(_NUMBER, min_size=1, max_size=3).map(",".join),
+    st.text(max_size=5))
+
+
+@given(st.one_of(_ANY, _edited(_MESSAGE.map(_encode), " ", _WIRE_TOKEN)))
 def test_wire_lines_decode_or_raise_typed(line):
     try:
         msg = decode_message(line)
