@@ -240,6 +240,7 @@ def cmd_sweep_datasize(args) -> int:
             raise ConfigError(
                 f"per-client size {size} is not divisible by {args.qubits} qubits"
             )
+    for size in args.sizes:
         seed = _derived_seed(args.seed, size)
         dataset = generate_federated_dataset(
             _gen_config(args, samples=size, seed=seed))

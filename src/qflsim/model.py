@@ -20,23 +20,26 @@ kind is built from the angles in one vectorised cos/sin step and
 multiplied into the kinds' block matrices, in real 8x8 form
 [[Re, -Im], [Im, Re]] with the slots stored depth-major.
 
-A state lives in the layout of the block that last wrote it: that
-block's qubits, then the batch, then the other qubits. The
-permutations between consecutive layouts are fixed at compile time, so
-each block step is one transposed copy plus one matmul. The evaluator
-owns its work buffers (the tape and two spare states) and grows them
-only for a batch larger than any before it.
+States are real float64 arrays. A state lives in the layout of the
+block that last wrote it: re/im, that block's qubits, the other qubits
+high to low, then the batch. So a block step is one real matmul (8x8,
+or 4x4 for one qubit) of the block matrix by a (2 * 2^k, rest) view,
+then one copy into the next block's layout whose innermost runs are
+whole batches; the permutations are fixed at compile time. The
+evaluator owns its work buffers (the tape and two spare states) and
+grows them only for a batch larger than any before it.
 
 Gradients are exact. Every gate has the form exp(-i*theta/2*G) with
 G^2 = I, so each occurrence of a parameter contributes the shift-rule
 value ( <Z>(theta + pi/2) - <Z>(theta - pi/2) ) / 2, and shared symbols
 sum their occurrences. The engine gets the same values from one adjoint
 sweep taken at block level (Jones & Gacon, arXiv:2009.02823): the tape
-keeps each block's gathered input, which contracted with the adjoint
-state over the qubits the block does not touch gives a 4x4 overlap per
-sample. Overlaps are summed per kind, and each kind's block matrix is
-differentiated through the products of the slots before and after each
-occurrence.
+keeps each block's gathered input, and the adjoint state goes back
+through each block by the transpose of its real form. Per block and
+sample, the two summed over the qubits the block does not touch give a
+real 8x8 Gram matrix. Gram matrices are summed per kind, and each
+kind's block matrix is differentiated through the products of the slots
+before and after each occurrence.
 """
 
 from dataclasses import dataclass
@@ -332,22 +335,29 @@ def _check_batch(prep_states: np.ndarray):
         raise ConfigError("batch must be nonempty")
 
 
-def _real_form(mats: np.ndarray) -> np.ndarray:
-    """Complex (..., 4, 4) matrices as real (..., 8, 8) [[Re, -Im], [Im, Re]].
-    Products carry over, and the top-left and bottom-left quarters of a
-    product are its real and imaginary parts."""
+def _real_form(mats: np.ndarray, one_qubit: Sequence[bool]) -> np.ndarray:
+    """Complex (slot, kind, 4, 4) matrices as real (slot, kind, 8, 8)
+    [[Re, -Im], [Im, Re]], which act on a state stored as [Re; Im].
+    Products carry over, and the real form of a conjugate transpose is the
+    transpose of the real form. A one-qubit kind's rows and columns
+    [0, 1, 4, 5], the real form of its 2x2, are moved to the front, so
+    its 4x4 real form is the top-left corner."""
     re, im = mats.real, mats.imag
-    return np.block([[re, -im], [im, re]])
+    out = np.block([[re, -im], [im, re]])
+    order = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+    kinds = np.flatnonzero(one_qubit)
+    out[:, kinds] = out[:, kinds][..., order, :][..., order]
+    return out
 
 
-_BATCH = -1  # the batch axis among a layout's qubit labels
+_BATCH, _REIM = -1, -2  # the batch and re/im axes among a layout's labels
 
 
 def _layout(qubits: tuple[int, ...], n_qubits: int) -> tuple[int, ...]:
-    """Axis order of the state block ``qubits`` reads and writes: its
-    qubits, then the batch, then the other qubits high to low."""
+    """Axis order of the real state block ``qubits`` reads and writes:
+    re/im, its qubits, the other qubits high to low, then the batch."""
     rest = tuple(q for q in range(n_qubits - 1, -1, -1) if q not in qubits)
-    return qubits + (_BATCH,) + rest
+    return (_REIM,) + qubits + rest + (_BATCH,)
 
 
 def _move(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[tuple, tuple]:
@@ -367,9 +377,9 @@ def _regather(state: np.ndarray, move: tuple, out: np.ndarray):
 
 def _block_step(mat: np.ndarray, state: np.ndarray, out: np.ndarray,
                 move: tuple | None = None, dest: np.ndarray | None = None):
-    """One block of a sweep: out = mat @ state, both (2^k, rest) with the
-    block's k qubits leading; then, given a move, out regathered into
-    ``dest`` in the next block's layout."""
+    """One block of a sweep: out = mat @ state, both (2 * 2^k, rest) with
+    re/im and the block's k qubits leading; then, given a move, out
+    regathered into ``dest`` in the next block's layout."""
     np.matmul(mat, state, out=out)
     if move is not None:
         _regather(out, move, dest)
@@ -432,8 +442,9 @@ class ModelEvaluator:
                     raise ConfigError(f"model symbol {op.symbol!r} not in parameters")
                 self._param[j, k] = name_to_idx[op.symbol]
                 self._sign[j, k] = op.sign
-        self._cos_part = _real_form(cos_part)
-        self._sin_part = _real_form(sin_part)
+        one_qubit = [len(qubits) == 1 for qubits, _run in kind_runs]
+        self._cos_part = _real_form(cos_part, one_qubit)
+        self._sin_part = _real_form(sin_part, one_qubit)
         # d(slot)/d(value) = sign * (-i/2) G * slot; dz sums slots per
         # parameter, over the (kind, slot) order of the traces.
         self._dgen = 0.5 * self._sign[..., None, None] * self._sin_part
@@ -441,49 +452,50 @@ class ModelEvaluator:
         self._scatter = np.zeros((self.n_params, param.size))
         used = np.flatnonzero(param >= 0)
         self._scatter[param[used], used] = 1.0
-        self._kind_sum = np.zeros((len(kind_runs), len(blocks)), dtype=complex)
+        self._kind_sum = np.zeros((len(kind_runs), len(blocks)))
         self._kind_sum[self.block_kinds, np.arange(len(blocks))] = 1.0
         # Slots, prefix, suffix, scratch and derivative matrices.
         self._algebra = np.empty((5,) + shape + (8, 8))
 
-        layouts = [_layout((), n)] + [_layout(q, n) for q in self.block_qubits]
-        self._dims = [1 << len(q) for q in self.block_qubits]
+        # Rows of each block's real form; the prepared states are complex
+        # (batch, qubits high to low), read as real with re/im last.
+        self._dims = [2 << len(q) for q in self.block_qubits]
+        layouts = [(_BATCH,) + tuple(range(n - 1, -1, -1)) + (_REIM,)]
+        layouts += [_layout(q, n) for q in self.block_qubits] or [_layout((), n)]
         # _into[b] regathers block b-1's output (or the prepared states)
         # for block b; _back[b] takes block b's layout back to b-1's.
         self._into = [_move(a, b) for a, b in zip(layouts, layouts[1:])]
         self._back = [None] + [_move(layouts[b + 1], layouts[b])
                                for b in range(1, len(blocks))]
-        last = [q for q in layouts[-1] if q != _BATCH]
-        bits = (np.arange(1 << n) >> (n - 1 - last.index(self.readout))) & 1
-        self._z_signs = (1.0 - 2.0 * bits).reshape(1 << layouts[-1].index(_BATCH), -1)
+        last = [label for label in layouts[-1] if label != _BATCH]
+        bits = (np.arange(2 << n) >> (n - last.index(self.readout))) & 1
+        self._z_signs = 1.0 - 2.0 * bits
 
-        self._spare = np.empty((2, 0), dtype=complex)
-        self._tape = np.empty((len(blocks), 0), dtype=complex)
-        self._overlaps = np.zeros((len(blocks), 0, 4, 4), dtype=complex)
+        self._spare = np.empty((2, 0))
+        self._tape = np.empty((len(blocks), 0))
+        self._overlaps = np.zeros((len(blocks), 0, 8, 8))
 
     def _spares(self, batch: int) -> np.ndarray:
-        """Two reused state buffers, grown only for a batch larger than
-        any before it."""
-        size = batch << self.n_qubits
+        """Two reused real state buffers, grown only for a batch larger
+        than any before it."""
+        size = batch << (self.n_qubits + 1)
         if self._spare.shape[1] < size:
-            self._spare = np.empty((2, size), dtype=complex)
+            self._spare = np.empty((2, size))
         return self._spare[:, :size]
 
     def _tape_rows(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         """The reused tape (one gathered input per block) and overlaps
-        (block, sample, 4, 4); a one-qubit block's padding stays zero."""
-        size = batch << self.n_qubits
+        (block, sample, 8, 8); a one-qubit block's padding stays zero."""
+        size = batch << (self.n_qubits + 1)
         if self._tape.shape[1] < size:
-            self._tape = np.empty((len(self.block_qubits), size), dtype=complex)
-            self._overlaps = np.zeros((len(self.block_qubits), batch, 4, 4),
-                                      dtype=complex)
+            self._tape = np.empty((len(self.block_qubits), size))
+            self._overlaps = np.zeros((len(self.block_qubits), batch, 8, 8))
         return self._tape[:, :size], self._overlaps[:, :batch]
 
     def _block_matrices(self, values: np.ndarray) -> np.ndarray:
-        """Each kind's complex 4x4 block matrix (a one-qubit kind's is its
-        top-left 2x2), from slot matrices and their depth-major prefix
-        products in real form: prefix[j] is slot j times every earlier
-        slot of its kind."""
+        """Each kind's real 8x8 block matrix (a one-qubit kind's is its
+        top-left 4x4), the last of the depth-major prefix products:
+        prefix[j] is slot j times every earlier slot of its kind."""
         slots, prefix, _suffix, scratch, _deriv = self._algebra
         bound = np.append(np.asarray(values, dtype=float), 0.0)[self._param]
         half = 0.5 * (self._angle + self._sign * bound)
@@ -493,21 +505,20 @@ class ModelEvaluator:
         prefix[0] = slots[0]
         for j in range(1, len(slots)):
             np.matmul(slots[j], prefix[j - 1], out=prefix[j])
-        return prefix[-1, :, :4, :4] + 1j * prefix[-1, :, 4:, :4]
+        return prefix[-1]
 
     def _slot_derivatives(self) -> np.ndarray:
-        """After _block_matrices: for every kind and slot j, the block
-        matrix with slot j differentiated, suffix_j dgen_j prefix_j, as
-        (kind, slot, 32) rows [Re dU | -Im dU] (row index y, column x)
-        that dot [Re R^T | Im R^T] to Re tr(dU R)."""
+        """After _block_matrices: for every kind and slot j, the real form
+        of the block matrix with slot j differentiated, suffix_j dgen_j
+        prefix_j, as (kind, slot, 64) rows. A row's dot with a flattened
+        Gram matrix (see readout_z_and_gradient) is Re <lam| dU |psi>."""
         slots, prefix, suffix, scratch, deriv = self._algebra
         suffix[-1] = np.eye(8)
         for j in range(len(slots) - 2, -1, -1):
             np.matmul(suffix[j + 1], slots[j + 1], out=suffix[j])
         np.matmul(self._dgen, prefix, out=scratch)
         np.matmul(suffix, scratch, out=deriv)
-        rows = np.concatenate([deriv[..., :4, :4], -deriv[..., 4:, :4]], axis=-1)
-        return rows.transpose(1, 0, 2, 3).reshape(len(self._kind_sum), len(slots), 32)
+        return deriv.reshape(deriv.shape[:2] + (64,)).transpose(1, 0, 2)
 
     def _per_block(self, kind_mats: np.ndarray) -> list[np.ndarray]:
         return [kind_mats[k, :d, :d] for k, d in zip(self.block_kinds, self._dims)]
@@ -516,20 +527,19 @@ class ModelEvaluator:
                inputs, out: np.ndarray) -> np.ndarray:
         """Forward sweep: block b reads inputs[b] and writes ``out``,
         which is regathered into inputs[b + 1]. Returns the final states
-        as (2^k, batch, rest) in the last block's layout."""
+        as (2 * 2^n, batch) in the last block's layout."""
         batch = len(prep_states)
-        if not mats:
-            return prep_states.reshape(1, batch, -1)
-        _regather(prep_states, self._into[0], inputs[0])
+        src = np.ascontiguousarray(prep_states, dtype=complex).view(float)
+        _regather(src, self._into[0], inputs[0] if mats else out)
         for b, mat in enumerate(mats):
             d, more = self._dims[b], b + 1 < len(mats)
             _block_step(mat, inputs[b].reshape(d, -1), out.reshape(d, -1),
                         self._into[b + 1] if more else None,
                         inputs[b + 1] if more else None)
-        return out.reshape(self._dims[-1], batch, -1)
+        return out.reshape(-1, batch)
 
-    def _readout(self, final: np.ndarray) -> np.ndarray:
-        return np.einsum("xbr,xr->b", np.abs(final) ** 2, self._z_signs)
+    def _readout(self, final: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        return self._z_signs @ np.square(final, out=scratch.reshape(final.shape))
 
     def prep_states(self, samples: Sequence[Sample]) -> np.ndarray:
         """(n_samples, 2^n) array of each sample's prepared input state.
@@ -581,7 +591,7 @@ class ModelEvaluator:
         _check_batch(prep_states)
         psi, out = self._spares(len(prep_states))
         mats = self._per_block(self._block_matrices(values))
-        return self._readout(self._sweep(prep_states, mats, [psi] * len(mats), out))
+        return self._readout(self._sweep(prep_states, mats, [psi] * len(mats), out), psi)
 
     def predictions(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 + self.readout_z(prep_states, values))
@@ -597,40 +607,39 @@ class ModelEvaluator:
 
         Returns (z, dz) with z of shape (batch,) and dz of shape
         (n_params, batch). The forward sweep keeps each block's gathered
-        input on the tape. The adjoint sweep carries lam* = conj(lam),
-        where lam is the Z observable pulled back through the later
-        blocks: lam* starts as Z psi*, and block U takes it back by U^T.
-        Per block, psi_in and lam* summed over the untouched qubits give
-        R (batch, 4, 4); R is summed over the blocks of each kind, and
-        slot j of the kind adds 2 Re tr(dU_j R) to its parameter, where
-        dU_j is the block matrix with slot j differentiated. This equals
-        the shift-rule value (E(+pi/2) - E(-pi/2)) / 2 of every occurrence.
+        input psi on the tape. The adjoint sweep carries lam, the Z
+        observable pulled back through the later blocks: lam starts as
+        Z psi, and block U takes it back by the real form of U^dagger,
+        the transpose of U's. Per block and sample, lam and psi summed
+        over the untouched qubits give the real Gram matrix
+        G = sum lam psi^T, summed over the blocks of each kind; slot j of
+        the kind adds 2 <D_j, G>, the Frobenius product with the real
+        form D_j of the block matrix with slot j differentiated, which is
+        2 Re <lam| dU_j |psi>. This equals the shift-rule value
+        (E(+pi/2) - E(-pi/2)) / 2 of every occurrence.
         """
         _check_batch(prep_states)
         batch = len(prep_states)
-        kind_mats = self._block_matrices(values)
+        mats = self._per_block(self._block_matrices(values))
         tape, overlaps = self._tape_rows(batch)
-        out, spare = self._spares(batch)
-        final = self._sweep(prep_states, self._per_block(kind_mats), tape, out)
-        z = self._readout(final)
+        lam, spare = self._spares(batch)
+        final = self._sweep(prep_states, mats, tape, lam)
+        z = self._readout(final, spare)
 
-        lam = np.conjugate(final, out=out.reshape(final.shape))
-        lam *= self._z_signs[:, None, :]
-        back = self._per_block(kind_mats.transpose(0, 2, 1).copy())
-        for b in range(len(back) - 1, -1, -1):
+        np.multiply(final, self._z_signs[:, None], out=final)
+        for b in range(len(mats) - 1, -1, -1):
             d = self._dims[b]
-            np.matmul(tape[b].reshape(d, batch, -1).transpose(1, 0, 2),
-                      lam.reshape(d, batch, -1).transpose(1, 2, 0),
+            np.matmul(lam.reshape(d, -1, batch).transpose(2, 0, 1),
+                      tape[b].reshape(d, -1, batch).transpose(2, 1, 0),
                       out=overlaps[b, :, :d, :d])
             if b:
-                _block_step(back[b], lam.reshape(d, -1), spare.reshape(d, -1),
+                _block_step(mats[b].T, lam.reshape(d, -1), spare.reshape(d, -1),
                             self._back[b], lam)
 
         n_kinds, n_blocks = self._kind_sum.shape
-        r = (self._kind_sum @ overlaps.reshape(n_blocks, batch * 16)).reshape(
-            n_kinds, batch, 4, 4).transpose(0, 1, 3, 2)
-        r = np.concatenate([r.real, r.imag], axis=-1).reshape(n_kinds, batch, 32)
-        traces = self._slot_derivatives() @ r.transpose(0, 2, 1)
+        gram = (self._kind_sum @ overlaps.reshape(n_blocks, batch * 64)).reshape(
+            n_kinds, batch, 64)
+        traces = self._slot_derivatives() @ gram.transpose(0, 2, 1)
         dz = self._scatter @ (2.0 * traces).reshape(-1, batch)
         return z, dz
 

@@ -37,6 +37,7 @@ server's full read validates every sample.
 import dataclasses
 import hashlib
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,7 +94,7 @@ def _parse_angle_token(token: str, lineno: int) -> tuple[float | None, str | Non
             raise CircuitParseError(f"line {lineno}: empty symbol name")
         return None, name, sign
     try:
-        angle = float(token)
+        angle = parse_number(token, float)
     except ValueError:
         raise CircuitParseError(f"line {lineno}: malformed angle {token!r}") from None
     if not (angle == angle and abs(angle) != float("inf")):
@@ -114,7 +115,7 @@ def _parse_lines(lines: list[str], memo: dict[tuple[str, int], GateOp]) -> Circu
     if not header.startswith(CIRCUIT_MAGIC + " qubits="):
         raise CircuitParseError(f"line 1: bad header {header!r}")
     try:
-        n_qubits = int(header[len(CIRCUIT_MAGIC + " qubits="):])
+        n_qubits = parse_number(header[len(CIRCUIT_MAGIC + " qubits="):])
     except ValueError:
         raise CircuitParseError(f"line 1: bad qubit count in {header!r}") from None
     ops = []
@@ -144,7 +145,7 @@ def _parse_op(line: str, lineno: int, n_qubits: int) -> GateOp:
             f"line {lineno}: {kind} expects {n_tokens - 1} argument(s)"
         )
     try:
-        targets = tuple(int(t) for t in tokens[1:1 + arity])
+        targets = tuple(parse_number(t) for t in tokens[1:1 + arity])
     except ValueError:
         raise CircuitParseError(f"line {lineno}: bad qubit index") from None
     angle, symbol, sign = (None, None, 1)
@@ -184,12 +185,15 @@ def _gen_config_line(cfg: GenConfig) -> str:
 
 
 def _parse_gen_config(line: str) -> GenConfig:
-    """Inverse of _gen_config_line; each value is parsed by its field's type."""
+    """Inverse of _gen_config_line; each value is parsed by its field's
+    type, numbers by the one number rule."""
     kv = {}
     for token in line.split()[1:]:
         key, sep, value = token.partition("=")
         if not sep:
             raise DatasetFormatError(f"bad gen_config token {token!r}")
+        if key in kv:
+            raise DatasetFormatError(f"gen_config keys: {key!r} repeated")
         kv[key] = value
     types = {f.name: f.type for f in dataclasses.fields(GenConfig)}
     if kv.keys() != types.keys():
@@ -197,7 +201,9 @@ def _parse_gen_config(line: str) -> GenConfig:
             f"gen_config keys: missing {sorted(types.keys() - kv.keys())}, "
             f"unknown {sorted(kv.keys() - types.keys())}")
     try:
-        return GenConfig(**{name: kind(kv[name]) for name, kind in types.items()})
+        return GenConfig(**{
+            name: parse_number(kv[name], kind) if kind in (int, float) else kind(kv[name])
+            for name, kind in types.items()})
     except (ValueError, ConfigError) as exc:
         raise DatasetFormatError(f"bad gen_config line: {exc}") from None
 
@@ -208,6 +214,24 @@ def client_id_ok(client_id: str) -> bool:
     return bool(client_id) and all(
         ch.isalnum() or ch in "_-" for ch in client_id
     )
+
+
+# Numbers as str(int) and format_angle write them: ASCII digits, no
+# '+', '_', leading zero, whitespace or other spelling of the same value.
+_NUMBER_FORMS = {
+    int: re.compile(r"0|-?[1-9][0-9]*"),
+    float: re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?|-?inf|nan"),
+}
+
+
+def parse_number(token: str, kind: type = int):
+    """The one number rule, for dataset files, circuit text and wire
+    messages alike: ``token`` as an int or float if it has the form the
+    writers emit, else ValueError. Non-finite floats pass; the readers
+    that refuse them say so."""
+    if not _NUMBER_FORMS[kind].fullmatch(token):
+        raise ValueError(f"malformed {kind.__name__} {token!r}")
+    return kind(token)
 
 
 def _render_body(ds: FederatedDataset) -> str:
@@ -260,7 +284,7 @@ def _parse_sample(line: str, lineno: int, n_qubits: int,
     if len(parts) != 3 or parts[0] != "s":
         raise DatasetFormatError(f"line {lineno}: bad sample line")
     try:
-        label = int(parts[1])
+        label = parse_number(parts[1])
     except ValueError:
         raise DatasetFormatError(f"line {lineno}: bad label {parts[1]!r}") from None
     if label not in (0, 1):
@@ -280,7 +304,7 @@ def _header_int(line: str, key: str, path) -> int:
     if not line.startswith(key + "="):
         raise DatasetFormatError(f"{path}: missing {key}")
     try:
-        return int(line[len(key) + 1:])
+        return parse_number(line[len(key) + 1:])
     except ValueError:
         raise DatasetFormatError(f"{path}: {key} is not an integer: {line!r}") from None
 
@@ -350,7 +374,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
                 f"line {i + 3}: unknown distribution {parts[2]!r}"
             ) from None
         try:
-            count = int(parts[3])
+            count = parse_number(parts[3])
         except ValueError:
             count = -1  # reported below, like a negative count
         if count < 0:

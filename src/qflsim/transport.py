@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ProtocolError, TrainingError
 from .federated import ClientState, ClientUpdate, local_train
 from .model import ParamVector
-from .store import client_id_ok, format_angle
+from .store import client_id_ok, format_angle, parse_number
 
 PROTOCOL_VERSION = 2
 
@@ -73,7 +73,7 @@ def _format_values(values) -> str:
 
 def _parse_values(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in text.split(","))
+        values = tuple(parse_number(tok, float) for tok in text.split(","))
     except ValueError:
         raise ProtocolError(f"bad parameter list {text!r}") from None
     if not np.all(np.isfinite(values)):
@@ -111,8 +111,9 @@ def _checked_id(client_id: str, line: str) -> str:
 
 
 def decode_message(line: str):
-    """Parse one protocol line into a message object; a client id must
-    pass the dataset files' rule (store.client_id_ok)."""
+    """Parse one protocol line into a message object; a client id and
+    every number must pass the dataset files' rules (store.client_id_ok,
+    store.parse_number)."""
     line = line.rstrip("\n")
     if line == "DONE":
         return Done()
@@ -123,7 +124,7 @@ def decode_message(line: str):
         if len(parts) != 3 or not parts[1].startswith("v"):
             raise ProtocolError(f"bad HELLO: {line!r}")
         try:
-            version = int(parts[1][1:])
+            version = parse_number(parts[1][1:])
         except ValueError:
             raise ProtocolError(f"bad HELLO version: {line!r}") from None
         return Hello(_checked_id(parts[2], line), version)
@@ -131,15 +132,16 @@ def decode_message(line: str):
         if len(parts) != 3:
             raise ProtocolError(f"bad GLOBAL: {line!r}")
         try:
-            return Global(int(parts[1]), _parse_values(parts[2]))
+            return Global(parse_number(parts[1]), _parse_values(parts[2]))
         except ValueError:
             raise ProtocolError(f"bad GLOBAL round: {line!r}") from None
     if parts[0] == "UPDATE":
         if len(parts) != 6:
             raise ProtocolError(f"bad UPDATE: {line!r}")
         try:
-            update = Update(int(parts[1]), _checked_id(parts[2], line),
-                            int(parts[3]), float(parts[4]), _parse_values(parts[5]))
+            update = Update(parse_number(parts[1]), _checked_id(parts[2], line),
+                            parse_number(parts[3]), parse_number(parts[4], float),
+                            _parse_values(parts[5]))
         except ValueError:
             raise ProtocolError(f"bad UPDATE fields: {line!r}") from None
         if update.num_samples < 0 or not np.isfinite(update.loss):

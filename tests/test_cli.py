@@ -198,6 +198,17 @@ class TestSweepDatasize:
             assert "error:" in capsys.readouterr().err
             assert not (tmp_path / "m.jsonl").exists()
 
+    def test_bad_size_fails_before_any_run(self, tmp_path, capsys):
+        # With a split the 6 clients allow, size 4 could train; the bad
+        # size 7 after it must still stop the sweep before its first run.
+        out = tmp_path / "m.jsonl"
+        assert main(["sweep-datasize", "--clients", "6", "--qubits", "2",
+                     "--sizes", "4,7", "--rounds", "1",
+                     "--train-clients", "4", "--test-clients", "2",
+                     "--out", str(out)]) == 2
+        assert "size 7" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareIid:
     def test_two_summary_rows_with_scaled_mse(self, tmp_path):

@@ -472,6 +472,28 @@ class TestGradient:
             forward = ev.readout_z(prep[start:start + len(z)], values)
             assert np.max(np.abs(forward - z)) <= 1e-13
 
+    def test_forward_is_the_gradient_sweep_forward(self):
+        # One forward path: readout_z runs the same sweep and readout as
+        # the gradient, so the two agree to the last bit at every batch.
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        values = init_params(model.arch, 5).values
+        prep = ev.prep_states(_sample_batch(40, seed=4))
+        for size in (1, 5, 16, 33):
+            z = ev.readout_z(prep[:size], values)
+            assert np.array_equal(z, ev.readout_z_and_gradient(prep[:size], values)[0])
+
+    def test_block_to_block_moves_copy_whole_batches(self):
+        # States keep the batch axis innermost, so every regather between
+        # blocks moves runs of one whole batch.
+        for arch in (default_architecture(8), build_architecture(8, include_fc=True),
+                     default_architecture(2)):
+            ev = ModelEvaluator(build_model(arch), parameter_names(arch))
+            moves = ev._into[1:] + ev._back[1:]
+            assert len(moves) == 2 * (len(ev.block_qubits) - 1)
+            for shape, axes in moves:
+                assert shape[-1] == -1 and axes[-1] == len(shape) - 1
+
     def test_steady_steps_do_not_fault_pages(self):
         # Reused buffers: after a warm-up, steps at one batch size touch no
         # fresh memory. Per-step temporaries of the tape's size would

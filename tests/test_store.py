@@ -107,6 +107,20 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="angle"):
             parse_circuit("QFLCIRC v1 qubits=1\nRX 0 abc")
 
+    @pytest.mark.parametrize("text", [
+        "QFLCIRC v1 qubits=+2\nH 0",
+        "QFLCIRC v1 qubits=2\nH \u0661",
+        "QFLCIRC v1 qubits=2\nCZ 0 01",
+        "QFLCIRC v1 qubits=2\nRX 0 1_0",
+        "QFLCIRC v1 qubits=2\nRX 0 .5",
+        "QFLCIRC v1 qubits=2\nRX 0 Infinity",
+    ])
+    def test_numbers_only_in_the_written_form(self, text):
+        # One number rule: other spellings that int() and float() take
+        # are refused.
+        with pytest.raises(CircuitParseError):
+            parse_circuit(text)
+
     def test_non_finite_angle(self):
         with pytest.raises(CircuitParseError):
             parse_circuit("QFLCIRC v1 qubits=1\nRX 0 nan")
@@ -261,10 +275,14 @@ class TestDatasetContainer:
         (b" seed=", b" colour=red seed=", DatasetFormatError),
         (b" n_qubits=8 ", b" ", DatasetFormatError),
         (b"client_001 uniform_pi", b"client_0$1 uniform_pi", DatasetFormatError),
+        (b" seed=", b" seed=1 seed=", DatasetFormatError),
+        (b"client_000 uniform_pi 16\n", b"client_000 uniform_pi 1_6\n",
+         DatasetFormatError),
     ], ids=["format-version", "n-clients", "sample-count", "not-utf8",
             "count-minus-1", "count-minus-2", "count-minus-3",
             "format-version-0", "format-version-negative", "symbolic-sample",
-            "gen-config-unknown-key", "gen-config-missing-key", "client-id"])
+            "gen-config-unknown-key", "gen-config-missing-key", "client-id",
+            "gen-config-repeated-key", "sample-count-underscore"])
     def test_malformed_header_with_valid_checksum(self, tmp_path, old, new, error):
         path = tmp_path / "data.qfd"
         write_dataset(_tiny_dataset(), path)

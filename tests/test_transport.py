@@ -103,6 +103,8 @@ class TestMessageCodec:
         "HELLO v2 ",
         "UPDATE 1  16 0.5 1.0",
         "HELLO v2 a\tb",
+        "GLOBAL 1_0 0.5",
+        "UPDATE \u0661 c1 1_6 0.5 1.0",
     ])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ProtocolError):
