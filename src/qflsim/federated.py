@@ -15,9 +15,22 @@ TrainConfig, so local_train needs only the client and the broadcast
 parameters, in process and in a socket worker alike. Evaluation reads
 the test clients' records and, with ``eval_train``, the same training
 records.
+
+In process, LocalTransport trains the clients on every usable core: it
+forks one helper process per further core (at most one per client, and
+none for rounds too small to gain), each owning a fixed share of the
+clients, while the parent trains the rest. The parent sends each helper
+the broadcast and its clients' small carried state every round and
+keeps the authoritative ClientStates, so records are bit-identical
+whatever the core count; ``taskset`` or any other affinity mask
+restricts the cores used.
 """
 
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -49,6 +62,12 @@ EVAL_BATCH = 64
 
 # Random-stream namespace of the batch shuffles (see stream_rng).
 _SHUFFLE_STREAM = 1
+
+# Fewest samples a round trains per process (parent or helper) for a
+# helper to pay off: a helper costs a fork and its first round's
+# copy-on-write faults (about 10 ms together) and a pipe round trip each
+# round, while a sample costs 20-90 us to train (2 to 8 qubits).
+MIN_SAMPLES_PER_PROCESS = 500
 
 
 @dataclass(frozen=True)
@@ -213,7 +232,8 @@ def local_train(client: ClientState, global_params: ParamVector,
     steps of ``client.cfg`` (epochs, batch size, optimizer, seed).
 
     Mutates the client's moments and epoch counter; returns the final
-    parameters with the mean per-batch loss.
+    parameters with the mean per-batch loss, or raises TrainingError if
+    either is not finite (the optimizer diverged).
     """
     cfg = client.cfg
     n_samples = len(client.data.samples)
@@ -235,12 +255,17 @@ def local_train(client: ClientState, global_params: ParamVector,
             losses.append(loss)
         client.epochs_done += 1
     client.opt_state = opt_state
+    mean_loss = float(np.mean(losses))
+    if not (math.isfinite(mean_loss) and np.all(np.isfinite(values))):
+        raise TrainingError(
+            f"local training diverged: the parameters or the mean loss "
+            f"({mean_loss}) are not finite; try a lower learning rate")
     return ClientUpdate(
         client_id=client.client_id,
         round=round_index,
         params=global_params.with_values(values),
         num_samples=n_samples,
-        local_loss=float(np.mean(losses)),
+        local_loss=mean_loss,
     )
 
 
@@ -310,23 +335,178 @@ class EvalContext:
         )
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the platform
+    has one, so ``taskset`` restricts it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The fork start method, or None on platforms without it."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+def _serve_share(conn, clients: dict[str, ClientState], inherited) -> None:
+    """Body of a LocalTransport helper process: train the requested
+    clients of its share each round until the parent closes the pipe.
+
+    A request is (round, broadcast parameters, [(client id, optimizer
+    state, epochs done)]); the reply lists, per client in that order,
+    (id, values, samples, loss, optimizer state, epochs done), or ends
+    with (id, error text) at the first client that fails.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops helpers
+    for other in inherited:  # parent ends, so that EOF comes if it dies
+        other.close()
+    while True:
+        try:
+            round_index, params, states = conn.recv()
+        except EOFError:
+            return
+        reply = []
+        for cid, opt_state, epochs_done in states:
+            client = clients[cid]
+            client.opt_state, client.epochs_done = opt_state, epochs_done
+            try:
+                update = local_train(client, params, round_index)
+            except Exception as exc:
+                reply.append((cid, str(exc)))
+                break
+            reply.append((cid, update.params.values, update.num_samples,
+                          update.local_loss, client.opt_state, client.epochs_done))
+        conn.send(reply)
+
+
+@dataclass(eq=False)
+class _Helper:
+    process: multiprocessing.process.BaseProcess
+    conn: "multiprocessing.connection.Connection"  # imported by ctx.Pipe()
+    client_ids: tuple[str, ...]
+
+
 class LocalTransport:
-    """In-process clients behind the same ``round_trip`` as SocketFedServer."""
+    """In-process clients behind the same ``round_trip`` as SocketFedServer.
+
+    On a machine with several usable cores the transport forks
+    ``min(cores, clients, samples per round // MIN_SAMPLES_PER_PROCESS) - 1``
+    helper processes when it is built, so none for a round too small to
+    gain from them. Each inherits the prepared clients and the evaluator
+    copy-on-write and owns a fixed round-robin share of the clients; the
+    parent trains the last, smallest share itself. Every round the parent
+    sends a helper the broadcast and its clients' optimizer states and
+    epoch counts and writes the trained ones back, so the parent's
+    ClientStates stay authoritative and results do not depend on the
+    number of helpers. Use it as a context manager (or call ``close``)
+    to stop the helpers.
+    """
 
     def __init__(self, clients: Sequence[ClientState]):
         self.clients = {c.client_id: c for c in clients}
+        self._helpers: list[_Helper] = []
+        self._owner: dict[str, _Helper] = {}
+        ctx = _fork_context()
+        work = sum(len(c.data.samples) * c.cfg.epochs for c in clients)
+        n_processes = min(_usable_cores(), len(self.clients),
+                          work // MIN_SAMPLES_PER_PROCESS) if ctx else 1
+        ids = list(self.clients)
+        try:
+            for h in range(n_processes - 1):
+                share = tuple(ids[h::n_processes])
+                conn, child_conn = ctx.Pipe()
+                inherited = [other.conn for other in self._helpers] + [conn]
+                process = ctx.Process(
+                    target=_serve_share, name=f"qflsim-helper-{h}", daemon=True,
+                    args=(child_conn, {cid: self.clients[cid] for cid in share},
+                          inherited))
+                process.start()
+                child_conn.close()
+                helper = _Helper(process, conn, share)
+                self._helpers.append(helper)
+                self._owner.update(dict.fromkeys(share, helper))
+        except BaseException:
+            self.close()
+            raise
 
     def round_trip(self, round_index: int, params: ParamVector,
                    order: list[str]) -> list[ClientUpdate]:
-        updates = []
+        """Train every client of ``order``, the helpers' shares in their
+        processes while the parent trains its own. A client that fails
+        raises TrainingError; with several failures, the first in
+        ``order``, as if the clients had trained one after another."""
+        shares: dict[_Helper, list[str]] = {}
         for cid in order:
+            if cid in self._owner:
+                shares.setdefault(self._owner[cid], []).append(cid)
+        dead = []
+        for helper, ids in shares.items():
+            states = [(cid, self.clients[cid].opt_state, self.clients[cid].epochs_done)
+                      for cid in ids]
             try:
-                updates.append(local_train(self.clients[cid], params, round_index))
-            except Exception as exc:
+                helper.conn.send((round_index, params, states))
+            except OSError:
+                dead.append(helper)
+        results = {}  # client id -> ClientUpdate, or why it failed
+        for cid in order:
+            if cid not in self._owner:
+                try:
+                    results[cid] = local_train(self.clients[cid], params, round_index)
+                except Exception as exc:
+                    results[cid] = exc
+                    break
+        for helper in shares:
+            if helper in dead:
+                continue
+            try:
+                reply = helper.conn.recv()
+            except (EOFError, OSError):
+                dead.append(helper)
+                continue
+            for cid, *result in reply:
+                if len(result) == 1:
+                    results[cid] = result[0]
+                    continue
+                values, n_samples, loss, opt_state, epochs_done = result
+                client = self.clients[cid]
+                client.opt_state, client.epochs_done = opt_state, epochs_done
+                results[cid] = ClientUpdate(cid, round_index, params.with_values(values),
+                                            n_samples, loss)
+        if dead:
+            helper = dead[0]
+            helper.process.join()  # its end of the pipe closed as it exited
+            raise TrainingError(
+                f"helper process for clients {list(helper.client_ids)} died in "
+                f"round {round_index} (exit code {helper.process.exitcode})")
+        for cid in order:
+            result = results.get(cid)
+            if not isinstance(result, ClientUpdate):
                 raise TrainingError(
-                    f"client {cid} failed in round {round_index}: {exc}"
-                ) from exc
-        return updates
+                    f"client {cid} failed in round {round_index}: {result}"
+                ) from (result if isinstance(result, Exception) else None)
+        return [results[cid] for cid in order]
+
+    def close(self):
+        """Stop every helper at once, mid-round too: the parent holds every
+        client's state, so a helper has nothing to finish."""
+        for helper in self._helpers:
+            helper.conn.close()
+            helper.process.kill()
+        for helper in self._helpers:
+            helper.process.join()
+            helper.process.close()
+        self._helpers.clear()
+        self._owner.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def run_round(server: ServerState, transport, cfg: TrainConfig,
@@ -413,14 +593,15 @@ def run_training(dataset: FederatedDataset, cfg: TrainConfig,
     LocalTransport; otherwise the transport (see qflsim.transport) runs them.
     """
     server, clients, ctx = build_run(dataset, cfg, transport is None)
-    if transport is None:
-        transport = LocalTransport(clients)
-    records = [ctx.record(0, server.params, {})]
-    if on_round:
-        on_round(records[0], server)
-    for _ in range(cfg.rounds):
-        server, record = run_round(server, transport, cfg, ctx)
-        records.append(record)
+    local = (LocalTransport(clients) if transport is None
+             else contextlib.nullcontext(transport))
+    with local as transport:
+        records = [ctx.record(0, server.params, {})]
         if on_round:
-            on_round(record, server)
+            on_round(records[0], server)
+        for _ in range(cfg.rounds):
+            server, record = run_round(server, transport, cfg, ctx)
+            records.append(record)
+            if on_round:
+                on_round(record, server)
     return records

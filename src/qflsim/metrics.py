@@ -3,10 +3,11 @@
 Two row kinds share a file. "round" rows carry per-round test metrics of
 one run; "summary" rows carry end-of-run or aggregate statistics. Rows
 are reproducible given the experiment config and seeds, except for the
-wall_time field.
+wall_time field. Every number is finite, so each row is strict JSON.
 """
 
 import json
+import math
 from pathlib import Path
 
 from .errors import MetricsSchemaError
@@ -82,7 +83,8 @@ def validate_row(row: dict) -> None:
         if expected is None:
             raise MetricsSchemaError(f"unknown metrics field {key!r}")
         if expected is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            ok = (isinstance(value, int) and not isinstance(value, bool)
+                  or isinstance(value, float) and math.isfinite(value))
         elif expected is int:
             ok = isinstance(value, int) and not isinstance(value, bool)
         else:

@@ -385,6 +385,13 @@ def _block_step(mat: np.ndarray, state: np.ndarray, out: np.ndarray,
         _regather(out, move, dest)
 
 
+def _all_equal(ops: tuple[GateOp, ...]) -> bool:
+    """Whether every op equals the first; samples of one dataset share
+    their common GateOp objects, so identity usually decides."""
+    first = ops[0]
+    return all(op is first for op in ops) or len(set(ops)) == 1
+
+
 class ModelEvaluator:
     """Batched forward and gradient evaluation of one model.
 
@@ -471,6 +478,8 @@ class ModelEvaluator:
         bits = (np.arange(2 << n) >> (n - last.index(self.readout))) & 1
         self._z_signs = 1.0 - 2.0 * bits
 
+        # State after each distinct shared prefix of a prep_states group.
+        self._prefix_states: dict[tuple[GateOp, ...], np.ndarray] = {}
         self._spare = np.empty((2, 0))
         self._tape = np.empty((len(blocks), 0))
         self._overlaps = np.zeros((len(blocks), 0, 8, 8))
@@ -545,9 +554,10 @@ class ModelEvaluator:
         """(n_samples, 2^n) array of each sample's prepared input state.
 
         Samples whose circuits have the same gate kinds and targets are
-        prepared together: their common leading gates are simulated once,
-        and every later gate is applied to the whole group, a rotation
-        with per-sample angles a as cos(a/2) psi - i sin(a/2) G psi.
+        prepared together: their common leading gates are simulated once
+        per evaluator (groups and calls with the same leading gates reuse
+        that state), and every later gate is applied to the whole group, a
+        rotation with per-sample angles a as cos(a/2) psi - i sin(a/2) G psi.
         """
         n = self.n_qubits
         groups: dict[tuple, list[int]] = {}
@@ -573,13 +583,18 @@ class ModelEvaluator:
         n = self.n_qubits
         columns = list(zip(*op_lists))  # the t-th gate of every sample
         shared = 0
-        while shared < len(columns) and len(set(columns[shared])) == 1:
+        while shared < len(columns) and _all_equal(columns[shared]):
             shared += 1
-        psi = apply_circuit(new_zero_state(n), Circuit(n, op_lists[0][:shared]))
+        prefix = op_lists[0][:shared]
+        psi = self._prefix_states.get(prefix)
+        if psi is None:
+            psi = apply_circuit(new_zero_state(n), Circuit(n, prefix))
+            psi.flags.writeable = False
+            self._prefix_states[prefix] = psi
         psi = np.repeat(psi[None, :], len(op_lists), axis=0)
         for ops in columns[shared:]:
             op = ops[0]
-            if len(set(ops)) == 1:
+            if _all_equal(ops):
                 psi = apply_matrix(psi, gate_matrix(op), op.targets, n)
                 continue
             half = 0.5 * np.array([o.angle for o in ops])

@@ -1,11 +1,16 @@
 """End-to-end command-line coverage on tiny datasets."""
 
 import json
+import math
+import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from qflsim import metrics
 from qflsim.cli import main
 from qflsim.metrics import MetricsSchemaError, read_metrics, validate_row
 from qflsim.store import checksum_bytes, read_dataset
@@ -90,6 +95,24 @@ class TestTrain:
                          "--out", str(tmp_path / "m.jsonl")]) == 2
             assert capsys.readouterr().err.startswith("error: ")
             assert not (tmp_path / "m.jsonl").exists()
+
+    def test_diverged_training_exits_4_without_nan_rows(self, tmp_path, capsys):
+        # A finite but huge learning rate overflows local training; the run
+        # stops in round 1 and names a client, and no row holds a NaN.
+        data = tmp_path / "d.qfd"
+        assert main(["gen-data", "--clients", "4", "--samples-per-client", "4",
+                     "--qubits", "2", "--out", str(data)]) == 0
+        out = tmp_path / "m.jsonl"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--dataset", str(data), "--optimizer", "adam",
+                         "--lr", "1e308", "--epochs", "3", "--batch-size", "2",
+                         "--rounds", "2", "--train-clients", "3",
+                         "--test-clients", "1", "--out", str(out)])
+        assert code == 4
+        assert re.search(r"error: client client_\d+ failed in round 1: .*diverged",
+                         capsys.readouterr().err)
+        assert "NaN" not in out.read_text()
+        assert [r["round"] for r in read_metrics(out)] == [0]
 
     def test_fc_layer_changes_the_model(self, tmp_path):
         data = _gen(tmp_path)
@@ -243,6 +266,23 @@ class TestErrorBars:
         assert agg["test_accuracy_spread"] == 0.0
         assert agg["train_accuracy_spread"] == 0.0
 
+    def test_piped_output_appears_once(self, tmp_path):
+        # Block-buffered stdout must be flushed before helpers fork, or a
+        # helper would print the parent's pending lines again. 4 x 256
+        # training samples a round are enough to share between 2 cores.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qflsim.cli", "error-bars", "--clients", "6",
+             "--samples-per-client", "256", "--qubits", "2", "--rounds", "1",
+             "--batch-size", "64", "--seeds", "1,2,3", "--train-clients", "4",
+             "--test-clients", "2", "--out", str(tmp_path / "m.jsonl")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "seed=1", "seed=2", "seed=3", "test_accuracy"]
+
     def test_distinct_seeds_aggregate(self, tmp_path):
         out = tmp_path / "m.jsonl"
         assert main(["error-bars", *TINY, *FAST_TRAIN, "--seeds", "1,2,3",
@@ -281,6 +321,22 @@ class TestMetricsSchema:
         path.write_text('{"kind": "round"\n')
         with pytest.raises(MetricsSchemaError):
             read_metrics(path)
+
+    def test_non_finite_numbers_never_written_or_read(self, tmp_path):
+        row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,
+               "test_accuracy": 0.5, "test_mse": 0.1, "wall_time": 0.0}
+        path = tmp_path / "m.jsonl"
+        metrics.append_rows(path, [row])
+        written = path.read_text()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(MetricsSchemaError, match="test_mse"):
+                metrics.append_rows(path, [{**row, "test_mse": bad}])
+        assert path.read_text() == written
+        for text in ("NaN", "Infinity", "-Infinity", "1e999"):
+            path.write_text(json.dumps(row).replace('"test_mse": 0.1',
+                                                    f'"test_mse": {text}') + "\n")
+            with pytest.raises(MetricsSchemaError, match="test_mse"):
+                read_metrics(path)
 
 
 class TestConsoleEntry:

@@ -2,11 +2,16 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 import oracles
+import qflsim.federated as federated
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, TrainingError
 from qflsim.federated import (
@@ -197,6 +202,13 @@ class TestLocalTrain:
         with pytest.raises(ConfigError):
             local_train(client, params)
 
+    def test_diverged_training_raises(self):
+        # A finite but huge learning rate overflows the parameters.
+        client, params, _ = self._client(
+            epochs=3, batch_size=2, opt=OptimizerConfig(kind="adam", learning_rate=1e308))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="diverged"):
+            local_train(client, params)
+
     def test_update_metadata(self):
         client, params, _ = self._client(epochs=2, batch_size=4)
         update = local_train(client, params, round_index=7)
@@ -216,7 +228,8 @@ class TestRunRound:
         server, clients, ctx = build_run(ds, cfg)
         (fresh,) = build_run(ds, cfg)[1]
         expected = local_train(fresh, server.params, round_index=1)
-        new_server, record = run_round(server, LocalTransport(clients), cfg, ctx)
+        with LocalTransport(clients) as transport:
+            new_server, record = run_round(server, transport, cfg, ctx)
         assert np.allclose(new_server.params.values, expected.params.values)
         assert record.round == 1 and new_server.round == 1
 
@@ -241,7 +254,8 @@ class TestRunRound:
         expected_updates = [local_train(c, server2.params, round_index=1)
                             for c in clients2]
         expected = federated_average(expected_updates, server2.client_weights)
-        new_server, _record = run_round(server, LocalTransport(clients), cfg, ctx)
+        with LocalTransport(clients) as transport:
+            new_server, _record = run_round(server, transport, cfg, ctx)
         assert np.array_equal(new_server.params.values, expected.values)
 
     def test_client_failure_aborts_round(self):
@@ -252,8 +266,102 @@ class TestRunRound:
         server, clients, ctx = build_run(ds, cfg)
         clients[1].data = dataclasses.replace(  # poisoned shapes
             clients[1].data, prep_states=clients[1].data.prep_states[:3])
-        with pytest.raises(TrainingError, match=clients[1].client_id):
-            run_round(server, LocalTransport(clients), cfg, ctx)
+        with LocalTransport(clients) as transport, \
+                pytest.raises(TrainingError, match=clients[1].client_id):
+            run_round(server, transport, cfg, ctx)
+
+
+def _forced_helpers(monkeypatch, n_helpers):
+    """Make LocalTransport see n_helpers + 1 usable cores and rounds of
+    any size worth sharing."""
+    monkeypatch.setattr(federated, "_usable_cores", lambda: n_helpers + 1)
+    monkeypatch.setattr(federated, "MIN_SAMPLES_PER_PROCESS", 1)
+
+
+class TestLocalTransport:
+    def test_records_and_states_identical_for_any_helper_count(self, monkeypatch):
+        ds = _tiny_dataset(n_clients=6, samples=8)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=2, train_clients=ids[:5], test_clients=ids[5:],
+                          epochs=2, batch_size=3, seed=7)
+        runs = []
+        for n_helpers in range(4):
+            _forced_helpers(monkeypatch, n_helpers)
+            server, clients, ctx = build_run(ds, cfg)
+            records = [ctx.record(0, server.params, {})]
+            with LocalTransport(clients) as transport:
+                assert len(multiprocessing.active_children()) == n_helpers
+                for _ in range(cfg.rounds):
+                    server, record = run_round(server, transport, cfg, ctx)
+                    records.append(record)
+            states = [(c.opt_state.m, c.opt_state.v, c.opt_state.step, c.epochs_done)
+                      for c in clients]
+            runs.append((records, server.params.values, states))
+        records, values, states = runs[0]
+        assert [c[3] for c in states] == [4] * 5
+        for other_records, other_values, other_states in runs[1:]:
+            assert other_records == records
+            assert np.array_equal(other_values, values)
+            for (m, v, step, epochs), (m2, v2, step2, epochs2) in zip(states, other_states):
+                assert np.array_equal(m, m2) and np.array_equal(v, v2)
+                assert (step, epochs) == (step2, epochs2)
+
+    def test_run_training_leaves_no_helper_when_a_round_fails(self, monkeypatch):
+        _forced_helpers(monkeypatch, 2)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=2, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+
+        def failing_on_round(record, _server):
+            assert multiprocessing.active_children()
+            if record.round == 1:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            run_training(ds, cfg, on_round=failing_on_round)
+        assert not multiprocessing.active_children()
+
+    def test_client_failing_in_helper_is_named(self, monkeypatch):
+        _forced_helpers(monkeypatch, 1)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        server, clients, ctx = build_run(ds, cfg)
+        # The helper owns clients 0 and 2, the parent client 1.
+        clients[2].data = dataclasses.replace(  # poisoned shapes
+            clients[2].data, prep_states=clients[2].data.prep_states[:3])
+        with LocalTransport(clients) as transport:
+            with pytest.raises(TrainingError,
+                               match=f"client {ids[2]} failed in round 1"):
+                run_round(server, transport, cfg, ctx)
+            # The other helper client's state came back; the parent's trained.
+            assert clients[0].epochs_done == clients[1].epochs_done == 1
+
+    def test_killed_helper_fails_the_round(self, monkeypatch):
+        _forced_helpers(monkeypatch, 1)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        server, clients, ctx = build_run(ds, cfg)
+        parent = os.getpid()
+
+        def dying_local_train(client, params, round_index=0):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return local_train(client, params, round_index)
+
+        monkeypatch.setattr(federated, "local_train", dying_local_train)
+        start = time.monotonic()
+        with LocalTransport(clients) as transport:
+            with pytest.raises(TrainingError) as info:
+                run_round(server, transport, cfg, ctx)
+        assert time.monotonic() - start < 30.0
+        message = str(info.value)
+        assert "round 1" in message and "died" in message
+        assert ids[0] in message and ids[2] in message and ids[1] not in message
 
 
 class TestEvaluate:

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 import oracles
-from qflsim.datagen import GenConfig, cluster_state_circuit, generate_client_dataset
+import qflsim.model as model_module
+from qflsim.datagen import (
+    GenConfig,
+    cluster_state_circuit,
+    generate_client_dataset,
+    generate_federated_dataset,
+)
 from qflsim.errors import ConfigError, UnresolvedParameterError
+from qflsim.federated import prepare_clients
 from qflsim.model import (
     INIT_ANGLE_SCALE,
     ArchitectureSpec,
@@ -283,6 +290,30 @@ class TestPrepStates:
         for row, sample in zip(got, samples):
             want = oracles.run_circuit(sample.prep_circuit)
             assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_shared_prefix_simulated_once_per_evaluator(self, monkeypatch):
+        # 30 generated clients share one cluster prefix across their 8
+        # excitation targets: one evaluator simulates it once for all of
+        # them, and each client's states equal those of an evaluator of
+        # its own.
+        ds = generate_federated_dataset(GenConfig(
+            n_clients=30, n_qubits=8, samples_per_client=16, seed=3))
+        model = build_model(default_architecture(8))
+        names = parameter_names(model.arch)
+        alone = [prepare_clients([c], ModelEvaluator(model, names))[0].prep_states
+                 for c in ds.clients]
+        calls = []
+
+        def counting_apply_circuit(state, circuit):
+            calls.append(circuit)
+            return apply_circuit(state, circuit)
+
+        monkeypatch.setattr(model_module, "apply_circuit", counting_apply_circuit)
+        prepared = prepare_clients(ds.clients, ModelEvaluator(model, names))
+        assert len(calls) == 1
+        assert calls[0].ops == cluster_state_circuit(8).ops
+        for client, want in zip(prepared, alone):
+            assert np.array_equal(client.prep_states, want)
 
     def test_unbound_symbol_rejected(self):
         model = build_model(default_architecture(2))
