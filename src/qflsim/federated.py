@@ -23,7 +23,8 @@ clients, while the parent trains the rest. The parent sends each helper
 the broadcast and its clients' small carried state every round and
 keeps the authoritative ClientStates, so records are bit-identical
 whatever the core count; ``taskset`` or any other affinity mask
-restricts the cores used.
+restricts the cores used, and each process runs pinned to one of them
+while the transport is open.
 """
 
 import contextlib
@@ -344,6 +345,14 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _pin_to(core: int | None) -> None:
+    """Run this process on ``core`` alone. Placement only: where the mask
+    refuses it, the process stays where it was."""
+    if core is not None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {core})
+
+
 def _fork_context():
     """The fork start method, or None on platforms without it."""
     try:
@@ -352,9 +361,11 @@ def _fork_context():
         return None
 
 
-def _serve_share(conn, clients: dict[str, ClientState], inherited) -> None:
-    """Body of a LocalTransport helper process: train the requested
-    clients of its share each round until the parent closes the pipe.
+def _serve_share(conn, clients: dict[str, ClientState], inherited,
+                 core: int | None) -> None:
+    """Body of a LocalTransport helper process: pin itself to ``core``,
+    then train the requested clients of its share each round until the
+    parent closes the pipe.
 
     A request is (round, broadcast parameters, [(client id, optimizer
     state, epochs done)]); the reply lists, per client in that order,
@@ -364,6 +375,7 @@ def _serve_share(conn, clients: dict[str, ClientState], inherited) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops helpers
     for other in inherited:  # parent ends, so that EOF comes if it dies
         other.close()
+    _pin_to(core)
     while True:
         try:
             round_index, params, states = conn.recv()
@@ -398,7 +410,11 @@ class LocalTransport:
     helper processes when it is built, so none for a round too small to
     gain from them. Each inherits the prepared clients and the evaluator
     copy-on-write and owns a fixed round-robin share of the clients; the
-    parent trains the last, smallest share itself. Every round the parent
+    parent trains the last, smallest share itself. Where the platform can
+    pin processes, each helper and then the parent run on one core of the
+    parent's affinity mask, dealt round-robin, so no two share a core while
+    cores last (the kernel need not move a forked helper off its parent's
+    core); ``close`` restores the parent's mask. Every round the parent
     sends a helper the broadcast and its clients' optimizer states and
     epoch counts and writes the trained ones back, so the parent's
     ClientStates stay authoritative and results do not depend on the
@@ -410,10 +426,15 @@ class LocalTransport:
         self.clients = {c.client_id: c for c in clients}
         self._helpers: list[_Helper] = []
         self._owner: dict[str, _Helper] = {}
+        self._parent_mask: set[int] | None = None
         ctx = _fork_context()
         work = sum(len(c.data.samples) * c.cfg.epochs for c in clients)
         n_processes = min(_usable_cores(), len(self.clients),
                           work // MIN_SAMPLES_PER_PROCESS) if ctx else 1
+        if n_processes < 2 or not hasattr(os, "sched_setaffinity"):
+            cores = [None]  # no helper, or no pinning on this platform
+        else:
+            cores = sorted(os.sched_getaffinity(0))
         ids = list(self.clients)
         try:
             for h in range(n_processes - 1):
@@ -423,12 +444,15 @@ class LocalTransport:
                 process = ctx.Process(
                     target=_serve_share, name=f"qflsim-helper-{h}", daemon=True,
                     args=(child_conn, {cid: self.clients[cid] for cid in share},
-                          inherited))
+                          inherited, cores[h % len(cores)]))
                 process.start()
                 child_conn.close()
                 helper = _Helper(process, conn, share)
                 self._helpers.append(helper)
                 self._owner.update(dict.fromkeys(share, helper))
+            if cores[0] is not None:
+                self._parent_mask = os.sched_getaffinity(0)
+                _pin_to(cores[(n_processes - 1) % len(cores)])
         except BaseException:
             self.close()
             raise
@@ -492,7 +516,12 @@ class LocalTransport:
 
     def close(self):
         """Stop every helper at once, mid-round too: the parent holds every
-        client's state, so a helper has nothing to finish."""
+        client's state, so a helper has nothing to finish. Then give the
+        parent back the affinity mask it had before it was pinned."""
+        if self._parent_mask is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, self._parent_mask)
+            self._parent_mask = None
         for helper in self._helpers:
             helper.conn.close()
             helper.process.kill()

@@ -387,9 +387,10 @@ def _block_step(mat: np.ndarray, state: np.ndarray, out: np.ndarray,
 
 def _all_equal(ops: tuple[GateOp, ...]) -> bool:
     """Whether every op equals the first; samples of one dataset share
-    their common GateOp objects, so identity usually decides."""
+    their common GateOp objects, so identity usually decides, and a column
+    of per-sample angles stops at its first differing op."""
     first = ops[0]
-    return all(op is first for op in ops) or len(set(ops)) == 1
+    return all(op is first or op == first for op in ops)
 
 
 class ModelEvaluator:

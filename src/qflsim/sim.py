@@ -113,11 +113,11 @@ class Circuit:
             )
         ops = tuple(self.ops)
         object.__setattr__(self, "ops", ops)
-        for op in ops:
-            if any(q >= self.n_qubits for q in op.targets):
+        n = self.n_qubits
+        for op in ops:  # GateOp has checked that every target is >= 0
+            if max(op.targets) >= n:
                 raise ConfigError(
-                    f"{op.kind} targets {op.targets} out of range for "
-                    f"{self.n_qubits} qubits"
+                    f"{op.kind} targets {op.targets} out of range for {n} qubits"
                 )
 
     def symbols(self) -> tuple[str, ...]:

@@ -27,8 +27,9 @@ The checksum is the first 64 bits (16 hex chars) of SHA-256 over every
 byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
 
-A read parses each distinct gate line once and shares the op among the
-samples that repeat it (16 of the 17 gate lines of a generated sample). A
+A write renders each distinct gate without an angle once, and a read
+parses each distinct gate line once and shares the op among the samples
+that repeat it (16 of the 17 gate lines of a generated sample). A
 socket worker reads only its own client: it verifies the checksum and
 every client header but parses only that client's samples; the
 server's full read validates every sample.
@@ -73,13 +74,31 @@ def _angle_token(op: GateOp) -> str:
     return format_angle(op.angle)
 
 
+def _op_line(op: GateOp) -> str:
+    parts = [op.kind] + [str(q) for q in op.targets]
+    if op.kind in PARAMETRIZED_GATES:
+        parts.append(_angle_token(op))
+    return " ".join(parts)
+
+
 def serialize_circuit(c: Circuit) -> str:
+    return _render_lines(c, {})
+
+
+def _render_lines(c: Circuit, memo: dict[GateOp, str]) -> str:
+    """serialize_circuit with ``memo`` mapping ops to their gate lines, so
+    a caller serializing many circuits renders each repeated gate once;
+    ops with a concrete angle are rendered each time and never kept, so
+    the memo does not grow with a dataset's per-sample angles."""
     lines = [f"{CIRCUIT_MAGIC} qubits={c.n_qubits}"]
     for op in c.ops:
-        parts = [op.kind] + [str(q) for q in op.targets]
-        if op.kind in PARAMETRIZED_GATES:
-            parts.append(_angle_token(op))
-        lines.append(" ".join(parts))
+        if op.angle is not None:
+            lines.append(_op_line(op))
+            continue
+        line = memo.get(op)
+        if line is None:
+            line = memo[op] = _op_line(op)
+        lines.append(line)
     return "\n".join(lines)
 
 
@@ -107,10 +126,11 @@ def parse_circuit(text: str) -> Circuit:
     return _parse_lines(text.split("\n"), {})
 
 
-def _parse_lines(lines: list[str], memo: dict[tuple[str, int], GateOp]) -> Circuit:
-    """parse_circuit over a circuit's lines. ``memo`` maps (stripped line,
-    qubit count) to the op parsed from it, so a caller parsing many
-    circuits builds each repeated gate once; failed lines are not kept."""
+def _parse_lines(lines: list[str], memo: dict[int, dict[str, GateOp]]) -> Circuit:
+    """parse_circuit over a circuit's lines. ``memo`` maps a qubit count to
+    a map from raw gate line to the op parsed from it, so a caller parsing
+    many circuits strips and parses each repeated gate once; blank and
+    failed lines are not kept."""
     header = lines[0].strip() if lines else ""
     if not header.startswith(CIRCUIT_MAGIC + " qubits="):
         raise CircuitParseError(f"line 1: bad header {header!r}")
@@ -118,14 +138,15 @@ def _parse_lines(lines: list[str], memo: dict[tuple[str, int], GateOp]) -> Circu
         n_qubits = parse_number(header[len(CIRCUIT_MAGIC + " qubits="):])
     except ValueError:
         raise CircuitParseError(f"line 1: bad qubit count in {header!r}") from None
+    known = memo.setdefault(n_qubits, {})
     ops = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        op = memo.get((line, n_qubits))
+        op = known.get(raw)
         if op is None:
-            op = memo[line, n_qubits] = _parse_op(line, lineno, n_qubits)
+            line = raw.strip()
+            if not line:
+                continue
+            op = known[raw] = _parse_op(line, lineno, n_qubits)
         ops.append(op)
     try:
         return Circuit(n_qubits, tuple(ops))
@@ -240,6 +261,7 @@ def _render_body(ds: FederatedDataset) -> str:
         f"n_clients={len(ds.clients)}",
         _gen_config_line(ds.gen_config),
     ]
+    memo: dict[GateOp, str] = {}
     for client in ds.clients:
         if not client_id_ok(client.client_id):
             raise ConfigError(f"client id {client.client_id!r} not storable")
@@ -248,7 +270,7 @@ def _render_body(ds: FederatedDataset) -> str:
             f"{len(client.samples)}"
         )
         for sample in client.samples:
-            circ = serialize_circuit(sample.prep_circuit)
+            circ = _render_lines(sample.prep_circuit, memo)
             if ";" in circ:
                 raise ConfigError("circuit text may not contain ';'")
             lines.append(f"s {sample.label} {circ.replace(chr(10), ';')}")
@@ -279,7 +301,7 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
 
 
 def _parse_sample(line: str, lineno: int, n_qubits: int,
-                  memo: dict[tuple[str, int], GateOp]) -> Sample:
+                  memo: dict[int, dict[str, GateOp]]) -> Sample:
     parts = line.split(" ", 2)
     if len(parts) != 3 or parts[0] != "s":
         raise DatasetFormatError(f"line {lineno}: bad sample line")
@@ -353,7 +375,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
     gen_config = _parse_gen_config(lines[2])
 
     wanted = None if clients is None else set(clients)
-    memo: dict[tuple[str, int], GateOp] = {}
+    memo: dict[int, dict[str, GateOp]] = {}
     parsed: list[ClientDataset] = []
     i = 3  # reported line numbers add 3: the magic and checksum lines
     while i < len(lines):

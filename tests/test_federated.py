@@ -306,6 +306,27 @@ class TestLocalTransport:
                 assert np.array_equal(m, m2) and np.array_equal(v, v2)
                 assert (step, epochs) == (step2, epochs2)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable cores and affinity masks")
+    def test_each_process_runs_on_its_own_core(self, monkeypatch):
+        _forced_helpers(monkeypatch, 1)
+        ds = _tiny_dataset(n_clients=3)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
+                          batch_size=4, seed=1)
+        server, clients, ctx = build_run(ds, cfg)
+        original = os.sched_getaffinity(0)
+        with LocalTransport(clients) as transport:
+            run_round(server, transport, cfg, ctx)  # the helper pinned itself first
+            (helper,) = multiprocessing.active_children()
+            helper_mask = os.sched_getaffinity(helper.pid)
+            parent_mask = os.sched_getaffinity(0)
+            assert len(helper_mask) == len(parent_mask) == 1
+            assert helper_mask != parent_mask
+            assert helper_mask | parent_mask <= original
+        assert os.sched_getaffinity(0) == original
+
     def test_run_training_leaves_no_helper_when_a_round_fails(self, monkeypatch):
         _forced_helpers(monkeypatch, 2)
         ds = _tiny_dataset(n_clients=4)

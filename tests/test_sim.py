@@ -113,6 +113,12 @@ class TestGateOpValidation:
         with pytest.raises(ConfigError):
             GateOp("RX", (0,), angle=0.5, sign=-1)
 
+    def test_circuit_names_its_only_out_of_range_op(self):
+        ops = tuple(h(q % 3) for q in range(40)) + (cz(0, 1), xx(1, 2, 0.5), cz(3, 1))
+        with pytest.raises(ConfigError) as info:
+            Circuit(3, ops)
+        assert str(info.value) == "CZ targets (3, 1) out of range for 3 qubits"
+
 
 class TestApplyGate:
     def test_h_on_zero(self):

@@ -1,5 +1,6 @@
 """Circuit text grammar and the dataset container round trip."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -142,6 +143,26 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="line 17: CZ targets must be distinct"):
             read_dataset(path)
 
+    def test_read_reports_the_line_of_a_bad_gate_in_the_last_sample(self, tmp_path):
+        # The last of 32 samples, after 31 whose gate lines all came from
+        # the read's memo, turns its H 3 (circuit line 5) into H 9.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: _edit_sample(body, 31, b";H 3;", b";H 9;"))
+        with pytest.raises(CircuitParseError,
+                           match="^line 5: qubit out of range for qubits=8$"):
+            read_dataset(path)
+
+    def test_read_strips_gate_lines_and_skips_blank_ones(self, tmp_path):
+        # Surrounding blanks and an empty circuit line, in a sample after
+        # one that parsed the plain lines, read back to the same dataset.
+        ds = _tiny_dataset()
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        _rewrite_body(path, lambda body: _edit_sample(
+            body, 1, b";H 7;CZ 0 1;", b"; H 7;;\tCZ 0 1  ;"))
+        assert read_dataset(path) == ds
+
     def test_read_checks_a_repeated_line_against_each_qubit_count(self, tmp_path):
         # H 2 is valid in the first sample (qubits=8) and out of range in
         # the second once its header says qubits=2.
@@ -180,6 +201,17 @@ class TestDatasetContainer:
         back = read_dataset(path)
         assert back == ds
         assert back.clients[0].distribution_tag is AngleDistribution.TRUNCATED_NORMAL
+
+    def test_golden_bytes(self, tmp_path):
+        # The file format is frozen: this small mixed dataset (one
+        # truncated-normal client, two uniform) writes to these exact bytes.
+        ds = generate_federated_dataset(
+            GenConfig(n_clients=3, n_qubits=4, samples_per_client=8, seed=11),
+            non_iid_fraction=0.3)
+        path = tmp_path / "golden.qfd"
+        write_dataset(ds, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4538353cbc100c933651ff3c4137242987e0ee605890c233cd4710793a8d5234")
 
     def test_byte_determinism(self, tmp_path):
         ds = _tiny_dataset()
