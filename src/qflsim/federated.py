@@ -16,22 +16,16 @@ parameters, in process and in a socket worker alike. Evaluation reads
 the test clients' records and, with ``eval_train``, the same training
 records.
 
-In process, LocalTransport trains the clients on every usable core: it
-forks one helper process per further core (at most one per client, and
-none for rounds too small to gain), each owning a fixed share of the
-clients, while the parent trains the rest. The parent sends each helper
-the broadcast and its clients' small carried state every round and
-keeps the authoritative ClientStates, so records are bit-identical
-whatever the core count; ``taskset`` or any other affinity mask
-restricts the cores used, and each process runs pinned to one of them
-while the transport is open.
+The clients run behind a transport with one method, ``round_trip``
+(see qflsim.transport): in process a LocalTransport, whose forked
+helpers train shares of the clients on the other usable cores, or a
+SocketFedServer for clients in worker processes. Each answers a round's
+broadcast with one ClientUpdate per client, and run_round averages them
+and evaluates the result.
 """
 
 import contextlib
 import math
-import multiprocessing
-import os
-import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -63,13 +57,6 @@ EVAL_BATCH = 64
 
 # Random-stream namespace of the batch shuffles (see stream_rng).
 _SHUFFLE_STREAM = 1
-
-# Fewest samples a round trains per process (parent or helper) for a
-# helper to pay off: a helper costs a fork and its first round's
-# copy-on-write faults (about 10 ms together) and a pipe round trip each
-# round, while a sample costs 20-90 us to train (2 to 8 qubits).
-MIN_SAMPLES_PER_PROCESS = 500
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -336,212 +323,10 @@ class EvalContext:
         )
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (its affinity mask where the platform
-    has one, so ``taskset`` restricts it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _pin_to(core: int | None) -> None:
-    """Run this process on ``core`` alone. Placement only: where the mask
-    refuses it, the process stays where it was."""
-    if core is not None:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {core})
-
-
-def _fork_context():
-    """The fork start method, or None on platforms without it."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
-def _serve_share(conn, clients: dict[str, ClientState], inherited,
-                 core: int | None) -> None:
-    """Body of a LocalTransport helper process: pin itself to ``core``,
-    then train the requested clients of its share each round until the
-    parent closes the pipe.
-
-    A request is (round, broadcast parameters, [(client id, optimizer
-    state, epochs done)]); the reply lists, per client in that order,
-    (id, values, samples, loss, optimizer state, epochs done), or ends
-    with (id, error text) at the first client that fails.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops helpers
-    for other in inherited:  # parent ends, so that EOF comes if it dies
-        other.close()
-    _pin_to(core)
-    while True:
-        try:
-            round_index, params, states = conn.recv()
-        except EOFError:
-            return
-        reply = []
-        for cid, opt_state, epochs_done in states:
-            client = clients[cid]
-            client.opt_state, client.epochs_done = opt_state, epochs_done
-            try:
-                update = local_train(client, params, round_index)
-            except Exception as exc:
-                reply.append((cid, str(exc)))
-                break
-            reply.append((cid, update.params.values, update.num_samples,
-                          update.local_loss, client.opt_state, client.epochs_done))
-        conn.send(reply)
-
-
-@dataclass(eq=False)
-class _Helper:
-    process: multiprocessing.process.BaseProcess
-    conn: "multiprocessing.connection.Connection"  # imported by ctx.Pipe()
-    client_ids: tuple[str, ...]
-
-
-class LocalTransport:
-    """In-process clients behind the same ``round_trip`` as SocketFedServer.
-
-    On a machine with several usable cores the transport forks
-    ``min(cores, clients, samples per round // MIN_SAMPLES_PER_PROCESS) - 1``
-    helper processes when it is built, so none for a round too small to
-    gain from them. Each inherits the prepared clients and the evaluator
-    copy-on-write and owns a fixed round-robin share of the clients; the
-    parent trains the last, smallest share itself. Where the platform can
-    pin processes, each helper and then the parent run on one core of the
-    parent's affinity mask, dealt round-robin, so no two share a core while
-    cores last (the kernel need not move a forked helper off its parent's
-    core); ``close`` restores the parent's mask. Every round the parent
-    sends a helper the broadcast and its clients' optimizer states and
-    epoch counts and writes the trained ones back, so the parent's
-    ClientStates stay authoritative and results do not depend on the
-    number of helpers. Use it as a context manager (or call ``close``)
-    to stop the helpers.
-    """
-
-    def __init__(self, clients: Sequence[ClientState]):
-        self.clients = {c.client_id: c for c in clients}
-        self._helpers: list[_Helper] = []
-        self._owner: dict[str, _Helper] = {}
-        self._parent_mask: set[int] | None = None
-        ctx = _fork_context()
-        work = sum(len(c.data.samples) * c.cfg.epochs for c in clients)
-        n_processes = min(_usable_cores(), len(self.clients),
-                          work // MIN_SAMPLES_PER_PROCESS) if ctx else 1
-        if n_processes < 2 or not hasattr(os, "sched_setaffinity"):
-            cores = [None]  # no helper, or no pinning on this platform
-        else:
-            cores = sorted(os.sched_getaffinity(0))
-        ids = list(self.clients)
-        try:
-            for h in range(n_processes - 1):
-                share = tuple(ids[h::n_processes])
-                conn, child_conn = ctx.Pipe()
-                inherited = [other.conn for other in self._helpers] + [conn]
-                process = ctx.Process(
-                    target=_serve_share, name=f"qflsim-helper-{h}", daemon=True,
-                    args=(child_conn, {cid: self.clients[cid] for cid in share},
-                          inherited, cores[h % len(cores)]))
-                process.start()
-                child_conn.close()
-                helper = _Helper(process, conn, share)
-                self._helpers.append(helper)
-                self._owner.update(dict.fromkeys(share, helper))
-            if cores[0] is not None:
-                self._parent_mask = os.sched_getaffinity(0)
-                _pin_to(cores[(n_processes - 1) % len(cores)])
-        except BaseException:
-            self.close()
-            raise
-
-    def round_trip(self, round_index: int, params: ParamVector,
-                   order: list[str]) -> list[ClientUpdate]:
-        """Train every client of ``order``, the helpers' shares in their
-        processes while the parent trains its own. A client that fails
-        raises TrainingError; with several failures, the first in
-        ``order``, as if the clients had trained one after another."""
-        shares: dict[_Helper, list[str]] = {}
-        for cid in order:
-            if cid in self._owner:
-                shares.setdefault(self._owner[cid], []).append(cid)
-        dead = []
-        for helper, ids in shares.items():
-            states = [(cid, self.clients[cid].opt_state, self.clients[cid].epochs_done)
-                      for cid in ids]
-            try:
-                helper.conn.send((round_index, params, states))
-            except OSError:
-                dead.append(helper)
-        results = {}  # client id -> ClientUpdate, or why it failed
-        for cid in order:
-            if cid not in self._owner:
-                try:
-                    results[cid] = local_train(self.clients[cid], params, round_index)
-                except Exception as exc:
-                    results[cid] = exc
-                    break
-        for helper in shares:
-            if helper in dead:
-                continue
-            try:
-                reply = helper.conn.recv()
-            except (EOFError, OSError):
-                dead.append(helper)
-                continue
-            for cid, *result in reply:
-                if len(result) == 1:
-                    results[cid] = result[0]
-                    continue
-                values, n_samples, loss, opt_state, epochs_done = result
-                client = self.clients[cid]
-                client.opt_state, client.epochs_done = opt_state, epochs_done
-                results[cid] = ClientUpdate(cid, round_index, params.with_values(values),
-                                            n_samples, loss)
-        if dead:
-            helper = dead[0]
-            helper.process.join()  # its end of the pipe closed as it exited
-            raise TrainingError(
-                f"helper process for clients {list(helper.client_ids)} died in "
-                f"round {round_index} (exit code {helper.process.exitcode})")
-        for cid in order:
-            result = results.get(cid)
-            if not isinstance(result, ClientUpdate):
-                raise TrainingError(
-                    f"client {cid} failed in round {round_index}: {result}"
-                ) from (result if isinstance(result, Exception) else None)
-        return [results[cid] for cid in order]
-
-    def close(self):
-        """Stop every helper at once, mid-round too: the parent holds every
-        client's state, so a helper has nothing to finish. Then give the
-        parent back the affinity mask it had before it was pinned."""
-        if self._parent_mask is not None:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, self._parent_mask)
-            self._parent_mask = None
-        for helper in self._helpers:
-            helper.conn.close()
-            helper.process.kill()
-        for helper in self._helpers:
-            helper.process.join()
-            helper.process.close()
-        self._helpers.clear()
-        self._owner.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def run_round(server: ServerState, transport, cfg: TrainConfig,
               ctx: EvalContext) -> tuple[ServerState, RoundRecord]:
     """One broadcast -> local train -> aggregate -> evaluate cycle; the
-    transport (LocalTransport or qflsim.transport.SocketFedServer) runs
+    transport (qflsim.transport.LocalTransport or SocketFedServer) runs
     the clients."""
     round_index = server.round + 1
     updates = transport.round_trip(round_index, server.params,
@@ -621,6 +406,8 @@ def run_training(dataset: FederatedDataset, cfg: TrainConfig,
     Without a ``transport`` the training clients run in process behind a
     LocalTransport; otherwise the transport (see qflsim.transport) runs them.
     """
+    from .transport import LocalTransport  # transport imports this module
+
     server, clients, ctx = build_run(dataset, cfg, transport is None)
     local = (LocalTransport(clients) if transport is None
              else contextlib.nullcontext(transport))

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import oracles
-import qflsim.federated as federated
+import qflsim.transport as transport
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, TrainingError
 from qflsim.federated import (
     EvalContext,
-    LocalTransport,
     OptimizerConfig,
     OptimizerState,
     PreparedClient,
@@ -43,6 +42,7 @@ from qflsim.model import (
 )
 from qflsim.sim import Circuit, h
 from qflsim.store import params_checksum
+from qflsim.transport import LocalTransport
 
 
 def _tiny_dataset(n_clients=3, samples=16, seed=1, n_qubits=2):
@@ -228,8 +228,8 @@ class TestRunRound:
         server, clients, ctx = build_run(ds, cfg)
         (fresh,) = build_run(ds, cfg)[1]
         expected = local_train(fresh, server.params, round_index=1)
-        with LocalTransport(clients) as transport:
-            new_server, record = run_round(server, transport, cfg, ctx)
+        with LocalTransport(clients) as local:
+            new_server, record = run_round(server, local, cfg, ctx)
         assert np.allclose(new_server.params.values, expected.params.values)
         assert record.round == 1 and new_server.round == 1
 
@@ -254,8 +254,8 @@ class TestRunRound:
         expected_updates = [local_train(c, server2.params, round_index=1)
                             for c in clients2]
         expected = federated_average(expected_updates, server2.client_weights)
-        with LocalTransport(clients) as transport:
-            new_server, _record = run_round(server, transport, cfg, ctx)
+        with LocalTransport(clients) as local:
+            new_server, _record = run_round(server, local, cfg, ctx)
         assert np.array_equal(new_server.params.values, expected.values)
 
     def test_client_failure_aborts_round(self):
@@ -266,45 +266,41 @@ class TestRunRound:
         server, clients, ctx = build_run(ds, cfg)
         clients[1].data = dataclasses.replace(  # poisoned shapes
             clients[1].data, prep_states=clients[1].data.prep_states[:3])
-        with LocalTransport(clients) as transport, \
+        with LocalTransport(clients) as local, \
                 pytest.raises(TrainingError, match=clients[1].client_id):
-            run_round(server, transport, cfg, ctx)
+            run_round(server, local, cfg, ctx)
 
 
 def _forced_helpers(monkeypatch, n_helpers):
     """Make LocalTransport see n_helpers + 1 usable cores and rounds of
     any size worth sharing."""
-    monkeypatch.setattr(federated, "_usable_cores", lambda: n_helpers + 1)
-    monkeypatch.setattr(federated, "MIN_SAMPLES_PER_PROCESS", 1)
+    monkeypatch.setattr(transport, "_usable_cores", lambda: n_helpers + 1)
+    monkeypatch.setattr(transport, "MIN_SAMPLES_PER_PROCESS", 1)
 
 
 class TestLocalTransport:
     def test_records_and_states_identical_for_any_helper_count(self, monkeypatch):
+        # Round 3 depends on the optimizer moments and the epoch counter
+        # that each helper keeps for its clients.
         ds = _tiny_dataset(n_clients=6, samples=8)
         ids = ds.client_ids()
-        cfg = TrainConfig(rounds=2, train_clients=ids[:5], test_clients=ids[5:],
+        cfg = TrainConfig(rounds=3, train_clients=ids[:5], test_clients=ids[5:],
                           epochs=2, batch_size=3, seed=7)
         runs = []
         for n_helpers in range(4):
             _forced_helpers(monkeypatch, n_helpers)
             server, clients, ctx = build_run(ds, cfg)
             records = [ctx.record(0, server.params, {})]
-            with LocalTransport(clients) as transport:
+            with LocalTransport(clients) as local:
                 assert len(multiprocessing.active_children()) == n_helpers
                 for _ in range(cfg.rounds):
-                    server, record = run_round(server, transport, cfg, ctx)
+                    server, record = run_round(server, local, cfg, ctx)
                     records.append(record)
-            states = [(c.opt_state.m, c.opt_state.v, c.opt_state.step, c.epochs_done)
-                      for c in clients]
-            runs.append((records, server.params.values, states))
-        records, values, states = runs[0]
-        assert [c[3] for c in states] == [4] * 5
-        for other_records, other_values, other_states in runs[1:]:
+            runs.append((records, server.params.values))
+        records, values = runs[0]
+        for other_records, other_values in runs[1:]:
             assert other_records == records
             assert np.array_equal(other_values, values)
-            for (m, v, step, epochs), (m2, v2, step2, epochs2) in zip(states, other_states):
-                assert np.array_equal(m, m2) and np.array_equal(v, v2)
-                assert (step, epochs) == (step2, epochs2)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
@@ -317,8 +313,8 @@ class TestLocalTransport:
                           batch_size=4, seed=1)
         server, clients, ctx = build_run(ds, cfg)
         original = os.sched_getaffinity(0)
-        with LocalTransport(clients) as transport:
-            run_round(server, transport, cfg, ctx)  # the helper pinned itself first
+        with LocalTransport(clients) as local:
+            run_round(server, local, cfg, ctx)  # the helper pinned itself first
             (helper,) = multiprocessing.active_children()
             helper_mask = os.sched_getaffinity(helper.pid)
             parent_mask = os.sched_getaffinity(0)
@@ -353,12 +349,10 @@ class TestLocalTransport:
         # The helper owns clients 0 and 2, the parent client 1.
         clients[2].data = dataclasses.replace(  # poisoned shapes
             clients[2].data, prep_states=clients[2].data.prep_states[:3])
-        with LocalTransport(clients) as transport:
+        with LocalTransport(clients) as local:
             with pytest.raises(TrainingError,
                                match=f"client {ids[2]} failed in round 1"):
-                run_round(server, transport, cfg, ctx)
-            # The other helper client's state came back; the parent's trained.
-            assert clients[0].epochs_done == clients[1].epochs_done == 1
+                run_round(server, local, cfg, ctx)
 
     def test_killed_helper_fails_the_round(self, monkeypatch):
         _forced_helpers(monkeypatch, 1)
@@ -374,15 +368,65 @@ class TestLocalTransport:
                 os.kill(os.getpid(), signal.SIGKILL)
             return local_train(client, params, round_index)
 
-        monkeypatch.setattr(federated, "local_train", dying_local_train)
+        monkeypatch.setattr(transport, "local_train", dying_local_train)
         start = time.monotonic()
-        with LocalTransport(clients) as transport:
+        with LocalTransport(clients) as local:
             with pytest.raises(TrainingError) as info:
-                run_round(server, transport, cfg, ctx)
+                run_round(server, local, cfg, ctx)
         assert time.monotonic() - start < 30.0
         message = str(info.value)
-        assert "round 1" in message and "died" in message
-        assert ids[0] in message and ids[2] in message and ids[1] not in message
+        assert "round 1" in message and "disconnected" in message
+        assert ids[0] in message and ids[1] not in message
+
+    def test_hung_helper_fails_its_round_by_name(self, monkeypatch):
+        _forced_helpers(monkeypatch, 1)
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.2)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        server, clients, ctx = build_run(ds, cfg)
+        parent = os.getpid()
+
+        def hanging_local_train(client, params, round_index=0):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return local_train(client, params, round_index)
+
+        monkeypatch.setattr(transport, "local_train", hanging_local_train)
+        start = time.monotonic()
+        with LocalTransport(clients) as local:
+            with pytest.raises(TrainingError,
+                               match=f"client {ids[0]} sent nothing in round 1"):
+                run_round(server, local, cfg, ctx)
+        assert time.monotonic() - start < 5.0
+
+    def test_helper_training_past_the_deadline_keeps_its_round(self, monkeypatch):
+        # A helper says ALIVE, as a socket worker does.
+        _forced_helpers(monkeypatch, 1)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        server, clients, _ctx = build_run(ds, cfg)
+        expected = [local_train(c, server.params, 1) for c in build_run(ds, cfg)[1]]
+        parent = os.getpid()
+
+        def slow_local_train(client, params, round_index=0):
+            if os.getpid() != parent:
+                time.sleep(0.6)
+            return local_train(client, params, round_index)
+
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(transport, "KEEPALIVE_S", 0.05)
+        monkeypatch.setattr(transport, "local_train", slow_local_train)
+        with LocalTransport(clients) as local:
+            assert len(multiprocessing.active_children()) == 1
+            updates = local.round_trip(1, server.params, list(cfg.train_clients))
+        for got, want in zip(updates, expected, strict=True):
+            assert (got.client_id, got.round, got.num_samples, got.local_loss) == \
+                (want.client_id, 1, want.num_samples, want.local_loss)
+            assert np.array_equal(got.params.values, want.params.values)
 
 
 class TestEvaluate:

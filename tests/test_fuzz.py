@@ -28,12 +28,14 @@ from qflsim.transport import (  # noqa: E402
     PROTOCOL_VERSION,
     Alive,
     Done,
+    Error,
     Global,
     Hello,
     Update,
     decode_message,
     encode_alive,
     encode_done,
+    encode_error,
     encode_global,
     encode_hello,
     encode_update,
@@ -166,11 +168,15 @@ _CLIENT_ID = st.text(st.one_of(st.characters(categories=("L", "N")),
                                st.sampled_from("_-")),
                      min_size=1, max_size=8).filter(client_id_ok)
 _VALUES = st.lists(_FINITE, min_size=1, max_size=6).map(tuple)
+# ERROR texts as encode_error writes them: one line, single spaces.
+_ERROR_TEXT = st.text(min_size=1, max_size=20).map(
+    lambda text: " ".join(text.split())).filter(bool)
 _MESSAGE = st.one_of(
     st.builds(Hello, _CLIENT_ID, st.just(PROTOCOL_VERSION)),
     st.builds(Global, st.integers(-5, 10**6), _VALUES),
     st.builds(Update, st.integers(-5, 10**6), _CLIENT_ID, st.integers(0, 10**6),
               _FINITE, _VALUES),
+    st.builds(Error, _CLIENT_ID, st.integers(-5, 10**6), _ERROR_TEXT),
     st.just(Alive()), st.just(Done()),
 )
 
@@ -186,11 +192,13 @@ def _encode(msg) -> str:
         return encode_update(ClientUpdate(msg.client_id, msg.round,
                                           ParamVector(names, msg.values),
                                           msg.num_samples, msg.loss))
+    if isinstance(msg, Error):
+        return encode_error(msg.client_id, msg.round, msg.text)
     return encode_alive() if isinstance(msg, Alive) else encode_done()
 
 
 _WIRE_TOKEN = st.one_of(
-    st.sampled_from(["HELLO", "GLOBAL", "UPDATE", "ALIVE", "DONE",
+    st.sampled_from(["HELLO", "GLOBAL", "UPDATE", "ERROR", "ALIVE", "DONE",
                      f"v{PROTOCOL_VERSION}", "v", "v99", "c1", "a\tb"]),
     _NUMBER, st.lists(_NUMBER, min_size=1, max_size=3).map(",".join),
     st.text(max_size=5))

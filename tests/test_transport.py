@@ -33,12 +33,14 @@ from qflsim.store import write_dataset
 from qflsim.transport import (
     PROTOCOL_VERSION,
     Done,
+    Error,
     Global,
     Hello,
     SocketFedServer,
     Update,
     decode_message,
     encode_done,
+    encode_error,
     encode_global,
     encode_hello,
     encode_update,
@@ -82,6 +84,10 @@ class TestMessageCodec:
     def test_done(self):
         assert decode_message(encode_done()) == Done()
 
+    def test_error_round_trip_puts_its_text_on_one_line(self):
+        msg = decode_message(encode_error("c1", 3, " local training\n  diverged:\tnan "))
+        assert msg == Error("c1", 3, "local training diverged: nan")
+
     def test_parameters_survive_17_digit_round_trip(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(-np.pi, np.pi, 63)
@@ -105,6 +111,12 @@ class TestMessageCodec:
         "HELLO v2 a\tb",
         "GLOBAL 1_0 0.5",
         "UPDATE \u0661 c1 1_6 0.5 1.0",
+        "ERROR c1 1",
+        "ERROR c1 1 ",
+        "ERROR c1 1 two  spaces",
+        "ERROR c1 x boom",
+        "ERROR a\tb 1 boom",
+        "ERROR  1 boom",
     ])
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(ProtocolError):
@@ -230,6 +242,18 @@ class TestSocketRounds:
             t.join(timeout=5)
         assert not t.is_alive()
 
+    def test_disconnected_client_fails_its_round_by_name(self):
+        server = SocketFedServer(1, ("a",))
+        host, port = server.address
+        with socket.create_connection((host, port)) as conn:
+            conn.sendall(encode_hello("gone").encode())
+            server.wait_for_clients(timeout=5)
+        try:
+            with pytest.raises(TrainingError, match="client gone disconnected in round 2"):
+                server.round_trip(2, ParamVector(("a",), np.zeros(1)), ["gone"])
+        finally:
+            server.shutdown()
+
     def test_training_longer_than_the_deadline_keeps_its_round(self, monkeypatch):
         # A client whose local training outlasts the read deadline says
         # ALIVE meanwhile, so its round completes with the usual update.
@@ -304,6 +328,32 @@ class TestWorkerProcess:
                 proc.wait(timeout=60)
             assert proc.returncode == 0
             assert records == reference
+
+    def test_diverged_worker_sends_its_cause(self, tmp_path):
+        # The worker answers with ERROR, so the server names the reason,
+        # and still exits 4 like any training failure.
+        ds = _tiny_dataset(n_clients=2, samples=8, seed=6)
+        ids = ds.client_ids()
+        path = tmp_path / "tiny.qfd"
+        write_dataset(ds, path)
+        arch = default_architecture(2)
+        server = SocketFedServer(1, parameter_names(arch))
+        host, port = server.address
+        proc = subprocess.Popen(_worker_cmd(
+            "--host", host, "--port", str(port), "--dataset", str(path),
+            "--client-id", ids[0], "--lr", "1e308", "--epochs", "3",
+            "--batch-size", "2",
+        ), stderr=subprocess.PIPE, text=True)
+        try:
+            server.wait_for_clients(timeout=60)
+            with pytest.raises(TrainingError, match=f"client {ids[0]} failed in round 1: "
+                                                    "local training diverged"):
+                server.round_trip(1, init_params(arch, 0), [ids[0]])
+        finally:
+            server.shutdown()
+            _out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 4
+        assert "error: local training diverged" in err
 
     @pytest.mark.parametrize("dataset, client_id, code", [
         ("tiny.qfd", "ghost", 2),
