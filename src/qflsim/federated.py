@@ -95,19 +95,21 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
         )
     lr = config.learning_rate
     t = state.step + 1
-    if config.kind == "sgd":
-        new = params - lr * grads
-        return new, OptimizerState(state.m, state.v, t)
-    if config.kind == "adam":
-        m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
-        v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        new = params - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
-        return new, OptimizerState(m, v, t)
-    v = RMSPROP_DECAY * state.v + (1 - RMSPROP_DECAY) * grads**2
-    new = params - lr * grads / np.sqrt(v + EPSILON)
-    return new, OptimizerState(state.m, v, t)
+    # A diverging step overflows; the caller checks for non-finite values.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.kind == "sgd":
+            new = params - lr * grads
+            return new, OptimizerState(state.m, state.v, t)
+        if config.kind == "adam":
+            m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+            v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
+            m_hat = m / (1 - ADAM_BETA1**t)
+            v_hat = v / (1 - ADAM_BETA2**t)
+            new = params - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+            return new, OptimizerState(m, v, t)
+        v = RMSPROP_DECAY * state.v + (1 - RMSPROP_DECAY) * grads**2
+        new = params - lr * grads / np.sqrt(v + EPSILON)
+        return new, OptimizerState(state.m, v, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +216,11 @@ def _shuffle_rng(base_seed: int, seed_key: int, epoch: int) -> np.random.Generat
     return stream_rng(base_seed, _SHUFFLE_STREAM, seed_key, epoch)
 
 
+def _diverged(what: str):
+    raise TrainingError(
+        f"local training diverged: {what} not finite; try a lower learning rate")
+
+
 def local_train(client: ClientState, global_params: ParamVector,
                 round_index: int = 0) -> ClientUpdate:
     """Reset to the broadcast parameters, then run the seeded mini-batch
@@ -221,7 +228,8 @@ def local_train(client: ClientState, global_params: ParamVector,
 
     Mutates the client's moments and epoch counter; returns the final
     parameters with the mean per-batch loss, or raises TrainingError if
-    either is not finite (the optimizer diverged).
+    either is not finite (the optimizer diverged), at the first step whose
+    parameters are not.
     """
     cfg = client.cfg
     n_samples = len(client.data.samples)
@@ -241,13 +249,13 @@ def local_train(client: ClientState, global_params: ParamVector,
             )
             values, opt_state = optimizer_step(opt_state, values, grad, cfg.opt)
             losses.append(loss)
+            if not np.all(np.isfinite(values)):
+                _diverged(f"the parameters after step {len(losses)} are")
         client.epochs_done += 1
     client.opt_state = opt_state
     mean_loss = float(np.mean(losses))
-    if not (math.isfinite(mean_loss) and np.all(np.isfinite(values))):
-        raise TrainingError(
-            f"local training diverged: the parameters or the mean loss "
-            f"({mean_loss}) are not finite; try a lower learning rate")
+    if not math.isfinite(mean_loss):
+        _diverged(f"the mean loss ({mean_loss}) is")
     return ClientUpdate(
         client_id=client.client_id,
         round=round_index,

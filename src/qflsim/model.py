@@ -27,7 +27,12 @@ or 4x4 for one qubit) of the block matrix by a (2 * 2^k, rest) view,
 then one copy into the next block's layout whose innermost runs are
 whole batches; the permutations are fixed at compile time. The
 evaluator owns its work buffers (the tape and two spare states) and
-grows them only for a batch larger than any before it.
+grows them only for a batch larger than any before it. For each batch
+size it builds once a plan of every view its sweeps use (each block's
+(2 * 2^k, rest) input and output, each regather's permuted source and
+its destination, each block's per-sample overlap operands), so a block
+step costs one matmul and one copy; a plan is rebuilt only after the
+buffers it views grow.
 
 Gradients are exact. Every gate has the form exp(-i*theta/2*G) with
 G^2 = I, so each occurrence of a parameter contributes the shift-rule
@@ -37,13 +42,20 @@ sweep taken at block level (Jones & Gacon, arXiv:2009.02823): the tape
 keeps each block's gathered input, and the adjoint state goes back
 through each block by the transpose of its real form. Per block and
 sample, the two summed over the qubits the block does not touch give a
-real 8x8 Gram matrix. Gram matrices are summed per kind, and each
-kind's block matrix is differentiated through the products of the slots
-before and after each occurrence.
+real 8x8 Gram matrix G. Gram matrices are summed per kind, and each
+kind's block matrix U is differentiated slot by slot. U is orthogonal
+(the real form of a unitary), so the slots after slot j multiply to
+U P_j^T, with P_j the product of the slots up to j: the derivative in
+slot j is U P_j^T dgen_j P_j, and its product with G is that of
+P_j^T dgen_j P_j with U^T G. That is two batched matmuls over the slots
+and one U^T per kind and sample, with no suffix products. A one-qubit
+kind's real form is block-diagonal, and only its orthogonal top-left
+block meets the nonzero corner of its Gram matrices.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import zip_longest
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,22 +379,21 @@ def _move(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[tuple, tuple]:
     return shape, tuple(src.index(label) for label in dst)
 
 
-def _regather(state: np.ndarray, move: tuple, out: np.ndarray):
-    """Copy ``state`` into the contiguous ``out`` in the layout ``move``
-    leads to."""
-    shape, axes = move
-    moved = state.reshape(shape).transpose(axes)
-    np.copyto(out.reshape(moved.shape), moved)
+class _Plan(NamedTuple):
+    """Every view the sweeps of one batch size use, built once. A step
+    (mat, x, y, moved, dst) is ``y = mat @ x``, then, given a ``dst``, the
+    copy of ``moved`` (y's buffer in the next layout's axis order) into it."""
 
-
-def _block_step(mat: np.ndarray, state: np.ndarray, out: np.ndarray,
-                move: tuple | None = None, dest: np.ndarray | None = None):
-    """One block of a sweep: out = mat @ state, both (2 * 2^k, rest) with
-    re/im and the block's k qubits leading; then, given a move, out
-    regathered into ``dest`` in the next block's layout."""
-    np.matmul(mat, state, out=out)
-    if move is not None:
-        _regather(out, move, dest)
+    first: np.ndarray          # the prepared states' destination
+    forward: list[tuple]       # one step per block
+    final: np.ndarray          # (2 * 2^n, batch): the last block's output
+    square: np.ndarray         # readout scratch of final's shape
+    # The taped sweep's adjoint: (lam, psi, gram) per block and one step
+    # per block but the first, both the last block first; and the grams
+    # as (block, batch * 64) rows.
+    overlaps: list[tuple] = []
+    backward: list[tuple] = []
+    overlap_rows: np.ndarray | None = None
 
 
 def _all_equal(ops: tuple[GateOp, ...]) -> bool:
@@ -462,12 +473,19 @@ class ModelEvaluator:
         self._scatter[param[used], used] = 1.0
         self._kind_sum = np.zeros((len(kind_runs), len(blocks)))
         self._kind_sum[self.block_kinds, np.arange(len(blocks))] = 1.0
-        # Slots, prefix, suffix, scratch and derivative matrices.
-        self._algebra = np.empty((5,) + shape + (8, 8))
-
-        # Rows of each block's real form; the prepared states are complex
-        # (batch, qubits high to low), read as real with re/im last.
+        # Slots, prefix products, scratch and derivative matrices, with
+        # fixed views of them: each block's matrix, every kind's transposed
+        # block matrix, the transposed prefixes and the derivative rows.
+        self._algebra = np.empty((4,) + shape + (8, 8))
+        _slots, prefix, _scratch, deriv = self._algebra
         self._dims = [2 << len(q) for q in self.block_qubits]
+        self._mats = [prefix[-1, k, :d, :d] for k, d in zip(self.block_kinds, self._dims)]
+        self._kind_mats_t = prefix[-1].transpose(0, 2, 1)[:, None]
+        self._prefix_t = prefix.swapaxes(-1, -2)
+        self._deriv_rows = deriv.reshape(shape + (64,)).transpose(1, 0, 2)
+
+        # The prepared states are complex (batch, qubits high to low), read
+        # as real with re/im last.
         layouts = [(_BATCH,) + tuple(range(n - 1, -1, -1)) + (_REIM,)]
         layouts += [_layout(q, n) for q in self.block_qubits] or [_layout((), n)]
         # _into[b] regathers block b-1's output (or the prepared states)
@@ -484,6 +502,9 @@ class ModelEvaluator:
         self._spare = np.empty((2, 0))
         self._tape = np.empty((len(blocks), 0))
         self._overlaps = np.zeros((len(blocks), 0, 8, 8))
+        # One plan per batch size and sweep (taped or not), dropped when a
+        # buffer it views grows.
+        self._plans: dict[tuple[int, bool], _Plan] = {}
 
     def _spares(self, batch: int) -> np.ndarray:
         """Two reused real state buffers, grown only for a batch larger
@@ -491,6 +512,7 @@ class ModelEvaluator:
         size = batch << (self.n_qubits + 1)
         if self._spare.shape[1] < size:
             self._spare = np.empty((2, size))
+            self._plans.clear()
         return self._spare[:, :size]
 
     def _tape_rows(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -500,13 +522,61 @@ class ModelEvaluator:
         if self._tape.shape[1] < size:
             self._tape = np.empty((len(self.block_qubits), size))
             self._overlaps = np.zeros((len(self.block_qubits), batch, 8, 8))
+            self._plans.clear()
         return self._tape[:, :size], self._overlaps[:, :batch]
 
-    def _block_matrices(self, values: np.ndarray) -> np.ndarray:
+    def _plan(self, batch: int, taped: bool) -> _Plan:
+        plan = self._plans.get((batch, taped))
+        if plan is None:
+            plan = self._plans[batch, taped] = self._build_plan(batch, taped)
+        return plan
+
+    def _build_plan(self, batch: int, taped: bool) -> _Plan:
+        """The views of one batch size's sweeps. The forward-only sweep
+        reads one spare state and writes the other; the taped sweep reads
+        each block's input from the tape and writes the first spare, where
+        its adjoint sweep starts lam and takes it back through the other."""
+        spare, other = self._spares(batch)
+        n_blocks = len(self._mats)
+        labels = (2,) * (self.n_qubits + 1) + (batch,)  # one axis per label
+
+        def step(mat, x, y, move=None, dst=None):
+            d = mat.shape[0]
+            if move is None:
+                return mat, x.reshape(d, -1), y.reshape(d, -1), None, None
+            return (mat, x.reshape(d, -1), y.reshape(d, -1),
+                    y.reshape(labels).transpose(move[1]), dst.reshape(labels))
+
+        if taped:
+            tape, overlaps = self._tape_rows(batch)
+            inputs, out = list(tape), spare
+        else:
+            inputs, out, other = [spare] * n_blocks, other, spare
+        forward = [step(self._mats[b], inputs[b], out, self._into[b + 1], inputs[b + 1])
+                   for b in range(n_blocks - 1)]
+        forward += [step(mat, inputs[-1], out) for mat in self._mats[-1:]]
+        final = out.reshape(-1, batch)
+        first = inputs[0] if n_blocks else out  # where the prepared states go
+        plan = _Plan(first.reshape(labels), forward, final, other.reshape(final.shape))
+        if not taped:
+            return plan
+        order = range(n_blocks - 1, -1, -1)
+        return plan._replace(
+            overlaps=[(out.reshape(d, -1, batch).transpose(2, 0, 1),
+                       tape[b].reshape(d, -1, batch).transpose(2, 1, 0),
+                       overlaps[b, :, :d, :d])
+                      for b in order for d in [self._dims[b]]],
+            backward=[step(self._mats[b].T, out, other, self._back[b], out)
+                      for b in order if b],
+            overlap_rows=self._overlaps.reshape(
+                n_blocks, self._overlaps.shape[1] * 64)[:, :batch * 64])
+
+    def _block_matrices(self, values: np.ndarray):
         """Each kind's real 8x8 block matrix (a one-qubit kind's is its
-        top-left 4x4), the last of the depth-major prefix products:
-        prefix[j] is slot j times every earlier slot of its kind."""
-        slots, prefix, _suffix, scratch, _deriv = self._algebra
+        top-left 4x4, which self._mats views per block), the last of the
+        depth-major prefix products: prefix[j] is slot j times every
+        earlier slot of its kind."""
+        slots, prefix, scratch, _deriv = self._algebra
         bound = np.append(np.asarray(values, dtype=float), 0.0)[self._param]
         half = 0.5 * (self._angle + self._sign * bound)
         np.multiply(np.cos(half)[..., None, None], self._cos_part, out=slots)
@@ -515,41 +585,32 @@ class ModelEvaluator:
         prefix[0] = slots[0]
         for j in range(1, len(slots)):
             np.matmul(slots[j], prefix[j - 1], out=prefix[j])
-        return prefix[-1]
 
     def _slot_derivatives(self) -> np.ndarray:
         """After _block_matrices: for every kind and slot j, the real form
-        of the block matrix with slot j differentiated, suffix_j dgen_j
-        prefix_j, as (kind, slot, 64) rows. A row's dot with a flattened
-        Gram matrix (see readout_z_and_gradient) is Re <lam| dU |psi>."""
-        slots, prefix, suffix, scratch, deriv = self._algebra
-        suffix[-1] = np.eye(8)
-        for j in range(len(slots) - 2, -1, -1):
-            np.matmul(suffix[j + 1], slots[j + 1], out=suffix[j])
+        P_j^T dgen_j P_j, with P_j the prefix product through slot j and
+        dgen_j its derivative generator, as (kind, slot, 64) rows. The
+        block matrix U is orthogonal, so the slots after j multiply to
+        U P_j^T and U with slot j differentiated is U P_j^T dgen_j P_j; a
+        row's dot with a flattened U^T G, for a Gram matrix G (see
+        readout_z_and_gradient), is Re <lam| dU |psi>."""
+        _slots, prefix, scratch, deriv = self._algebra
         np.matmul(self._dgen, prefix, out=scratch)
-        np.matmul(suffix, scratch, out=deriv)
-        return deriv.reshape(deriv.shape[:2] + (64,)).transpose(1, 0, 2)
+        np.matmul(self._prefix_t, scratch, out=deriv)
+        return self._deriv_rows
 
-    def _per_block(self, kind_mats: np.ndarray) -> list[np.ndarray]:
-        return [kind_mats[k, :d, :d] for k, d in zip(self.block_kinds, self._dims)]
-
-    def _sweep(self, prep_states: np.ndarray, mats: list[np.ndarray],
-               inputs, out: np.ndarray) -> np.ndarray:
-        """Forward sweep: block b reads inputs[b] and writes ``out``,
-        which is regathered into inputs[b + 1]. Returns the final states
-        as (2 * 2^n, batch) in the last block's layout."""
-        batch = len(prep_states)
+    def _forward(self, plan: _Plan, prep_states: np.ndarray) -> np.ndarray:
+        """The forward sweep of ``plan`` from the prepared states, after
+        _block_matrices; returns each sample's <Z> and leaves the final
+        states in plan.final, in the last block's layout."""
+        shape, axes = self._into[0]
         src = np.ascontiguousarray(prep_states, dtype=complex).view(float)
-        _regather(src, self._into[0], inputs[0] if mats else out)
-        for b, mat in enumerate(mats):
-            d, more = self._dims[b], b + 1 < len(mats)
-            _block_step(mat, inputs[b].reshape(d, -1), out.reshape(d, -1),
-                        self._into[b + 1] if more else None,
-                        inputs[b + 1] if more else None)
-        return out.reshape(-1, batch)
-
-    def _readout(self, final: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        return self._z_signs @ np.square(final, out=scratch.reshape(final.shape))
+        np.copyto(plan.first, src.reshape(shape).transpose(axes))
+        for mat, x, y, moved, dst in plan.forward:
+            np.matmul(mat, x, out=y)
+            if dst is not None:
+                np.copyto(dst, moved)
+        return self._z_signs @ np.square(plan.final, out=plan.square)
 
     def prep_states(self, samples: Sequence[Sample]) -> np.ndarray:
         """(n_samples, 2^n) array of each sample's prepared input state.
@@ -605,9 +666,8 @@ class ModelEvaluator:
 
     def readout_z(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         _check_batch(prep_states)
-        psi, out = self._spares(len(prep_states))
-        mats = self._per_block(self._block_matrices(values))
-        return self._readout(self._sweep(prep_states, mats, [psi] * len(mats), out), psi)
+        self._block_matrices(values)
+        return self._forward(self._plan(len(prep_states), taped=False), prep_states)
 
     def predictions(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 + self.readout_z(prep_states, values))
@@ -632,30 +692,29 @@ class ModelEvaluator:
         the kind adds 2 <D_j, G>, the Frobenius product with the real
         form D_j of the block matrix with slot j differentiated, which is
         2 Re <lam| dU_j |psi>. This equals the shift-rule value
-        (E(+pi/2) - E(-pi/2)) / 2 of every occurrence.
+        (E(+pi/2) - E(-pi/2)) / 2 of every occurrence. With
+        D_j = U P_j^T dgen_j P_j (see _slot_derivatives), the product is
+        <P_j^T dgen_j P_j, U^T G>, so U^T is applied once per kind and
+        sample.
         """
         _check_batch(prep_states)
         batch = len(prep_states)
-        mats = self._per_block(self._block_matrices(values))
-        tape, overlaps = self._tape_rows(batch)
-        lam, spare = self._spares(batch)
-        final = self._sweep(prep_states, mats, tape, lam)
-        z = self._readout(final, spare)
+        self._block_matrices(values)
+        plan = self._plan(batch, taped=True)
+        z = self._forward(plan, prep_states)
 
-        np.multiply(final, self._z_signs[:, None], out=final)
-        for b in range(len(mats) - 1, -1, -1):
-            d = self._dims[b]
-            np.matmul(lam.reshape(d, -1, batch).transpose(2, 0, 1),
-                      tape[b].reshape(d, -1, batch).transpose(2, 1, 0),
-                      out=overlaps[b, :, :d, :d])
-            if b:
-                _block_step(mats[b].T, lam.reshape(d, -1), spare.reshape(d, -1),
-                            self._back[b], lam)
+        np.multiply(plan.final, self._z_signs[:, None], out=plan.final)
+        for (lam, psi, gram), back in zip_longest(plan.overlaps, plan.backward):
+            np.matmul(lam, psi, out=gram)
+            if back is not None:
+                mat, x, y, moved, dst = back
+                np.matmul(mat, x, out=y)
+                np.copyto(dst, moved)
 
-        n_kinds, n_blocks = self._kind_sum.shape
-        gram = (self._kind_sum @ overlaps.reshape(n_blocks, batch * 64)).reshape(
-            n_kinds, batch, 64)
-        traces = self._slot_derivatives() @ gram.transpose(0, 2, 1)
+        n_kinds = len(self._kind_sum)
+        gram = (self._kind_sum @ plan.overlap_rows).reshape(n_kinds, batch, 8, 8)
+        rotated = np.matmul(self._kind_mats_t, gram).reshape(n_kinds, batch, 64)
+        traces = self._slot_derivatives() @ rotated.transpose(0, 2, 1)
         dz = self._scatter @ (2.0 * traces).reshape(-1, batch)
         return z, dz
 

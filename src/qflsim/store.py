@@ -85,9 +85,11 @@ def serialize_circuit(c: Circuit) -> str:
     return _render_lines(c, {})
 
 
-def _render_lines(c: Circuit, memo: dict[GateOp, str]) -> str:
-    """serialize_circuit with ``memo`` mapping ops to their gate lines, so
-    a caller serializing many circuits renders each repeated gate once;
+def _render_lines(c: Circuit, memo: dict[int, tuple[GateOp, str]]) -> str:
+    """serialize_circuit with ``memo`` mapping op ids to the op and its gate
+    line, so a caller serializing many circuits renders each repeated gate
+    object once (samples share their fixed GateOps; keying by id skips the
+    dataclass hash, and keeping the op keeps its id from being reused);
     ops with a concrete angle are rendered each time and never kept, so
     the memo does not grow with a dataset's per-sample angles."""
     lines = [f"{CIRCUIT_MAGIC} qubits={c.n_qubits}"]
@@ -95,10 +97,10 @@ def _render_lines(c: Circuit, memo: dict[GateOp, str]) -> str:
         if op.angle is not None:
             lines.append(_op_line(op))
             continue
-        line = memo.get(op)
-        if line is None:
-            line = memo[op] = _op_line(op)
-        lines.append(line)
+        entry = memo.get(id(op))
+        if entry is None:
+            entry = memo[id(op)] = (op, _op_line(op))
+        lines.append(entry[1])
     return "\n".join(lines)
 
 
@@ -261,7 +263,7 @@ def _render_body(ds: FederatedDataset) -> str:
         f"n_clients={len(ds.clients)}",
         _gen_config_line(ds.gen_config),
     ]
-    memo: dict[GateOp, str] = {}
+    memo: dict[int, tuple[GateOp, str]] = {}
     for client in ds.clients:
         if not client_id_ok(client.client_id):
             raise ConfigError(f"client id {client.client_id!r} not storable")

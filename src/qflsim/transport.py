@@ -287,16 +287,20 @@ class SocketFedServer:
         while len(self._conns) < self.n_clients:
             conn, _addr = self._listener.accept()
             link = _Link(conn)
-            msg = decode_message(link.reader.readline())
-            if not isinstance(msg, Hello):
-                raise ProtocolError(f"expected HELLO, got {msg!r}")
-            if msg.version != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"client {msg.client_id} speaks protocol v{msg.version}, "
-                    f"server expects v{PROTOCOL_VERSION}"
-                )
-            if msg.client_id in self._conns:
-                raise ProtocolError(f"duplicate client id {msg.client_id!r}")
+            try:
+                msg = decode_message(link.reader.readline())
+                if not isinstance(msg, Hello):
+                    raise ProtocolError(f"expected HELLO, got {msg!r}")
+                if msg.version != PROTOCOL_VERSION:
+                    raise ProtocolError(
+                        f"client {msg.client_id} speaks protocol v{msg.version}, "
+                        f"server expects v{PROTOCOL_VERSION}"
+                    )
+                if msg.client_id in self._conns:
+                    raise ProtocolError(f"duplicate client id {msg.client_id!r}")
+            except BaseException:
+                link.close()  # a rejected connection is not kept
+                raise
             self._conns[msg.client_id] = link
 
     def round_trip(self, round_index: int, params: ParamVector,
@@ -327,7 +331,8 @@ class SocketFedServer:
 
 def _serve_clients(conns: Sequence[tuple[socket.socket, ClientState]]) -> None:
     """The client loop: until DONE or EOF, read each connection's GLOBAL in
-    the order given and answer it with its client's UPDATE. A local
+    the order given and answer it with its client's UPDATE; a round's
+    GLOBAL, the same line on every connection, is decoded once. A local
     training that raises is answered with ERROR, then raised again. One
     thread says ALIVE on every connection every KEEPALIVE_S seconds while
     the loop runs (a thread per training would cost a start and a join
@@ -350,18 +355,21 @@ def _serve_clients(conns: Sequence[tuple[socket.socket, ClientState]]) -> None:
 
     beat = threading.Thread(target=say_alive, daemon=True)
     beat.start()
+    last_raw = None
     try:
         while True:
             for client, reader, writer in streams:
                 raw = reader.readline()
                 if not raw:
                     return
-                msg = decode_message(raw)
-                if isinstance(msg, Done):
-                    return
-                if not isinstance(msg, Global):
-                    raise ProtocolError(f"expected GLOBAL or DONE, got {msg!r}")
-                params = ParamVector(client.evaluator.param_names, np.array(msg.values))
+                if raw != last_raw:  # a round's GLOBAL repeats on every connection
+                    msg = decode_message(raw)
+                    if isinstance(msg, Done):
+                        return
+                    if not isinstance(msg, Global):
+                        raise ProtocolError(f"expected GLOBAL or DONE, got {msg!r}")
+                    params = ParamVector(client.evaluator.param_names, np.array(msg.values))
+                    last_raw = raw
                 try:
                     update = local_train(client, params, msg.round)
                 except Exception as exc:

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,19 @@ class TestLocalTrain:
             epochs=3, batch_size=2, opt=OptimizerConfig(kind="adam", learning_rate=1e308))
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="diverged"):
             local_train(client, params)
+
+    @pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+    def test_divergence_raises_without_numpy_warnings(self, kind):
+        # The error names the cause; numpy's overflow warnings from the
+        # optimizer, or from the model on non-finite angles, would only
+        # repeat it.
+        client, params, _ = self._client(
+            epochs=3, batch_size=2, opt=OptimizerConfig(kind=kind, learning_rate=1e308))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match=r"parameters after step \d+ are not finite"):
+                local_train(client, params)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_update_metadata(self):
         client, params, _ = self._client(epochs=2, batch_size=4)

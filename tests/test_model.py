@@ -447,26 +447,22 @@ class TestGradient:
             params.names, model.readout_qubit, 8)
         assert np.max(np.abs(dz - literal)) < 1e-12
 
-    def test_default_arch_applies_one_matrix_per_block(self, monkeypatch):
-        # 265 gates fuse into 19 blocks; a forward and adjoint sweep apply
-        # at most two matrices per block, never one per gate.
-        import qflsim.model as model_module
-
+    def test_default_arch_applies_one_matrix_per_block(self):
+        # 265 gates fuse into 19 blocks; the gradient's plan applies one
+        # matrix per block forward, one per block but the first backward,
+        # and takes one overlap product per block, never one per gate.
         model = build_model(default_architecture(8))
         ev = ModelEvaluator(model, parameter_names(model.arch))
         assert len(model.circuit.ops) == 265
         assert len(ev.block_qubits) == 19
         prep = ev.prep_states(_sample_batch(2))
-        calls = []
-        real = model_module._block_step
-
-        def counting(*args):
-            calls.append(args[0].shape)
-            return real(*args)
-
-        monkeypatch.setattr(model_module, "_block_step", counting)
         ev.readout_z_and_gradient(prep, init_params(model.arch, 0).values)
-        assert 19 <= len(calls) <= 2 * 19
+        plan = ev._plans[2, True]
+        assert (len(plan.forward), len(plan.backward), len(plan.overlaps)) == (19, 18, 19)
+        assert all(mat.shape == (8, 8) for mat, *_ in plan.forward + plan.backward)
+        # Every step but the last forward one regathers into the next layout.
+        assert [dst is None for *_, dst in plan.forward] == [False] * 18 + [True]
+        assert all(dst is not None for *_, dst in plan.backward)
 
     def test_default_arch_compiles_to_seven_block_kinds(self):
         # Translational weight sharing: the 19 blocks are 7 kinds. The
@@ -544,6 +540,53 @@ class TestGradient:
             assert [id(ev._tape), id(ev._spare), id(ev._overlaps)] == buffers
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
+    def test_plans_survive_buffer_growth(self):
+        # One evaluator's plans at each batch size, before and after its
+        # buffers grow, give what a fresh evaluator's first plan gives.
+        model = build_model(default_architecture(8))
+        names = parameter_names(model.arch)
+        ev = ModelEvaluator(model, names)
+        values = init_params(model.arch, 6).values
+        prep = ev.prep_states(_sample_batch(32, seed=5))
+        for size in (16, 5, 32, 16, 1):
+            fresh = ModelEvaluator(model, names)
+            z, dz = ev.readout_z_and_gradient(prep[:size], values)
+            z_fresh, dz_fresh = fresh.readout_z_and_gradient(prep[:size], values)
+            assert np.array_equal(z, z_fresh) and np.array_equal(dz, dz_fresh)
+            assert np.array_equal(ev.readout_z(prep[:size], values),
+                                  fresh.readout_z(prep[:size], values))
+        # Growing to 32 dropped the plans of 16 and 5.
+        assert sorted(ev._plans) == [(b, taped) for b in (1, 16, 32)
+                                     for taped in (False, True)]
+
+    @pytest.mark.parametrize("case", ["fc", "one-qubit blocks"])
+    def test_one_qubit_blocks_match_literal_shift_rule(self, case):
+        # A one-qubit block's real form is block-diagonal and orthogonal
+        # only in its top-left corner, which is all its Gram matrices meet.
+        if case == "fc":
+            arch = build_architecture(4, include_fc=True)
+            circuit = build_model_circuit(arch)
+        else:
+            arch = ArchitectureSpec(3, 0, 0)
+            circuit = Circuit(3, (
+                rx(0, symbol="a"), h(0), GateOp("RY", (0,), symbol="b", sign=-1), cnot(1, 2),
+                GateOp("RZ", (0,), symbol="a"), GateOp("XX", (2, 1), symbol="c"),
+                h(1), GateOp("RY", (0,), angle=0.3), GateOp("RX", (2,), symbol="b")))
+        names = circuit.symbols()
+        ev = ModelEvaluator(Model(arch, circuit), names)
+        if case != "fc":
+            assert [len(q) for q in ev.block_qubits] == [1, 2, 1, 2, 2]
+        rng = np.random.default_rng(11)
+        values = rng.uniform(-math.pi, math.pi, size=len(names))
+        bindings = dict(zip(names, values.tolist()))
+        preps = [oracles.random_circuit(rng, arch.n_qubits, 10) for _ in range(3)]
+        _z, dz = ev.readout_z_and_gradient(
+            ev.prep_states([Sample(p, 0) for p in preps]), values)
+        for i, prep in enumerate(preps):
+            literal = oracles.shift_rule_gradient(
+                prep, circuit.ops, bindings, names, arch.readout_qubit, arch.n_qubits)
+            assert np.max(np.abs(dz[:, i] - literal)) < 1e-12
+
     def test_gateless_model_reads_the_prepared_state(self):
         arch = ArchitectureSpec(2, 0, 1)
         ev = ModelEvaluator(Model(arch, Circuit(2)), ("t",))
@@ -551,6 +594,8 @@ class TestGradient:
         z, dz = ev.readout_z_and_gradient(prep, np.zeros(1))
         assert z == pytest.approx([0.0, 1.0], abs=1e-15)
         assert np.array_equal(dz, np.zeros((1, 2)))
+        assert np.array_equal(ev.readout_z(prep, np.zeros(1)), z)
+        assert np.array_equal(ev.readout_z_and_gradient(prep[:1], np.zeros(1))[0], z[:1])
 
     def test_shared_symbol_sums_occurrences(self):
         # Two RX gates sharing one symbol: d<Z>/dt of RX(2t) is -2 sin(2t).

@@ -195,6 +195,29 @@ class TestSocketRounds:
         finally:
             server.shutdown()
 
+    @pytest.mark.parametrize("hello, error", [
+        ("HELLO v99 c1", "protocol v99"),
+        ("HELLO v{v} c0", "duplicate"),
+        ("ALIVE", "expected HELLO"),
+        ("HELLO", "bad HELLO"),
+    ])
+    def test_rejected_hello_closes_its_connection(self, hello, error):
+        server = SocketFedServer(2, ("a",))
+        host, port = server.address
+        try:
+            with socket.create_connection((host, port)) as first, \
+                    socket.create_connection((host, port)) as conn:
+                first.sendall(encode_hello("c0").encode())
+                conn.sendall(hello.format(v=PROTOCOL_VERSION).encode() + b"\n")
+                # The kept traceback holds wait_for_clients' frame, so only
+                # an explicit close ends the rejected connection.
+                with pytest.raises(ProtocolError, match=error) as _raised:
+                    server.wait_for_clients(timeout=5)
+                conn.settimeout(5)
+                assert conn.recv(1) == b""
+        finally:
+            server.shutdown()
+
     def test_round_mismatch_rejected(self):
         server = SocketFedServer(1, ("a",))
         host, port = server.address
@@ -292,6 +315,59 @@ class TestSocketRounds:
         assert np.array_equal(update.params.values, expected.params.values)
 
 
+def test_client_loop_decodes_each_round_global_once(monkeypatch):
+    # A helper serving several clients reads the same GLOBAL line on each
+    # connection; it is parsed once per round, and every client still
+    # trains from it as if alone.
+    ds = _tiny_dataset(n_clients=4)
+    ids = ds.client_ids()
+    cfg = TrainConfig(rounds=2, train_clients=ids[:3], test_clients=ids[3:],
+                      batch_size=4, seed=3)
+    params = [init_params(default_architecture(2), seed) for seed in (1, 2)]
+    expected = []
+    for i in range(3):
+        client = _make_client(ds, i, cfg)
+        expected += [transport.local_train(client, p, r)
+                     for r, p in enumerate(params, start=1)]
+    decoded = []
+    real_decode = transport.decode_message
+
+    def counting_decode(line):
+        decoded.append(line.split(" ", 1)[0])
+        return real_decode(line)
+
+    monkeypatch.setattr(transport, "decode_message", counting_decode)
+    pairs = [socket.socketpair() for _ in range(3)]
+    loop = threading.Thread(target=transport._serve_clients, args=(
+        [(theirs, _make_client(ds, i, cfg)) for i, (_ours, theirs) in enumerate(pairs)],))
+    ends = [(ours.makefile("r"), ours.makefile("w")) for ours, _theirs in pairs]
+    loop.start()
+    answers = []
+    try:
+        for r, p in enumerate(params, start=1):
+            for _reader, writer in ends:
+                writer.write(encode_global(r, p.values))
+                writer.flush()
+            answers += [decode_message(reader.readline()) for reader, _writer in ends]
+        ends[0][1].write(encode_done())
+        ends[0][1].flush()
+        loop.join(timeout=10)
+    finally:
+        for reader, writer in ends:
+            reader.close()
+            writer.close()
+        for ours, theirs in pairs:
+            ours.close()
+            theirs.close()
+    assert not loop.is_alive()
+    assert decoded == ["GLOBAL", "GLOBAL", "DONE\n"]
+    by_key = {(u.client_id, u.round): u for u in answers}
+    for want in expected:
+        got = by_key[want.client_id, want.round]
+        assert got.loss == want.local_loss
+        assert got.values == tuple(want.params.values)
+
+
 def _worker_cmd(*args):
     return [sys.executable, "-m", "qflsim.worker", *args]
 
@@ -354,6 +430,7 @@ class TestWorkerProcess:
             _out, err = proc.communicate(timeout=60)
         assert proc.returncode == 4
         assert "error: local training diverged" in err
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("dataset, client_id, code", [
         ("tiny.qfd", "ghost", 2),
