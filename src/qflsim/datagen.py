@@ -121,9 +121,11 @@ def generate_sample(rng: np.random.Generator, config: GenConfig,
         raise ConfigError(
             f"target qubit {target_qubit} out of range for {config.n_qubits} qubits"
         )
-    angle = draw_angle(rng, config)
-    base = cluster_state_circuit(config.n_qubits)
-    prep = Circuit(config.n_qubits, base.ops + (rx(target_qubit, angle),))
+    return _excited_sample(config, target_qubit, draw_angle(rng, config))
+
+
+def _excited_sample(config: GenConfig, target_qubit: int, angle: float) -> Sample:
+    prep = cluster_state_circuit(config.n_qubits).then(rx(target_qubit, angle))
     return Sample(prep, label_rule(angle, config.excitation_threshold))
 
 
@@ -139,9 +141,15 @@ def generate_client_dataset(config: GenConfig, client_index: int,
         else config.angle_distribution
     cfg = replace(config, angle_distribution=dist)
     rng = client_rng(config.seed, client_index)
+    m = cfg.samples_per_client
+    if dist is AngleDistribution.UNIFORM_PI:
+        # One call draws the same stream as m calls of draw_angle.
+        angles = rng.uniform(-math.pi, math.pi, m).tolist()
+    else:
+        angles = [draw_angle(rng, cfg) for _ in range(m)]
     samples = tuple(
-        generate_sample(rng, cfg, m % cfg.n_qubits)
-        for m in range(cfg.samples_per_client)
+        _excited_sample(cfg, k % cfg.n_qubits, angle)
+        for k, angle in enumerate(angles)
     )
     return ClientDataset(f"client_{client_index:03d}", samples, dist)
 

@@ -13,6 +13,7 @@ immutable: every operation returns a fresh array.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,13 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in GATE_ARITY:
             raise ConfigError(f"unknown gate kind {self.kind!r}")
-        targets = tuple(int(q) for q in self.targets)
+        try:
+            targets = tuple(map(operator.index, self.targets))
+        except TypeError:
+            raise ConfigError(
+                f"{self.kind} targets must be integer qubit indices, "
+                f"got {self.targets!r}"
+            ) from None
         object.__setattr__(self, "targets", targets)
         arity = GATE_ARITY[self.kind]
         if len(targets) != arity:
@@ -116,9 +123,17 @@ class Circuit:
         n = self.n_qubits
         for op in ops:  # GateOp has checked that every target is >= 0
             if max(op.targets) >= n:
-                raise ConfigError(
-                    f"{op.kind} targets {op.targets} out of range for {n} qubits"
-                )
+                raise _out_of_range(op, n)
+
+    def then(self, op: GateOp) -> "Circuit":
+        """``Circuit(n_qubits, ops + (op,))``, range-checking only ``op``:
+        this circuit's own ops passed the constructor's check."""
+        if max(op.targets) >= self.n_qubits:
+            raise _out_of_range(op, self.n_qubits)
+        out = object.__new__(Circuit)
+        object.__setattr__(out, "n_qubits", self.n_qubits)
+        object.__setattr__(out, "ops", self.ops + (op,))
+        return out
 
     def symbols(self) -> tuple[str, ...]:
         """Distinct symbol names in first-appearance order."""
@@ -127,6 +142,12 @@ class Circuit:
             if op.symbol is not None and op.symbol not in seen:
                 seen[op.symbol] = None
         return tuple(seen)
+
+
+def _out_of_range(op: GateOp, n_qubits: int) -> ConfigError:
+    return ConfigError(
+        f"{op.kind} targets {op.targets} out of range for {n_qubits} qubits"
+    )
 
 
 def h(q: int) -> GateOp:

@@ -27,12 +27,16 @@ The checksum is the first 64 bits (16 hex chars) of SHA-256 over every
 byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
 
-A write renders each distinct gate without an angle once, and a read
-parses each distinct gate line once and shares the op among the samples
-that repeat it (16 of the 17 gate lines of a generated sample). A
-socket worker reads only its own client: it verifies the checksum and
-every client header but parses only that client's samples; the
-server's full read validates every sample.
+A write renders each distinct gate without an angle once. A read parses
+each distinct gate line once and shares the op among the samples that
+repeat it (16 of the 17 gate lines of a generated sample). When
+consecutive samples share a head, their header and every gate line but
+the last (as all samples of a generated file do), the head is checked
+once into a circuit that each later sample of the run extends by its
+last gate with ``Circuit.then``. A socket worker reads only its own
+client: it verifies the checksum and every client header but parses
+only that client's samples; the server's full read validates every
+sample.
 """
 
 import dataclasses
@@ -145,15 +149,25 @@ def _parse_lines(lines: list[str], memo: dict[int, dict[str, GateOp]]) -> Circui
     for lineno, raw in enumerate(lines[1:], start=2):
         op = known.get(raw)
         if op is None:
-            line = raw.strip()
-            if not line:
+            op = _memo_op(known, raw, lineno, n_qubits)
+            if op is None:
                 continue
-            op = known[raw] = _parse_op(line, lineno, n_qubits)
         ops.append(op)
     try:
         return Circuit(n_qubits, tuple(ops))
     except ConfigError as exc:
         raise CircuitParseError(f"line 1: {exc}") from None
+
+
+def _memo_op(known: dict[str, GateOp], raw: str, lineno: int,
+             n_qubits: int) -> GateOp | None:
+    """The op of gate line ``raw``, parsed and kept in ``known``; None for
+    a blank line."""
+    line = raw.strip()
+    if not line:
+        return None
+    op = known[raw] = _parse_op(line, lineno, n_qubits)
+    return op
 
 
 def _parse_op(line: str, lineno: int, n_qubits: int) -> GateOp:
@@ -168,7 +182,7 @@ def _parse_op(line: str, lineno: int, n_qubits: int) -> GateOp:
             f"line {lineno}: {kind} expects {n_tokens - 1} argument(s)"
         )
     try:
-        targets = tuple(parse_number(t) for t in tokens[1:1 + arity])
+        targets = tuple(map(parse_number, tokens[1:1 + arity]))
     except ValueError:
         raise CircuitParseError(f"line {lineno}: bad qubit index") from None
     angle, symbol, sign = (None, None, 1)
@@ -178,7 +192,7 @@ def _parse_op(line: str, lineno: int, n_qubits: int) -> GateOp:
         op = GateOp(kind, targets, angle, symbol, sign)
     except ConfigError as exc:
         raise CircuitParseError(f"line {lineno}: {exc}") from None
-    if any(q >= n_qubits for q in targets):
+    if max(targets) >= n_qubits:
         raise CircuitParseError(
             f"line {lineno}: qubit out of range for qubits={n_qubits}"
         )
@@ -303,7 +317,7 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
 
 
 def _parse_sample(line: str, lineno: int, n_qubits: int,
-                  memo: dict[int, dict[str, GateOp]]) -> Sample:
+                  memo: dict[int, dict[str, GateOp]], previous: list) -> Sample:
     parts = line.split(" ", 2)
     if len(parts) != 3 or parts[0] != "s":
         raise DatasetFormatError(f"line {lineno}: bad sample line")
@@ -315,13 +329,41 @@ def _parse_sample(line: str, lineno: int, n_qubits: int,
         raise DatasetFormatError(f"line {lineno}: label must be 0 or 1")
     if "$" in parts[2]:
         raise DatasetFormatError(f"line {lineno}: sample circuit has a symbol")
-    circuit = _parse_lines(parts[2].split(";"), memo)
+    circuit = _parse_sample_circuit(parts[2], memo, previous)
     if circuit.n_qubits != n_qubits:
         raise DatasetFormatError(
             f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
             f"match dataset ({n_qubits})"
         )
     return Sample(circuit, label)
+
+
+def _parse_sample_circuit(text: str, memo: dict[int, dict[str, GateOp]],
+                          previous: list) -> Circuit:
+    """_parse_lines over a sample's ';'-joined circuit text. ``previous``
+    is the previous sample's head (the text before its last ';') and,
+    once a sample repeats that head, its checked circuit and the number
+    of its last line. A sample with a new head is parsed whole. The first
+    sample that repeats it parses and checks the head once; from then on
+    a sample with that head only parses its last line (through ``memo``)
+    and appends it with Circuit.then. A head seen before parsed cleanly,
+    so that last line is the only one that can fail, with the error a
+    whole parse gives."""
+    head, sep, last = text.rpartition(";")
+    if not sep or head != previous[0]:
+        previous[:] = head, None
+        return _parse_lines(text.split(";"), memo)
+    if previous[1] is None:
+        lines = head.split(";")
+        previous[1] = (_parse_lines(lines, memo), len(lines) + 1)
+    circuit, lineno = previous[1]
+    known = memo[circuit.n_qubits]
+    op = known.get(last)
+    if op is None:
+        op = _memo_op(known, last, lineno, circuit.n_qubits)
+        if op is None:
+            return circuit
+    return circuit.then(op)
 
 
 def _header_int(line: str, key: str, path) -> int:
@@ -378,6 +420,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
 
     wanted = None if clients is None else set(clients)
     memo: dict[int, dict[str, GateOp]] = {}
+    previous: list = [None, None]  # see _parse_sample_circuit
     parsed: list[ClientDataset] = []
     i = 3  # reported line numbers add 3: the magic and checksum lines
     while i < len(lines):
@@ -408,7 +451,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
         samples = ()
         if wanted is None or client_id in wanted:
             samples = tuple(
-                _parse_sample(lines[idx], idx + 3, gen_config.n_qubits, memo)
+                _parse_sample(lines[idx], idx + 3, gen_config.n_qubits, memo, previous)
                 for idx in range(i + 1, i + 1 + count))
         parsed.append(ClientDataset(client_id, samples, dist))
         i += 1 + count

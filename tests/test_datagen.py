@@ -9,6 +9,7 @@ import oracles
 from qflsim.datagen import (
     AngleDistribution,
     GenConfig,
+    client_rng,
     cluster_state_circuit,
     draw_angle,
     generate_client_dataset,
@@ -17,7 +18,8 @@ from qflsim.datagen import (
     label_rule,
 )
 from qflsim.errors import ConfigError
-from qflsim.sim import apply_circuit, new_zero_state
+from qflsim.model import Sample
+from qflsim.sim import Circuit, apply_circuit, new_zero_state, rx
 
 
 class _FixedRng:
@@ -177,6 +179,27 @@ class TestFederatedDataset:
 
         sequences = [angles(c) for c in ds.clients]
         assert len(set(sequences)) == len(sequences)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_default_size_matches_scalar_draws(self, fraction):
+        # Uniform clients draw all their angles in one call; the stream
+        # must stay the one that one scalar draw per sample gives.
+        cfg = GenConfig(n_clients=30, seed=8)
+        ds = generate_federated_dataset(cfg, fraction)
+        n_trunc = math.ceil(fraction * cfg.n_clients)
+        base = cluster_state_circuit(cfg.n_qubits).ops
+        for k, client in enumerate(ds.clients):
+            dist = AngleDistribution.TRUNCATED_NORMAL if k < n_trunc \
+                else AngleDistribution.UNIFORM_PI
+            scalar_cfg = GenConfig(n_clients=30, seed=8, angle_distribution=dist)
+            rng = client_rng(cfg.seed, k)
+            want = []
+            for m in range(cfg.samples_per_client):
+                angle = draw_angle(rng, scalar_cfg)
+                prep = Circuit(cfg.n_qubits, base + (rx(m % cfg.n_qubits, angle),))
+                want.append(Sample(prep, label_rule(angle, cfg.excitation_threshold)))
+            assert client.distribution_tag is dist
+            assert client.samples == tuple(want)
 
     def test_zero_clients_rejected(self):
         with pytest.raises(ConfigError):

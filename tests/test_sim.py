@@ -119,6 +119,44 @@ class TestGateOpValidation:
             Circuit(3, ops)
         assert str(info.value) == "CZ targets (3, 1) out of range for 3 qubits"
 
+    @pytest.mark.parametrize("targets", [(1.5,), ("2",), (None,)])
+    def test_non_integer_target_names_the_targets(self, targets):
+        # int() would truncate 1.5 to 1 and read "2" as 2.
+        with pytest.raises(ConfigError, match=r"H targets must be integer qubit indices, got \("):
+            GateOp("H", targets)
+
+    def test_numpy_integer_targets_become_ints(self):
+        op = GateOp("CZ", (np.int64(2), np.uint8(0)))
+        assert op.targets == (2, 0) and all(type(q) is int for q in op.targets)
+
+
+class TestCircuitThen:
+    def test_equals_the_constructed_circuit(self):
+        base = Circuit(3, (h(0), cz(0, 1), xx(1, 2, 0.25)))
+        op = rx(2, -1.5)
+        extended = base.then(op)
+        assert extended == Circuit(3, base.ops + (op,))
+        assert type(extended) is Circuit and extended.ops[-1] is op
+        assert Circuit(2).then(h(1)) == Circuit(2, (h(1),))
+
+    def test_out_of_range_op_raises_the_constructor_message(self):
+        base = Circuit(3, (h(0), h(1)))
+        op = cz(3, 1)
+        with pytest.raises(ConfigError) as built:
+            Circuit(3, base.ops + (op,))
+        with pytest.raises(ConfigError) as extended:
+            base.then(op)
+        assert str(extended.value) == str(built.value) == \
+            "CZ targets (3, 1) out of range for 3 qubits"
+
+    def test_receiver_unchanged(self):
+        ops = (h(0), cz(0, 1))
+        base = Circuit(2, ops)
+        base.then(rx(1, 0.5))
+        with pytest.raises(ConfigError):
+            base.then(h(2))
+        assert base == Circuit(2, ops) and base.ops is ops
+
 
 class TestApplyGate:
     def test_h_on_zero(self):

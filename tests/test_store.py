@@ -153,6 +153,61 @@ class TestParseCircuit:
                            match="^line 5: qubit out of range for qubits=8$"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("old,new,error", [
+        (b";RX 5 ", b";RX 9 ", "^line 18: qubit out of range for qubits=8$"),
+        (b";RX 5 ", b";RX 5 x", "^line 18: malformed angle 'x"),
+    ], ids=["target", "angle"])
+    def test_read_reports_a_bad_last_line_after_its_head_repeats(
+            self, tmp_path, old, new, error):
+        # The sixth sample's RX line (circuit line 18) goes bad after five
+        # samples with the same 17 lines before it.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: _edit_sample(body, 5, old, new))
+        with pytest.raises(CircuitParseError, match=error):
+            read_dataset(path)
+
+    def test_read_reports_a_bad_gate_before_a_bad_qubit_count(self, tmp_path):
+        # A circuit's qubit count is checked after its gate lines, so the
+        # fourth sample's malformed RX angle (line 18) is reported, not
+        # its header's qubits=17.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: _edit_sample(
+            _edit_sample(body, 3, b"qubits=8", b"qubits=17"), 3, b";RX 3 ", b";RX 3 x"))
+        with pytest.raises(CircuitParseError, match="^line 18: malformed angle 'x"):
+            read_dataset(path)
+
+    def test_read_hand_built_samples_whose_gates_change_each_sample(self, tmp_path):
+        # Every sample's gate sequence differs from the one before, some
+        # only in their last gate, one has no gate at all.
+        base = (h(0), h(1), cz(0, 1))
+        circuits = [
+            Circuit(2, base + (rx(0, 0.5),)), Circuit(2, base),
+            Circuit(2, base + (rx(1, 0.5),)), Circuit(2, base + (rx(1, -0.5),)),
+            Circuit(2, (rx(1, -0.5),) + base), Circuit(2),
+            Circuit(2, (h(1),)), Circuit(2, (h(0),)), Circuit(2, base[:2]),
+            Circuit(2, base[::-1]), Circuit(2, base + (rx(0, 0.5),)),
+        ]
+        samples = tuple(Sample(c, k % 2) for k, c in enumerate(circuits))
+        ds = FederatedDataset(
+            (ClientDataset("a", samples, AngleDistribution.UNIFORM_PI),
+             ClientDataset("b", samples[-2::-1], AngleDistribution.UNIFORM_PI)),
+            GenConfig(n_clients=2, n_qubits=2, samples_per_client=2))
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        assert read_dataset(path) == ds
+
+    def test_read_skips_a_blank_last_line_after_its_head_repeats(self, tmp_path):
+        samples = tuple(Sample(Circuit(2, (h(0), cz(0, 1))), 0) for _ in range(4))
+        ds = FederatedDataset(
+            (ClientDataset("a", samples, AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=2, samples_per_client=2))
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        _rewrite_body(path, lambda body: body.replace(b";CZ 0 1\n", b";CZ 0 1; \n"))
+        assert read_dataset(path) == ds
+
     def test_read_strips_gate_lines_and_skips_blank_ones(self, tmp_path):
         # Surrounding blanks and an empty circuit line, in a sample after
         # one that parsed the plain lines, read back to the same dataset.
