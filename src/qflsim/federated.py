@@ -16,12 +16,13 @@ parameters, in process and in a socket worker alike. Evaluation reads
 the test clients' records and, with ``eval_train``, the same training
 records.
 
-The clients run behind a transport with one method, ``round_trip``
-(see qflsim.transport): in process a LocalTransport, whose forked
-helpers train shares of the clients on the other usable cores, or a
-SocketFedServer for clients in worker processes. Each answers a round's
-broadcast with one ClientUpdate per client, and run_round averages them
-and evaluates the result.
+The clients run behind one server, whose ``round_trip`` (see
+qflsim.transport) is shared by a LocalTransport for in-process clients,
+whose forked helpers train shares of them on the other usable cores, and
+a SocketFedServer for clients in worker processes. It answers a round's
+broadcast with one ClientUpdate per client of the round's order, which
+names each training client once, and run_round averages them and
+evaluates the result.
 """
 
 import contextlib
@@ -265,11 +266,11 @@ def local_train(client: ClientState, global_params: ParamVector,
     )
 
 
-def federated_average(updates: Sequence, weights) -> ParamVector:
+def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:
     """Coordinate-wise weighted mean of the clients' parameter vectors."""
     if len(updates) == 0:
         raise ConfigError("cannot average zero updates")
-    vectors = [u.params if isinstance(u, ClientUpdate) else u for u in updates]
+    vectors = [u.params for u in updates]
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(vectors),):
         raise ConfigError(

@@ -74,6 +74,8 @@ class GateOp:
         if self.kind not in GATE_ARITY:
             raise ConfigError(f"unknown gate kind {self.kind!r}")
         try:
+            if any(isinstance(q, bool) for q in self.targets):  # index(True) is 1
+                raise TypeError
             targets = tuple(map(operator.index, self.targets))
         except TypeError:
             raise ConfigError(

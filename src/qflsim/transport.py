@@ -19,10 +19,15 @@ sends ALIVE every KEEPALIVE_S seconds; the server fails the round of a
 client that sends nothing for READ_TIMEOUT_S seconds, so a hung client
 is caught while a long local training is not.
 
-LocalTransport's forked helpers speak this protocol too, over one
-socketpair per client registered under its id (so without HELLO), with
-the client loop of run_socket_client; the parent reads their answers as
-SocketFedServer reads its workers'.
+One server runs every round, wherever its clients train: it sends GLOBAL
+on its links, trains the clients it holds in process itself, then reads
+each linked client's answer. SocketFedServer links to socket workers that
+said HELLO; LocalTransport to its forked helpers, over one socketpair per
+client registered under its id (so without HELLO), which run the client
+loop of run_socket_client. A round's ``order`` must name each client the
+server holds exactly once (a helper waits for each of its clients' GLOBAL
+in turn); any other order fails before a GLOBAL is sent. ``shutdown``
+sends DONE on every link and closes it.
 """
 
 import contextlib
@@ -32,12 +37,13 @@ import signal
 import socket
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, TrainingError
+from .errors import ConfigError, ProtocolError, TrainingError
 from .federated import ClientState, ClientUpdate, local_train
 from .model import ParamVector
 from .store import client_id_ok, format_angle, parse_number
@@ -217,14 +223,6 @@ class _Link:
                 closable.close()
 
 
-def _broadcast(links, round_index: int, params: ParamVector) -> None:
-    """Write GLOBAL to every link; a client gone shows when its answer is read."""
-    line = encode_global(round_index, params.values)
-    for link in links:
-        with contextlib.suppress(OSError):
-            _send(link.writer, line)
-
-
 def _next_message(link: _Link, cid: str, round_index: int):
     """Client ``cid``'s next message other than ALIVE."""
     while True:
@@ -263,19 +261,69 @@ def _receive_update(link: _Link, cid: str, round_index: int, names) -> ClientUpd
                         num_samples=msg.num_samples, local_loss=msg.loss)
 
 
-class SocketFedServer:
-    """Server side of the wire protocol; usable as a run_training transport.
+class _Server:
+    """The server core of SocketFedServer and LocalTransport: links to
+    clients in other processes and the clients trained in this one."""
 
-    Every read from an accepted connection waits at most READ_TIMEOUT_S
-    seconds, so a hung client fails its round instead of blocking it.
-    """
+    def __init__(self):
+        self._links: dict[str, _Link] = {}
+        self._own: dict[str, ClientState] = {}
+
+    def round_trip(self, round_index: int, params: ParamVector,
+                   order: list[str]) -> list[ClientUpdate]:
+        """Train every client from ``params``; return their updates in
+        ``order`` (see the module docstring). A client that fails raises
+        TrainingError: one trained here at once, otherwise the first linked
+        client in ``order`` that fails."""
+        held = self._links.keys() | self._own.keys()
+        missing = [cid for cid in order if cid not in held]
+        if missing:
+            raise TrainingError(f"clients never connected: {missing}")
+        counts = Counter(order)
+        wrong = sorted(cid for cid in held if counts[cid] != 1)
+        if wrong:
+            raise ConfigError(f"round order must name each client once: {wrong}")
+        line = encode_global(round_index, params.values)
+        for cid in order:
+            if cid in self._links:  # a client gone shows when its answer is read
+                with contextlib.suppress(OSError):
+                    _send(self._links[cid].writer, line)
+        own = {}
+        for cid in order:
+            if cid in self._own:
+                try:
+                    own[cid] = local_train(self._own[cid], params, round_index)
+                except Exception as exc:
+                    raise TrainingError(
+                        f"client {cid} failed in round {round_index}: {exc}") from exc
+        return [own[cid] if cid in own
+                else _receive_update(self._links[cid], cid, round_index, params.names)
+                for cid in order]
+
+    def shutdown(self):
+        """Send DONE on every link, then close it."""
+        for link in self._links.values():
+            with contextlib.suppress(OSError):
+                _send(link.writer, encode_done())
+            link.close()
+        self._links.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+class SocketFedServer(_Server):
+    """The server of socket workers; usable as a run_training transport."""
 
     def __init__(self, n_clients: int, param_names, host: str = "127.0.0.1",
                  port: int = 0):
+        super().__init__()
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
         self._listener = socket.create_server((host, port))
-        self._conns: dict[str, _Link] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -284,7 +332,7 @@ class SocketFedServer:
     def wait_for_clients(self, timeout: float = 60.0):
         """Accept connections until every expected client said HELLO."""
         self._listener.settimeout(timeout)
-        while len(self._conns) < self.n_clients:
+        while len(self._links) < self.n_clients:
             conn, _addr = self._listener.accept()
             link = _Link(conn)
             try:
@@ -296,37 +344,16 @@ class SocketFedServer:
                         f"client {msg.client_id} speaks protocol v{msg.version}, "
                         f"server expects v{PROTOCOL_VERSION}"
                     )
-                if msg.client_id in self._conns:
+                if msg.client_id in self._links:
                     raise ProtocolError(f"duplicate client id {msg.client_id!r}")
             except BaseException:
                 link.close()  # a rejected connection is not kept
                 raise
-            self._conns[msg.client_id] = link
-
-    def round_trip(self, round_index: int, params: ParamVector,
-                   order: list[str]) -> list[ClientUpdate]:
-        """Broadcast GLOBAL to every client and collect one UPDATE each, in
-        ``order``; the first client in ``order`` that fails raises."""
-        missing = [cid for cid in order if cid not in self._conns]
-        if missing:
-            raise TrainingError(f"clients never connected: {missing}")
-        _broadcast([self._conns[cid] for cid in order], round_index, params)
-        return [_receive_update(self._conns[cid], cid, round_index, self.param_names)
-                for cid in order]
+            self._links[msg.client_id] = link
 
     def shutdown(self):
-        for link in self._conns.values():
-            with contextlib.suppress(OSError):
-                _send(link.writer, encode_done())
-            link.close()
-        self._conns.clear()
+        super().shutdown()
         self._listener.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
 
 
 def _serve_clients(conns: Sequence[tuple[socket.socket, ClientState]]) -> None:
@@ -420,27 +447,25 @@ def _run_helper(conns, inherited: list[_Link], core: int | None) -> None:
         sys.exit(1)  # no traceback: a failed local training sent ERROR
 
 
-class LocalTransport:
-    """In-process clients behind the same ``round_trip`` as SocketFedServer.
+class LocalTransport(_Server):
+    """The server of in-process clients; usable as a run_training transport.
 
     On a machine with several usable cores the transport forks
     ``min(cores, clients, samples per round // MIN_SAMPLES_PER_PROCESS) - 1``
     helper processes when it is built, so none for a round too small to
     gain from them. Each inherits the prepared clients copy-on-write and
     owns a fixed round-robin share of them, optimizer state included, as a
-    socket worker owns its client, answering for each over a socketpair
-    with the client loop of run_socket_client; the parent trains the last,
-    smallest share itself. Where the platform can pin processes, each
-    helper and then the parent run on one core of the parent's affinity
-    mask, dealt round-robin, so no two share a core while cores last (the
-    kernel need not move a forked helper off its parent's core); ``close``
-    restores the parent's mask. Use it as a context manager (or call
-    ``close``) to stop the helpers.
+    socket worker owns its client; the parent trains the last, smallest
+    share itself. Where the platform can pin processes, each helper and
+    then the parent run on one core of the parent's affinity mask, dealt
+    round-robin, so no two share a core while cores last (the kernel need
+    not move a forked helper off its parent's core). ``shutdown`` stops
+    the helpers at once, mid-round too, and gives the parent its mask back.
     """
 
     def __init__(self, clients: Sequence[ClientState]):
+        super().__init__()
         by_id = {c.client_id: c for c in clients}
-        self._links: dict[str, _Link] = {}
         self._helpers: list[multiprocessing.process.BaseProcess] = []
         self._parent_mask: set[int] | None = None
         ctx = (multiprocessing.get_context("fork")  # None without fork
@@ -471,53 +496,21 @@ class LocalTransport:
                 self._parent_mask = os.sched_getaffinity(0)
                 _pin_to(cores[(n_processes - 1) % len(cores)])
         except BaseException:
-            self.close()
+            self.shutdown()
             raise
         self._own = {cid: c for cid, c in by_id.items() if cid not in self._links}
 
-    def round_trip(self, round_index: int, params: ParamVector,
-                   order: list[str]) -> list[ClientUpdate]:
-        """Train every client of ``order``, which must name each of the
-        transport's clients (a helper waits for each of its clients'
-        GLOBAL in turn): GLOBAL goes to the helpers' clients, the parent
-        trains its own, then the helpers' answers are read in ``order``.
-        A client that fails raises TrainingError: one of the parent's
-        clients at once, before any helper's answer is read, and otherwise
-        the first helper client in ``order`` that fails."""
-        _broadcast([self._links[cid] for cid in order if cid in self._links],
-                   round_index, params)
-        own = {}
-        for cid in order:
-            if cid in self._own:
-                try:
-                    own[cid] = local_train(self._own[cid], params, round_index)
-                except Exception as exc:
-                    raise TrainingError(
-                        f"client {cid} failed in round {round_index}: {exc}") from exc
-        return [own[cid] if cid in own
-                else _receive_update(self._links[cid], cid, round_index, params.names)
-                for cid in order]
-
-    def close(self):
-        """Stop every helper at once, mid-round too; the helpers' clients,
-        and their optimizer state, end with them. Then give the parent back
-        the affinity mask it had before it was pinned."""
-        if self._parent_mask is not None:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, self._parent_mask)
-            self._parent_mask = None
-        for link in self._links.values():
-            link.close()
+    def shutdown(self):
+        """Stop the helpers too; their clients, and their optimizer state,
+        end with them. Then give the parent back its affinity mask."""
+        super().shutdown()
         for process in self._helpers:
             process.kill()
         for process in self._helpers:
             process.join()
             process.close()
         self._helpers.clear()
-        self._links.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        if self._parent_mask is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, self._parent_mask)
+            self._parent_mask = None

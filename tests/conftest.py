@@ -1,9 +1,11 @@
 """Shared test settings: one deterministic profile for the property tests,
-so every run draws the same examples and the suite's time stays fixed;
-and a check that no test leaves a child process (such as a LocalTransport
-helper) running."""
+so every run draws the same examples and the suite's time stays fixed; a
+wall-clock limit per test, so a hang fails its test instead of stalling
+the suite; and a check that no test leaves a child process (such as a
+LocalTransport helper) running."""
 
 import multiprocessing
+import signal
 
 import pytest
 
@@ -15,6 +17,34 @@ else:
     settings.register_profile("qflsim", derandomize=True, deadline=None,
                               max_examples=60)
     settings.load_profile("qflsim")
+
+# Longest a test may run, in seconds, where the platform has SIGALRM.
+TEST_TIME_LIMIT_S = 120.0
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outlives TEST_TIME_LIMIT_S; not an Exception,
+    so no ``except Exception`` in the code under test swallows it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Interrupt the test with TimeLimitExceeded after TEST_TIME_LIMIT_S.
+    Forked children do not inherit the timer."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(_signum, _frame):
+        raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

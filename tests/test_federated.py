@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import warnings
 
@@ -16,6 +17,7 @@ import qflsim.transport as transport
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, TrainingError
 from qflsim.federated import (
+    ClientUpdate,
     EvalContext,
     OptimizerConfig,
     OptimizerState,
@@ -55,6 +57,12 @@ def _tiny_dataset(n_clients=3, samples=16, seed=1, n_qubits=2):
 def _pv(values):
     values = np.asarray(values, dtype=float)
     return ParamVector(tuple(f"t{i}" for i in range(len(values))), values)
+
+
+def _up(values):
+    """A ClientUpdate carrying ``_pv(values)``."""
+    return ClientUpdate(client_id="c", round=1, params=_pv(values), num_samples=1,
+                        local_loss=0.0)
 
 
 class TestOptimizerStep:
@@ -113,25 +121,26 @@ class TestOptimizerStep:
 
 class TestFederatedAverage:
     def test_identical_updates_fixed_point(self):
-        pv = _pv([0.3, -0.7, 2.0])
-        out = federated_average([pv, pv, pv], np.full(3, 1 / 3))
+        up = _up([0.3, -0.7, 2.0])
+        pv = up.params
+        out = federated_average([up, up, up], np.full(3, 1 / 3))
         assert np.allclose(out.values, pv.values)
 
     def test_two_vector_example(self):
-        out = federated_average([_pv([1, 2]), _pv([3, 4])], [0.5, 0.5])
+        out = federated_average([_up([1, 2]), _up([3, 4])], [0.5, 0.5])
         assert np.allclose(out.values, [2, 3])
 
     def test_weighted_example(self):
-        out = federated_average([_pv([0]), _pv([4])], [0.75, 0.25])
+        out = federated_average([_up([0]), _up([4])], [0.75, 0.25])
         assert np.allclose(out.values, [1])
 
     def test_weights_must_normalize(self):
         with pytest.raises(ConfigError):
-            federated_average([_pv([1]), _pv([2])], [0.7, 0.4])
+            federated_average([_up([1]), _up([2])], [0.7, 0.4])
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            federated_average([_pv([1]), _pv([2])], [1.0])
+            federated_average([_up([1]), _up([2])], [1.0])
 
     def test_empty(self):
         with pytest.raises(ConfigError):
@@ -144,9 +153,9 @@ class TestFederatedAverage:
             vecs = [rng.normal(size=n) for _ in range(k)]
             w = rng.uniform(0.1, 1.0, size=k)
             w /= w.sum()
-            base = federated_average([_pv(v) for v in vecs], w).values
+            base = federated_average([_up(v) for v in vecs], w).values
             scaled = federated_average(
-                [_pv(2.0 * vecs[0])] + [_pv(v) for v in vecs[1:]], w).values
+                [_up(2.0 * vecs[0])] + [_up(v) for v in vecs[1:]], w).values
             assert np.allclose(scaled - base, w[0] * vecs[0], atol=1e-12)
 
     def test_permutation_invariance(self):
@@ -157,8 +166,8 @@ class TestFederatedAverage:
             w = rng.uniform(0.1, 1.0, size=k)
             w /= w.sum()
             perm = rng.permutation(k)
-            a = federated_average([_pv(v) for v in vecs], w).values
-            b = federated_average([_pv(vecs[i]) for i in perm], w[perm]).values
+            a = federated_average([_up(v) for v in vecs], w).values
+            b = federated_average([_up(vecs[i]) for i in perm], w[perm]).values
             assert np.allclose(a, b, atol=1e-12)
 
 
@@ -440,6 +449,56 @@ class TestLocalTransport:
         for got, want in zip(updates, expected, strict=True):
             assert (got.client_id, got.round, got.num_samples, got.local_loss) == \
                 (want.client_id, 1, want.num_samples, want.local_loss)
+            assert np.array_equal(got.params.values, want.params.values)
+
+    def test_unknown_client_is_named(self):
+        ds = _tiny_dataset(n_clients=3)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
+                          batch_size=4, seed=1)
+        server, clients, _ctx = build_run(ds, cfg)
+        with LocalTransport(clients) as local:
+            with pytest.raises(TrainingError,
+                               match=r"clients never connected: \['ghost'\]"):
+                local.round_trip(1, server.params, [*ids[:2], "ghost"])
+
+    @pytest.mark.parametrize("order", [(1, 2), (0, 1, 2, 0)])
+    def test_order_naming_a_client_other_than_once_is_refused(self, monkeypatch,
+                                                              order):
+        # The helper owns clients 0 and 2 and waits for client 0's GLOBAL
+        # before client 2's; its ALIVE lines keep the read deadline from
+        # ending a round that leaves client 0 out.
+        _forced_helpers(monkeypatch, 1)
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(transport, "KEEPALIVE_S", 0.05)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        server, clients, _ctx = build_run(ds, cfg)
+        expected = [local_train(c, server.params, 1) for c in build_run(ds, cfg)[1]]
+        raised = []
+
+        def refused_round():
+            try:
+                local.round_trip(1, server.params, [ids[i] for i in order])
+            except Exception as exc:
+                raised.append(exc)
+
+        with LocalTransport(clients) as local:
+            assert len(multiprocessing.active_children()) == 1
+            attempt = threading.Thread(target=refused_round)
+            attempt.start()
+            attempt.join(timeout=5)
+            assert not attempt.is_alive()
+            (error,) = raised
+            assert isinstance(error, ConfigError)
+            assert str(error).endswith(f"[{ids[0]!r}]")
+            # Nothing was sent or trained: the next round is the first.
+            updates = local.round_trip(1, server.params, list(cfg.train_clients))
+        for got, want in zip(updates, expected, strict=True):
+            assert (got.client_id, got.num_samples, got.local_loss) == \
+                (want.client_id, want.num_samples, want.local_loss)
             assert np.array_equal(got.params.values, want.params.values)
 
 

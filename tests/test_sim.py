@@ -119,7 +119,7 @@ class TestGateOpValidation:
             Circuit(3, ops)
         assert str(info.value) == "CZ targets (3, 1) out of range for 3 qubits"
 
-    @pytest.mark.parametrize("targets", [(1.5,), ("2",), (None,)])
+    @pytest.mark.parametrize("targets", [(1.5,), ("2",), (None,), (True,), (False,)])
     def test_non_integer_target_names_the_targets(self, targets):
         # int() would truncate 1.5 to 1 and read "2" as 2.
         with pytest.raises(ConfigError, match=r"H targets must be integer qubit indices, got \("):

@@ -12,7 +12,7 @@ import pytest
 
 from qflsim.cli import add_architecture_flags
 from qflsim.datagen import GenConfig, generate_federated_dataset
-from qflsim.errors import ProtocolError, TrainingError
+from qflsim.errors import ConfigError, ProtocolError, TrainingError
 from qflsim.federated import (
     ClientUpdate,
     OptimizerConfig,
@@ -239,6 +239,29 @@ class TestSocketRounds:
         finally:
             server.shutdown()
             t.join(timeout=5)
+
+    @pytest.mark.parametrize("order, named", [
+        (["c1"], "c2"),
+        (["c1", "c2", "c1"], "c1"),
+    ])
+    def test_order_naming_a_client_other_than_once_is_refused(self, monkeypatch,
+                                                              order, named):
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.5)
+        server = SocketFedServer(2, ("a",))
+        host, port = server.address
+        with socket.create_connection((host, port)) as c1, \
+                socket.create_connection((host, port)) as c2:
+            c1.sendall(encode_hello("c1").encode())
+            c2.sendall(encode_hello("c2").encode())
+            try:
+                server.wait_for_clients(timeout=5)
+                with pytest.raises(ConfigError, match=rf"\['{named}'\]$"):
+                    server.round_trip(1, ParamVector(("a",), np.zeros(1)), order)
+            finally:
+                server.shutdown()
+            for conn in (c1, c2):  # no GLOBAL went out before DONE
+                conn.settimeout(5)
+                assert conn.makefile("r").readline() == encode_done()
 
     def test_silent_client_fails_its_round_by_name(self, monkeypatch):
         # A client that says HELLO and then never answers must fail the
