@@ -114,17 +114,8 @@ def label_rule(angle: float, threshold: float) -> int:
     return int(abs(angle) > threshold)
 
 
-def generate_sample(rng: np.random.Generator, config: GenConfig,
-                    target_qubit: int) -> Sample:
-    """Cluster state plus one RX excitation on ``target_qubit``."""
-    if not 0 <= target_qubit < config.n_qubits:
-        raise ConfigError(
-            f"target qubit {target_qubit} out of range for {config.n_qubits} qubits"
-        )
-    return _excited_sample(config, target_qubit, draw_angle(rng, config))
-
-
 def _excited_sample(config: GenConfig, target_qubit: int, angle: float) -> Sample:
+    """Cluster state plus one RX(``angle``) on ``target_qubit``, labeled."""
     prep = cluster_state_circuit(config.n_qubits).then(rx(target_qubit, angle))
     return Sample(prep, label_rule(angle, config.excitation_threshold))
 

@@ -19,14 +19,16 @@ records.
 The clients run behind one server, whose ``round_trip`` (see
 qflsim.transport) is shared by a LocalTransport for in-process clients,
 whose forked helpers train shares of them on the other usable cores, and
-a SocketFedServer for clients in worker processes. It answers a round's
-broadcast with one ClientUpdate per client of the round's order, which
-names each training client once, and run_round averages them and
-evaluates the result.
+a SocketFedServer for clients in worker processes. One connection serves
+each helper or worker process and answers the round's broadcast with one
+line per client it holds. The server returns one ClientUpdate per client
+of the round's order, which names each training client once, and
+run_round averages them and evaluates the result.
 """
 
 import contextlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -42,6 +44,7 @@ from .model import (
     build_model,
     default_architecture,
     init_params,
+    mse,
     stream_rng,
 )
 from .store import params_checksum
@@ -301,9 +304,7 @@ def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
         evaluator.predictions(c.prep_states[start:start + EVAL_BATCH], params.values)
         for c in test_clients for start in range(0, len(c.samples), EVAL_BATCH)
     ])
-    accuracy = float(np.mean((preds > 0.5) == (labels == 1)))
-    mse = float(np.sum((labels - preds) ** 2) / (2 * len(labels)))
-    return accuracy, mse
+    return float(np.mean((preds > 0.5) == (labels == 1))), mse(labels, preds)
 
 
 @dataclass
@@ -353,6 +354,10 @@ def _split_datasets(dataset: FederatedDataset, cfg: TrainConfig):
     for cid in cfg.train_clients + cfg.test_clients:
         if cid not in by_id:
             raise ConfigError(f"unknown client {cid!r}")
+    for role, ids in (("train", cfg.train_clients), ("test", cfg.test_clients)):
+        repeated = sorted(cid for cid, n in Counter(ids).items() if n > 1)
+        if repeated:
+            raise ConfigError(f"{role} clients repeated: {repeated}")
     overlap = set(cfg.train_clients) & set(cfg.test_clients)
     if overlap:
         raise ConfigError(f"train/test clients overlap: {sorted(overlap)}")

@@ -347,6 +347,11 @@ def _check_batch(prep_states: np.ndarray):
         raise ConfigError("batch must be nonempty")
 
 
+def mse(labels: np.ndarray, p: np.ndarray) -> float:
+    """sum((y - p)^2) / 2m: the training loss and the evaluation MSE."""
+    return float(np.sum((labels - p) ** 2) / (2 * len(labels)))
+
+
 def _real_form(mats: np.ndarray, one_qubit: Sequence[bool]) -> np.ndarray:
     """Complex (slot, kind, 4, 4) matrices as real (slot, kind, 8, 8)
     [[Re, -Im], [Im, Re]], which act on a state stored as [Re; Im].
@@ -674,8 +679,7 @@ class ModelEvaluator:
 
     def loss(self, prep_states: np.ndarray, labels: np.ndarray,
              values: np.ndarray) -> float:
-        p = self.predictions(prep_states, values)
-        return float(np.sum((labels - p) ** 2) / (2 * len(labels)))
+        return mse(labels, self.predictions(prep_states, values))
 
     def readout_z_and_gradient(self, prep_states: np.ndarray,
                                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -722,7 +726,4 @@ class ModelEvaluator:
                           values: np.ndarray) -> tuple[float, np.ndarray]:
         z, dz = self.readout_z_and_gradient(prep_states, values)
         p = 0.5 * (1.0 + z)
-        m = len(labels)
-        loss = float(np.sum((labels - p) ** 2) / (2 * m))
-        grad = dz @ (p - labels) / (2 * m)
-        return loss, grad
+        return mse(labels, p), dz @ (p - labels) / (2 * len(labels))

@@ -14,20 +14,22 @@ with 17 significant digits, which round-trip float64 exactly):
 This is protocol v3. A socket client connects, says HELLO, then answers
 every GLOBAL broadcast with one UPDATE, or with ERROR (the reason on one
 line) if its local training fails, until the server sends DONE. The
-server keeps one in-flight round per client. While connected, a client
-sends ALIVE every KEEPALIVE_S seconds; the server fails the round of a
-client that sends nothing for READ_TIMEOUT_S seconds, so a hung client
-is caught while a long local training is not.
+server keeps one in-flight round per connection. While connected, a
+client sends ALIVE every KEEPALIVE_S seconds; the server fails the round
+of a connection that sends nothing for READ_TIMEOUT_S seconds, so a hung
+client is caught while a long local training is not.
 
 One server runs every round, wherever its clients train: it sends GLOBAL
-on its links, trains the clients it holds in process itself, then reads
-each linked client's answer. SocketFedServer links to socket workers that
-said HELLO; LocalTransport to its forked helpers, over one socketpair per
-client registered under its id (so without HELLO), which run the client
-loop of run_socket_client. A round's ``order`` must name each client the
-server holds exactly once (a helper waits for each of its clients' GLOBAL
-in turn); any other order fails before a GLOBAL is sent. ``shutdown``
-sends DONE on every link and closes it.
+once on each link, trains the clients it holds in process itself, then
+reads each link's answers. A link is one connection to one process; it
+answers each GLOBAL with one line per client that process holds, in a
+fixed order. SocketFedServer links to socket workers that said HELLO,
+one client each; LocalTransport to its forked helpers, over one
+socketpair per helper (so without HELLO), each running the client loop
+of run_socket_client for its share of the clients. A round's ``order``
+must name each client the server holds exactly once, and any other order
+fails before a GLOBAL is sent; the updates come back in ``order``.
+``shutdown`` sends DONE on every link and closes it.
 """
 
 import contextlib
@@ -208,12 +210,14 @@ def _send(writer, line: str) -> None:
 
 
 class _Link:
-    """The server's end of one client's connection: line reader and writer
-    over a socket whose reads wait at most READ_TIMEOUT_S seconds."""
+    """The server's end of one process's connection: line reader and
+    writer over a socket whose reads wait at most READ_TIMEOUT_S seconds,
+    and the ids of the clients that answer on it, in the order they do."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, ids: Sequence[str] = ()):
         sock.settimeout(READ_TIMEOUT_S)
         self.sock = sock
+        self.ids = tuple(ids)
         self.reader = sock.makefile("r", encoding="utf-8", newline="\n")
         self.writer = sock.makefile("w", encoding="utf-8", newline="\n")
 
@@ -266,16 +270,16 @@ class _Server:
     clients in other processes and the clients trained in this one."""
 
     def __init__(self):
-        self._links: dict[str, _Link] = {}
+        self._links: list[_Link] = []
         self._own: dict[str, ClientState] = {}
 
     def round_trip(self, round_index: int, params: ParamVector,
                    order: list[str]) -> list[ClientUpdate]:
         """Train every client from ``params``; return their updates in
         ``order`` (see the module docstring). A client that fails raises
-        TrainingError: one trained here at once, otherwise the first linked
-        client in ``order`` that fails."""
-        held = self._links.keys() | self._own.keys()
+        TrainingError: one trained here at once, otherwise the first
+        linked client that fails, links and their clients read in turn."""
+        held = {cid for link in self._links for cid in link.ids} | self._own.keys()
         missing = [cid for cid in order if cid not in held]
         if missing:
             raise TrainingError(f"clients never connected: {missing}")
@@ -284,25 +288,24 @@ class _Server:
         if wrong:
             raise ConfigError(f"round order must name each client once: {wrong}")
         line = encode_global(round_index, params.values)
-        for cid in order:
-            if cid in self._links:  # a client gone shows when its answer is read
-                with contextlib.suppress(OSError):
-                    _send(self._links[cid].writer, line)
-        own = {}
-        for cid in order:
-            if cid in self._own:
-                try:
-                    own[cid] = local_train(self._own[cid], params, round_index)
-                except Exception as exc:
-                    raise TrainingError(
-                        f"client {cid} failed in round {round_index}: {exc}") from exc
-        return [own[cid] if cid in own
-                else _receive_update(self._links[cid], cid, round_index, params.names)
-                for cid in order]
+        for link in self._links:  # a process gone shows when its answer is read
+            with contextlib.suppress(OSError):
+                _send(link.writer, line)
+        updates = {}
+        for cid, client in self._own.items():
+            try:
+                updates[cid] = local_train(client, params, round_index)
+            except Exception as exc:
+                raise TrainingError(
+                    f"client {cid} failed in round {round_index}: {exc}") from exc
+        for link in self._links:
+            for cid in link.ids:
+                updates[cid] = _receive_update(link, cid, round_index, params.names)
+        return [updates[cid] for cid in order]
 
     def shutdown(self):
         """Send DONE on every link, then close it."""
-        for link in self._links.values():
+        for link in self._links:
             with contextlib.suppress(OSError):
                 _send(link.writer, encode_done())
             link.close()
@@ -344,67 +347,59 @@ class SocketFedServer(_Server):
                         f"client {msg.client_id} speaks protocol v{msg.version}, "
                         f"server expects v{PROTOCOL_VERSION}"
                     )
-                if msg.client_id in self._links:
+                if any(msg.client_id in other.ids for other in self._links):
                     raise ProtocolError(f"duplicate client id {msg.client_id!r}")
             except BaseException:
                 link.close()  # a rejected connection is not kept
                 raise
-            self._links[msg.client_id] = link
+            link.ids = (msg.client_id,)
+            self._links.append(link)
 
     def shutdown(self):
         super().shutdown()
         self._listener.close()
 
 
-def _serve_clients(conns: Sequence[tuple[socket.socket, ClientState]]) -> None:
-    """The client loop: until DONE or EOF, read each connection's GLOBAL in
-    the order given and answer it with its client's UPDATE; a round's
-    GLOBAL, the same line on every connection, is decoded once. A local
+def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
+    """The client loop: until DONE or EOF, read one GLOBAL from ``sock`` and
+    answer it with one UPDATE per client, in the order given. A local
     training that raises is answered with ERROR, then raised again. One
-    thread says ALIVE on every connection every KEEPALIVE_S seconds while
-    the loop runs (a thread per training would cost a start and a join
-    per client and round)."""
-    streams = [(client, sock.makefile("r", encoding="utf-8", newline="\n"),
-                sock.makefile("w", encoding="utf-8", newline="\n"))
-               for sock, client in conns]
-    lock = threading.Lock()  # one line at a time on a connection
+    thread says ALIVE every KEEPALIVE_S seconds while the loop runs (a
+    thread per training would cost a start and a join per client and
+    round)."""
+    reader = sock.makefile("r", encoding="utf-8", newline="\n")
+    writer = sock.makefile("w", encoding="utf-8", newline="\n")
+    lock = threading.Lock()  # one line at a time on the connection
     done = threading.Event()
 
-    def send(writer, line):
+    def send(line):
         with lock:
             _send(writer, line)
 
     def say_alive():
         while not done.wait(KEEPALIVE_S):
-            for _client, _reader, writer in streams:
-                with contextlib.suppress(OSError):
-                    send(writer, encode_alive())
+            with contextlib.suppress(OSError):
+                send(encode_alive())
 
     beat = threading.Thread(target=say_alive, daemon=True)
     beat.start()
-    last_raw = None
     try:
-        while True:
-            for client, reader, writer in streams:
-                raw = reader.readline()
-                if not raw:
-                    return
-                if raw != last_raw:  # a round's GLOBAL repeats on every connection
-                    msg = decode_message(raw)
-                    if isinstance(msg, Done):
-                        return
-                    if not isinstance(msg, Global):
-                        raise ProtocolError(f"expected GLOBAL or DONE, got {msg!r}")
-                    params = ParamVector(client.evaluator.param_names, np.array(msg.values))
-                    last_raw = raw
+        for raw in reader:
+            msg = decode_message(raw)
+            if isinstance(msg, Done):
+                return
+            if not isinstance(msg, Global):
+                raise ProtocolError(f"expected GLOBAL or DONE, got {msg!r}")
+            params = ParamVector(clients[0].evaluator.param_names, np.array(msg.values))
+            for client in clients:
                 try:
                     update = local_train(client, params, msg.round)
                 except Exception as exc:
                     error = encode_error(client.client_id, msg.round, str(exc))
                     with contextlib.suppress(OSError):
-                        send(writer, error)
+                        send(error)
                     raise
-                send(writer, encode_update(update))
+                send(encode_update(update))
     finally:
         done.set()
         beat.join()
@@ -415,7 +410,7 @@ def run_socket_client(host: str, port: int, client: ClientState):
     training ``client`` as its TrainConfig says."""
     with socket.create_connection((host, port)) as conn:
         conn.sendall(encode_hello(client.client_id).encode())
-        _serve_clients([(conn, client)])
+        _serve_clients(conn, [client])
 
 
 def _usable_cores() -> int:
@@ -435,14 +430,15 @@ def _pin_to(core: int | None) -> None:
             os.sched_setaffinity(0, {core})
 
 
-def _run_helper(conns, inherited: list[_Link], core: int | None) -> None:
+def _run_helper(sock: socket.socket, clients: list[ClientState],
+                inherited: list[_Link], core: int | None) -> None:
     """Body of a LocalTransport helper: pin to ``core``, run the client loop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops helpers
     for link in inherited:  # parent ends, so that EOF comes if it dies
         link.close()
     _pin_to(core)
     try:
-        _serve_clients(conns)
+        _serve_clients(sock, clients)
     except Exception:
         sys.exit(1)  # no traceback: a failed local training sent ERROR
 
@@ -455,12 +451,14 @@ class LocalTransport(_Server):
     helper processes when it is built, so none for a round too small to
     gain from them. Each inherits the prepared clients copy-on-write and
     owns a fixed round-robin share of them, optimizer state included, as a
-    socket worker owns its client; the parent trains the last, smallest
-    share itself. Where the platform can pin processes, each helper and
-    then the parent run on one core of the parent's affinity mask, dealt
-    round-robin, so no two share a core while cores last (the kernel need
-    not move a forked helper off its parent's core). ``shutdown`` stops
-    the helpers at once, mid-round too, and gives the parent its mask back.
+    socket worker owns its client. One socketpair connects the parent to
+    each helper, which answers each GLOBAL on it with one line per client
+    of its share; the parent trains the last, smallest share itself.
+    Where the platform can pin processes, each helper and then the parent
+    run on one core of the parent's affinity mask, dealt round-robin, so
+    no two share a core while cores last (the kernel need not move a
+    forked helper off its parent's core). ``shutdown`` stops the helpers
+    at once, mid-round too, and gives the parent its mask back.
     """
 
     def __init__(self, clients: Sequence[ClientState]):
@@ -471,8 +469,8 @@ class LocalTransport(_Server):
         ctx = (multiprocessing.get_context("fork")  # None without fork
                if "fork" in multiprocessing.get_all_start_methods() else None)
         work = sum(len(c.data.samples) * c.cfg.epochs for c in clients)
-        n_processes = min(_usable_cores(), len(by_id),
-                          work // MIN_SAMPLES_PER_PROCESS) if ctx else 1
+        n_processes = max(1, min(_usable_cores(), len(by_id),
+                                 work // MIN_SAMPLES_PER_PROCESS) if ctx else 1)
         if n_processes < 2 or not hasattr(os, "sched_setaffinity"):
             cores = [None]  # no helper, or no pinning on this platform
         else:
@@ -481,16 +479,14 @@ class LocalTransport(_Server):
         try:
             for h in range(n_processes - 1):
                 share = ids[h::n_processes]
-                pairs = [socket.socketpair() for _ in share]
-                for cid, (ours, _) in zip(share, pairs):
-                    self._links[cid] = _Link(ours)
-                theirs = [(sock, by_id[cid]) for cid, (_, sock) in zip(share, pairs)]
+                ours, theirs = socket.socketpair()
+                self._links.append(_Link(ours, share))
                 process = ctx.Process(
                     target=_run_helper, name=f"qflsim-helper-{h}", daemon=True,
-                    args=(theirs, list(self._links.values()), cores[h % len(cores)]))
+                    args=(theirs, [by_id[cid] for cid in share], list(self._links),
+                          cores[h % len(cores)]))
                 process.start()
-                for sock, _client in theirs:
-                    sock.close()
+                theirs.close()
                 self._helpers.append(process)
             if cores[0] is not None:
                 self._parent_mask = os.sched_getaffinity(0)
@@ -498,7 +494,7 @@ class LocalTransport(_Server):
         except BaseException:
             self.shutdown()
             raise
-        self._own = {cid: c for cid, c in by_id.items() if cid not in self._links}
+        self._own = {cid: by_id[cid] for cid in ids[n_processes - 1::n_processes]}
 
     def shutdown(self):
         """Stop the helpers too; their clients, and their optimizer state,

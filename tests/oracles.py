@@ -102,7 +102,8 @@ def run_circuit(circuit, bindings=None) -> np.ndarray:
     return circuit_unitary(circuit, bindings) @ psi
 
 
-def z_expectation(state: np.ndarray, qubit: int) -> float:
+def z_expectation(state: np.ndarray, qubit: int):
+    """<Z> on ``qubit``; a (2^n, k) array of k states gives k values."""
     total = 0.0
     for idx, amp in enumerate(state):
         sign = -1.0 if (idx >> qubit) & 1 else 1.0
@@ -119,13 +120,23 @@ def predict_oracle(prep_circuit, model_circuit, bindings, readout_qubit) -> floa
 
 def shift_rule_gradient(prep_circuit, model_ops, values_by_symbol, names,
                         readout_qubit, n_qubits):
-    """Literal per-occurrence shift-rule d<Z>/d(theta) via re-simulation.
+    """Literal per-occurrence shift-rule d<Z>/d(theta) via re-simulation
+    (see shift_rule_gradients)."""
+    return shift_rule_gradients([prep_circuit], model_ops, values_by_symbol,
+                                names, readout_qubit, n_qubits)[:, 0]
+
+
+def shift_rule_gradients(prep_circuits, model_ops, values_by_symbol, names,
+                         readout_qubit, n_qubits):
+    """Literal per-occurrence shift-rule d<Z>/d(theta) of each of a batch
+    of preparations, one column per circuit, via re-simulation.
 
     For every parameter and every gate occurrence referencing it, the
     circuit is re-run twice from that occurrence on, with that one
     occurrence's angle moved by +-pi/2; the halved difference is summed
     over occurrences. Every gate is embedded once and the unshifted state
-    before each gate is shared between runs.
+    before each gate is shared between runs; the batch's states are the
+    columns of one matrix, so every gate acts on all of them at once.
     """
     bound = []
     for op in model_ops:
@@ -133,7 +144,7 @@ def shift_rule_gradient(prep_circuit, model_ops, values_by_symbol, names,
         bound.append((op.kind, op.targets, angle, op.symbol, op.sign))
     full = [embed(small_matrix(kind, angle), targets, n_qubits)
             for kind, targets, angle, _symbol, _sign in bound]
-    before = [run_circuit(prep_circuit)]
+    before = [np.stack([run_circuit(c) for c in prep_circuits], axis=1)]
     for gate in full:
         before.append(gate @ before[-1])
 
@@ -144,7 +155,7 @@ def shift_rule_gradient(prep_circuit, model_ops, values_by_symbol, names,
             psi = gate @ psi
         return z_expectation(psi, readout_qubit)
 
-    grad = np.zeros(len(names))
+    grad = np.zeros((len(names), len(prep_circuits)))
     index = {name: i for i, name in enumerate(names)}
     for t, (_kind, _targets, _angle, symbol, sign) in enumerate(bound):
         if symbol is None:

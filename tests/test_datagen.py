@@ -13,26 +13,13 @@ from qflsim.datagen import (
     cluster_state_circuit,
     draw_angle,
     generate_client_dataset,
+    _excited_sample,
     generate_federated_dataset,
-    generate_sample,
     label_rule,
 )
 from qflsim.errors import ConfigError
 from qflsim.model import Sample
 from qflsim.sim import Circuit, apply_circuit, new_zero_state, rx
-
-
-class _FixedRng:
-    """Stand-in generator returning preset draws."""
-
-    def __init__(self, *values):
-        self._values = list(values)
-
-    def uniform(self, low, high):
-        return self._values.pop(0)
-
-    def normal(self, loc, scale):
-        return self._values.pop(0)
 
 
 class TestClusterStateCircuit:
@@ -97,7 +84,7 @@ class TestLabelRule:
 class TestGenerateSample:
     def test_forced_zero_angle(self):
         cfg = GenConfig(n_clients=1)
-        sample = generate_sample(_FixedRng(0.0), cfg, 3)
+        sample = _excited_sample(cfg, 3, 0.0)
         assert sample.label == 0
         rx_ops = [op for op in sample.prep_circuit.ops if op.kind == "RX"]
         assert len(rx_ops) == 1
@@ -105,17 +92,17 @@ class TestGenerateSample:
 
     def test_forced_pi_angle_is_excited(self):
         cfg = GenConfig(n_clients=1)
-        sample = generate_sample(_FixedRng(math.pi), cfg, 0)
+        sample = _excited_sample(cfg, 0, math.pi)
         assert sample.label == 1
         assert sum(op.kind == "RX" for op in sample.prep_circuit.ops) == 1
 
     def test_target_out_of_range(self):
-        with pytest.raises(ConfigError):
-            generate_sample(_FixedRng(0.0), GenConfig(n_clients=1), 8)
+        with pytest.raises(ConfigError, match="out of range"):
+            _excited_sample(GenConfig(n_clients=1), 8, 0.0)
 
     def test_sample_structure(self):
         cfg = GenConfig(n_clients=1)
-        sample = generate_sample(np.random.default_rng(0), cfg, 5)
+        sample = _excited_sample(cfg, 5, draw_angle(np.random.default_rng(0), cfg))
         kinds = [op.kind for op in sample.prep_circuit.ops]
         assert kinds.count("H") == 8 and kinds.count("CZ") == 8
         assert kinds.count("RX") == 1 and kinds[-1] == "RX"

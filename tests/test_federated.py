@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 import warnings
@@ -302,6 +303,47 @@ def _forced_helpers(monkeypatch, n_helpers):
 
 
 class TestLocalTransport:
+    def test_one_connection_per_helper(self, monkeypatch):
+        _forced_helpers(monkeypatch, 1)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        _server, clients, _ctx = build_run(ds, cfg)
+        pairs = []
+        real_socketpair = socket.socketpair
+
+        def counting_socketpair(*args):
+            pairs.append(real_socketpair(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(socket, "socketpair", counting_socketpair)
+        with LocalTransport(clients):
+            assert len(multiprocessing.active_children()) == 1
+        assert len(pairs) == 1
+
+    def test_updates_come_back_in_the_rounds_order(self, monkeypatch):
+        # The helper owns clients 0 and 2 and answers for 0 first; the
+        # round's order names them the other way round.
+        _forced_helpers(monkeypatch, 1)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        runs = []
+        for order in (list(ids[:3]), list(reversed(ids[:3]))):
+            server, clients, _ctx = build_run(ds, cfg)
+            with LocalTransport(clients) as local:
+                updates = local.round_trip(1, server.params, order)
+            assert [u.client_id for u in updates] == order
+            runs.append({u.client_id: u for u in updates})
+        in_order, reversed_order = runs
+        for cid, want in in_order.items():
+            got = reversed_order[cid]
+            assert (got.round, got.num_samples, got.local_loss) == \
+                (want.round, want.num_samples, want.local_loss)
+            assert np.array_equal(got.params.values, want.params.values)
+
     def test_records_and_states_identical_for_any_helper_count(self, monkeypatch):
         # Round 3 depends on the optimizer moments and the epoch counter
         # that each helper keeps for its clients.
@@ -465,9 +507,8 @@ class TestLocalTransport:
     @pytest.mark.parametrize("order", [(1, 2), (0, 1, 2, 0)])
     def test_order_naming_a_client_other_than_once_is_refused(self, monkeypatch,
                                                               order):
-        # The helper owns clients 0 and 2 and waits for client 0's GLOBAL
-        # before client 2's; its ALIVE lines keep the read deadline from
-        # ending a round that leaves client 0 out.
+        # The helper owns clients 0 and 2. A refused round sends it no
+        # GLOBAL, so the next round is the first it trains.
         _forced_helpers(monkeypatch, 1)
         monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.5)
         monkeypatch.setattr(transport, "KEEPALIVE_S", 0.05)
@@ -604,6 +645,27 @@ class TestRunTraining:
                           test_clients=(ds.clients[0].client_id,))
         with pytest.raises(ConfigError, match="ghost"):
             run_training(ds, cfg)
+
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_repeated_client_rejected_before_any_work(self, monkeypatch, role):
+        ds = _tiny_dataset()
+        a, b, c = ds.client_ids()
+        split = {"train": ((a, a, b), (c,)), "test": ((a,), (b, c, b))}[role]
+        cfg = TrainConfig(rounds=1, train_clients=split[0], test_clients=split[1],
+                          batch_size=4)
+        prepared = []
+        real_prep = ModelEvaluator.prep_states
+
+        def counting_prep(self, samples):
+            prepared.append(samples)
+            return real_prep(self, samples)
+
+        monkeypatch.setattr(ModelEvaluator, "prep_states", counting_prep)
+        repeated = a if role == "train" else b
+        with pytest.raises(ConfigError,
+                           match=rf"{role} clients repeated: \['{repeated}'\]"):
+            run_training(ds, cfg)
+        assert prepared == []
 
     def test_round_records_carry_losses_and_checksums(self):
         ds = _tiny_dataset()

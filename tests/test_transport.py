@@ -339,9 +339,9 @@ class TestSocketRounds:
 
 
 def test_client_loop_decodes_each_round_global_once(monkeypatch):
-    # A helper serving several clients reads the same GLOBAL line on each
-    # connection; it is parsed once per round, and every client still
-    # trains from it as if alone.
+    # A helper serving several clients reads one GLOBAL line per round on
+    # its one connection, parses it once, and answers it with one UPDATE
+    # per client; every client still trains from it as if alone.
     ds = _tiny_dataset(n_clients=4)
     ids = ds.client_ids()
     cfg = TrainConfig(rounds=2, train_clients=ids[:3], test_clients=ids[3:],
@@ -360,28 +360,25 @@ def test_client_loop_decodes_each_round_global_once(monkeypatch):
         return real_decode(line)
 
     monkeypatch.setattr(transport, "decode_message", counting_decode)
-    pairs = [socket.socketpair() for _ in range(3)]
+    ours, theirs = socket.socketpair()
     loop = threading.Thread(target=transport._serve_clients, args=(
-        [(theirs, _make_client(ds, i, cfg)) for i, (_ours, theirs) in enumerate(pairs)],))
-    ends = [(ours.makefile("r"), ours.makefile("w")) for ours, _theirs in pairs]
+        theirs, [_make_client(ds, i, cfg) for i in range(3)]))
+    reader, writer = ours.makefile("r"), ours.makefile("w")
     loop.start()
     answers = []
     try:
         for r, p in enumerate(params, start=1):
-            for _reader, writer in ends:
-                writer.write(encode_global(r, p.values))
-                writer.flush()
-            answers += [decode_message(reader.readline()) for reader, _writer in ends]
-        ends[0][1].write(encode_done())
-        ends[0][1].flush()
+            writer.write(encode_global(r, p.values))
+            writer.flush()
+            answers += [decode_message(reader.readline()) for _ in range(3)]
+        writer.write(encode_done())
+        writer.flush()
         loop.join(timeout=10)
     finally:
-        for reader, writer in ends:
-            reader.close()
-            writer.close()
-        for ours, theirs in pairs:
-            ours.close()
-            theirs.close()
+        reader.close()
+        writer.close()
+        ours.close()
+        theirs.close()
     assert not loop.is_alive()
     assert decoded == ["GLOBAL", "GLOBAL", "DONE\n"]
     by_key = {(u.client_id, u.round): u for u in answers}
