@@ -94,14 +94,14 @@ def architecture_from_flags(args, n_qubits: int) -> ArchitectureSpec:
                               include_fc=args.fc)
 
 
-def _gen_config(args, n_clients=None, samples=None, seed=None) -> GenConfig:
+def _gen_config(args, samples=None, seed=None) -> GenConfig:
     kwargs = {}
-    if getattr(args, "sigma", None) is not None:
+    if args.sigma is not None:
         kwargs["trunc_normal_sigma"] = args.sigma
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         kwargs["excitation_threshold"] = args.threshold
     return GenConfig(
-        n_clients=n_clients if n_clients is not None else args.clients,
+        n_clients=args.clients,
         n_qubits=args.qubits,
         samples_per_client=samples if samples is not None else args.samples_per_client,
         seed=seed if seed is not None else args.seed,

@@ -25,14 +25,14 @@ block that last wrote it: re/im, that block's qubits, the other qubits
 high to low, then the batch. So a block step is one real matmul (8x8,
 or 4x4 for one qubit) of the block matrix by a (2 * 2^k, rest) view,
 then one copy into the next block's layout whose innermost runs are
-whole batches; the permutations are fixed at compile time. The
-evaluator owns its work buffers (the tape and two spare states) and
-grows them only for a batch larger than any before it. For each batch
-size it builds once a plan of every view its sweeps use (each block's
-(2 * 2^k, rest) input and output, each regather's permuted source and
-its destination, each block's per-sample overlap operands), so a block
-step costs one matmul and one copy; a plan is rebuilt only after the
-buffers it views grow.
+whole batches; the permutations are fixed at compile time. For each
+batch size and sweep (forward only, or taped for the gradient) the
+evaluator builds once a plan that owns its work buffers (two spare
+states and, for a taped plan, the tape and the per-sample overlaps)
+and holds every view its sweep uses (each block's (2 * 2^k, rest) input
+and output, each regather's permuted source and its destination, each
+block's per-sample overlap operands), so a block step costs one matmul
+and one copy.
 
 Gradients are exact. Every gate has the form exp(-i*theta/2*G) with
 G^2 = I, so each occurrence of a parameter contributes the shift-rule
@@ -63,7 +63,6 @@ from .errors import ConfigError, UnresolvedParameterError
 from .sim import (
     Circuit,
     GateOp,
-    PARAMETRIZED_GATES,
     PAULI_GENERATORS,
     apply_circuit,
     apply_matrix,
@@ -385,9 +384,10 @@ def _move(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[tuple, tuple]:
 
 
 class _Plan(NamedTuple):
-    """Every view the sweeps of one batch size use, built once. A step
-    (mat, x, y, moved, dst) is ``y = mat @ x``, then, given a ``dst``, the
-    copy of ``moved`` (y's buffer in the next layout's axis order) into it."""
+    """The sweep of one batch size: views of buffers of its own, built
+    once. A step (mat, x, y, moved, dst) is ``y = mat @ x``, then, given
+    a ``dst``, the copy of ``moved`` (y's buffer in the next layout's
+    axis order) into it."""
 
     first: np.ndarray          # the prepared states' destination
     forward: list[tuple]       # one step per block
@@ -447,23 +447,20 @@ class ModelEvaluator:
         depth = max((len(run) for _qubits, run in kind_runs), default=1)
         shape = (depth, len(kind_runs))
         # Slot (j, kind) holds cos(a/2) * cos_part + sin(a/2) * sin_part
-        # with a = angle + sign * values[param]; empty slots are identities.
+        # with a = sign * values[param]; a gate without a symbol is a fixed
+        # cos_part (sign 0), and empty slots are identities.
         cos_part = np.broadcast_to(np.eye(4, dtype=complex), shape + (4, 4)).copy()
         sin_part = np.zeros(shape + (4, 4), dtype=complex)
-        self._angle = np.zeros(shape)
         self._sign = np.zeros(shape)
         self._param = np.full(shape, -1, dtype=np.int64)
         for k, (qubits, run) in enumerate(kind_runs):
             for j, op in enumerate(run):
-                if op.kind not in PARAMETRIZED_GATES:
-                    cos_part[j, k] = _embed(gate_matrix(op), op.targets, qubits)
-                    continue
-                sin_part[j, k] = -1j * _embed(PAULI_GENERATORS[op.kind], op.targets, qubits)
                 if op.symbol is None:
-                    self._angle[j, k] = op.angle
+                    cos_part[j, k] = _embed(gate_matrix(op), op.targets, qubits)
                     continue
                 if op.symbol not in name_to_idx:
                     raise ConfigError(f"model symbol {op.symbol!r} not in parameters")
+                sin_part[j, k] = -1j * _embed(PAULI_GENERATORS[op.kind], op.targets, qubits)
                 self._param[j, k] = name_to_idx[op.symbol]
                 self._sign[j, k] = op.sign
         one_qubit = [len(qubits) == 1 for qubits, _run in kind_runs]
@@ -504,31 +501,8 @@ class ModelEvaluator:
 
         # State after each distinct shared prefix of a prep_states group.
         self._prefix_states: dict[tuple[GateOp, ...], np.ndarray] = {}
-        self._spare = np.empty((2, 0))
-        self._tape = np.empty((len(blocks), 0))
-        self._overlaps = np.zeros((len(blocks), 0, 8, 8))
-        # One plan per batch size and sweep (taped or not), dropped when a
-        # buffer it views grows.
+        # One plan per batch size and sweep (taped or not), never dropped.
         self._plans: dict[tuple[int, bool], _Plan] = {}
-
-    def _spares(self, batch: int) -> np.ndarray:
-        """Two reused real state buffers, grown only for a batch larger
-        than any before it."""
-        size = batch << (self.n_qubits + 1)
-        if self._spare.shape[1] < size:
-            self._spare = np.empty((2, size))
-            self._plans.clear()
-        return self._spare[:, :size]
-
-    def _tape_rows(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """The reused tape (one gathered input per block) and overlaps
-        (block, sample, 8, 8); a one-qubit block's padding stays zero."""
-        size = batch << (self.n_qubits + 1)
-        if self._tape.shape[1] < size:
-            self._tape = np.empty((len(self.block_qubits), size))
-            self._overlaps = np.zeros((len(self.block_qubits), batch, 8, 8))
-            self._plans.clear()
-        return self._tape[:, :size], self._overlaps[:, :batch]
 
     def _plan(self, batch: int, taped: bool) -> _Plan:
         plan = self._plans.get((batch, taped))
@@ -537,12 +511,16 @@ class ModelEvaluator:
         return plan
 
     def _build_plan(self, batch: int, taped: bool) -> _Plan:
-        """The views of one batch size's sweeps. The forward-only sweep
-        reads one spare state and writes the other; the taped sweep reads
-        each block's input from the tape and writes the first spare, where
-        its adjoint sweep starts lam and takes it back through the other."""
-        spare, other = self._spares(batch)
+        """The buffers of one batch size's sweep and their views. The
+        forward-only sweep reads one spare state and writes the other; the
+        taped sweep reads each block's input from its tape (one gathered
+        input per block) and writes the first spare, where its adjoint
+        sweep starts lam and takes it back through the other, and keeps
+        the overlaps (block, sample, 8, 8), whose padding for a one-qubit
+        block stays zero."""
         n_blocks = len(self._mats)
+        size = batch << (self.n_qubits + 1)
+        spare, other = np.empty((2, size))
         labels = (2,) * (self.n_qubits + 1) + (batch,)  # one axis per label
 
         def step(mat, x, y, move=None, dst=None):
@@ -553,7 +531,8 @@ class ModelEvaluator:
                     y.reshape(labels).transpose(move[1]), dst.reshape(labels))
 
         if taped:
-            tape, overlaps = self._tape_rows(batch)
+            tape = np.empty((n_blocks, size))
+            overlaps = np.zeros((n_blocks, batch, 8, 8))
             inputs, out = list(tape), spare
         else:
             inputs, out, other = [spare] * n_blocks, other, spare
@@ -573,8 +552,7 @@ class ModelEvaluator:
                       for b in order for d in [self._dims[b]]],
             backward=[step(self._mats[b].T, out, other, self._back[b], out)
                       for b in order if b],
-            overlap_rows=self._overlaps.reshape(
-                n_blocks, self._overlaps.shape[1] * 64)[:, :batch * 64])
+            overlap_rows=overlaps.reshape(n_blocks, batch * 64))
 
     def _block_matrices(self, values: np.ndarray):
         """Each kind's real 8x8 block matrix (a one-qubit kind's is its
@@ -583,7 +561,7 @@ class ModelEvaluator:
         earlier slot of its kind."""
         slots, prefix, scratch, _deriv = self._algebra
         bound = np.append(np.asarray(values, dtype=float), 0.0)[self._param]
-        half = 0.5 * (self._angle + self._sign * bound)
+        half = 0.5 * self._sign * bound
         np.multiply(np.cos(half)[..., None, None], self._cos_part, out=slots)
         np.multiply(np.sin(half)[..., None, None], self._sin_part, out=scratch)
         slots += scratch

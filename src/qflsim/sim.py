@@ -103,6 +103,12 @@ class GateOp:
                     raise ConfigError("sign applies only to symbol references")
             if self.sign not in (1, -1):
                 raise ConfigError(f"sign must be +1 or -1, got {self.sign}")
+            if self.symbol is not None and (  # one token of circuit text
+                    not isinstance(self.symbol, str)
+                    or self.symbol.split() != [self.symbol]):
+                raise ConfigError(
+                    f"symbol must be a nonempty name without whitespace, "
+                    f"got {self.symbol!r}")
         else:
             if self.angle is not None or self.symbol is not None:
                 raise ConfigError(f"{self.kind} takes no angle or symbol")

@@ -278,6 +278,7 @@ def _render_body(ds: FederatedDataset) -> str:
         _gen_config_line(ds.gen_config),
     ]
     memo: dict[int, tuple[GateOp, str]] = {}
+    n_qubits = ds.gen_config.n_qubits
     for client in ds.clients:
         if not client_id_ok(client.client_id):
             raise ConfigError(f"client id {client.client_id!r} not storable")
@@ -286,15 +287,24 @@ def _render_body(ds: FederatedDataset) -> str:
             f"{len(client.samples)}"
         )
         for sample in client.samples:
+            if sample.prep_circuit.n_qubits != n_qubits:
+                raise ConfigError(
+                    f"client {client.client_id}: sample qubit count "
+                    f"{sample.prep_circuit.n_qubits} does not match dataset ({n_qubits})")
             circ = _render_lines(sample.prep_circuit, memo)
             if ";" in circ:
                 raise ConfigError("circuit text may not contain ';'")
+            if "$" in circ:
+                raise ConfigError(f"client {client.client_id}: sample circuit has a symbol")
             lines.append(f"s {sample.label} {circ.replace(chr(10), ';')}")
     return "\n".join(lines) + "\n"
 
 
 def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
-    """Write atomically (temp file, then rename) and return a summary."""
+    """Write atomically (temp file, then rename) and return a summary. A
+    dataset read_dataset would refuse (a sample with a symbol or with a
+    qubit count other than ``gen_config.n_qubits``) raises ConfigError
+    before anything is written."""
     path = Path(path)
     body = _render_body(ds)
     checksum = checksum_bytes(body.encode("utf-8"))

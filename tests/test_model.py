@@ -478,9 +478,9 @@ class TestGradient:
         assert ev.block_kinds[7] != ev.block_kinds[0]
 
     def test_batches_are_independent_and_results_outlive_buffers(self):
-        # The evaluator reuses its work buffers and grows them only for a
-        # larger batch; every sample's result must not depend on its batch,
-        # and arrays returned earlier must not change.
+        # The evaluator reuses each batch size's work buffers; every
+        # sample's result must not depend on its batch, and arrays
+        # returned earlier must not change.
         model = build_model(default_architecture(8))
         ev = ModelEvaluator(model, parameter_names(model.arch))
         values = init_params(model.arch, 4).values
@@ -522,9 +522,10 @@ class TestGradient:
                 assert shape[-1] == -1 and axes[-1] == len(shape) - 1
 
     def test_steady_steps_do_not_fault_pages(self):
-        # Reused buffers: after a warm-up, steps at one batch size touch no
-        # fresh memory. Per-step temporaries of the tape's size would
-        # fault hundreds of pages per step.
+        # Reused buffers: after a warm-up, steps at one batch size reuse
+        # one plan and its buffers and touch no fresh memory. Per-step
+        # temporaries of the tape's size would fault hundreds of pages
+        # per step.
         resource = pytest.importorskip("resource")
         model = build_model(default_architecture(8))
         ev = ModelEvaluator(model, parameter_names(model.arch))
@@ -533,16 +534,16 @@ class TestGradient:
         labels = np.array([s.label for s in batch], dtype=float)
         values = init_params(model.arch, 0).values
         ev.loss_and_gradient(prep, labels, values)
-        buffers = [id(ev._tape), id(ev._spare), id(ev._overlaps)]
+        plan = ev._plans[16, True]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(20):
             ev.loss_and_gradient(prep, labels, values)
-            assert [id(ev._tape), id(ev._spare), id(ev._overlaps)] == buffers
+            assert ev._plans[16, True] is plan
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_plans_survive_buffer_growth(self):
-        # One evaluator's plans at each batch size, before and after its
-        # buffers grow, give what a fresh evaluator's first plan gives.
+        # One evaluator's plans at each batch size, before and after a
+        # larger batch, give what a fresh evaluator's first plan gives.
         model = build_model(default_architecture(8))
         names = parameter_names(model.arch)
         ev = ModelEvaluator(model, names)
@@ -555,8 +556,8 @@ class TestGradient:
             assert np.array_equal(z, z_fresh) and np.array_equal(dz, dz_fresh)
             assert np.array_equal(ev.readout_z(prep[:size], values),
                                   fresh.readout_z(prep[:size], values))
-        # Growing to 32 dropped the plans of 16 and 5.
-        assert sorted(ev._plans) == [(b, taped) for b in (1, 16, 32)
+        # Each plan owns its buffers, so a larger batch drops no plan.
+        assert sorted(ev._plans) == [(b, taped) for b in (1, 5, 16, 32)
                                      for taped in (False, True)]
 
     @pytest.mark.parametrize("case", ["fc", "one-qubit blocks"])

@@ -16,6 +16,7 @@ from qflsim.datagen import (
 )
 from qflsim.errors import (
     CircuitParseError,
+    ConfigError,
     DatasetCorruptionError,
     DatasetFormatError,
     DatasetVersionError,
@@ -79,6 +80,17 @@ class TestSerializeCircuit:
         circuit = Circuit(3, (h(0), rx(1, symbol="a"), ry(2, symbol="b", sign=-1),
                               cz(0, 2), rz(0, 0.123456789012345)))
         assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\n", " a"])
+    def test_symbol_circuit_text_cannot_carry_is_refused(self, name):
+        # Written as "RX 0 $a b" or "RX 0 $", the name would not read back.
+        with pytest.raises(ConfigError, match="symbol must be a nonempty name"):
+            rx(0, symbol=name)
+
+    def test_accepted_symbol_names_round_trip(self):
+        for name in ("c0_14", "$a", "x-1", "\u03b8"):
+            circuit = Circuit(1, (rx(0, symbol=name), ry(0, symbol=name, sign=-1)))
+            assert parse_circuit(serialize_circuit(circuit)) == circuit
 
     def test_angles_survive_bit_exactly(self):
         rng = np.random.default_rng(5)
@@ -306,6 +318,24 @@ class TestDatasetContainer:
         back = read_dataset(path)
         assert back.clients == ()
         assert back.gen_config == ds.gen_config
+
+    @pytest.mark.parametrize("case", ["symbol", "qubit count"])
+    def test_write_refuses_what_read_refuses(self, tmp_path, case):
+        # read_dataset refuses a sample circuit with a symbol or on a qubit
+        # count other than the dataset's; the write refuses both before it
+        # creates any file.
+        if case == "symbol":
+            circuit, error = Circuit(2, (h(0), rx(1, symbol="a"))), "sample circuit has a symbol"
+        else:
+            circuit, error = Circuit(3, (h(0),)), "sample qubit count 3 does not match dataset \\(2\\)"
+        good = Sample(Circuit(2, (h(0), rx(1, 0.5))), 1)
+        ds = FederatedDataset(
+            (ClientDataset("a", (good,), AngleDistribution.UNIFORM_PI),
+             ClientDataset("b", (Sample(circuit, 0),), AngleDistribution.UNIFORM_PI)),
+            GenConfig(n_clients=2, n_qubits=2, samples_per_client=2))
+        with pytest.raises(ConfigError, match=error):
+            write_dataset(ds, tmp_path / "data.qfd")
+        assert list(tmp_path.iterdir()) == []
 
     def test_labels_and_angles_bit_exact(self, tmp_path):
         ds = _tiny_dataset(seed=17)
