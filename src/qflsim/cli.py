@@ -41,15 +41,16 @@ def _derived_seed(base_seed: int, *keys: int) -> int:
 
 
 def _int_list(minimum: int):
-    """argparse type of a comma-joined list of integers >= ``minimum``."""
+    """argparse type of a comma-joined list of distinct integers >=
+    ``minimum``; a repeated value would run the same experiment twice."""
     def parse(text: str) -> tuple[int, ...]:
         try:
             values = tuple(int(item) for item in text.split(","))
         except ValueError:
             values = ()
-        if not values or min(values) < minimum:
+        if not values or min(values) < minimum or len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(
-                f"expected comma-joined integers >= {minimum}, got {text!r}")
+                f"expected comma-joined distinct integers >= {minimum}, got {text!r}")
         return values
     return parse
 

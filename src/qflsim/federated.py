@@ -8,8 +8,12 @@ itself, so no separate server optimizer exists). Client optimizer
 moments persist across rounds, which makes single-client federated
 training coincide exactly with plain centralized training.
 
-A run compiles one ModelEvaluator and prepares each client's input
-states once, into a PreparedClient (samples, labels, prepared states).
+A run compiles one ModelEvaluator and prepares each client's samples
+once, into a PreparedClient (samples, labels, and the samples as a
+model.Mixture over a few shared states: 1 + n of them for a generated
+client on n qubits, in place of one state per sample). Local training
+materialises each batch's states from the mixture, and evaluation reads
+the <Z> of the mixture's few states.
 build_clients turns those into ClientStates, each carrying the run's
 TrainConfig, so local_train needs only the client and the broadcast
 parameters, in process and in a socket worker alike. Evaluation reads
@@ -38,6 +42,7 @@ from .datagen import ClientDataset, FederatedDataset
 from .errors import ConfigError, TrainingError
 from .model import (
     ArchitectureSpec,
+    Mixture,
     ModelEvaluator,
     ParamVector,
     Sample,
@@ -56,7 +61,7 @@ ADAM_BETA2 = 0.999
 RMSPROP_DECAY = 0.9
 EPSILON = 1e-7
 
-# Samples per forward pass in evaluate; bounds its temporary states.
+# States per readout_z call in evaluate; bounds its temporary states.
 EVAL_BATCH = 64
 
 # Random-stream namespace of the batch shuffles (see stream_rng).
@@ -118,20 +123,21 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class PreparedClient:
-    """One client's samples with their labels and prepared input states,
-    simulated once per run and used by its local training and evaluation."""
+    """One client's samples with their labels and the samples as a
+    Mixture (ModelEvaluator.prepare), prepared once per run and used by
+    its local training and evaluation."""
 
     samples: tuple[Sample, ...]
     labels: np.ndarray = field(repr=False)
-    prep_states: np.ndarray = field(repr=False)
+    mixture: Mixture = field(repr=False)
 
 
 def prepare_clients(clients: Sequence[ClientDataset],
                     evaluator: ModelEvaluator) -> tuple[PreparedClient, ...]:
-    """Each client's labels and preparation states."""
+    """Each client's labels and mixture."""
     return tuple(
         PreparedClient(c.samples, np.array([s.label for s in c.samples], dtype=float),
-                       evaluator.prep_states(c.samples))
+                       evaluator.prepare(c.samples))
         for c in clients
     )
 
@@ -249,7 +255,7 @@ def local_train(client: ClientState, global_params: ParamVector,
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grad = client.evaluator.loss_and_gradient(
-                client.data.prep_states[idx], client.data.labels[idx], values
+                client.data.mixture.materialise(idx), client.data.labels[idx], values
             )
             values, opt_state = optimizer_step(opt_state, values, grad, cfg.opt)
             losses.append(loss)
@@ -290,20 +296,30 @@ def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:
     return ParamVector(names, weights @ stacked)
 
 
+def _readout(mixture: Mixture, evaluator: ModelEvaluator,
+             values: np.ndarray) -> np.ndarray:
+    """Each sample's <Z>, from readout_z over the mixture's states."""
+    states = mixture.states
+    return mixture.readout(np.concatenate([
+        evaluator.readout_z(states[start:start + EVAL_BATCH], values)
+        for start in range(0, len(states), EVAL_BATCH)]))
+
+
 def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
              evaluator: ModelEvaluator) -> tuple[float, float]:
     """(binary accuracy at threshold 0.5, mean squared error) over the
     pooled samples of the given prepared clients (see prepare_clients).
-    Ties at p = 0.5 count as label 0."""
+    Ties at p = 0.5 count as label 0. Each client's samples are read off
+    the <Z> of its mixture's states, at most EVAL_BATCH per readout_z
+    call."""
     if params.names != evaluator.param_names:
         raise ConfigError("parameter names differ from the evaluator's")
     if not any(len(c.samples) for c in test_clients):
         raise ConfigError("evaluation needs at least one sample")
     labels = np.concatenate([c.labels for c in test_clients])
-    preds = np.concatenate([
-        evaluator.predictions(c.prep_states[start:start + EVAL_BATCH], params.values)
-        for c in test_clients for start in range(0, len(c.samples), EVAL_BATCH)
-    ])
+    z = np.concatenate([_readout(c.mixture, evaluator, params.values)
+                        for c in test_clients if len(c.samples)])
+    preds = 0.5 * (1.0 + z)
     return float(np.mean((preds > 0.5) == (labels == 1))), mse(labels, preds)
 
 

@@ -51,6 +51,12 @@ P_j^T dgen_j P_j with U^T G. That is two batched matmuls over the slots
 and one U^T per kind and sample, with no suffix products. A one-qubit
 kind's real form is block-diagonal, and only its orthogonal top-left
 block meets the nonzero corner of its Gram matrices.
+
+ModelEvaluator.prepare holds samples as a Mixture: a sample that ends
+in a rotation with a bound angle combines two states that every sample
+with the same earlier gates and rotation shares, and its <Z> follows
+from the <Z> of three states. A generated client on n qubits takes
+1 + 2n states, however many samples it holds.
 """
 
 from dataclasses import dataclass
@@ -401,20 +407,55 @@ class _Plan(NamedTuple):
     overlap_rows: np.ndarray | None = None
 
 
-def _all_equal(ops: tuple[GateOp, ...]) -> bool:
-    """Whether every op equals the first; samples of one dataset share
-    their common GateOp objects, so identity usually decides, and a column
-    of per-sample angles stops at its first differing op."""
-    first = ops[0]
-    return all(op is first or op == first for op in ops)
+@dataclass(frozen=True, eq=False)
+class Mixture:
+    """Prepared samples as mixtures over a few states (ModelEvaluator.prepare).
+
+    A sample whose circuit is a prefix and then one rotation
+    exp(-i a/2 G) is cos(a/2) C - i sin(a/2) G C, with C the prefix's
+    state: rows[0] and rows[1] index C and G C in ``states``, and
+    ``cos`` and ``sin`` hold cos(a/2) and sin(a/2). Any other sample is
+    a state of its own with coefficients (1, 0). For each pair (C, G C)
+    ``states`` also holds the polarisation state phi = (C + D)/sqrt(2),
+    D = -i G C, indexed by rows[2], so every sample's <Z> follows from
+    those of the states: with c = cos(a/2) and s = sin(a/2) it is
+    (c^2 - cs) z_C + (s^2 - cs) z_D + 2cs z_phi, which is z_C for a
+    state of its own.
+    """
+
+    states: np.ndarray  # (n_states, 2^n) complex, read-only
+    rows: np.ndarray    # (3, n_samples): the rows of C, G C and phi
+    cos: np.ndarray     # (n_samples,)
+    sin: np.ndarray
+
+    def materialise(self, idx) -> np.ndarray:
+        """(len(idx), 2^n) prepared states of the samples ``idx`` (an index
+        array or slice), with the arithmetic of the rotation's batched
+        application: cos * C - 1j * sin * (G C)."""
+        return (self.cos[idx, None] * self.states[self.rows[0, idx]]
+                - 1j * self.sin[idx, None] * self.states[self.rows[1, idx]])
+
+    def readout(self, z_states: np.ndarray) -> np.ndarray:
+        """Each sample's <Z>, given the <Z> of every row of ``states``."""
+        c, s = self.cos, self.sin
+        z_c, z_d, z_phi = z_states[self.rows]
+        return c * (c - s) * z_c + s * (s - c) * z_d + 2 * c * s * z_phi
+
+
+def _check_bound(ops: Sequence[GateOp]):
+    for op in ops:
+        if op.symbol is not None:
+            raise UnresolvedParameterError(
+                f"sample circuit has unbound symbol {op.symbol!r}"
+            )
 
 
 class ModelEvaluator:
     """Batched forward and gradient evaluation of one model.
 
     Compiles the model circuit once against a fixed parameter-name order
-    into a block program (see the module docstring); sample preparation
-    states are parameter-independent and can be cached by the caller
+    into a block program (see the module docstring); prepared samples
+    (prepare) are parameter-independent and can be kept by the caller
     across optimization steps. The evaluator owns the work buffers of
     its sweeps, so it serves one thread at a time; the arrays it returns
     are never reused.
@@ -499,7 +540,7 @@ class ModelEvaluator:
         bits = (np.arange(2 << n) >> (n - last.index(self.readout))) & 1
         self._z_signs = 1.0 - 2.0 * bits
 
-        # State after each distinct shared prefix of a prep_states group.
+        # The state of each distinct prefix that prepare has met.
         self._prefix_states: dict[tuple[GateOp, ...], np.ndarray] = {}
         # One plan per batch size and sweep (taped or not), never dropped.
         self._plans: dict[tuple[int, bool], _Plan] = {}
@@ -595,57 +636,68 @@ class ModelEvaluator:
                 np.copyto(dst, moved)
         return self._z_signs @ np.square(plan.final, out=plan.square)
 
-    def prep_states(self, samples: Sequence[Sample]) -> np.ndarray:
-        """(n_samples, 2^n) array of each sample's prepared input state.
-
-        Samples whose circuits have the same gate kinds and targets are
-        prepared together: their common leading gates are simulated once
-        per evaluator (groups and calls with the same leading gates reuse
-        that state), and every later gate is applied to the whole group, a
-        rotation with per-sample angles a as cos(a/2) psi - i sin(a/2) G psi.
+    def prepare(self, samples: Sequence[Sample]) -> Mixture:
+        """The samples as a Mixture (see there) over the states of their
+        prefixes. A sample's prefix is its circuit before a last rotation
+        with a bound angle, or the whole circuit if it ends otherwise.
+        Each distinct prefix state is simulated once per evaluator (later
+        calls with the same prefix reuse it), and each G C with its
+        polarisation state once per call.
         """
         n = self.n_qubits
-        groups: dict[tuple, list[int]] = {}
-        for i, sample in enumerate(samples):
+        states: list[np.ndarray] = []
+        # Rows of this call's states, keyed by the id of a cached (so
+        # living) prefix state, with the rotation's kind and targets.
+        row_of: dict[tuple, int] = {}
+        rows: list[tuple[int, int, int]] = []
+        angles: list[float] = []
+        prefix = None
+        for sample in samples:
             circuit = sample.prep_circuit
             if circuit.n_qubits != n:
                 raise ConfigError(
                     f"sample on {circuit.n_qubits} qubits, model expects {n}"
                 )
-            for op in circuit.ops:
-                if op.symbol is not None:
-                    raise UnresolvedParameterError(
-                        f"sample circuit has unbound symbol {op.symbol!r}"
-                    )
-            key = tuple((op.kind, op.targets) for op in circuit.ops)
-            groups.setdefault(key, []).append(i)
-        out = np.empty((len(samples), 1 << n), dtype=complex)
-        for rows in groups.values():
-            out[rows] = self._prepare_group([samples[i].prep_circuit.ops for i in rows])
-        return out
-
-    def _prepare_group(self, op_lists: list[tuple[GateOp, ...]]) -> np.ndarray:
-        n = self.n_qubits
-        columns = list(zip(*op_lists))  # the t-th gate of every sample
-        shared = 0
-        while shared < len(columns) and _all_equal(columns[shared]):
-            shared += 1
-        prefix = op_lists[0][:shared]
-        psi = self._prefix_states.get(prefix)
-        if psi is None:
-            psi = apply_circuit(new_zero_state(n), Circuit(n, prefix))
-            psi.flags.writeable = False
-            self._prefix_states[prefix] = psi
-        psi = np.repeat(psi[None, :], len(op_lists), axis=0)
-        for ops in columns[shared:]:
-            op = ops[0]
-            if _all_equal(ops):
-                psi = apply_matrix(psi, gate_matrix(op), op.targets, n)
+            ops = circuit.ops
+            rotation = bool(ops) and ops[-1].kind in PAULI_GENERATORS
+            head = ops[:-1] if rotation else ops
+            # Samples of one dataset share their prefix's GateOp objects,
+            # so identity mostly decides this comparison.
+            if head != prefix:
+                _check_bound(head)
+                prefix = head
+                psi = self._prefix_states.get(head)
+                if psi is None:
+                    psi = apply_circuit(new_zero_state(n), Circuit(n, head))
+                    psi.flags.writeable = False
+                    self._prefix_states[head] = psi
+                c = row_of.setdefault((id(psi),), len(states))
+                if c == len(states):
+                    states.append(psi)
+            if not rotation:
+                rows.append((c, c, c))
+                angles.append(0.0)
                 continue
-            half = 0.5 * np.array([o.angle for o in ops])
-            flipped = apply_matrix(psi, PAULI_GENERATORS[op.kind], op.targets, n)
-            psi = np.cos(half)[:, None] * psi - 1j * np.sin(half)[:, None] * flipped
-        return psi
+            op = ops[-1]
+            _check_bound((op,))
+            key = (id(psi), op.kind, op.targets)
+            g = row_of.get(key)
+            if g is None:
+                g = row_of[key] = len(states)
+                flipped = apply_matrix(psi[None], PAULI_GENERATORS[op.kind], op.targets, n)[0]
+                states += [flipped, np.sqrt(0.5) * (psi - 1j * flipped)]
+            rows.append((c, g, g + 1))
+            angles.append(op.angle)
+        half = 0.5 * np.array(angles)
+        basis = np.array(states, dtype=complex).reshape(-1, 1 << n)
+        basis.flags.writeable = False
+        return Mixture(basis, np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy(),
+                       np.cos(half), np.sin(half))
+
+    def prep_states(self, samples: Sequence[Sample]) -> np.ndarray:
+        """(n_samples, 2^n) array of each sample's prepared input state:
+        prepare(samples) materialised in full, the per-sample reference."""
+        return self.prepare(samples).materialise(slice(None))
 
     def readout_z(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         _check_batch(prep_states)

@@ -221,6 +221,14 @@ class TestSweepDatasize:
             assert "error:" in capsys.readouterr().err
             assert not (tmp_path / "m.jsonl").exists()
 
+    def test_repeated_size_rejected(self, tmp_path, capsys):
+        assert main(["sweep-datasize", "--clients", "6", "--qubits", "2",
+                     "--sizes", "4,4", "--rounds", "1",
+                     "--train-clients", "4", "--test-clients", "2",
+                     "--out", str(tmp_path / "m.jsonl")]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "m.jsonl").exists()
+
     def test_bad_size_fails_before_any_run(self, tmp_path, capsys):
         # With a split the 6 clients allow, size 4 could train; the bad
         # size 7 after it must still stop the sweep before its first run.
@@ -257,14 +265,15 @@ class TestErrorBars:
             assert "error:" in capsys.readouterr().err
             assert not (tmp_path / "m.jsonl").exists()
 
-    def test_identical_seeds_zero_spread(self, tmp_path):
-        out = tmp_path / "m.jsonl"
-        assert main(["error-bars", *TINY, *FAST_TRAIN, "--seeds", "3,3,3",
-                     "--train-clients", "4", "--test-clients", "2",
-                     "--out", str(out)]) == 0
-        agg = read_metrics(out)[-1]
-        assert agg["test_accuracy_spread"] == 0.0
-        assert agg["train_accuracy_spread"] == 0.0
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        # A repeated seed would run twice and count twice in the mean and
+        # spread; "1,1,2" would also pass the three-seed rule.
+        for seeds in ("1,1,2", "3,3,3"):
+            assert main(["error-bars", *TINY, *FAST_TRAIN, "--seeds", seeds,
+                         "--train-clients", "4", "--test-clients", "2",
+                         "--out", str(tmp_path / "m.jsonl")]) == 2
+            assert "distinct" in capsys.readouterr().err
+            assert not (tmp_path / "m.jsonl").exists()
 
     def test_piped_output_appears_once(self, tmp_path):
         # Block-buffered stdout must be flushed before helpers fork, or a

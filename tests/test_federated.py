@@ -209,7 +209,7 @@ class TestLocalTrain:
     def test_empty_dataset_rejected(self):
         client, params, _ = self._client(batch_size=4)
         client.data = PreparedClient((), client.data.labels[:0],
-                                     client.data.prep_states[:0])
+                                     client.evaluator.prepare(()))
         with pytest.raises(ConfigError):
             local_train(client, params)
 
@@ -288,8 +288,9 @@ class TestRunRound:
         cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
                           batch_size=4, seed=1)
         server, clients, ctx = build_run(ds, cfg)
+        mixture = clients[1].data.mixture
         clients[1].data = dataclasses.replace(  # poisoned shapes
-            clients[1].data, prep_states=clients[1].data.prep_states[:3])
+            clients[1].data, mixture=dataclasses.replace(mixture, cos=mixture.cos[:3]))
         with LocalTransport(clients) as local, \
                 pytest.raises(TrainingError, match=clients[1].client_id):
             run_round(server, local, cfg, ctx)
@@ -412,8 +413,9 @@ class TestLocalTransport:
                           batch_size=4, seed=1)
         server, clients, ctx = build_run(ds, cfg)
         # The helper owns clients 0 and 2, the parent client 1.
+        mixture = clients[2].data.mixture
         clients[2].data = dataclasses.replace(  # poisoned shapes
-            clients[2].data, prep_states=clients[2].data.prep_states[:3])
+            clients[2].data, mixture=dataclasses.replace(mixture, cos=mixture.cos[:3]))
         with LocalTransport(clients) as local:
             with pytest.raises(TrainingError,
                                match=f"client {ids[2]} failed in round 1"):
@@ -654,13 +656,13 @@ class TestRunTraining:
         cfg = TrainConfig(rounds=1, train_clients=split[0], test_clients=split[1],
                           batch_size=4)
         prepared = []
-        real_prep = ModelEvaluator.prep_states
+        real_prepare = ModelEvaluator.prepare
 
-        def counting_prep(self, samples):
+        def counting_prepare(self, samples):
             prepared.append(samples)
-            return real_prep(self, samples)
+            return real_prepare(self, samples)
 
-        monkeypatch.setattr(ModelEvaluator, "prep_states", counting_prep)
+        monkeypatch.setattr(ModelEvaluator, "prepare", counting_prepare)
         repeated = a if role == "train" else b
         with pytest.raises(ConfigError,
                            match=rf"{role} clients repeated: \['{repeated}'\]"):
@@ -694,21 +696,51 @@ class TestRunTraining:
                           batch_size=4, seed=4, eval_train=True)
         reference = run_training(ds, cfg)
         built, prepared = [], []
-        init, prep_states = ModelEvaluator.__init__, ModelEvaluator.prep_states
+        init, prepare = ModelEvaluator.__init__, ModelEvaluator.prepare
 
         def counting_init(self, *args):
             built.append(self)
             init(self, *args)
 
-        def counting_prep_states(self, samples):
+        def counting_prepare(self, samples):
             prepared.extend(samples)
-            return prep_states(self, samples)
+            return prepare(self, samples)
 
         monkeypatch.setattr(ModelEvaluator, "__init__", counting_init)
-        monkeypatch.setattr(ModelEvaluator, "prep_states", counting_prep_states)
+        monkeypatch.setattr(ModelEvaluator, "prepare", counting_prepare)
         assert run_training(ds, cfg) == reference
         assert len(built) == 1
         assert len(prepared) == sum(len(c.samples) for c in ds.clients)
+
+
+# (server_params_checksum, test_mse) of every round, round 0 first, of
+# two small runs: 2 rounds, 4 training and 2 test clients x 32 samples,
+# Adam 0.02, batch 16, keyed by (qubits, non-IID fraction, seed). They
+# were recorded with every sample's state prepared on its own, which
+# training on mixtures must reproduce bit for bit.
+GOLDEN_RUNS = {
+    (8, 0.0, 11): [("6e553a5161aa1aff", 0.12177583779293585),
+                   ("f7127dec037ea591", 0.10692941687594096),
+                   ("6ebe12ec4564f6a4", 0.09992468257569406)],
+    (4, 0.5, 12): [("e46e93a674036774", 0.07371452209303486),
+                   ("bbc87aabb29fecd3", 0.05453942307312665),
+                   ("f579fd2747ced139", 0.049387977402130176)],
+}
+
+
+@pytest.mark.parametrize("n_qubits,non_iid,seed", list(GOLDEN_RUNS))
+def test_pinned_run_records(n_qubits, non_iid, seed):
+    ds = generate_federated_dataset(
+        GenConfig(n_clients=6, n_qubits=n_qubits, samples_per_client=32, seed=seed),
+        non_iid_fraction=non_iid)
+    ids = ds.client_ids()
+    cfg = TrainConfig(rounds=2, train_clients=ids[:4], test_clients=ids[4:],
+                      batch_size=16, opt=OptimizerConfig("adam", 0.02), seed=seed)
+    records = run_training(ds, cfg)
+    assert [r.server_params_checksum for r in records] == \
+        [checksum for checksum, _mse in GOLDEN_RUNS[n_qubits, non_iid, seed]]
+    for record, (_checksum, mse) in zip(records, GOLDEN_RUNS[n_qubits, non_iid, seed]):
+        assert record.test_mse == pytest.approx(mse, abs=1e-12)
 
 
 def _centralized_params(ds, cfg):

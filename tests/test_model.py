@@ -8,13 +8,15 @@ import pytest
 import oracles
 import qflsim.model as model_module
 from qflsim.datagen import (
+    AngleDistribution,
+    ClientDataset,
     GenConfig,
     cluster_state_circuit,
     generate_client_dataset,
     generate_federated_dataset,
 )
 from qflsim.errors import ConfigError, UnresolvedParameterError
-from qflsim.federated import prepare_clients
+from qflsim.federated import evaluate, prepare_clients
 from qflsim.model import (
     INIT_ANGLE_SCALE,
     ArchitectureSpec,
@@ -41,6 +43,8 @@ from qflsim.sim import (
     cnot,
     h,
     rx,
+    ry,
+    zz,
 )
 from qflsim.store import serialize_circuit
 
@@ -276,7 +280,72 @@ class TestPredict:
             base, abs=1e-12)
 
 
+def _mixed_samples(seed: int, n_generated: int, n_random: int) -> list[Sample]:
+    """Generated samples, samples whose last gate is RY, ZZ, H or CNOT
+    after the cluster state, the bare cluster state and random circuits,
+    shuffled."""
+    rng = np.random.default_rng(seed)
+    cluster = cluster_state_circuit(8)
+    tails = [ry(3, 0.7), ry(3, -2.1), zz(2, 5, 1.3), zz(5, 2, -0.4), h(4), cnot(1, 6)]
+    samples = list(generate_client_dataset(
+        GenConfig(n_clients=1, samples_per_client=n_generated, seed=seed), 0).samples)
+    samples += [Sample(cluster.then(op), k % 2) for k, op in enumerate(tails)]
+    samples += [Sample(cluster, 1)]
+    samples += [Sample(oracles.random_circuit(rng, 8, 20), k % 2) for k in range(n_random)]
+    return [samples[i] for i in rng.permutation(len(samples))]
+
+
 class TestPrepStates:
+    @pytest.mark.parametrize("samples_per_client", [160, 320])
+    def test_generated_client_has_one_plus_n_basis_rows(self, samples_per_client):
+        # The cluster state C and X_q C for every target q, and one
+        # polarisation state per target for the readout.
+        client = generate_client_dataset(GenConfig(
+            n_clients=1, samples_per_client=samples_per_client, seed=2), 0)
+        model = build_model(default_architecture(8))
+        mixture = ModelEvaluator(model, parameter_names(model.arch)).prepare(client.samples)
+        assert len(set(mixture.rows[:2].ravel().tolist())) == 1 + 8
+        assert len(mixture.states) == 1 + 2 * 8
+        assert mixture.rows.shape == (3, samples_per_client)
+
+    def test_mixed_call_matches_per_sample_simulation(self):
+        samples = _mixed_samples(7, n_generated=24, n_random=8)
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        got = ev.prep_states(samples)
+        for row, sample in zip(got, samples):
+            want = oracles.run_circuit(sample.prep_circuit)
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_evaluate_matches_per_sample_predictions(self):
+        # Two clients of the mix, one with more states than a readout_z
+        # call takes (EVAL_BATCH).
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        params = init_params(model.arch, 3)
+        clients = [ClientDataset(f"c{k}", _mixed_samples(k, 16 * (k + 1), 30 * k),
+                                 AngleDistribution.UNIFORM_PI) for k in range(2)]
+        prepared = prepare_clients(clients, ev)
+        assert max(len(c.mixture.states) for c in prepared) > 64
+        samples = [s for c in clients for s in c.samples]
+        labels = np.array([s.label for s in samples], dtype=float)
+        p = ev.predictions(ev.prep_states(samples), params.values)
+        acc, mse = evaluate(params, prepared, ev)
+        assert acc == pytest.approx(np.mean((p > 0.5) == (labels == 1)), abs=1e-12)
+        assert mse == pytest.approx(np.sum((labels - p) ** 2) / (2 * len(p)), abs=1e-12)
+
+    def test_prepare_rejects_unbound_symbol_and_wrong_qubit_count(self):
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        cluster = cluster_state_circuit(8)
+        good = Sample(cluster.then(rx(0, 0.3)), 0)
+        for bad in (cluster.then(rx(0, symbol="a")),
+                    Circuit(8, (rx(0, symbol="a"),) + cluster.ops).then(rx(0, 0.3))):
+            with pytest.raises(UnresolvedParameterError, match="unbound symbol 'a'"):
+                ev.prepare([good, Sample(bad, 0)])
+        with pytest.raises(ConfigError, match="sample on 4 qubits, model expects 8"):
+            ev.prepare([good, Sample(cluster_state_circuit(4), 0)])
+
     def test_grouped_preparation_matches_per_sample_simulation(self):
         # Generated samples share their cluster prefix and differ in the
         # excitation target and angle; random circuits share nothing.
@@ -294,14 +363,14 @@ class TestPrepStates:
     def test_shared_prefix_simulated_once_per_evaluator(self, monkeypatch):
         # 30 generated clients share one cluster prefix across their 8
         # excitation targets: one evaluator simulates it once for all of
-        # them, and each client's states equal those of an evaluator of
-        # its own.
+        # them, and each client's materialised states equal those of an
+        # evaluator of its own.
         ds = generate_federated_dataset(GenConfig(
             n_clients=30, n_qubits=8, samples_per_client=16, seed=3))
         model = build_model(default_architecture(8))
         names = parameter_names(model.arch)
-        alone = [prepare_clients([c], ModelEvaluator(model, names))[0].prep_states
-                 for c in ds.clients]
+        alone = [prepare_clients([c], ModelEvaluator(model, names))[0].mixture
+                 .materialise(slice(None)) for c in ds.clients]
         calls = []
 
         def counting_apply_circuit(state, circuit):
@@ -313,7 +382,7 @@ class TestPrepStates:
         assert len(calls) == 1
         assert calls[0].ops == cluster_state_circuit(8).ops
         for client, want in zip(prepared, alone):
-            assert np.array_equal(client.prep_states, want)
+            assert np.array_equal(client.mixture.materialise(slice(None)), want)
 
     def test_unbound_symbol_rejected(self):
         model = build_model(default_architecture(2))
