@@ -148,7 +148,8 @@ def generate_client_dataset(config: GenConfig, client_index: int,
 def generate_federated_dataset(config: GenConfig,
                                non_iid_fraction: float = 0.0) -> FederatedDataset:
     """K per-client datasets; the first ceil(fraction * K) clients draw
-    excitation angles from the truncated normal, the rest uniformly."""
+    excitation angles from the truncated normal, the rest from
+    ``config.angle_distribution``."""
     if config.n_clients < 1:
         raise ConfigError("dataset generation needs at least one client")
     if not 0.0 <= non_iid_fraction <= 1.0:
@@ -157,6 +158,6 @@ def generate_federated_dataset(config: GenConfig,
     clients = []
     for k in range(config.n_clients):
         dist = AngleDistribution.TRUNCATED_NORMAL if k < n_trunc \
-            else AngleDistribution.UNIFORM_PI
+            else config.angle_distribution
         clients.append(generate_client_dataset(config, k, dist))
     return FederatedDataset(tuple(clients), config)

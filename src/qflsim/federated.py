@@ -8,12 +8,14 @@ itself, so no separate server optimizer exists). Client optimizer
 moments persist across rounds, which makes single-client federated
 training coincide exactly with plain centralized training.
 
-A run compiles one ModelEvaluator and prepares each client's samples
-once, into a PreparedClient (samples, labels, and the samples as a
-model.Mixture over a few shared states: 1 + n of them for a generated
-client on n qubits, in place of one state per sample). Local training
-materialises each batch's states from the mixture, and evaluation reads
-the <Z> of the mixture's few states.
+A run compiles one ModelEvaluator and prepares each set of clients
+(training, testing) once, in one ModelEvaluator.prepare call, into
+PreparedClients: samples, labels, and the samples as a model.Mixture
+over one basis shared by every client of the set (1 + 2n states for
+generated clients on n qubits, in place of one state per sample). Local
+training materialises each batch's states from the mixture, and
+evaluation sweeps each distinct basis once and reads every sample's <Z>
+off it.
 build_clients turns those into ClientStates, each carrying the run's
 TrainConfig, so local_train needs only the client and the broadcast
 parameters, in process and in a socket worker alike. Evaluation reads
@@ -60,9 +62,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 RMSPROP_DECAY = 0.9
 EPSILON = 1e-7
-
-# States per readout_z call in evaluate; bounds its temporary states.
-EVAL_BATCH = 64
 
 # Random-stream namespace of the batch shuffles (see stream_rng).
 _SHUFFLE_STREAM = 1
@@ -124,8 +123,9 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class PreparedClient:
     """One client's samples with their labels and the samples as a
-    Mixture (ModelEvaluator.prepare), prepared once per run and used by
-    its local training and evaluation."""
+    Mixture, prepared once per run and used by its local training and
+    evaluation. The mixture's rows, cos and sin are views of this
+    client's part of a prepare_clients call; its states are the call's."""
 
     samples: tuple[Sample, ...]
     labels: np.ndarray = field(repr=False)
@@ -134,11 +134,15 @@ class PreparedClient:
 
 def prepare_clients(clients: Sequence[ClientDataset],
                     evaluator: ModelEvaluator) -> tuple[PreparedClient, ...]:
-    """Each client's labels and mixture."""
+    """Each client's labels and mixture, from one ModelEvaluator.prepare
+    call over every client's samples, so all of them share one basis."""
+    whole = evaluator.prepare([s for c in clients for s in c.samples])
+    ends = np.cumsum([0] + [len(c.samples) for c in clients])
     return tuple(
         PreparedClient(c.samples, np.array([s.label for s in c.samples], dtype=float),
-                       evaluator.prepare(c.samples))
-        for c in clients
+                       Mixture(whole.states, whole.rows[:, a:b], whole.cos[a:b],
+                               whole.sin[a:b]))
+        for c, a, b in zip(clients, ends[:-1], ends[1:])
     )
 
 
@@ -296,29 +300,24 @@ def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:
     return ParamVector(names, weights @ stacked)
 
 
-def _readout(mixture: Mixture, evaluator: ModelEvaluator,
-             values: np.ndarray) -> np.ndarray:
-    """Each sample's <Z>, from readout_z over the mixture's states."""
-    states = mixture.states
-    return mixture.readout(np.concatenate([
-        evaluator.readout_z(states[start:start + EVAL_BATCH], values)
-        for start in range(0, len(states), EVAL_BATCH)]))
-
-
 def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
              evaluator: ModelEvaluator) -> tuple[float, float]:
     """(binary accuracy at threshold 0.5, mean squared error) over the
     pooled samples of the given prepared clients (see prepare_clients).
-    Ties at p = 0.5 count as label 0. Each client's samples are read off
-    the <Z> of its mixture's states, at most EVAL_BATCH per readout_z
-    call."""
+    Ties at p = 0.5 count as label 0. Each distinct basis among the
+    clients' mixtures is swept once, by one readout_z call, and every
+    sample is read off the <Z> of its basis states."""
     if params.names != evaluator.param_names:
         raise ConfigError("parameter names differ from the evaluator's")
-    if not any(len(c.samples) for c in test_clients):
+    clients = [c for c in test_clients if len(c.samples)]
+    if not clients:
         raise ConfigError("evaluation needs at least one sample")
-    labels = np.concatenate([c.labels for c in test_clients])
-    z = np.concatenate([_readout(c.mixture, evaluator, params.values)
-                        for c in test_clients if len(c.samples)])
+    bases = {id(c.mixture.states): c.mixture.states for c in clients}
+    z_states = {key: evaluator.readout_z(states, params.values)
+                for key, states in bases.items()}
+    labels = np.concatenate([c.labels for c in clients])
+    z = np.concatenate([c.mixture.readout(z_states[id(c.mixture.states)])
+                        for c in clients])
     preds = 0.5 * (1.0 + z)
     return float(np.mean((preds > 0.5) == (labels == 1))), mse(labels, preds)
 

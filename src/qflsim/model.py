@@ -54,9 +54,11 @@ block meets the nonzero corner of its Gram matrices.
 
 ModelEvaluator.prepare holds samples as a Mixture: a sample that ends
 in a rotation with a bound angle combines two states that every sample
-with the same earlier gates and rotation shares, and its <Z> follows
-from the <Z> of three states. A generated client on n qubits takes
-1 + 2n states, however many samples it holds.
+of the call with the same earlier gates and rotation shares, and its <Z>
+follows from the <Z> of three states. Generated samples on n qubits take
+1 + 2n states, however many samples and clients one call holds. The
+evaluator keeps no sample state between calls. readout_z sweeps at most
+EVAL_BATCH states at a time, which bounds the plans it builds.
 """
 
 from dataclasses import dataclass
@@ -86,6 +88,9 @@ from .sim import (
 CONV_PARAMS = 15
 POOL_PARAMS = 6
 FC_PARAMS = 3
+
+# States per forward sweep of readout_z; bounds the width of its plans.
+EVAL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -442,14 +447,6 @@ class Mixture:
         return c * (c - s) * z_c + s * (s - c) * z_d + 2 * c * s * z_phi
 
 
-def _check_bound(ops: Sequence[GateOp]):
-    for op in ops:
-        if op.symbol is not None:
-            raise UnresolvedParameterError(
-                f"sample circuit has unbound symbol {op.symbol!r}"
-            )
-
-
 class ModelEvaluator:
     """Batched forward and gradient evaluation of one model.
 
@@ -540,8 +537,6 @@ class ModelEvaluator:
         bits = (np.arange(2 << n) >> (n - last.index(self.readout))) & 1
         self._z_signs = 1.0 - 2.0 * bits
 
-        # The state of each distinct prefix that prepare has met.
-        self._prefix_states: dict[tuple[GateOp, ...], np.ndarray] = {}
         # One plan per batch size and sweep (taped or not), never dropped.
         self._plans: dict[tuple[int, bool], _Plan] = {}
 
@@ -640,14 +635,14 @@ class ModelEvaluator:
         """The samples as a Mixture (see there) over the states of their
         prefixes. A sample's prefix is its circuit before a last rotation
         with a bound angle, or the whole circuit if it ends otherwise.
-        Each distinct prefix state is simulated once per evaluator (later
-        calls with the same prefix reuse it), and each G C with its
-        polarisation state once per call.
+        Each distinct prefix state is simulated once per call, and each
+        G C with its polarisation state once per prefix, rotation kind and
+        targets; nothing is kept between calls.
         """
         n = self.n_qubits
         states: list[np.ndarray] = []
-        # Rows of this call's states, keyed by the id of a cached (so
-        # living) prefix state, with the rotation's kind and targets.
+        # Rows of this call's states: a prefix's by its ops, a G C's (its
+        # polarisation state follows it) by (prefix row, kind, targets).
         row_of: dict[tuple, int] = {}
         rows: list[tuple[int, int, int]] = []
         angles: list[float] = []
@@ -664,26 +659,21 @@ class ModelEvaluator:
             # Samples of one dataset share their prefix's GateOp objects,
             # so identity mostly decides this comparison.
             if head != prefix:
-                _check_bound(head)
                 prefix = head
-                psi = self._prefix_states.get(head)
-                if psi is None:
-                    psi = apply_circuit(new_zero_state(n), Circuit(n, head))
-                    psi.flags.writeable = False
-                    self._prefix_states[head] = psi
-                c = row_of.setdefault((id(psi),), len(states))
-                if c == len(states):
-                    states.append(psi)
+                c = row_of.setdefault(head, len(states))
+                if c == len(states):  # a symbolic gate raises here
+                    states.append(apply_circuit(new_zero_state(n), Circuit(n, head)))
             if not rotation:
                 rows.append((c, c, c))
                 angles.append(0.0)
                 continue
             op = ops[-1]
-            _check_bound((op,))
-            key = (id(psi), op.kind, op.targets)
-            g = row_of.get(key)
-            if g is None:
-                g = row_of[key] = len(states)
+            if op.symbol is not None:
+                raise UnresolvedParameterError(
+                    f"sample circuit has unbound symbol {op.symbol!r}")
+            g = row_of.setdefault((c, op.kind, op.targets), len(states))
+            if g == len(states):
+                psi = states[c]
                 flipped = apply_matrix(psi[None], PAULI_GENERATORS[op.kind], op.targets, n)[0]
                 states += [flipped, np.sqrt(0.5) * (psi - 1j * flipped)]
             rows.append((c, g, g + 1))
@@ -700,9 +690,12 @@ class ModelEvaluator:
         return self.prepare(samples).materialise(slice(None))
 
     def readout_z(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Each state's <Z>, in sweeps of at most EVAL_BATCH states."""
         _check_batch(prep_states)
         self._block_matrices(values)
-        return self._forward(self._plan(len(prep_states), taped=False), prep_states)
+        cuts = range(EVAL_BATCH, len(prep_states), EVAL_BATCH)
+        return np.concatenate([self._forward(self._plan(len(chunk), taped=False), chunk)
+                               for chunk in np.split(prep_states, cuts)])
 
     def predictions(self, prep_states: np.ndarray, values: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 + self.readout_z(prep_states, values))

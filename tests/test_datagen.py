@@ -147,6 +147,16 @@ class TestFederatedDataset:
         assert tags[:15] == [AngleDistribution.TRUNCATED_NORMAL] * 15
         assert tags[15:] == [AngleDistribution.UNIFORM_PI] * 15
 
+    def test_clients_past_the_fraction_use_the_configured_distribution(self):
+        # A file's gen_config line records angle_distribution, so the
+        # clients it does not mark non-IID must draw from it.
+        cfg = GenConfig(n_clients=3, seed=2, samples_per_client=16,
+                        angle_distribution="truncated_normal")
+        ds = generate_federated_dataset(cfg)
+        tags = [c.distribution_tag for c in ds.clients]
+        assert tags == [AngleDistribution.TRUNCATED_NORMAL] * 3
+        assert ds.clients == tuple(generate_client_dataset(cfg, k) for k in range(3))
+
     def test_same_seed_same_dataset(self):
         a = generate_federated_dataset(GenConfig(n_clients=3, seed=9,
                                                  samples_per_client=16))

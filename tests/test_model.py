@@ -18,6 +18,7 @@ from qflsim.datagen import (
 from qflsim.errors import ConfigError, UnresolvedParameterError
 from qflsim.federated import evaluate, prepare_clients
 from qflsim.model import (
+    EVAL_BATCH,
     INIT_ANGLE_SCALE,
     ArchitectureSpec,
     Model,
@@ -318,8 +319,8 @@ class TestPrepStates:
             assert np.max(np.abs(row - want)) < 1e-12
 
     def test_evaluate_matches_per_sample_predictions(self):
-        # Two clients of the mix, one with more states than a readout_z
-        # call takes (EVAL_BATCH).
+        # Two clients of the mix, whose shared basis holds more states
+        # than one readout_z sweep takes (EVAL_BATCH).
         model = build_model(default_architecture(8))
         ev = ModelEvaluator(model, parameter_names(model.arch))
         params = init_params(model.arch, 3)
@@ -360,11 +361,11 @@ class TestPrepStates:
             want = oracles.run_circuit(sample.prep_circuit)
             assert np.max(np.abs(row - want)) < 1e-12
 
-    def test_shared_prefix_simulated_once_per_evaluator(self, monkeypatch):
+    def test_shared_prefix_simulated_once_per_prepare_clients_call(self, monkeypatch):
         # 30 generated clients share one cluster prefix across their 8
-        # excitation targets: one evaluator simulates it once for all of
-        # them, and each client's materialised states equal those of an
-        # evaluator of its own.
+        # excitation targets: one prepare_clients call simulates it once
+        # for all of them, and each client's materialised states equal
+        # those of a call of its own.
         ds = generate_federated_dataset(GenConfig(
             n_clients=30, n_qubits=8, samples_per_client=16, seed=3))
         model = build_model(default_architecture(8))
@@ -383,6 +384,84 @@ class TestPrepStates:
         assert calls[0].ops == cluster_state_circuit(8).ops
         for client, want in zip(prepared, alone):
             assert np.array_equal(client.mixture.materialise(slice(None)), want)
+
+    def test_one_call_shares_one_basis(self):
+        ds = generate_federated_dataset(GenConfig(
+            n_clients=30, n_qubits=8, samples_per_client=16, seed=4))
+        model = build_model(default_architecture(8))
+        prepared = prepare_clients(ds.clients, ModelEvaluator(model, parameter_names(model.arch)))
+        states = prepared[0].mixture.states
+        assert all(c.mixture.states is states for c in prepared)
+        assert states.shape == (1 + 2 * 8, 1 << 8)
+
+    def test_evaluator_keeps_no_sample_state(self, monkeypatch):
+        # A second call on the same evaluator simulates its prefix again.
+        clients = generate_federated_dataset(GenConfig(
+            n_clients=2, n_qubits=8, samples_per_client=16, seed=5)).clients
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        calls = []
+
+        def counting_apply_circuit(state, circuit):
+            calls.append(circuit)
+            return apply_circuit(state, circuit)
+
+        monkeypatch.setattr(model_module, "apply_circuit", counting_apply_circuit)
+        first = prepare_clients(clients, ev)
+        second = prepare_clients(clients, ev)
+        assert len(calls) == 2
+        assert np.array_equal(first[1].mixture.materialise(slice(None)),
+                              second[1].mixture.materialise(slice(None)))
+
+    @staticmethod
+    def _swept_states(monkeypatch) -> list[int]:
+        """The length of every readout_z call from now on."""
+        lengths = []
+        readout_z = ModelEvaluator.readout_z
+
+        def counting_readout_z(self, prep_states, values):
+            lengths.append(len(prep_states))
+            return readout_z(self, prep_states, values)
+
+        monkeypatch.setattr(ModelEvaluator, "readout_z", counting_readout_z)
+        return lengths
+
+    def test_evaluate_sweeps_the_test_basis_once(self, monkeypatch):
+        # The 5 test clients of the default run share one 17-state basis.
+        ds = generate_federated_dataset(GenConfig(n_clients=30, seed=6))
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        test = prepare_clients(ds.clients[25:], ev)
+        lengths = self._swept_states(monkeypatch)
+        evaluate(init_params(model.arch, 6), test, ev)
+        assert lengths == [1 + 2 * 8]
+
+    def test_samples_of_their_own_sweep_one_state_each(self, monkeypatch):
+        # No shared prefix: the basis is one state per sample, as many as
+        # sweeping each client's states alone would take.
+        rng = np.random.default_rng(8)
+        clients = [ClientDataset(f"c{k}", [
+            Sample(Circuit(8, oracles.random_circuit(rng, 8, 12).ops + (h(k),)), k % 2)
+            for _ in range(20 + 30 * k)], AngleDistribution.UNIFORM_PI) for k in range(3)]
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        prepared = prepare_clients(clients, ev)
+        lengths = self._swept_states(monkeypatch)
+        evaluate(init_params(model.arch, 8), prepared, ev)
+        assert sum(lengths) == sum(len(c.samples) for c in clients)
+
+    def test_readout_z_sweeps_at_most_eval_batch_states(self):
+        rng = np.random.default_rng(9)
+        samples = [Sample(oracles.random_circuit(rng, 8, 12), 0) for _ in range(150)]
+        model = build_model(default_architecture(8))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        values = init_params(model.arch, 9).values
+        states = ev.prep_states(samples)
+        z = ev.readout_z(states, values)
+        assert max(batch for batch, _taped in ev._plans) <= EVAL_BATCH
+        chunks = [ev.readout_z(states[i:i + EVAL_BATCH], values)
+                  for i in range(0, len(states), EVAL_BATCH)]
+        assert np.array_equal(z, np.concatenate(chunks))
 
     def test_unbound_symbol_rejected(self):
         model = build_model(default_architecture(2))
