@@ -125,21 +125,19 @@ def client_rng(seed: int, client_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(client_index)]))
 
 
-def generate_client_dataset(config: GenConfig, client_index: int,
-                            distribution: AngleDistribution | None = None
-                            ) -> ClientDataset:
-    dist = AngleDistribution(distribution) if distribution is not None \
-        else config.angle_distribution
-    cfg = replace(config, angle_distribution=dist)
+def generate_client_dataset(config: GenConfig, client_index: int) -> ClientDataset:
+    """Client ``client_index``'s samples, with angles drawn from
+    ``config.angle_distribution``."""
+    dist = config.angle_distribution
     rng = client_rng(config.seed, client_index)
-    m = cfg.samples_per_client
+    m = config.samples_per_client
     if dist is AngleDistribution.UNIFORM_PI:
         # One call draws the same stream as m calls of draw_angle.
         angles = rng.uniform(-math.pi, math.pi, m).tolist()
     else:
-        angles = [draw_angle(rng, cfg) for _ in range(m)]
+        angles = [draw_angle(rng, config) for _ in range(m)]
     samples = tuple(
-        _excited_sample(cfg, k % cfg.n_qubits, angle)
+        _excited_sample(config, k % config.n_qubits, angle)
         for k, angle in enumerate(angles)
     )
     return ClientDataset(f"client_{client_index:03d}", samples, dist)
@@ -155,9 +153,7 @@ def generate_federated_dataset(config: GenConfig,
     if not 0.0 <= non_iid_fraction <= 1.0:
         raise ConfigError("non_iid_fraction must be in [0, 1]")
     n_trunc = math.ceil(non_iid_fraction * config.n_clients)
-    clients = []
-    for k in range(config.n_clients):
-        dist = AngleDistribution.TRUNCATED_NORMAL if k < n_trunc \
-            else config.angle_distribution
-        clients.append(generate_client_dataset(config, k, dist))
+    skewed = replace(config, angle_distribution=AngleDistribution.TRUNCATED_NORMAL)
+    clients = [generate_client_dataset(skewed if k < n_trunc else config, k)
+               for k in range(config.n_clients)]
     return FederatedDataset(tuple(clients), config)

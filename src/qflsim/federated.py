@@ -8,10 +8,10 @@ itself, so no separate server optimizer exists). Client optimizer
 moments persist across rounds, which makes single-client federated
 training coincide exactly with plain centralized training.
 
-A run compiles one ModelEvaluator and prepares each set of clients
-(training, testing) once, in one ModelEvaluator.prepare call, into
-PreparedClients: samples, labels, and the samples as a model.Mixture
-over one basis shared by every client of the set (1 + 2n states for
+A run compiles one ModelEvaluator and prepares every client it trains
+in process or evaluates once, in one ModelEvaluator.prepare call: each
+client's data is a model.Mixture (samples, labels, and the samples over
+one basis shared by every client of the run: 1 + 2n states for
 generated clients on n qubits, in place of one state per sample). Local
 training materialises each batch's states from the mixture, and
 evaluation sweeps each distinct basis once and reads every sample's <Z>
@@ -19,8 +19,8 @@ off it.
 build_clients turns those into ClientStates, each carrying the run's
 TrainConfig, so local_train needs only the client and the broadcast
 parameters, in process and in a socket worker alike. Evaluation reads
-the test clients' records and, with ``eval_train``, the same training
-records.
+the test clients' mixtures and, with ``eval_train``, the same training
+mixtures.
 
 The clients run behind one server, whose ``round_trip`` (see
 qflsim.transport) is shared by a LocalTransport for in-process clients,
@@ -47,7 +47,6 @@ from .model import (
     Mixture,
     ModelEvaluator,
     ParamVector,
-    Sample,
     build_model,
     default_architecture,
     init_params,
@@ -120,30 +119,14 @@ def optimizer_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
         return new, OptimizerState(state.m, v, t)
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedClient:
-    """One client's samples with their labels and the samples as a
-    Mixture, prepared once per run and used by its local training and
-    evaluation. The mixture's rows, cos and sin are views of this
-    client's part of a prepare_clients call; its states are the call's."""
-
-    samples: tuple[Sample, ...]
-    labels: np.ndarray = field(repr=False)
-    mixture: Mixture = field(repr=False)
-
-
 def prepare_clients(clients: Sequence[ClientDataset],
-                    evaluator: ModelEvaluator) -> tuple[PreparedClient, ...]:
-    """Each client's labels and mixture, from one ModelEvaluator.prepare
-    call over every client's samples, so all of them share one basis."""
+                    evaluator: ModelEvaluator) -> tuple[Mixture, ...]:
+    """Each client's samples and labels as a Mixture: its slice of one
+    ModelEvaluator.prepare call over every client's samples, so all of
+    them share one basis."""
     whole = evaluator.prepare([s for c in clients for s in c.samples])
     ends = np.cumsum([0] + [len(c.samples) for c in clients])
-    return tuple(
-        PreparedClient(c.samples, np.array([s.label for s in c.samples], dtype=float),
-                       Mixture(whole.states, whole.rows[:, a:b], whole.cos[a:b],
-                               whole.sin[a:b]))
-        for c, a, b in zip(clients, ends[:-1], ends[1:])
-    )
+    return tuple(whole[a:b] for a, b in zip(ends[:-1], ends[1:]))
 
 
 @dataclass(frozen=True)
@@ -219,7 +202,7 @@ class ClientState:
 
     client_id: str
     seed_key: int
-    data: PreparedClient
+    data: Mixture
     evaluator: ModelEvaluator
     cfg: TrainConfig
     opt_state: OptimizerState
@@ -259,7 +242,7 @@ def local_train(client: ClientState, global_params: ParamVector,
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grad = client.evaluator.loss_and_gradient(
-                client.data.mixture.materialise(idx), client.data.labels[idx], values
+                client.data.materialise(idx), client.data.labels[idx], values
             )
             values, opt_state = optimizer_step(opt_state, values, grad, cfg.opt)
             losses.append(loss)
@@ -300,36 +283,35 @@ def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:
     return ParamVector(names, weights @ stacked)
 
 
-def evaluate(params: ParamVector, test_clients: Sequence[PreparedClient],
+def evaluate(params: ParamVector, test_clients: Sequence[Mixture],
              evaluator: ModelEvaluator) -> tuple[float, float]:
     """(binary accuracy at threshold 0.5, mean squared error) over the
-    pooled samples of the given prepared clients (see prepare_clients).
+    pooled samples of the given clients' mixtures (see prepare_clients).
     Ties at p = 0.5 count as label 0. Each distinct basis among the
-    clients' mixtures is swept once, by one readout_z call, and every
-    sample is read off the <Z> of its basis states."""
+    mixtures is swept once, by one readout_z call, and every sample is
+    read off the <Z> of its basis states."""
     if params.names != evaluator.param_names:
         raise ConfigError("parameter names differ from the evaluator's")
     clients = [c for c in test_clients if len(c.samples)]
     if not clients:
         raise ConfigError("evaluation needs at least one sample")
-    bases = {id(c.mixture.states): c.mixture.states for c in clients}
+    bases = {id(c.states): c.states for c in clients}
     z_states = {key: evaluator.readout_z(states, params.values)
                 for key, states in bases.items()}
     labels = np.concatenate([c.labels for c in clients])
-    z = np.concatenate([c.mixture.readout(z_states[id(c.mixture.states)])
-                        for c in clients])
+    z = np.concatenate([c.readout(z_states[id(c.states)]) for c in clients])
     preds = 0.5 * (1.0 + z)
     return float(np.mean((preds > 0.5) == (labels == 1))), mse(labels, preds)
 
 
 @dataclass
 class EvalContext:
-    """The run's evaluator and the prepared clients every round of one
+    """The run's evaluator and the clients' mixtures every round of one
     training run is evaluated on (see build_run)."""
 
     evaluator: ModelEvaluator
-    test_clients: tuple[PreparedClient, ...]
-    train_clients: tuple[PreparedClient, ...] | None = None
+    test_clients: tuple[Mixture, ...]
+    train_clients: tuple[Mixture, ...] | None = None
 
     def record(self, round_index: int, params: ParamVector,
                client_losses: dict[str, float]) -> RoundRecord:
@@ -364,10 +346,10 @@ def run_round(server: ServerState, transport, cfg: TrainConfig,
     return new_server, record
 
 
-def _split_datasets(dataset: FederatedDataset, cfg: TrainConfig):
-    by_id = {c.client_id: c for c in dataset.clients}
+def _check_split(dataset: FederatedDataset, cfg: TrainConfig):
+    known = set(dataset.client_ids())
     for cid in cfg.train_clients + cfg.test_clients:
-        if cid not in by_id:
+        if cid not in known:
             raise ConfigError(f"unknown client {cid!r}")
     for role, ids in (("train", cfg.train_clients), ("test", cfg.test_clients)):
         repeated = sorted(cid for cid, n in Counter(ids).items() if n > 1)
@@ -378,9 +360,6 @@ def _split_datasets(dataset: FederatedDataset, cfg: TrainConfig):
         raise ConfigError(f"train/test clients overlap: {sorted(overlap)}")
     if not cfg.train_clients or not cfg.test_clients:
         raise ConfigError("train and test client sets must both be nonempty")
-    train = tuple(by_id[cid] for cid in cfg.train_clients)
-    test = tuple(by_id[cid] for cid in cfg.test_clients)
-    return train, test
 
 
 def build_clients(dataset: FederatedDataset, cfg: TrainConfig,
@@ -408,22 +387,22 @@ def build_clients(dataset: FederatedDataset, cfg: TrainConfig,
 
 
 def build_run(dataset: FederatedDataset, cfg: TrainConfig, in_process: bool = True):
-    """Initial server state, client states and evaluation context.
+    """Initial server state, training client states and evaluation context.
 
-    With ``in_process`` false the clients run elsewhere and no client
-    state is built here. With ``cfg.eval_train`` in process, the training
-    clients' own prepared data is evaluated, so every sample is prepared
-    once per run."""
-    train_data, test_data = _split_datasets(dataset, cfg)
-    evaluator, params0, clients = build_clients(
-        dataset, cfg, cfg.train_clients if in_process else ())
-    server = ServerState(params0, 0, np.full(len(train_data), 1.0 / len(train_data)))
-    train_eval = None
-    if cfg.eval_train:
-        train_eval = (tuple(c.data for c in clients) if in_process
-                      else prepare_clients(train_data, evaluator))
-    ctx = EvalContext(evaluator, prepare_clients(test_data, evaluator), train_eval)
-    return server, clients, ctx
+    One build_clients call prepares every client the run evaluates and,
+    in process, trains, so all of them share one basis and every sample
+    is prepared once per run. With ``in_process`` false the training
+    clients run elsewhere and none is returned; with ``cfg.eval_train``
+    their mixtures are evaluated too."""
+    _check_split(dataset, cfg)
+    train = cfg.train_clients if in_process or cfg.eval_train else ()
+    evaluator, params0, clients = build_clients(dataset, cfg, train + cfg.test_clients)
+    data = tuple(c.data for c in clients)
+    n_train = len(cfg.train_clients)
+    server = ServerState(params0, 0, np.full(n_train, 1.0 / n_train))
+    ctx = EvalContext(evaluator, data[len(train):],
+                      data[:len(train)] if cfg.eval_train else None)
+    return server, clients[:len(train)] if in_process else [], ctx
 
 
 def run_training(dataset: FederatedDataset, cfg: TrainConfig,

@@ -52,16 +52,17 @@ and one U^T per kind and sample, with no suffix products. A one-qubit
 kind's real form is block-diagonal, and only its orthogonal top-left
 block meets the nonzero corner of its Gram matrices.
 
-ModelEvaluator.prepare holds samples as a Mixture: a sample that ends
-in a rotation with a bound angle combines two states that every sample
-of the call with the same earlier gates and rotation shares, and its <Z>
-follows from the <Z> of three states. Generated samples on n qubits take
-1 + 2n states, however many samples and clients one call holds. The
-evaluator keeps no sample state between calls. readout_z sweeps at most
-EVAL_BATCH states at a time, which bounds the plans it builds.
+ModelEvaluator.prepare holds samples and their labels as a Mixture: a
+sample that ends in a rotation with a bound angle combines two states
+that every sample of the call with the same earlier gates and rotation
+shares, and its <Z> follows from the <Z> of three states. Generated
+samples on n qubits take 1 + 2n states, however many samples and
+clients one call holds. The evaluator keeps no sample state between
+calls. readout_z sweeps at most EVAL_BATCH states at a time, which
+bounds the plans it builds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
@@ -414,7 +415,8 @@ class _Plan(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Mixture:
-    """Prepared samples as mixtures over a few states (ModelEvaluator.prepare).
+    """Prepared samples (ModelEvaluator.prepare) with their labels, as
+    mixtures over a few states: what a run trains on and evaluates.
 
     A sample whose circuit is a prefix and then one rotation
     exp(-i a/2 G) is cos(a/2) C - i sin(a/2) G C, with C the prefix's
@@ -425,13 +427,20 @@ class Mixture:
     D = -i G C, indexed by rows[2], so every sample's <Z> follows from
     those of the states: with c = cos(a/2) and s = sin(a/2) it is
     (c^2 - cs) z_C + (s^2 - cs) z_D + 2cs z_phi, which is z_C for a
-    state of its own.
+    state of its own. ``mixture[a:b]`` is the samples a to b over the
+    same ``states``, with views of the other arrays.
     """
 
     states: np.ndarray  # (n_states, 2^n) complex, read-only
     rows: np.ndarray    # (3, n_samples): the rows of C, G C and phi
     cos: np.ndarray     # (n_samples,)
     sin: np.ndarray
+    samples: tuple[Sample, ...] = field(repr=False)
+    labels: np.ndarray = field(repr=False)  # (n_samples,) float
+
+    def __getitem__(self, part: slice) -> "Mixture":
+        return Mixture(self.states, self.rows[:, part], self.cos[part], self.sin[part],
+                       self.samples[part], self.labels[part])
 
     def materialise(self, idx) -> np.ndarray:
         """(len(idx), 2^n) prepared states of the samples ``idx`` (an index
@@ -632,13 +641,14 @@ class ModelEvaluator:
         return self._z_signs @ np.square(plan.final, out=plan.square)
 
     def prepare(self, samples: Sequence[Sample]) -> Mixture:
-        """The samples as a Mixture (see there) over the states of their
-        prefixes. A sample's prefix is its circuit before a last rotation
-        with a bound angle, or the whole circuit if it ends otherwise.
-        Each distinct prefix state is simulated once per call, and each
-        G C with its polarisation state once per prefix, rotation kind and
-        targets; nothing is kept between calls.
+        """The samples and their labels as a Mixture (see there) over the
+        states of their prefixes. A sample's prefix is its circuit before
+        a last rotation with a bound angle, or the whole circuit if it
+        ends otherwise. Each distinct prefix state is simulated once per
+        call, and each G C with its polarisation state once per prefix,
+        rotation kind and targets; nothing is kept between calls.
         """
+        samples = tuple(samples)
         n = self.n_qubits
         states: list[np.ndarray] = []
         # Rows of this call's states: a prefix's by its ops, a G C's (its
@@ -682,7 +692,8 @@ class ModelEvaluator:
         basis = np.array(states, dtype=complex).reshape(-1, 1 << n)
         basis.flags.writeable = False
         return Mixture(basis, np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy(),
-                       np.cos(half), np.sin(half))
+                       np.cos(half), np.sin(half), samples,
+                       np.array([s.label for s in samples], dtype=float))
 
     def prep_states(self, samples: Sequence[Sample]) -> np.ndarray:
         """(n_samples, 2^n) array of each sample's prepared input state:

@@ -112,6 +112,8 @@ class GateOp:
         else:
             if self.angle is not None or self.symbol is not None:
                 raise ConfigError(f"{self.kind} takes no angle or symbol")
+            if self.sign != 1:
+                raise ConfigError(f"{self.kind} takes no sign, got {self.sign}")
 
 
 @dataclass(frozen=True)

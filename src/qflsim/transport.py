@@ -35,10 +35,12 @@ fails before a GLOBAL is sent; the updates come back in ``order``.
 import contextlib
 import multiprocessing
 import os
+import select
 import signal
 import socket
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -260,6 +262,10 @@ def _receive_update(link: _Link, cid: str, round_index: int, names) -> ClientUpd
         raise ProtocolError(f"answer from {msg.client_id!r} on {cid!r}'s connection")
     if isinstance(msg, Error):
         raise TrainingError(f"client {cid} failed in round {round_index}: {msg.text}")
+    if len(msg.values) != len(names):
+        raise ProtocolError(
+            f"client {cid} sent {len(msg.values)} parameters in round "
+            f"{round_index}, expected {len(names)}")
     return ClientUpdate(client_id=cid, round=msg.round,
                         params=ParamVector(names, np.array(msg.values)),
                         num_samples=msg.num_samples, local_loss=msg.loss)
@@ -327,43 +333,68 @@ class SocketFedServer(_Server):
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
         self._listener = socket.create_server((host, port))
+        self._pending: dict[socket.socket, _Link] = {}  # accepted, no HELLO yet
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
     def wait_for_clients(self, timeout: float = 60.0):
-        """Accept connections until every expected client said HELLO."""
-        self._listener.settimeout(timeout)
+        """Accept connections until every expected client said HELLO, or
+        raise TimeoutError once ``timeout`` seconds have passed. A
+        connection that has sent nothing by then is kept for the next
+        call; one that has begun its HELLO line has READ_TIMEOUT_S to end
+        it."""
+        deadline = time.monotonic() + timeout
         while len(self._links) < self.n_clients:
-            conn, _addr = self._listener.accept()
-            link = _Link(conn)
-            try:
-                msg = decode_message(link.reader.readline())
-                if not isinstance(msg, Hello):
-                    raise ProtocolError(f"expected HELLO, got {msg!r}")
-                if msg.version != PROTOCOL_VERSION:
-                    raise ProtocolError(
-                        f"client {msg.client_id} speaks protocol v{msg.version}, "
-                        f"server expects v{PROTOCOL_VERSION}"
-                    )
-                if any(msg.client_id in other.ids for other in self._links):
-                    raise ProtocolError(f"duplicate client id {msg.client_id!r}")
-            except BaseException:
-                link.close()  # a rejected connection is not kept
-                raise
-            link.ids = (msg.client_id,)
-            self._links.append(link)
+            left = deadline - time.monotonic()
+            ready, _, _ = select.select([self._listener, *self._pending], [], [],
+                                       max(left, 0.0))
+            if not ready:
+                raise TimeoutError(
+                    f"{len(self._links)} of {self.n_clients} clients said HELLO "
+                    f"within {timeout} s")
+            for sock in ready:
+                if sock is self._listener:
+                    self._listener.settimeout(max(left, 1e-3))
+                    conn, _addr = self._listener.accept()
+                    self._pending[conn] = _Link(conn)
+                else:
+                    self._take_hello(self._pending.pop(sock))
+
+    def _take_hello(self, link: _Link):
+        """Read the HELLO of a connection that has sent something, and
+        keep the connection as that client's link."""
+        try:
+            msg = decode_message(link.reader.readline())
+            if not isinstance(msg, Hello):
+                raise ProtocolError(f"expected HELLO, got {msg!r}")
+            if msg.version != PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"client {msg.client_id} speaks protocol v{msg.version}, "
+                    f"server expects v{PROTOCOL_VERSION}"
+                )
+            if any(msg.client_id in other.ids for other in self._links):
+                raise ProtocolError(f"duplicate client id {msg.client_id!r}")
+        except BaseException:
+            link.close()  # a rejected connection is not kept
+            raise
+        link.ids = (msg.client_id,)
+        self._links.append(link)
 
     def shutdown(self):
         super().shutdown()
+        for link in self._pending.values():
+            link.close()
+        self._pending.clear()
         self._listener.close()
 
 
 def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
     """The client loop: until DONE or EOF, read one GLOBAL from ``sock`` and
     answer it with one UPDATE per client, in the order given. A local
-    training that raises is answered with ERROR, then raised again. One
+    training that raises, or a GLOBAL whose parameter count is not the
+    model's, is answered with ERROR, then raised again. One
     thread says ALIVE every KEEPALIVE_S seconds while the loop runs (a
     thread per training would cost a start and a join per client and
     round)."""
@@ -390,10 +421,10 @@ def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
                 return
             if not isinstance(msg, Global):
                 raise ProtocolError(f"expected GLOBAL or DONE, got {msg!r}")
-            params = ParamVector(clients[0].evaluator.param_names, np.array(msg.values))
+            names = clients[0].evaluator.param_names
             for client in clients:
-                try:
-                    update = local_train(client, params, msg.round)
+                try:  # a GLOBAL with the wrong count fails the first client
+                    update = local_train(client, ParamVector(names, msg.values), msg.round)
                 except Exception as exc:
                     error = encode_error(client.client_id, msg.round, str(exc))
                     with contextlib.suppress(OSError):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+import qflsim.model as model_module
 import qflsim.transport as transport
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, TrainingError
@@ -22,7 +23,6 @@ from qflsim.federated import (
     EvalContext,
     OptimizerConfig,
     OptimizerState,
-    PreparedClient,
     ServerState,
     TrainConfig,
     build_clients,
@@ -208,8 +208,7 @@ class TestLocalTrain:
 
     def test_empty_dataset_rejected(self):
         client, params, _ = self._client(batch_size=4)
-        client.data = PreparedClient((), client.data.labels[:0],
-                                     client.evaluator.prepare(()))
+        client.data = client.evaluator.prepare(())
         with pytest.raises(ConfigError):
             local_train(client, params)
 
@@ -288,9 +287,8 @@ class TestRunRound:
         cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
                           batch_size=4, seed=1)
         server, clients, ctx = build_run(ds, cfg)
-        mixture = clients[1].data.mixture
         clients[1].data = dataclasses.replace(  # poisoned shapes
-            clients[1].data, mixture=dataclasses.replace(mixture, cos=mixture.cos[:3]))
+            clients[1].data, cos=clients[1].data.cos[:3])
         with LocalTransport(clients) as local, \
                 pytest.raises(TrainingError, match=clients[1].client_id):
             run_round(server, local, cfg, ctx)
@@ -413,9 +411,8 @@ class TestLocalTransport:
                           batch_size=4, seed=1)
         server, clients, ctx = build_run(ds, cfg)
         # The helper owns clients 0 and 2, the parent client 1.
-        mixture = clients[2].data.mixture
         clients[2].data = dataclasses.replace(  # poisoned shapes
-            clients[2].data, mixture=dataclasses.replace(mixture, cos=mixture.cos[:3]))
+            clients[2].data, cos=clients[2].data.cos[:3])
         with LocalTransport(clients) as local:
             with pytest.raises(TrainingError,
                                match=f"client {ids[2]} failed in round 1"):
@@ -711,6 +708,36 @@ class TestRunTraining:
         assert run_training(ds, cfg) == reference
         assert len(built) == 1
         assert len(prepared) == sum(len(c.samples) for c in ds.clients)
+
+    @pytest.mark.parametrize("in_process,eval_train",
+                             [(True, False), (True, True), (False, True)])
+    def test_run_prepares_every_client_in_one_call(self, monkeypatch, in_process,
+                                                   eval_train):
+        # Training and test clients share one basis, so a generated
+        # dataset's cluster state is simulated once per run.
+        ds = _tiny_dataset(n_clients=4, samples=8)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=4, eval_train=eval_train)
+        prepared, simulated = [], []
+        prepare, apply_circuit = ModelEvaluator.prepare, model_module.apply_circuit
+
+        def counting_prepare(self, samples):
+            prepared.append(len(samples))
+            return prepare(self, samples)
+
+        def counting_apply_circuit(state, circuit):
+            simulated.append(circuit)
+            return apply_circuit(state, circuit)
+
+        monkeypatch.setattr(ModelEvaluator, "prepare", counting_prepare)
+        monkeypatch.setattr(model_module, "apply_circuit", counting_apply_circuit)
+        if in_process:
+            run_training(ds, cfg)
+        else:
+            build_run(ds, cfg, in_process=False)
+        assert prepared == [sum(len(c.samples) for c in ds.clients)]
+        assert len(simulated) == 1
 
 
 # (server_params_checksum, test_mse) of every round, round 0 first, of

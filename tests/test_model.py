@@ -327,7 +327,7 @@ class TestPrepStates:
         clients = [ClientDataset(f"c{k}", _mixed_samples(k, 16 * (k + 1), 30 * k),
                                  AngleDistribution.UNIFORM_PI) for k in range(2)]
         prepared = prepare_clients(clients, ev)
-        assert max(len(c.mixture.states) for c in prepared) > 64
+        assert max(len(c.states) for c in prepared) > 64
         samples = [s for c in clients for s in c.samples]
         labels = np.array([s.label for s in samples], dtype=float)
         p = ev.predictions(ev.prep_states(samples), params.values)
@@ -370,7 +370,7 @@ class TestPrepStates:
             n_clients=30, n_qubits=8, samples_per_client=16, seed=3))
         model = build_model(default_architecture(8))
         names = parameter_names(model.arch)
-        alone = [prepare_clients([c], ModelEvaluator(model, names))[0].mixture
+        alone = [prepare_clients([c], ModelEvaluator(model, names))[0]
                  .materialise(slice(None)) for c in ds.clients]
         calls = []
 
@@ -383,16 +383,28 @@ class TestPrepStates:
         assert len(calls) == 1
         assert calls[0].ops == cluster_state_circuit(8).ops
         for client, want in zip(prepared, alone):
-            assert np.array_equal(client.mixture.materialise(slice(None)), want)
+            assert np.array_equal(client.materialise(slice(None)), want)
 
     def test_one_call_shares_one_basis(self):
         ds = generate_federated_dataset(GenConfig(
             n_clients=30, n_qubits=8, samples_per_client=16, seed=4))
         model = build_model(default_architecture(8))
         prepared = prepare_clients(ds.clients, ModelEvaluator(model, parameter_names(model.arch)))
-        states = prepared[0].mixture.states
-        assert all(c.mixture.states is states for c in prepared)
+        states = prepared[0].states
+        assert all(c.states is states for c in prepared)
         assert states.shape == (1 + 2 * 8, 1 << 8)
+
+    def test_each_client_is_its_slice_of_one_mixture(self):
+        ds = generate_federated_dataset(GenConfig(
+            n_clients=3, n_qubits=4, samples_per_client=8, seed=7))
+        model = build_model(default_architecture(4))
+        ev = ModelEvaluator(model, parameter_names(model.arch))
+        whole = ev.prepare([s for c in ds.clients for s in c.samples])
+        for k, (client, mixture) in enumerate(zip(ds.clients, prepare_clients(ds.clients, ev))):
+            assert mixture.samples == client.samples
+            assert np.array_equal(mixture.labels, [s.label for s in client.samples])
+            assert np.array_equal(mixture.materialise(slice(None)),
+                                  whole.materialise(slice(8 * k, 8 * (k + 1))))
 
     def test_evaluator_keeps_no_sample_state(self, monkeypatch):
         # A second call on the same evaluator simulates its prefix again.
@@ -410,8 +422,8 @@ class TestPrepStates:
         first = prepare_clients(clients, ev)
         second = prepare_clients(clients, ev)
         assert len(calls) == 2
-        assert np.array_equal(first[1].mixture.materialise(slice(None)),
-                              second[1].mixture.materialise(slice(None)))
+        assert np.array_equal(first[1].materialise(slice(None)),
+                              second[1].materialise(slice(None)))
 
     @staticmethod
     def _swept_states(monkeypatch) -> list[int]:

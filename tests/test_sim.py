@@ -113,6 +113,13 @@ class TestGateOpValidation:
         with pytest.raises(ConfigError):
             GateOp("RX", (0,), angle=0.5, sign=-1)
 
+    @pytest.mark.parametrize("kind,targets,sign", [("H", (0,), 5), ("CNOT", (0, 1), -1),
+                                                   ("CZ", (1, 0), 0)])
+    def test_fixed_gate_with_sign(self, kind, targets, sign):
+        # Circuit text has no place for it, so it would not round-trip.
+        with pytest.raises(ConfigError, match=f"{kind} takes no sign, got {sign}"):
+            GateOp(kind, targets, sign=sign)
+
     def test_circuit_names_its_only_out_of_range_op(self):
         ops = tuple(h(q % 3) for q in range(40)) + (cz(0, 1), xx(1, 2, 0.5), cz(3, 1))
         with pytest.raises(ConfigError) as info:

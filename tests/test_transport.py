@@ -240,6 +240,48 @@ class TestSocketRounds:
             server.shutdown()
             t.join(timeout=5)
 
+    def test_update_with_wrong_parameter_count_names_its_client(self):
+        server = SocketFedServer(1, ("a", "b", "c"))
+        host, port = server.address
+
+        def short():
+            with socket.create_connection((host, port)) as conn:
+                reader = conn.makefile("r")
+                conn.sendall(encode_hello("c1").encode())
+                reader.readline()  # GLOBAL
+                conn.sendall(b"UPDATE 4 c1 4 0.5 0.0,1.0\n")
+                reader.readline()
+
+        t = threading.Thread(target=short)
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            with pytest.raises(ProtocolError,
+                               match="client c1 sent 2 parameters in round 4, expected 3"):
+                server.round_trip(4, ParamVector(("a", "b", "c"), np.zeros(3)), ["c1"])
+        finally:
+            server.shutdown()
+            t.join(timeout=5)
+        assert not t.is_alive()
+
+    def test_silent_connection_keeps_to_the_deadline_and_links_later(self, monkeypatch):
+        # A connection that has not said HELLO yet fails the call at its
+        # own deadline, not the read deadline, and its late HELLO links
+        # on the next call.
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 30.0)
+        server = SocketFedServer(1, ("a",))
+        try:
+            with socket.create_connection(server.address) as conn:
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    server.wait_for_clients(timeout=0.2)
+                assert time.monotonic() - start < 2.0
+                conn.sendall(encode_hello("late").encode())
+                server.wait_for_clients(timeout=5)
+                assert [link.ids for link in server._links] == [("late",)]
+        finally:
+            server.shutdown()
+
     @pytest.mark.parametrize("order, named", [
         (["c1"], "c2"),
         (["c1", "c2", "c1"], "c1"),
@@ -386,6 +428,44 @@ def test_client_loop_decodes_each_round_global_once(monkeypatch):
         got = by_key[want.client_id, want.round]
         assert got.loss == want.local_loss
         assert got.values == tuple(want.params.values)
+
+
+def test_client_loop_answers_a_global_of_the_wrong_count_with_error():
+    # The server's TrainingError then carries the cause, not a disconnect.
+    ds = _tiny_dataset()
+    ids = ds.client_ids()
+    cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[1:],
+                      batch_size=4, seed=3)
+    client = _make_client(ds, 0, cfg)
+    n_params = len(client.evaluator.param_names)
+    raised = []
+
+    def serve():
+        try:
+            transport._serve_clients(theirs, [client])
+        except ConfigError as exc:
+            raised.append(str(exc))  # not exc: its frames hold the loop's files
+
+    ours, theirs = socket.socketpair()
+    loop = threading.Thread(target=serve)
+    reader, writer = ours.makefile("r"), ours.makefile("w")
+    loop.start()
+    try:
+        writer.write(encode_global(2, np.zeros(n_params - 1)))
+        writer.flush()
+        ours.settimeout(10)
+        answer = decode_message(reader.readline())
+        loop.join(timeout=10)
+    finally:
+        reader.close()
+        writer.close()
+        ours.close()
+        theirs.close()
+    assert not loop.is_alive()
+    assert isinstance(answer, Error)
+    assert (answer.client_id, answer.round) == (ids[0], 2)
+    assert f"expected {n_params} values" in answer.text
+    assert len(raised) == 1
 
 
 def _worker_cmd(*args):
