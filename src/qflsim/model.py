@@ -11,28 +11,28 @@ walk over the stages, and the parameter names are its circuit's symbols.
 
 ModelEvaluator compiles the model circuit once into a block program.
 Blocks are maximal runs of consecutive gates whose targets together
-span at most two qubits (gate fusion as in qsim): the default 8-qubit
-model's 265 gates become 19 blocks of 4x4 (a block on one qubit stays
-2x2). Blocks whose gates agree slot for slot (gate, local target order,
-symbol, sign, angle) share a kind; weight sharing makes the default
-model's 19 blocks 7 kinds. Per evaluation, every slot matrix of every
-kind is built from the angles in one vectorised cos/sin step and
-multiplied into the kinds' block matrices, in real 8x8 form
-[[Re, -Im], [Im, Re]] with the slots stored depth-major.
+span at most two qubits (gate fusion as in qsim), and a run on one qubit
+q spans q and (q + 1) mod n, so every block is 4x4: the default 8-qubit
+model's 265 gates become 19 blocks. Blocks whose gates agree slot for
+slot (gate, local target order, symbol, sign, angle) share a kind;
+weight sharing makes the default model's 19 blocks 7 kinds. Per
+evaluation, every slot matrix of every kind is built from the angles in
+one vectorised cos/sin step and multiplied into the kinds' block
+matrices, in real 8x8 form [[Re, -Im], [Im, Re]] with the slots stored
+depth-major.
 
 States are real float64 arrays. A state lives in the layout of the
 block that last wrote it: re/im, that block's qubits, the other qubits
-high to low, then the batch. So a block step is one real matmul (8x8,
-or 4x4 for one qubit) of the block matrix by a (2 * 2^k, rest) view,
-then one copy into the next block's layout whose innermost runs are
-whole batches; the permutations are fixed at compile time. For each
-batch size and sweep (forward only, or taped for the gradient) the
-evaluator builds once a plan that owns its work buffers (two spare
-states and, for a taped plan, the tape and the per-sample overlaps)
-and holds every view its sweep uses (each block's (2 * 2^k, rest) input
-and output, each regather's permuted source and its destination, each
-block's per-sample overlap operands), so a block step costs one matmul
-and one copy.
+high to low, then the batch. So a block step is one real 8x8 matmul
+of the block matrix by an (8, rest) view, then one copy into the next
+block's layout whose innermost runs are whole batches; the permutations
+are fixed at compile time. For each batch size and sweep (forward only,
+or taped for the gradient) the evaluator builds once a plan that owns
+its work buffers (two spare states and, for a taped plan, the tape and
+the per-sample overlaps) and holds every view its sweep uses (each
+block's (8, rest) input and output, each regather's permuted source and
+its destination, each block's per-sample overlap operands), so a block
+step costs one matmul and one copy.
 
 Gradients are exact. Every gate has the form exp(-i*theta/2*G) with
 G^2 = I, so each occurrence of a parameter contributes the shift-rule
@@ -48,9 +48,7 @@ kind's block matrix U is differentiated slot by slot. U is orthogonal
 U P_j^T, with P_j the product of the slots up to j: the derivative in
 slot j is U P_j^T dgen_j P_j, and its product with G is that of
 P_j^T dgen_j P_j with U^T G. That is two batched matmuls over the slots
-and one U^T per kind and sample, with no suffix products. A one-qubit
-kind's real form is block-diagonal, and only its orthogonal top-left
-block meets the nonzero corner of its Gram matrices.
+and one U^T per kind and sample, with no suffix products.
 
 ModelEvaluator.prepare holds samples and their labels as a Mixture: a
 sample that ends in a rotation with a bound angle combines two states
@@ -323,9 +321,11 @@ def init_params(arch: ArchitectureSpec, seed: int) -> ParamVector:
     return ParamVector(names, values)
 
 
-def _fuse_blocks(ops: Sequence[GateOp]) -> list[tuple[tuple[int, ...], list[GateOp]]]:
+def _fuse_blocks(ops: Sequence[GateOp],
+                 n_qubits: int) -> list[tuple[tuple[int, int], list[GateOp]]]:
     """Split a gate sequence into maximal runs whose targets span at most
-    two qubits; each run's qubits are listed high to low."""
+    two qubits, then give a run on one qubit q the qubit (q + 1) mod n as
+    its second; each run's two qubits are listed high to low."""
     blocks: list[tuple[set[int], list[GateOp]]] = []
     for op in ops:
         if blocks and len(blocks[-1][0] | set(op.targets)) <= 2:
@@ -333,24 +333,22 @@ def _fuse_blocks(ops: Sequence[GateOp]) -> list[tuple[tuple[int, ...], list[Gate
             blocks[-1][1].append(op)
         else:
             blocks.append((set(op.targets), [op]))
+    for qubits, _run in blocks:
+        if len(qubits) == 1:
+            qubits.add((min(qubits) + 1) % n_qubits)
     return [(tuple(sorted(qubits, reverse=True)), run) for qubits, run in blocks]
 
 
 def _embed(mat: np.ndarray, targets: tuple[int, ...],
            qubits: tuple[int, ...]) -> np.ndarray:
-    """A gate's matrix in its block's basis, padded to 4x4 (the block's
-    first qubit is the high bit; one-qubit blocks use the top-left 2x2)."""
-    out = np.zeros((4, 4), dtype=complex)
-    if len(qubits) == 1:
-        out[:2, :2] = mat
-    elif len(targets) == 2:
-        out[:] = mat if targets == qubits else \
+    """A gate's 4x4 matrix in its block's basis, the block's first qubit
+    the high bit."""
+    if len(targets) == 2:
+        return mat if targets == qubits else \
             mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    elif targets[0] == qubits[0]:
-        out[:] = np.kron(mat, np.eye(2))
-    else:
-        out[:] = np.kron(np.eye(2), mat)
-    return out
+    if targets[0] == qubits[0]:
+        return np.kron(mat, np.eye(2))
+    return np.kron(np.eye(2), mat)
 
 
 def _check_batch(prep_states: np.ndarray):
@@ -363,19 +361,13 @@ def mse(labels: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum((labels - p) ** 2) / (2 * len(labels)))
 
 
-def _real_form(mats: np.ndarray, one_qubit: Sequence[bool]) -> np.ndarray:
+def _real_form(mats: np.ndarray) -> np.ndarray:
     """Complex (slot, kind, 4, 4) matrices as real (slot, kind, 8, 8)
     [[Re, -Im], [Im, Re]], which act on a state stored as [Re; Im].
     Products carry over, and the real form of a conjugate transpose is the
-    transpose of the real form. A one-qubit kind's rows and columns
-    [0, 1, 4, 5], the real form of its 2x2, are moved to the front, so
-    its 4x4 real form is the top-left corner."""
+    transpose of the real form."""
     re, im = mats.real, mats.imag
-    out = np.block([[re, -im], [im, re]])
-    order = np.array([0, 1, 4, 5, 2, 3, 6, 7])
-    kinds = np.flatnonzero(one_qubit)
-    out[:, kinds] = out[:, kinds][..., order, :][..., order]
-    return out
+    return np.block([[re, -im], [im, re]])
 
 
 _BATCH, _REIM = -1, -2  # the batch and re/im axes among a layout's labels
@@ -470,23 +462,24 @@ class ModelEvaluator:
     def __init__(self, model: Model, param_names: Sequence[str]):
         self.model = model
         n = self.n_qubits = model.n_qubits
+        if n < 2:
+            raise ConfigError(f"a model needs at least 2 qubits, got {n}")
         self.readout = model.readout_qubit
         self.param_names = tuple(param_names)
         name_to_idx = {name: i for i, name in enumerate(self.param_names)}
         self.n_params = len(name_to_idx)
         if len(name_to_idx) != len(self.param_names):
             raise ConfigError("parameter names must be unique")
-        blocks = _fuse_blocks(model.circuit.ops)
+        blocks = _fuse_blocks(model.circuit.ops, n)
         self.block_qubits = [qubits for qubits, _run in blocks]
         # Blocks whose slots agree gate for gate (kind, local targets,
         # symbol, sign, angle) share one kind and its matrices.
         kinds: dict[tuple, int] = {}
-        kind_runs: list[tuple[tuple[int, ...], list[GateOp]]] = []
+        kind_runs: list[tuple[tuple[int, int], list[GateOp]]] = []
         self.block_kinds = []
         for qubits, run in blocks:
-            key = (len(qubits),) + tuple(
-                (op.kind, tuple(map(qubits.index, op.targets)), op.symbol,
-                 op.sign, op.angle) for op in run)
+            key = tuple((op.kind, tuple(map(qubits.index, op.targets)), op.symbol,
+                         op.sign, op.angle) for op in run)
             if key not in kinds:
                 kinds[key] = len(kind_runs)
                 kind_runs.append((qubits, run))
@@ -510,9 +503,8 @@ class ModelEvaluator:
                 sin_part[j, k] = -1j * _embed(PAULI_GENERATORS[op.kind], op.targets, qubits)
                 self._param[j, k] = name_to_idx[op.symbol]
                 self._sign[j, k] = op.sign
-        one_qubit = [len(qubits) == 1 for qubits, _run in kind_runs]
-        self._cos_part = _real_form(cos_part, one_qubit)
-        self._sin_part = _real_form(sin_part, one_qubit)
+        self._cos_part = _real_form(cos_part)
+        self._sin_part = _real_form(sin_part)
         # d(slot)/d(value) = sign * (-i/2) G * slot; dz sums slots per
         # parameter, over the (kind, slot) order of the traces.
         self._dgen = 0.5 * self._sign[..., None, None] * self._sin_part
@@ -527,8 +519,7 @@ class ModelEvaluator:
         # block matrix, the transposed prefixes and the derivative rows.
         self._algebra = np.empty((4,) + shape + (8, 8))
         _slots, prefix, _scratch, deriv = self._algebra
-        self._dims = [2 << len(q) for q in self.block_qubits]
-        self._mats = [prefix[-1, k, :d, :d] for k, d in zip(self.block_kinds, self._dims)]
+        self._mats = [prefix[-1, k] for k in self.block_kinds]
         self._kind_mats_t = prefix[-1].transpose(0, 2, 1)[:, None]
         self._prefix_t = prefix.swapaxes(-1, -2)
         self._deriv_rows = deriv.reshape(shape + (64,)).transpose(1, 0, 2)
@@ -561,23 +552,21 @@ class ModelEvaluator:
         taped sweep reads each block's input from its tape (one gathered
         input per block) and writes the first spare, where its adjoint
         sweep starts lam and takes it back through the other, and keeps
-        the overlaps (block, sample, 8, 8), whose padding for a one-qubit
-        block stays zero."""
+        the overlaps (block, sample, 8, 8)."""
         n_blocks = len(self._mats)
         size = batch << (self.n_qubits + 1)
         spare, other = np.empty((2, size))
         labels = (2,) * (self.n_qubits + 1) + (batch,)  # one axis per label
 
         def step(mat, x, y, move=None, dst=None):
-            d = mat.shape[0]
             if move is None:
-                return mat, x.reshape(d, -1), y.reshape(d, -1), None, None
-            return (mat, x.reshape(d, -1), y.reshape(d, -1),
+                return mat, x.reshape(8, -1), y.reshape(8, -1), None, None
+            return (mat, x.reshape(8, -1), y.reshape(8, -1),
                     y.reshape(labels).transpose(move[1]), dst.reshape(labels))
 
         if taped:
             tape = np.empty((n_blocks, size))
-            overlaps = np.zeros((n_blocks, batch, 8, 8))
+            overlaps = np.empty((n_blocks, batch, 8, 8))
             inputs, out = list(tape), spare
         else:
             inputs, out, other = [spare] * n_blocks, other, spare
@@ -591,19 +580,18 @@ class ModelEvaluator:
             return plan
         order = range(n_blocks - 1, -1, -1)
         return plan._replace(
-            overlaps=[(out.reshape(d, -1, batch).transpose(2, 0, 1),
-                       tape[b].reshape(d, -1, batch).transpose(2, 1, 0),
-                       overlaps[b, :, :d, :d])
-                      for b in order for d in [self._dims[b]]],
+            overlaps=[(out.reshape(8, -1, batch).transpose(2, 0, 1),
+                       tape[b].reshape(8, -1, batch).transpose(2, 1, 0),
+                       overlaps[b])
+                      for b in order],
             backward=[step(self._mats[b].T, out, other, self._back[b], out)
                       for b in order if b],
             overlap_rows=overlaps.reshape(n_blocks, batch * 64))
 
     def _block_matrices(self, values: np.ndarray):
-        """Each kind's real 8x8 block matrix (a one-qubit kind's is its
-        top-left 4x4, which self._mats views per block), the last of the
-        depth-major prefix products: prefix[j] is slot j times every
-        earlier slot of its kind."""
+        """Each kind's real 8x8 block matrix, the last of the depth-major
+        prefix products: prefix[j] is slot j times every earlier slot of
+        its kind."""
         slots, prefix, scratch, _deriv = self._algebra
         bound = np.append(np.asarray(values, dtype=float), 0.0)[self._param]
         half = 0.5 * self._sign * bound

@@ -28,15 +28,15 @@ byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
 
 A write renders each distinct gate without an angle once. A read parses
-each distinct gate line once and shares the op among the samples that
-repeat it (16 of the 17 gate lines of a generated sample). When
-consecutive samples share a head, their header and every gate line but
-the last (as all samples of a generated file do), the head is checked
-once into a circuit that each later sample of the run extends by its
-last gate with ``Circuit.then``. A socket worker reads only its own
-client: it verifies the checksum and every client header but parses
-only that client's samples; the server's full read validates every
-sample.
+each distinct gate line without an angle once and shares the op among
+the samples that repeat it (16 of the 17 gate lines of a generated
+sample). When consecutive samples share a head, their header and every
+gate line but the last (as all samples of a generated file do), the
+head is checked once into a circuit that each later sample of the run
+extends by its last gate with ``Circuit.then``. A socket worker reads
+only its own client: it verifies the checksum and every client header
+but parses only that client's samples; the server's full read
+validates every sample.
 """
 
 import dataclasses
@@ -136,7 +136,8 @@ def _parse_lines(lines: list[str], memo: dict[int, dict[str, GateOp]]) -> Circui
     """parse_circuit over a circuit's lines. ``memo`` maps a qubit count to
     a map from raw gate line to the op parsed from it, so a caller parsing
     many circuits strips and parses each repeated gate once; blank and
-    failed lines are not kept."""
+    failed lines, and lines with an angle (a dataset's per-sample
+    rotations), are not kept."""
     header = lines[0].strip() if lines else ""
     if not header.startswith(CIRCUIT_MAGIC + " qubits="):
         raise CircuitParseError(f"line 1: bad header {header!r}")
@@ -161,12 +162,14 @@ def _parse_lines(lines: list[str], memo: dict[int, dict[str, GateOp]]) -> Circui
 
 def _memo_op(known: dict[str, GateOp], raw: str, lineno: int,
              n_qubits: int) -> GateOp | None:
-    """The op of gate line ``raw``, parsed and kept in ``known``; None for
-    a blank line."""
+    """The op of gate line ``raw``, parsed and, unless it has an angle,
+    kept in ``known``; None for a blank line."""
     line = raw.strip()
     if not line:
         return None
-    op = known[raw] = _parse_op(line, lineno, n_qubits)
+    op = _parse_op(line, lineno, n_qubits)
+    if op.angle is None:
+        known[raw] = op
     return op
 
 

@@ -58,6 +58,8 @@ PROTOCOL_VERSION = 3
 READ_TIMEOUT_S = 300.0
 # How often, in seconds, a connected client says ALIVE.
 KEEPALIVE_S = 30.0
+# Longest HELLO line, in bytes, that the server buffers.
+HELLO_MAX_BYTES = 1024
 
 # Fewest samples a round trains per process (parent or helper) for a
 # helper to pay off: a helper costs a fork and its first round's
@@ -333,7 +335,8 @@ class SocketFedServer(_Server):
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
         self._listener = socket.create_server((host, port))
-        self._pending: dict[socket.socket, _Link] = {}  # accepted, no HELLO yet
+        # Accepted connections without a whole HELLO yet, and what they sent.
+        self._pending: dict[socket.socket, bytearray] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -341,10 +344,10 @@ class SocketFedServer(_Server):
 
     def wait_for_clients(self, timeout: float = 60.0):
         """Accept connections until every expected client said HELLO, or
-        raise TimeoutError once ``timeout`` seconds have passed. A
-        connection that has sent nothing by then is kept for the next
-        call; one that has begun its HELLO line has READ_TIMEOUT_S to end
-        it."""
+        raise TimeoutError once ``timeout`` seconds have passed. A HELLO is
+        read without blocking as it arrives and taken once its line is
+        whole; a connection without a whole HELLO by then is kept, with
+        what it sent, for the next call."""
         deadline = time.monotonic() + timeout
         while len(self._links) < self.n_clients:
             left = deadline - time.monotonic()
@@ -358,15 +361,32 @@ class SocketFedServer(_Server):
                 if sock is self._listener:
                     self._listener.settimeout(max(left, 1e-3))
                     conn, _addr = self._listener.accept()
-                    self._pending[conn] = _Link(conn)
-                else:
-                    self._take_hello(self._pending.pop(sock))
+                    conn.setblocking(False)
+                    self._pending[conn] = bytearray()
+                elif self._read_hello(sock):
+                    self._take_hello(sock, self._pending.pop(sock))
 
-    def _take_hello(self, link: _Link):
-        """Read the HELLO of a connection that has sent something, and
-        keep the connection as that client's link."""
+    def _read_hello(self, sock: socket.socket) -> bool:
+        """Add what a pending connection has sent, up to its first newline
+        (later bytes are the link's), to its buffer; whether the HELLO line
+        is whole, too long or ended by the connection."""
+        line = self._pending[sock]
         try:
-            msg = decode_message(link.reader.readline())
+            sent = sock.recv(HELLO_MAX_BYTES - len(line), socket.MSG_PEEK)
+            line += sock.recv(sent.find(b"\n") + 1 or len(sent))
+        except BlockingIOError:
+            return False
+        except ConnectionError:
+            sent = b""
+        return not sent or line.endswith(b"\n") or len(line) == HELLO_MAX_BYTES
+
+    def _take_hello(self, sock: socket.socket, line: bytes):
+        """Check a pending connection's HELLO line and keep the connection
+        as that client's link."""
+        try:
+            if not line.endswith(b"\n") and len(line) == HELLO_MAX_BYTES:
+                raise ProtocolError(f"HELLO longer than {HELLO_MAX_BYTES} bytes")
+            msg = decode_message(line.decode("utf-8", "replace"))
             if not isinstance(msg, Hello):
                 raise ProtocolError(f"expected HELLO, got {msg!r}")
             if msg.version != PROTOCOL_VERSION:
@@ -377,15 +397,14 @@ class SocketFedServer(_Server):
             if any(msg.client_id in other.ids for other in self._links):
                 raise ProtocolError(f"duplicate client id {msg.client_id!r}")
         except BaseException:
-            link.close()  # a rejected connection is not kept
+            sock.close()  # a rejected connection is not kept
             raise
-        link.ids = (msg.client_id,)
-        self._links.append(link)
+        self._links.append(_Link(sock, (msg.client_id,)))
 
     def shutdown(self):
         super().shutdown()
-        for link in self._pending.values():
-            link.close()
+        for sock in self._pending:
+            sock.close()
         self._pending.clear()
         self._listener.close()
 

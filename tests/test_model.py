@@ -91,8 +91,16 @@ def _rand_state(rng, n):
 
 
 # (qubits, gates, seed) of the random symbolic circuits checked against
-# the oracles; a 1-qubit model and 2- to 4-qubit circuits.
-_RANDOM_CASES = ((1, 12, 0), (2, 20, 1), (3, 30, 2), (3, 30, 3), (4, 40, 4))
+# the oracles, on 2 to 4 qubits.
+_RANDOM_CASES = ((2, 12, 0), (2, 20, 1), (3, 30, 2), (3, 30, 3), (4, 40, 4))
+
+# Blocks of each (qubits, stages) model without an fc unit, counted
+# before one-qubit runs were widened. An fc unit on the last qubit joins
+# the last pool unit's block; on any other readout it is a block of its
+# own (so 8 qubits with fc on readout 1 at 1 stage have 13 blocks, and on
+# readout 3 at 2 stages 19).
+_ARCH_BLOCKS = {(2, 1): 1, (4, 1): 6, (4, 2): 7, (8, 1): 12, (8, 2): 18, (8, 3): 19,
+                (16, 1): 24, (16, 2): 36, (16, 3): 42, (16, 4): 43}
 
 
 def _symbolic_circuit(rng, n_qubits, n_gates, n_symbols=3):
@@ -521,18 +529,18 @@ class TestMseLoss:
 
 class TestGradient:
     def test_zero_at_optimum(self):
-        arch = ArchitectureSpec(1, 0, 0)
-        model = Model(arch, Circuit(1, (rx(0, symbol="t"),)))
+        arch = ArchitectureSpec(2, 0, 0)
+        model = Model(arch, Circuit(2, (rx(0, symbol="t"),)))
         params = ParamVector(("t",), np.zeros(1))
-        g = gradient(params, [Sample(Circuit(1), 1)], model)
+        g = gradient(params, [Sample(Circuit(2), 1)], model)
         assert g == pytest.approx([0.0], abs=1e-15)
 
     @pytest.mark.parametrize("theta", [0.5, 1.3])
     def test_rx_readout_derivative_is_minus_sine(self, theta):
-        arch = ArchitectureSpec(1, 0, 0)
-        model = Model(arch, Circuit(1, (rx(0, symbol="t"),)))
+        arch = ArchitectureSpec(2, 0, 0)
+        model = Model(arch, Circuit(2, (rx(0, symbol="t"),)))
         params = ParamVector(("t",), np.array([theta]))
-        dz = readout_gradient(params, Sample(Circuit(1), 0), model)
+        dz = readout_gradient(params, Sample(Circuit(2), 0), model)
         assert dz[0] == pytest.approx(-math.sin(theta), abs=1e-12)
 
     def test_default_arch_matches_finite_differences(self):
@@ -580,21 +588,25 @@ class TestGradient:
             assert np.max(np.abs(dz[:, i] - literal)) < 1e-12
 
     def test_random_circuits_cover_block_shapes(self):
-        # What the oracle test above relies on: both block sizes, both
-        # two-qubit target orders, fixed gates inside a two-qubit block and
-        # negated references to shared symbols.
-        sizes, orders, fixed_in_pair, negated_shared = set(), set(), False, False
+        # What the oracle test above relies on: two-qubit blocks with gates
+        # on both qubits and on only one, both two-qubit target orders,
+        # fixed gates inside a two-qubit block and negated references to
+        # shared symbols.
+        spans, orders, fixed_in_pair, negated_shared = set(), set(), False, False
         for n, g, seed in _RANDOM_CASES:
             c = _symbolic_circuit(np.random.default_rng(seed), n, g)
             ev = ModelEvaluator(Model(ArchitectureSpec(n, 0, 0), c), c.symbols())
-            sizes |= {len(q) for q in ev.block_qubits}
+            blocks = model_module._fuse_blocks(c.ops, n)
+            assert ev.block_qubits == [qubits for qubits, _run in blocks]
+            assert all(len(qubits) == 2 for qubits in ev.block_qubits)
+            spans |= {len({q for op in run for q in op.targets}) for _q, run in blocks}
             for op in c.ops:
                 if len(op.targets) == 2:
                     orders.add(op.targets[0] > op.targets[1])
                     fixed_in_pair |= op.kind in ("CZ", "CNOT")
                 if op.sign == -1:
                     negated_shared |= sum(o.symbol == op.symbol for o in c.ops) > 1
-        assert sizes == {1, 2} and orders == {True, False}
+        assert spans == {1, 2} and orders == {True, False}
         assert fixed_in_pair and negated_shared
 
     def test_default_arch_matches_literal_shift_rule(self):
@@ -623,6 +635,20 @@ class TestGradient:
         # Every step but the last forward one regathers into the next layout.
         assert [dst is None for *_, dst in plan.forward] == [False] * 18 + [True]
         assert all(dst is not None for *_, dst in plan.backward)
+
+    def test_every_architecture_fuses_into_two_qubit_blocks(self):
+        # Every stage count, readout and fc setting on 2 to 16 qubits: a
+        # one-qubit run is widened to two qubits after fusing, so the
+        # block counts are those of fusion alone.
+        for n in (2, 4, 8, 16):
+            for stages in range(1, n.bit_length()):
+                for readout in stage_qubits(build_architecture(n, stages))[-1]:
+                    for fc in (False, True):
+                        arch = build_architecture(n, stages, readout, fc)
+                        ev = ModelEvaluator(build_model(arch), parameter_names(arch))
+                        assert all(len(q) == 2 for q in ev.block_qubits)
+                        extra = fc and readout != n - 1
+                        assert len(ev.block_qubits) == _ARCH_BLOCKS[n, stages] + extra
 
     def test_default_arch_compiles_to_seven_block_kinds(self):
         # Translational weight sharing: the 19 blocks are 7 kinds. The
@@ -722,10 +748,11 @@ class TestGradient:
 
     @pytest.mark.parametrize("case", ["fc", "one-qubit blocks"])
     def test_one_qubit_blocks_match_literal_shift_rule(self, case):
-        # A one-qubit block's real form is block-diagonal and orthogonal
-        # only in its top-left corner, which is all its Gram matrices meet.
+        # A run of gates on one qubit q is a block on q and (q + 1) mod n,
+        # which carries identities on its second qubit. The fc unit on
+        # qubit 1 follows the pool unit on (2, 3), so it is such a run.
         if case == "fc":
-            arch = build_architecture(4, include_fc=True)
+            arch = build_architecture(4, 1, 1, include_fc=True)
             circuit = build_model_circuit(arch)
         else:
             arch = ArchitectureSpec(3, 0, 0)
@@ -735,8 +762,10 @@ class TestGradient:
                 h(1), GateOp("RY", (0,), angle=0.3), GateOp("RX", (2,), symbol="b")))
         names = circuit.symbols()
         ev = ModelEvaluator(Model(arch, circuit), names)
-        if case != "fc":
-            assert [len(q) for q in ev.block_qubits] == [1, 2, 1, 2, 2]
+        if case == "fc":
+            assert ev.block_qubits[-1] == (2, 1)
+        else:
+            assert ev.block_qubits == [(1, 0), (2, 1), (1, 0), (2, 1), (2, 0)]
         rng = np.random.default_rng(11)
         values = rng.uniform(-math.pi, math.pi, size=len(names))
         bindings = dict(zip(names, values.tolist()))
@@ -760,19 +789,24 @@ class TestGradient:
 
     def test_shared_symbol_sums_occurrences(self):
         # Two RX gates sharing one symbol: d<Z>/dt of RX(2t) is -2 sin(2t).
-        arch = ArchitectureSpec(1, 0, 0)
-        model = Model(arch, Circuit(1, (rx(0, symbol="t"), rx(0, symbol="t"))))
+        arch = ArchitectureSpec(2, 0, 0)
+        model = Model(arch, Circuit(2, (rx(0, symbol="t"), rx(0, symbol="t"))))
         theta = 0.4
         params = ParamVector(("t",), np.array([theta]))
-        dz = readout_gradient(params, Sample(Circuit(1), 0), model)
+        dz = readout_gradient(params, Sample(Circuit(2), 0), model)
         assert dz[0] == pytest.approx(-2 * math.sin(2 * theta), abs=1e-12)
 
     def test_unknown_symbol_rejected(self):
-        arch = ArchitectureSpec(1, 0, 0)
-        model = Model(arch, Circuit(1, (rx(0, symbol="t"),)))
-        with pytest.raises(ConfigError):
+        arch = ArchitectureSpec(2, 0, 0)
+        model = Model(arch, Circuit(2, (rx(0, symbol="t"),)))
+        with pytest.raises(ConfigError, match="model symbol 't' not in parameters"):
             gradient(ParamVector(("other",), np.zeros(1)),
-                     [Sample(Circuit(1), 0)], model)
+                     [Sample(Circuit(2), 0)], model)
+
+    def test_one_qubit_model_refused(self):
+        model = Model(ArchitectureSpec(1, 0, 0), Circuit(1, (rx(0, symbol="t"),)))
+        with pytest.raises(ConfigError, match="at least 2 qubits, got 1"):
+            ModelEvaluator(model, ("t",))
 
 
 class TestParamVector:

@@ -25,6 +25,7 @@ from qflsim.errors import (
 from qflsim.model import Sample
 from qflsim.sim import Circuit, cz, h, rx, ry, rz
 from qflsim.store import (
+    _parse_lines,
     checksum_bytes,
     parse_circuit,
     read_dataset,
@@ -145,6 +146,15 @@ class TestParseCircuit:
     def test_duplicate_targets_rejected(self):
         with pytest.raises(CircuitParseError, match="line 2"):
             parse_circuit("QFLCIRC v1 qubits=2\nCZ 1 1")
+
+    def test_read_memo_keeps_only_lines_without_an_angle(self):
+        # A dataset's per-sample rotation angles never repeat, so their
+        # lines are parsed each time and not kept.
+        memo = {}
+        lines = ["QFLCIRC v1 qubits=2", "H 0", "RX 1 0.25", "ZZ 0 1 $t", "RY 0 -$t"]
+        circuit = _parse_lines(lines, memo)
+        assert circuit == parse_circuit("\n".join(lines))
+        assert sorted(memo[2]) == ["H 0", "RY 0 -$t", "ZZ 0 1 $t"]
 
     def test_read_reports_the_line_of_a_bad_gate_after_repeats(self, tmp_path):
         # The third sample's CZ 7 0 (circuit line 17) becomes CZ 7 7, after

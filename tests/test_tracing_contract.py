@@ -45,5 +45,7 @@ def test_traced_run_counts_what_the_benchmark_reports():
             federated.build_run) == originals
     assert tracer.totals["model.fwdgrad"][0] == 2  # 8 samples in batches of 4
     assert tracer.counters["federated.evaluate.samples"] == 2 * 8  # rounds 0 and 1
+    # Evaluation sweeps each round's 9-state basis through readout_z.
+    assert tracer.counters["model.forward.samples"] == 2 * 9
     assert tracer.counters["model.prep_states.samples"] == 8
     assert tracer.totals["federated.build_run"][0] == 1

@@ -282,6 +282,51 @@ class TestSocketRounds:
         finally:
             server.shutdown()
 
+    def test_split_hello_keeps_to_the_deadline_and_links_later(self, monkeypatch):
+        # A connection that has sent part of its HELLO line fails the call
+        # at its own deadline, not the read deadline, and keeps what it
+        # sent: the rest of the line links it on the next call.
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 2.0)
+        server = SocketFedServer(1, ("a",))
+        try:
+            with socket.create_connection(server.address) as conn:
+                conn.sendall(f"HELLO v{PROTOCOL_VERSION} par".encode())
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    server.wait_for_clients(timeout=0.2)
+                assert time.monotonic() - start < 1.0
+                conn.sendall(b"tial\n")
+                server.wait_for_clients(timeout=5)
+                assert [link.ids for link in server._links] == [("partial",)]
+        finally:
+            server.shutdown()
+
+    def test_bytes_after_hello_stay_with_the_link(self):
+        # The HELLO is read up to its newline only, so an UPDATE sent in
+        # the same packet is the link's first line.
+        server = SocketFedServer(1, ("a",))
+        try:
+            with socket.create_connection(server.address) as conn:
+                conn.sendall(encode_hello("c1").encode() + b"UPDATE 1 c1 4 0.5 0.25\n")
+                server.wait_for_clients(timeout=5)
+                (update,) = server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
+                assert update.params.values.tolist() == [0.25]
+        finally:
+            server.shutdown()
+
+    def test_overlong_hello_is_refused(self):
+        server = SocketFedServer(1, ("a",))
+        try:
+            with socket.create_connection(server.address) as conn:
+                hello = f"HELLO v{PROTOCOL_VERSION} ".encode()
+                conn.sendall(hello.ljust(transport.HELLO_MAX_BYTES, b"x"))
+                with pytest.raises(ProtocolError, match="HELLO longer than"):
+                    server.wait_for_clients(timeout=5)
+                conn.settimeout(5)
+                assert conn.recv(1) == b""
+        finally:
+            server.shutdown()
+
     @pytest.mark.parametrize("order, named", [
         (["c1"], "c2"),
         (["c1", "c2", "c1"], "c1"),
