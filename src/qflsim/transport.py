@@ -17,7 +17,9 @@ line) if its local training fails, until the server sends DONE. The
 server keeps one in-flight round per connection. While connected, a
 client sends ALIVE every KEEPALIVE_S seconds; the server fails the round
 of a connection that sends nothing for READ_TIMEOUT_S seconds, so a hung
-client is caught while a long local training is not.
+client is caught while a long local training is not. Both ends read lines
+with one reader, whose deadline each byte restarts; a non-UTF-8 line is a
+ProtocolError, and a connection closed before its HELLO is dropped.
 
 One server runs every round, wherever its clients train: it sends GLOBAL
 once on each link, trains the clients it holds in process itself, then
@@ -208,52 +210,64 @@ def decode_message(line: str):
     raise ProtocolError(f"unknown message {line!r}")
 
 
-def _send(writer, line: str) -> None:
-    writer.write(line)
-    writer.flush()
-
-
 class _Link:
-    """The server's end of one process's connection: line reader and
-    writer over a socket whose reads wait at most READ_TIMEOUT_S seconds,
-    and the ids of the clients that answer on it, in the order they do."""
+    """One end of a connection, the server's or a client's: the only reader
+    of its socket, with the bytes after the last line read in ``buffer``,
+    and its writer, one line at a time within READ_TIMEOUT_S seconds.
+    ``ids`` names the clients that answer on a server's link, in order."""
 
     def __init__(self, sock: socket.socket, ids: Sequence[str] = ()):
         sock.settimeout(READ_TIMEOUT_S)
         self.sock = sock
         self.ids = tuple(ids)
-        self.reader = sock.makefile("r", encoding="utf-8", newline="\n")
-        self.writer = sock.makefile("w", encoding="utf-8", newline="\n")
+        self.buffer = b""
+        self._lock = threading.Lock()
+
+    def fileno(self) -> int:
+        return self.sock.fileno()
+
+    def send(self, line: str) -> None:
+        with self._lock:
+            self.sock.sendall(line.encode())
+
+    def read_line(self, idle: float | None) -> str | None:
+        """The next line, newline kept: None after ``idle`` seconds (None:
+        no limit) with no byte, '' at EOF, where a last line without its
+        newline is dropped. A line that is not UTF-8 raises ProtocolError."""
+        while not (end := self.buffer.find(b"\n") + 1):
+            if not select.select([self], [], [], idle)[0]:
+                return None
+            sent = b""
+            with contextlib.suppress(ConnectionError):
+                sent = self.sock.recv(65536)
+            if not sent:
+                return ""
+            self.buffer += sent
+        line, self.buffer = self.buffer[:end], self.buffer[end:]
+        try:
+            return line.decode()
+        except UnicodeDecodeError:
+            raise ProtocolError(f"line is not UTF-8: {line!r}") from None
 
     def close(self):
-        for closable in (self.reader, self.writer, self.sock):
-            with contextlib.suppress(OSError):
-                closable.close()
-
-
-def _next_message(link: _Link, cid: str, round_index: int):
-    """Client ``cid``'s next message other than ALIVE."""
-    while True:
-        try:
-            raw = link.reader.readline()
-        except TimeoutError:
-            raise TrainingError(
-                f"client {cid} sent nothing in round {round_index} "
-                f"for {link.sock.gettimeout()} s"
-            ) from None
-        except ConnectionError:
-            raw = ""
-        if not raw:
-            raise TrainingError(f"client {cid} disconnected in round {round_index}")
-        msg = decode_message(raw)
-        if not isinstance(msg, Alive):
-            return msg
+        self.sock.close()
 
 
 def _receive_update(link: _Link, cid: str, round_index: int, names) -> ClientUpdate:
-    """Client ``cid``'s answer to round ``round_index``: its UPDATE, or
-    TrainingError if it sent ERROR, fell silent or disconnected."""
-    msg = _next_message(link, cid, round_index)
+    """Client ``cid``'s answer to round ``round_index``, ALIVE skipped: its
+    UPDATE, or TrainingError if it sent ERROR, fell silent or disconnected."""
+    msg = Alive()
+    while isinstance(msg, Alive):
+        try:
+            raw = link.read_line(READ_TIMEOUT_S)
+        except ProtocolError as exc:
+            raise ProtocolError(f"client {cid} in round {round_index}: {exc}") from None
+        if raw is None:
+            raise TrainingError(f"client {cid} sent nothing in round {round_index} "
+                                f"for {READ_TIMEOUT_S} s")
+        if not raw:
+            raise TrainingError(f"client {cid} disconnected in round {round_index}")
+        msg = decode_message(raw)
     if not isinstance(msg, (Update, Error)):
         raise ProtocolError(f"expected UPDATE from {cid}, got {msg!r}")
     if msg.round != round_index:
@@ -298,7 +312,7 @@ class _Server:
         line = encode_global(round_index, params.values)
         for link in self._links:  # a process gone shows when its answer is read
             with contextlib.suppress(OSError):
-                _send(link.writer, line)
+                link.send(line)
         updates = {}
         for cid, client in self._own.items():
             try:
@@ -315,7 +329,7 @@ class _Server:
         """Send DONE on every link, then close it."""
         for link in self._links:
             with contextlib.suppress(OSError):
-                _send(link.writer, encode_done())
+                link.send(encode_done())
             link.close()
         self._links.clear()
 
@@ -335,8 +349,8 @@ class SocketFedServer(_Server):
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
         self._listener = socket.create_server((host, port))
-        # Accepted connections without a whole HELLO yet, and what they sent.
-        self._pending: dict[socket.socket, bytearray] = {}
+        # Accepted connections without a whole HELLO yet.
+        self._pending: list[_Link] = []
 
     @property
     def address(self) -> tuple[str, int]:
@@ -346,8 +360,8 @@ class SocketFedServer(_Server):
         """Accept connections until every expected client said HELLO, or
         raise TimeoutError once ``timeout`` seconds have passed. A HELLO is
         read without blocking as it arrives and taken once its line is
-        whole; a connection without a whole HELLO by then is kept, with
-        what it sent, for the next call."""
+        whole; a connection that closes first is dropped, one without a
+        whole HELLO by then kept, with what it sent, for the next call."""
         deadline = time.monotonic() + timeout
         while len(self._links) < self.n_clients:
             left = deadline - time.monotonic()
@@ -357,54 +371,47 @@ class SocketFedServer(_Server):
                 raise TimeoutError(
                     f"{len(self._links)} of {self.n_clients} clients said HELLO "
                     f"within {timeout} s")
-            for sock in ready:
-                if sock is self._listener:
+            for link in ready:
+                if link is self._listener:
                     self._listener.settimeout(max(left, 1e-3))
-                    conn, _addr = self._listener.accept()
-                    conn.setblocking(False)
-                    self._pending[conn] = bytearray()
-                elif self._read_hello(sock):
-                    self._take_hello(sock, self._pending.pop(sock))
+                    self._pending.append(_Link(self._listener.accept()[0]))
+                else:
+                    self._take_hello(link)
 
-    def _read_hello(self, sock: socket.socket) -> bool:
-        """Add what a pending connection has sent, up to its first newline
-        (later bytes are the link's), to its buffer; whether the HELLO line
-        is whole, too long or ended by the connection."""
-        line = self._pending[sock]
+    def _take_hello(self, link: _Link):
+        """Read what a pending link has sent. Once its HELLO line is whole,
+        check it and keep the link as that client's; drop a link that
+        closes first, and close a refused one."""
+        self._pending.remove(link)
         try:
-            sent = sock.recv(HELLO_MAX_BYTES - len(line), socket.MSG_PEEK)
-            line += sock.recv(sent.find(b"\n") + 1 or len(sent))
-        except BlockingIOError:
-            return False
-        except ConnectionError:
-            sent = b""
-        return not sent or line.endswith(b"\n") or len(line) == HELLO_MAX_BYTES
-
-    def _take_hello(self, sock: socket.socket, line: bytes):
-        """Check a pending connection's HELLO line and keep the connection
-        as that client's link."""
-        try:
-            if not line.endswith(b"\n") and len(line) == HELLO_MAX_BYTES:
+            line = link.read_line(0)
+            if line is None and len(link.buffer) < HELLO_MAX_BYTES:
+                self._pending.append(link)  # not whole yet
+                return
+            if line == "":
+                link.close()
+                return
+            if line is None or len(line.encode()) > HELLO_MAX_BYTES:
                 raise ProtocolError(f"HELLO longer than {HELLO_MAX_BYTES} bytes")
-            msg = decode_message(line.decode("utf-8", "replace"))
+            msg = decode_message(line)
             if not isinstance(msg, Hello):
                 raise ProtocolError(f"expected HELLO, got {msg!r}")
             if msg.version != PROTOCOL_VERSION:
                 raise ProtocolError(
                     f"client {msg.client_id} speaks protocol v{msg.version}, "
-                    f"server expects v{PROTOCOL_VERSION}"
-                )
+                    f"server expects v{PROTOCOL_VERSION}")
             if any(msg.client_id in other.ids for other in self._links):
                 raise ProtocolError(f"duplicate client id {msg.client_id!r}")
         except BaseException:
-            sock.close()  # a rejected connection is not kept
+            link.close()  # a rejected connection is not kept
             raise
-        self._links.append(_Link(sock, (msg.client_id,)))
+        link.ids = (msg.client_id,)
+        self._links.append(link)
 
     def shutdown(self):
         super().shutdown()
-        for sock in self._pending:
-            sock.close()
+        for link in self._pending:
+            link.close()
         self._pending.clear()
         self._listener.close()
 
@@ -417,24 +424,18 @@ def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
     thread says ALIVE every KEEPALIVE_S seconds while the loop runs (a
     thread per training would cost a start and a join per client and
     round)."""
-    reader = sock.makefile("r", encoding="utf-8", newline="\n")
-    writer = sock.makefile("w", encoding="utf-8", newline="\n")
-    lock = threading.Lock()  # one line at a time on the connection
+    link = _Link(sock)
     done = threading.Event()
-
-    def send(line):
-        with lock:
-            _send(writer, line)
 
     def say_alive():
         while not done.wait(KEEPALIVE_S):
             with contextlib.suppress(OSError):
-                send(encode_alive())
+                link.send(encode_alive())
 
     beat = threading.Thread(target=say_alive, daemon=True)
     beat.start()
     try:
-        for raw in reader:
+        while raw := link.read_line(None):
             msg = decode_message(raw)
             if isinstance(msg, Done):
                 return
@@ -445,11 +446,10 @@ def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
                 try:  # a GLOBAL with the wrong count fails the first client
                     update = local_train(client, ParamVector(names, msg.values), msg.round)
                 except Exception as exc:
-                    error = encode_error(client.client_id, msg.round, str(exc))
                     with contextlib.suppress(OSError):
-                        send(error)
+                        link.send(encode_error(client.client_id, msg.round, str(exc)))
                     raise
-                send(encode_update(update))
+                link.send(encode_update(update))
     finally:
         done.set()
         beat.join()

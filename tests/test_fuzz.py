@@ -2,8 +2,11 @@
 circuit text, dataset files and wire lines. Each input gives a value or
 a typed QflError, never another exception, and what parses round-trips
 through its writer. Inputs are arbitrary text and valid text with a few
-pieces replaced, inserted, deleted or spliced; examples are drawn by the
-profile in conftest.py."""
+pieces replaced, inserted, deleted or spliced, and wire lines also
+arbitrary bytes read off a socket; examples are drawn by the profile in
+conftest.py."""
+
+import socket
 
 import pytest
 
@@ -12,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from qflsim.datagen import GenConfig, generate_federated_dataset  # noqa: E402
-from qflsim.errors import QflError  # noqa: E402
+from qflsim.errors import ProtocolError, QflError  # noqa: E402
 from qflsim.federated import ClientUpdate  # noqa: E402
 from qflsim.model import ParamVector  # noqa: E402
 from qflsim.sim import GATE_ARITY, PARAMETRIZED_GATES, Circuit, GateOp  # noqa: E402
@@ -32,6 +35,7 @@ from qflsim.transport import (  # noqa: E402
     Global,
     Hello,
     Update,
+    _Link,
     decode_message,
     encode_alive,
     encode_done,
@@ -217,3 +221,54 @@ def test_wire_lines_decode_or_raise_typed(line):
 @given(_MESSAGE)
 def test_every_wire_message_round_trips(msg):
     assert decode_message(_encode(msg)) == msg
+
+
+# Wire bytes: encoded messages, arbitrary text (multibyte UTF-8 too) and
+# arbitrary bytes, newlines included, run together.
+_WIRE_BYTES = st.lists(st.one_of(_MESSAGE.map(_encode), _ANY).map(str.encode)
+                       | st.binary(max_size=40), max_size=6).map(b"".join)
+
+
+def _read_all(link, idle, lines):
+    """Append to ``lines`` what ``link`` reads until it waits ``idle``
+    seconds for a byte or its connection ends: each line, or None for a
+    line that raised ProtocolError."""
+    while True:
+        try:
+            line = link.read_line(idle)
+        except ProtocolError:
+            lines.append(None)
+            continue
+        if not line:
+            return
+        lines.append(line)
+
+
+@given(_WIRE_BYTES, st.lists(st.integers(0, 300), max_size=6))
+def test_link_reads_each_line_as_sent_however_it_is_split(data, cuts):
+    *whole, _unfinished = data.split(b"\n")
+    expected = []
+    for raw in whole:
+        try:
+            expected.append((raw + b"\n").decode())
+        except UnicodeDecodeError:
+            expected.append(None)
+    bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+    ours, theirs = socket.socketpair()
+    link = _Link(theirs)
+    lines = []
+    try:
+        for start, end in zip(bounds, bounds[1:]):
+            ours.sendall(data[start:end])
+            _read_all(link, 0, lines)  # what this piece completes
+        ours.close()
+        _read_all(link, 5, lines)
+    finally:
+        ours.close()
+        link.close()
+    assert lines == expected
+    for line in filter(None, lines):
+        try:
+            decode_message(line)
+        except QflError:
+            pass

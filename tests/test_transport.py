@@ -264,6 +264,79 @@ class TestSocketRounds:
             t.join(timeout=5)
         assert not t.is_alive()
 
+    def test_update_that_is_not_utf8_names_its_client(self):
+        server = SocketFedServer(1, ("a",))
+        host, port = server.address
+
+        def garbled():
+            with socket.create_connection((host, port)) as conn:
+                reader = conn.makefile("r")
+                conn.sendall(encode_hello("c1").encode())
+                reader.readline()  # GLOBAL
+                conn.sendall(b"UPDATE 1 c1 4 0.5 0.25\xff\n")
+                reader.readline()
+
+        t = threading.Thread(target=garbled)
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            with pytest.raises(ProtocolError,
+                               match="client c1 in round 1: line is not UTF-8"):
+                server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
+        finally:
+            server.shutdown()
+            t.join(timeout=5)
+        assert not t.is_alive()
+
+    def test_update_trickled_within_the_deadline_keeps_its_round(self, monkeypatch):
+        # The read deadline bounds the wait for each byte, not for a whole
+        # line: a client that sends its UPDATE a byte at a time, each well
+        # within the deadline, keeps its round.
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.5)
+        server = SocketFedServer(1, ("a",))
+        host, port = server.address
+
+        def trickle():
+            with socket.create_connection((host, port)) as conn:
+                reader = conn.makefile("r")
+                conn.sendall(encode_hello("c1").encode())
+                reader.readline()  # GLOBAL
+                for byte in b"UPDATE 1 c1 4 0.5 0.25\n":
+                    time.sleep(0.1)
+                    conn.sendall(bytes([byte]))
+                reader.readline()  # DONE
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            start = time.monotonic()
+            (update,) = server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
+            assert time.monotonic() - start > 1.0  # longer than the deadline
+        finally:
+            server.shutdown()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert update.params.values.tolist() == [0.25]
+
+    @pytest.mark.parametrize("sent", [b"", b"HELLO v3"])
+    def test_connection_closed_before_hello_is_dropped(self, sent):
+        # A connection that ends without a whole HELLO fails nothing: the
+        # wait goes on and links the clients that do say HELLO.
+        server = SocketFedServer(2, ("a",))
+        try:
+            with socket.create_connection(server.address) as hello, \
+                    socket.create_connection(server.address) as gone:
+                hello.sendall(encode_hello("c1").encode())
+                gone.sendall(sent)
+                gone.close()
+                with pytest.raises(TimeoutError, match="1 of 2 clients"):
+                    server.wait_for_clients(timeout=0.5)
+                assert [link.ids for link in server._links] == [("c1",)]
+                assert server._pending == []
+        finally:
+            server.shutdown()
+
     def test_silent_connection_keeps_to_the_deadline_and_links_later(self, monkeypatch):
         # A connection that has not said HELLO yet fails the call at its
         # own deadline, not the read deadline, and its late HELLO links
@@ -513,6 +586,33 @@ def test_client_loop_answers_a_global_of_the_wrong_count_with_error():
     assert len(raised) == 1
 
 
+def test_client_loop_refuses_a_global_that_is_not_utf8():
+    ds = _tiny_dataset()
+    ids = ds.client_ids()
+    cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[1:],
+                      batch_size=4, seed=3)
+    client = _make_client(ds, 0, cfg)
+    raised = []
+
+    def serve():
+        try:
+            transport._serve_clients(theirs, [client])
+        except ProtocolError as exc:
+            raised.append(str(exc))
+
+    ours, theirs = socket.socketpair()
+    loop = threading.Thread(target=serve)
+    loop.start()
+    try:
+        ours.sendall(b"GLOBAL 1 0.5\xff\n")
+        loop.join(timeout=10)
+    finally:
+        ours.close()
+        theirs.close()
+    assert not loop.is_alive()
+    assert raised == ["line is not UTF-8: b'GLOBAL 1 0.5\\xff\\n'"]
+
+
 def _worker_cmd(*args):
     return [sys.executable, "-m", "qflsim.worker", *args]
 
@@ -576,6 +676,30 @@ class TestWorkerProcess:
         assert proc.returncode == 4
         assert "error: local training diverged" in err
         assert "RuntimeWarning" not in err
+
+    def test_worker_given_a_line_that_is_not_utf8_exits_4(self, tmp_path):
+        ds = _tiny_dataset(n_clients=2, samples=8, seed=6)
+        path = tmp_path / "tiny.qfd"
+        write_dataset(ds, path)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()[:2]
+            proc = subprocess.Popen(_worker_cmd(
+                "--host", host, "--port", str(port), "--dataset", str(path),
+                "--client-id", ds.client_ids()[0],
+            ), stderr=subprocess.PIPE, text=True)
+            try:
+                listener.settimeout(60)
+                conn, _addr = listener.accept()
+                with conn:
+                    conn.settimeout(60)
+                    assert conn.makefile("r").readline().startswith("HELLO")
+                    conn.sendall(b"GLOBAL 1 0.5\xff\n")
+                    _out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # no-op once it has exited
+                proc.wait()
+        assert proc.returncode == 4
+        assert err.startswith("error: line is not UTF-8")
 
     @pytest.mark.parametrize("dataset, client_id, code", [
         ("tiny.qfd", "ghost", 2),
