@@ -10,8 +10,10 @@ Commands:
 
 Every command appends line-delimited JSON rows to its --out file (see
 qflsim.metrics) and is fully determined by its flags and seeds, apart
-from wall_time. Exit codes: 0 success, 2 configuration error, 3 I/O or
-dataset-format error, 4 training error.
+from wall_time. Every row of a training run carries the run's settings
+(optimizer, lr, train_clients, test_clients, rounds, epochs, batch_size)
+next to the values of its command's series. Exit codes: 0 success,
+2 configuration error, 3 I/O or dataset-format error, 4 training error.
 """
 
 import argparse
@@ -59,10 +61,17 @@ def _add_gen_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--clients", type=int, default=30)
     parser.add_argument("--samples-per-client", type=int, default=160)
     parser.add_argument("--qubits", type=int, default=8)
-    parser.add_argument("--sigma", type=float, default=None,
+    parser.add_argument("--sigma", type=float,
+                        default=GenConfig.trunc_normal_sigma,
                         help="truncated-normal sigma in radians")
-    parser.add_argument("--threshold", type=float, default=None,
+    parser.add_argument("--threshold", type=float,
+                        default=GenConfig.excitation_threshold,
                         help="excitation threshold in radians")
+
+
+def _add_split_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--train-clients", type=int, default=25)
+    parser.add_argument("--test-clients", type=int, default=5)
 
 
 def add_local_training_flags(parser: argparse.ArgumentParser):
@@ -96,17 +105,13 @@ def architecture_from_flags(args, n_qubits: int) -> ArchitectureSpec:
 
 
 def _gen_config(args, samples=None, seed=None) -> GenConfig:
-    kwargs = {}
-    if args.sigma is not None:
-        kwargs["trunc_normal_sigma"] = args.sigma
-    if args.threshold is not None:
-        kwargs["excitation_threshold"] = args.threshold
     return GenConfig(
         n_clients=args.clients,
         n_qubits=args.qubits,
         samples_per_client=samples if samples is not None else args.samples_per_client,
+        trunc_normal_sigma=args.sigma,
+        excitation_threshold=args.threshold,
         seed=seed if seed is not None else args.seed,
-        **kwargs,
     )
 
 
@@ -134,10 +139,21 @@ def _split_ids(dataset, n_train: int, n_test: int) -> tuple[tuple, tuple]:
     return ids[:n_train], ids[len(ids) - n_test:]
 
 
-def _run_experiment(dataset, cfg: TrainConfig, out_path, experiment: str,
-                    context: dict, mse_x100: bool = False):
-    """One training run: a round row per record, then a summary row.
-    Returns the final record."""
+def _settings(cfg: TrainConfig) -> dict:
+    """The settings of a run that every one of its rows carries."""
+    return {"optimizer": cfg.opt.kind, "lr": cfg.opt.learning_rate,
+            "train_clients": len(cfg.train_clients),
+            "test_clients": len(cfg.test_clients), "rounds": cfg.rounds,
+            "epochs": cfg.epochs, "batch_size": cfg.batch_size}
+
+
+def _run_experiment(dataset, cfg: TrainConfig, out_path, experiment: str, /,
+                    mse_x100: bool = False, **series):
+    """One training run: a round row per record, then a summary row, each
+    with the run's settings and the ``series`` values that place it in its
+    command's series (the leading parameters are positional-only, so a
+    series field may be named ``dataset``). Returns the final record."""
+    context = {**_settings(cfg), **series}
     t0 = time.perf_counter()
 
     def on_round(record, _server):
@@ -190,13 +206,7 @@ def cmd_train(args) -> int:
     cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed, arch=arch)
     experiment = (f"train-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
                   f"-r{args.rounds}")
-    context = {
-        "optimizer": args.optimizer, "lr": args.lr,
-        "train_clients": len(train_ids), "test_clients": len(test_ids),
-        "rounds": args.rounds, "epochs": args.epochs,
-        "batch_size": args.batch_size,
-    }
-    final = _run_experiment(dataset, cfg, args.out, experiment, context)
+    final = _run_experiment(dataset, cfg, args.out, experiment)
     print(f"final round={final.round} test_accuracy={final.test_accuracy:.4f} "
           f"test_mse={final.test_mse:.6f}")
     return 0
@@ -223,12 +233,8 @@ def cmd_sweep_clients(args) -> int:
             train_ids = ids[:n_train]
             test_ids = ids[total - n_test:total]
         cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed)
-        context = {
-            "n_clients": total, "train_clients": len(train_ids),
-            "test_clients": len(test_ids), "optimizer": args.optimizer,
-            "lr": args.lr, "centralized": centralized,
-        }
-        final = _run_experiment(dataset, cfg, args.out, experiment, context)
+        final = _run_experiment(dataset, cfg, args.out, experiment,
+                                n_clients=total, centralized=centralized)
         print(f"clients={total:2d} train={len(train_ids):2d} "
               f"test={len(test_ids)} final_accuracy={final.test_accuracy:.4f}")
     return 0
@@ -251,13 +257,9 @@ def cmd_sweep_datasize(args) -> int:
             cfg = train_config(args, args.rounds,
                                train_ids[:1] if centralized else train_ids,
                                test_ids, seed)
-            context = {
-                "samples_per_client": size, "centralized": centralized,
-                "optimizer": args.optimizer, "lr": args.lr,
-                "train_clients": len(cfg.train_clients),
-                "test_clients": len(test_ids),
-            }
-            final = _run_experiment(dataset, cfg, args.out, experiment, context)
+            final = _run_experiment(dataset, cfg, args.out, experiment,
+                                    samples_per_client=size,
+                                    centralized=centralized)
             mode = "centralized" if centralized else "federated"
             print(f"size={size:4d} {mode:11s} "
                   f"final_accuracy={final.test_accuracy:.4f}")
@@ -272,10 +274,9 @@ def cmd_compare_iid(args) -> int:
         train_ids, test_ids = _split_ids(dataset, args.train_clients,
                                          args.test_clients)
         cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed)
-        context = {"dataset": tag, "non_iid_fraction": fraction,
-                   "optimizer": args.optimizer, "lr": args.lr}
-        final = _run_experiment(dataset, cfg, args.out, experiment, context,
-                                mse_x100=True)
+        final = _run_experiment(dataset, cfg, args.out, experiment,
+                                mse_x100=True, dataset=tag,
+                                non_iid_fraction=fraction)
         print(f"{tag:8s} accuracy={final.test_accuracy:.4f} "
               f"mse={final.test_mse:.6f} mse_x100={100 * final.test_mse:.3f}")
     return 0
@@ -293,25 +294,18 @@ def cmd_error_bars(args) -> int:
                                          args.test_clients)
         cfg = train_config(args, args.rounds, train_ids, test_ids, seed,
                            eval_train=True)
-        context = {"optimizer": args.optimizer, "lr": args.lr}
-        final = _run_experiment(dataset, cfg, args.out, experiment, context)
+        final = _run_experiment(dataset, cfg, args.out, experiment)
         finals.append(final)
         print(f"seed={seed} test_accuracy={final.test_accuracy:.4f} "
               f"train_accuracy={final.train_accuracy:.4f}")
     aggregate = {"kind": "summary", "experiment": experiment,
-                 "wall_time": time.perf_counter() - t0,
-                 "optimizer": args.optimizer, "lr": args.lr}
-    for prefix, getter in (
-        ("test_accuracy", lambda r: r.test_accuracy),
-        ("test_mse", lambda r: r.test_mse),
-        ("train_accuracy", lambda r: r.train_accuracy),
-        ("train_mse", lambda r: r.train_mse),
-    ):
-        vals = [getter(r) for r in finals]
-        aggregate[f"{prefix}_mean"] = float(np.mean(vals))
-        aggregate[f"{prefix}_min"] = float(np.min(vals))
-        aggregate[f"{prefix}_max"] = float(np.max(vals))
-        aggregate[f"{prefix}_spread"] = float(np.max(vals) - np.min(vals))
+                 "wall_time": time.perf_counter() - t0, **_settings(cfg)}
+    for name in ("test_accuracy", "test_mse", "train_accuracy", "train_mse"):
+        vals = [getattr(record, name) for record in finals]
+        aggregate[f"{name}_mean"] = float(np.mean(vals))
+        aggregate[f"{name}_min"] = float(np.min(vals))
+        aggregate[f"{name}_max"] = float(np.max(vals))
+        aggregate[f"{name}_spread"] = float(np.max(vals) - np.min(vals))
     metrics.append_rows(args.out, [aggregate])
     print(f"test_accuracy spread={aggregate['test_accuracy_spread']:.4f} "
           f"(mean {aggregate['test_accuracy_mean']:.4f})")
@@ -333,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     _add_train_flags(p)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-clients", type=int, default=25)
-    p.add_argument("--test-clients", type=int, default=5)
+    _add_split_flags(p)
     add_architecture_flags(p)
     p.add_argument("--out", default="train_metrics.jsonl")
     p.set_defaults(func=cmd_train)
@@ -351,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--sizes", type=_int_list(1), default=DEFAULT_DATASIZES)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-clients", type=int, default=25)
-    p.add_argument("--test-clients", type=int, default=5)
+    _add_split_flags(p)
     p.add_argument("--out", default="sweep_datasize_metrics.jsonl")
     p.set_defaults(func=cmd_sweep_datasize)
 
@@ -361,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--non-iid-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-clients", type=int, default=25)
-    p.add_argument("--test-clients", type=int, default=5)
+    _add_split_flags(p)
     p.add_argument("--out", default="compare_iid_metrics.jsonl")
     p.set_defaults(func=cmd_compare_iid)
 
@@ -370,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_flags(p)
     _add_train_flags(p)
     p.add_argument("--seeds", type=_int_list(0), default=(1, 2, 3, 4, 5))
-    p.add_argument("--train-clients", type=int, default=25)
-    p.add_argument("--test-clients", type=int, default=5)
+    _add_split_flags(p)
     p.add_argument("--out", default="error_bars_metrics.jsonl")
     p.set_defaults(func=cmd_error_bars)
 

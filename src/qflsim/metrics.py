@@ -111,16 +111,18 @@ def append_rows(path, rows) -> None:
 
 
 def read_metrics(path) -> list[dict]:
+    """Every row of a metrics file, validated; a line that is not UTF-8,
+    not JSON or not a valid row raises MetricsSchemaError naming
+    ``path:line``."""
     rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line.decode("utf-8"))
             validate_row(row)
-            rows.append(row)
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                MetricsSchemaError) as exc:
+            raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
+        rows.append(row)
     return rows

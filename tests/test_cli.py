@@ -1,5 +1,6 @@
 """End-to-end command-line coverage on tiny datasets."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,11 +13,18 @@ import pytest
 
 from qflsim import metrics
 from qflsim.cli import main
+from qflsim.datagen import GenConfig
 from qflsim.metrics import MetricsSchemaError, read_metrics, validate_row
 from qflsim.store import checksum_bytes, read_dataset
 
 TINY = ["--clients", "6", "--samples-per-client", "8", "--qubits", "2"]
 FAST_TRAIN = ["--rounds", "1", "--batch-size", "4", "--epochs", "1"]
+# Run settings unlike every default, and the row values they should give.
+SETTINGS = ["--optimizer", "rmsprop", "--lr", "0.05", "--rounds", "2",
+            "--epochs", "2", "--batch-size", "4"]
+SETTING_VALUES = {"optimizer": "rmsprop", "lr": 0.05, "rounds": 2, "epochs": 2,
+                  "batch_size": 4}
+SPLIT = ["--train-clients", "3", "--test-clients", "2"]
 
 
 def _gen(tmp_path, name="data.qfd", extra=()):
@@ -44,6 +52,16 @@ class TestGenData:
         ds = read_dataset(path)
         tags = [c.distribution_tag.value for c in ds.clients]
         assert tags[:3] == ["truncated_normal"] * 3
+
+    def test_defaults_are_gen_configs(self, tmp_path):
+        # Without --sigma or --threshold the file's gen_config line holds
+        # GenConfig's own defaults.
+        defaults = {f.name: f.default for f in dataclasses.fields(GenConfig)}
+        header = next(line for line in _gen(tmp_path).read_text().splitlines()
+                      if line.startswith("gen_config "))
+        values = dict(token.split("=") for token in header.split()[1:])
+        for name in ("trunc_normal_sigma", "excitation_threshold"):
+            assert float(values[name]) == defaults[name]
 
     def test_bad_sample_count_exits_2(self, tmp_path, capsys):
         # Also a non-finite sigma, which would keep the truncated-normal
@@ -310,6 +328,41 @@ class TestErrorBars:
         assert agg["wall_time"] >= sum(r["wall_time"] for r in summaries[:-1])
 
 
+class TestRunSettings:
+    # (train, test) clients of each sweep-clients point, by client count.
+    SWEEP_SPLITS = {1: (1, 5), 6: (4, 2), 12: (9, 3), 18: (14, 4), 24: (19, 5),
+                    30: (25, 5)}
+
+    @pytest.mark.parametrize("command", ["train", "sweep-clients",
+                                         "sweep-datasize", "compare-iid",
+                                         "error-bars"])
+    def test_every_row_carries_its_settings(self, tmp_path, command):
+        if command == "train":
+            args = ["--dataset", str(_gen(tmp_path)), *SPLIT]
+        elif command == "sweep-clients":
+            path = tmp_path / "big.qfd"
+            assert main(["gen-data", "--clients", "30", "--samples-per-client",
+                         "4", "--qubits", "2", "--out", str(path)]) == 0
+            args = ["--dataset", str(path)]
+        elif command == "sweep-datasize":
+            args = [*TINY, "--sizes", "4,8", *SPLIT]
+        elif command == "compare-iid":
+            args = [*TINY, *SPLIT]
+        else:
+            args = [*TINY, "--seeds", "1,2,3", *SPLIT]
+        out = tmp_path / "m.jsonl"
+        assert main([command, *args, *SETTINGS, "--out", str(out)]) == 0
+        rows = read_metrics(out)
+        assert {r["kind"] for r in rows} == {"round", "summary"}
+        for row in rows:
+            if "n_clients" in row:
+                split = self.SWEEP_SPLITS[row["n_clients"]]
+            else:
+                split = (1, 2) if row.get("centralized") else (3, 2)
+            assert (row["train_clients"], row["test_clients"]) == split
+            assert {k: row[k] for k in SETTING_VALUES} == SETTING_VALUES
+
+
 class TestMetricsSchema:
     def test_every_command_output_validates(self, tmp_path):
         # read_metrics already validates; this asserts rejection too.
@@ -329,6 +382,23 @@ class TestMetricsSchema:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "round"\n')
         with pytest.raises(MetricsSchemaError):
+            read_metrics(path)
+
+    def test_non_utf8_file_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'\xff\xfe{"kind":"round"}\n')
+        with pytest.raises(MetricsSchemaError,
+                           match=f"^{re.escape(str(path))}:1: .*utf-8"):
+            read_metrics(path)
+
+    def test_schema_error_names_its_line(self, tmp_path):
+        row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,
+               "test_accuracy": 0.5, "test_mse": 0.1, "wall_time": 0.0}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n"
+                        + json.dumps({**row, "mystery": 3}) + "\n")
+        with pytest.raises(MetricsSchemaError, match=(
+                f"^{re.escape(str(path))}:2: unknown metrics field 'mystery'$")):
             read_metrics(path)
 
     def test_non_finite_numbers_never_written_or_read(self, tmp_path):
