@@ -233,40 +233,26 @@ def _infer_n_qubits(state: np.ndarray) -> int:
     return n
 
 
-def bit_axes_first(states: np.ndarray, qubits: tuple[int, ...],
-                   n_qubits: int) -> np.ndarray:
-    """View of a (batch, 2^n) array with the bits of one qubit, or of two
-    qubits hi > lo, as its leading axes.
-
-    Two qubits view the state as (batch, 2^(n-1-hi), 2, 2^(hi-lo-1), 2,
-    2^lo) and move both bit axes to the front; no data is copied.
-    """
-    if len(qubits) == 1:
-        q = qubits[0]
-        return states.reshape(-1, 1 << (n_qubits - 1 - q), 2, 1 << q).transpose(2, 0, 1, 3)
-    hi, lo = qubits
-    view = states.reshape(-1, 1 << (n_qubits - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    return view.transpose(2, 4, 0, 1, 3, 5)
-
-
-_BITS_BACK = {1: (1, 2, 0, 3), 2: (2, 3, 0, 4, 1, 5)}
-
-
 def apply_matrix(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
                  n_qubits: int) -> np.ndarray:
     """Apply a 2x2 or 4x4 unitary on ``targets`` of a (batch, 2^n) state array
-    as one (2^k, 2^k) @ (2^k, rest) product over bit_axes_first's view."""
+    as one (2^k, 2^k) @ (2^k, rest) product: the state is viewed as
+    (batch, 2, ..., 2), one axis per qubit with qubit q at axis n - q, and
+    the targets' axes are moved to the front in target order, so the first
+    target is the high bit of the matrix index."""
     k = len(targets)
     if k not in (1, 2) or mat.shape != (1 << k, 1 << k):
         raise SimulationError(
             f"matrix shape {mat.shape} does not match {k} target(s)"
         )
-    if k == 2 and targets[0] < targets[1]:
-        targets = targets[::-1]
-        mat = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    local = bit_axes_first(states, targets, n_qubits)
+    axes = [n_qubits - q for q in targets]
+    order = axes + [a for a in range(n_qubits + 1) if a not in axes]
+    local = states.reshape((-1,) + (2,) * n_qubits).transpose(order)
     out = (mat @ local.reshape(1 << k, -1)).reshape(local.shape)
-    return out.transpose(_BITS_BACK[k]).reshape(states.shape)
+    # The inverse of order; np.argsort's first call adds about 0.4 MiB
+    # to the process's resident memory.
+    back = sorted(range(n_qubits + 1), key=order.__getitem__)
+    return out.transpose(back).reshape(states.shape)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

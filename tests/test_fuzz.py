@@ -15,7 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from qflsim.datagen import GenConfig, generate_federated_dataset  # noqa: E402
-from qflsim.errors import ProtocolError, QflError  # noqa: E402
+from qflsim.errors import (  # noqa: E402
+    CircuitParseError,
+    DatasetFormatError,
+    ProtocolError,
+    QflError,
+)
 from qflsim.federated import ClientUpdate  # noqa: E402
 from qflsim.model import ParamVector  # noqa: E402
 from qflsim.sim import GATE_ARITY, PARAMETRIZED_GATES, Circuit, GateOp  # noqa: E402
@@ -164,6 +169,60 @@ def test_dataset_bodies_read_or_raise_typed(files, edits, raw):
         return
     write_dataset(dataset, root / "again.qfd")
     assert read_dataset(root / "again.qfd") == dataset
+
+
+# Gate lines on 2 qubits, blank ones among them.
+_GATE_LINE_2Q = st.sampled_from(
+    ["H 0", "H 1", "CZ 0 1", "CNOT 1 0", "RX 1 0.5", "ZZ 0 1 -2.5", "", " "])
+
+
+@st.composite
+def _sample_texts(draw):
+    """';'-joined circuit texts as sample lines hold them, drawn from a
+    few heads so that some repeat: heads with blank lines, header-only
+    circuits, and texts whose last line is blank."""
+    heads = draw(st.lists(st.lists(_GATE_LINE_2Q, max_size=4), min_size=1, max_size=3))
+    texts = []
+    for _ in range(draw(st.integers(2, 8))):
+        lines = ["QFLCIRC v1 qubits=2"] + draw(st.sampled_from(heads))
+        if draw(st.integers(0, 3)):  # most samples have a last line
+            lines.append(draw(_GATE_LINE_2Q))
+        texts.append(";".join(lines))
+    return texts
+
+
+@given(texts=_sample_texts(), at=st.integers(0, 7), last_only=st.booleans(),
+       edits=_edits(st.one_of(_GATE_LINE_2Q, _CIRCUIT_LINE, _ANY).filter(
+           lambda piece: "$" not in piece and "\n" not in piece)).filter(bool))
+def test_dataset_samples_read_as_their_text_parses(files, texts, at, last_only, edits):
+    # However the samples' heads repeat, each sample reads back as its
+    # text parses whole; after an edit to one sample, the read raises
+    # the error that parsing that sample's text raises.
+    root, base = files
+    i = at % len(texts)
+    if last_only:  # an edit to the last line keeps the sample's head
+        head, sep, last = texts[i].rpartition(";")
+        texts[i] = head + sep + _edit(last, " ", edits)
+    else:
+        texts[i] = _edit(texts[i], ";", edits)
+    header = base.split("\n")
+    body = "\n".join([header[0], "n_clients=1", header[2], f"client a uniform_pi {len(texts)}"]
+                     + [f"s 0 {text}" for text in texts]).encode() + b"\n"
+    path = root / "samples.qfd"
+    path.write_bytes(b"QFLDATA v1\nchecksum=%s\n%s"
+                     % (checksum_bytes(body).encode(), body))
+    try:
+        expected = [parse_circuit(text.replace(";", "\n")) for text in texts]
+    except CircuitParseError as exc:
+        with pytest.raises(CircuitParseError) as info:
+            read_dataset(path)
+        assert str(info.value) == str(exc)
+        return
+    if any(circuit.n_qubits != 2 for circuit in expected):
+        with pytest.raises(DatasetFormatError, match="sample qubit count"):
+            read_dataset(path)
+        return
+    assert [s.prep_circuit for s in read_dataset(path).clients[0].samples] == expected
 
 
 # --- wire lines -------------------------------------------------------

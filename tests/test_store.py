@@ -25,7 +25,6 @@ from qflsim.errors import (
 from qflsim.model import Sample
 from qflsim.sim import Circuit, cz, h, rx, ry, rz
 from qflsim.store import (
-    _parse_lines,
     checksum_bytes,
     parse_circuit,
     read_dataset,
@@ -147,15 +146,6 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="line 2"):
             parse_circuit("QFLCIRC v1 qubits=2\nCZ 1 1")
 
-    def test_read_memo_keeps_only_lines_without_an_angle(self):
-        # A dataset's per-sample rotation angles never repeat, so their
-        # lines are parsed each time and not kept.
-        memo = {}
-        lines = ["QFLCIRC v1 qubits=2", "H 0", "RX 1 0.25", "ZZ 0 1 $t", "RY 0 -$t"]
-        circuit = _parse_lines(lines, memo)
-        assert circuit == parse_circuit("\n".join(lines))
-        assert sorted(memo[2]) == ["H 0", "RY 0 -$t", "ZZ 0 1 $t"]
-
     def test_read_reports_the_line_of_a_bad_gate_after_repeats(self, tmp_path):
         # The third sample's CZ 7 0 (circuit line 17) becomes CZ 7 7, after
         # two samples whose lines were all parsed already.
@@ -166,8 +156,8 @@ class TestParseCircuit:
             read_dataset(path)
 
     def test_read_reports_the_line_of_a_bad_gate_in_the_last_sample(self, tmp_path):
-        # The last of 32 samples, after 31 whose gate lines all came from
-        # the read's memo, turns its H 3 (circuit line 5) into H 9.
+        # The last of 32 samples, after 31 that share its head, turns its
+        # H 3 (circuit line 5) into H 9.
         path = tmp_path / "data.qfd"
         write_dataset(_tiny_dataset(), path)
         _rewrite_body(path, lambda body: _edit_sample(body, 31, b";H 3;", b";H 9;"))
@@ -220,6 +210,18 @@ class TestParseCircuit:
         write_dataset(ds, path)
         assert read_dataset(path) == ds
 
+    def test_write_renders_a_head_that_differs_only_in_a_zero_sign(self, tmp_path):
+        # rx(0, 0.0) == rx(0, -0.0), but they render as "0" and "-0".
+        samples = tuple(Sample(Circuit(2, (rx(0, zero), h(1))), 0) for zero in (0.0, -0.0))
+        ds = FederatedDataset(
+            (ClientDataset("a", samples, AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=2, samples_per_client=2))
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        signs = [math.copysign(1.0, s.prep_circuit.ops[0].angle)
+                 for s in read_dataset(path).clients[0].samples]
+        assert signs == [1.0, -1.0]
+
     def test_read_skips_a_blank_last_line_after_its_head_repeats(self, tmp_path):
         samples = tuple(Sample(Circuit(2, (h(0), cz(0, 1))), 0) for _ in range(4))
         ds = FederatedDataset(
@@ -229,6 +231,19 @@ class TestParseCircuit:
         write_dataset(ds, path)
         _rewrite_body(path, lambda body: body.replace(b";CZ 0 1\n", b";CZ 0 1; \n"))
         assert read_dataset(path) == ds
+
+    def test_read_checks_the_header_after_a_header_only_sample(self, tmp_path):
+        # A header-only text has no head: the next sample's text, whose
+        # part before its last ';' is empty, is parsed whole.
+        samples = tuple(Sample(Circuit(2), 0) for _ in range(2))
+        ds = FederatedDataset(
+            (ClientDataset("a", samples, AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=2, samples_per_client=2))
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        _rewrite_body(path, lambda body: _edit_sample(body, 1, b"QFLCIRC v1 qubits=2", b";H 0"))
+        with pytest.raises(CircuitParseError, match="^line 1: bad header ''$"):
+            read_dataset(path)
 
     def test_read_strips_gate_lines_and_skips_blank_ones(self, tmp_path):
         # Surrounding blanks and an empty circuit line, in a sample after
