@@ -59,8 +59,8 @@ def _int_list(minimum: int):
 
 def _add_gen_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--clients", type=int, default=30)
-    parser.add_argument("--samples-per-client", type=int, default=160)
-    parser.add_argument("--qubits", type=int, default=8)
+    parser.add_argument("--samples-per-client", type=int, default=GenConfig.samples_per_client)
+    parser.add_argument("--qubits", type=int, default=GenConfig.n_qubits)
     parser.add_argument("--sigma", type=float,
                         default=GenConfig.trunc_normal_sigma,
                         help="truncated-normal sigma in radians")
@@ -78,10 +78,10 @@ def add_local_training_flags(parser: argparse.ArgumentParser):
     """Client optimizer and batching flags, shared by the experiment
     commands and ``qflsim.worker``; train_config turns them into a
     TrainConfig."""
-    parser.add_argument("--optimizer", default="adam", choices=OPTIMIZER_KINDS)
-    parser.add_argument("--lr", type=float, default=0.02)
-    parser.add_argument("--epochs", type=int, default=1)
-    parser.add_argument("--batch-size", type=int, default=16)
+    parser.add_argument("--optimizer", default=OptimizerConfig.kind, choices=OPTIMIZER_KINDS)
+    parser.add_argument("--lr", type=float, default=OptimizerConfig.learning_rate)
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser):

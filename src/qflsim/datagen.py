@@ -38,6 +38,9 @@ class GenConfig:
             raise ConfigError(f"n_clients must be >= 0, got {self.n_clients}")
         if self.n_qubits < 2:
             raise ConfigError(f"n_qubits must be >= 2, got {self.n_qubits}")
+        if self.samples_per_client < 0:
+            raise ConfigError(
+                f"samples_per_client must be >= 0, got {self.samples_per_client}")
         if self.samples_per_client % self.n_qubits != 0:
             raise ConfigError(
                 f"samples_per_client ({self.samples_per_client}) must be "

@@ -70,6 +70,7 @@ from .errors import ConfigError, UnresolvedParameterError
 from .sim import (
     Circuit,
     GateOp,
+    MAX_QUBITS,
     PAULI_GENERATORS,
     apply_circuit,
     apply_matrix,
@@ -97,7 +98,8 @@ class ArchitectureSpec:
     """The QCNN's shape: ``n_stages`` conv/pool stages on ``n_qubits``,
     a Z readout on ``readout_qubit`` and, with ``include_fc``, a final
     rotation triple on it. Zero stages leave every qubit active, for
-    models whose circuit is built by hand."""
+    models whose circuit is built by hand; such a circuit still needs a
+    gate and a parameter (see ModelEvaluator)."""
 
     n_qubits: int
     n_stages: int
@@ -138,14 +140,14 @@ def build_architecture(n_qubits: int, n_stages: int | None = None,
                        include_fc: bool = False) -> ArchitectureSpec:
     """Alternating conv/pool stages that halve the active qubit set.
 
-    ``n_qubits`` must be a power of two in [2, 16]. The default stage
-    count halves all the way down to one surviving qubit; with fewer
+    ``n_qubits`` must be a power of two in [2, MAX_QUBITS]. The default
+    stage count halves all the way down to one surviving qubit; with fewer
     stages the readout may be any surviving qubit (default: the last,
     which survives every stage).
     """
-    if n_qubits < 2 or n_qubits > 16 or (n_qubits & (n_qubits - 1)) != 0:
+    if n_qubits < 2 or n_qubits > MAX_QUBITS or (n_qubits & (n_qubits - 1)) != 0:
         raise ConfigError(
-            f"n_qubits must be a power of two in [2, 16], got {n_qubits}"
+            f"n_qubits must be a power of two in [2, {MAX_QUBITS}], got {n_qubits}"
         )
     max_stages = n_qubits.bit_length() - 1
     if n_stages is None:
@@ -452,7 +454,10 @@ class ModelEvaluator:
     """Batched forward and gradient evaluation of one model.
 
     Compiles the model circuit once against a fixed parameter-name order
-    into a block program (see the module docstring); prepared samples
+    into a block program (see the module docstring). The circuit needs a
+    gate and the order a name, and a hand-built zero-stage model is no
+    exception: the evaluator refuses a model without either, so a run
+    fails here, before any round, whatever its transport. Prepared samples
     (prepare) are parameter-independent and can be kept by the caller
     across optimization steps. The evaluator owns the work buffers of
     its sweeps, so it serves one thread at a time; the arrays it returns
@@ -466,6 +471,9 @@ class ModelEvaluator:
             raise ConfigError(f"a model needs at least 2 qubits, got {n}")
         self.readout = model.readout_qubit
         self.param_names = tuple(param_names)
+        if not model.circuit.ops or not self.param_names:
+            missing = "gate" if not model.circuit.ops else "parameter"
+            raise ConfigError(f"a model needs at least one {missing}")
         name_to_idx = {name: i for i, name in enumerate(self.param_names)}
         self.n_params = len(name_to_idx)
         if len(name_to_idx) != len(self.param_names):
@@ -484,7 +492,7 @@ class ModelEvaluator:
                 kinds[key] = len(kind_runs)
                 kind_runs.append((qubits, run))
             self.block_kinds.append(kinds[key])
-        depth = max((len(run) for _qubits, run in kind_runs), default=1)
+        depth = max(len(run) for _qubits, run in kind_runs)
         shape = (depth, len(kind_runs))
         # Slot (j, kind) holds cos(a/2) * cos_part + sin(a/2) * sin_part
         # with a = sign * values[param]; a gate without a symbol is a fixed
@@ -527,7 +535,7 @@ class ModelEvaluator:
         # The prepared states are complex (batch, qubits high to low), read
         # as real with re/im last.
         layouts = [(_BATCH,) + tuple(range(n - 1, -1, -1)) + (_REIM,)]
-        layouts += [_layout(q, n) for q in self.block_qubits] or [_layout((), n)]
+        layouts += [_layout(q, n) for q in self.block_qubits]
         # _into[b] regathers block b-1's output (or the prepared states)
         # for block b; _back[b] takes block b's layout back to b-1's.
         self._into = [_move(a, b) for a, b in zip(layouts, layouts[1:])]
@@ -572,10 +580,9 @@ class ModelEvaluator:
             inputs, out, other = [spare] * n_blocks, other, spare
         forward = [step(self._mats[b], inputs[b], out, self._into[b + 1], inputs[b + 1])
                    for b in range(n_blocks - 1)]
-        forward += [step(mat, inputs[-1], out) for mat in self._mats[-1:]]
+        forward.append(step(self._mats[-1], inputs[-1], out))
         final = out.reshape(-1, batch)
-        first = inputs[0] if n_blocks else out  # where the prepared states go
-        plan = _Plan(first.reshape(labels), forward, final, other.reshape(final.shape))
+        plan = _Plan(inputs[0].reshape(labels), forward, final, other.reshape(final.shape))
         if not taped:
             return plan
         order = range(n_blocks - 1, -1, -1)

@@ -29,7 +29,6 @@ GATE_ARITY = {
     "RX": 1, "RY": 1, "RZ": 1,
     "XX": 2, "YY": 2, "ZZ": 2,
 }
-PARAMETRIZED_GATES = frozenset(("RX", "RY", "RZ", "XX", "YY", "ZZ"))
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,6 +43,7 @@ PAULI_GENERATORS = {
     "YY": np.kron(_Y, _Y),
     "ZZ": np.kron(_Z, _Z),
 }
+PARAMETRIZED_GATES = frozenset(PAULI_GENERATORS)
 
 _FIXED_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),

@@ -14,6 +14,7 @@ import pytest
 from qflsim import metrics
 from qflsim.cli import main
 from qflsim.datagen import GenConfig
+from qflsim.federated import OptimizerConfig, TrainConfig
 from qflsim.metrics import MetricsSchemaError, read_metrics, validate_row
 from qflsim.store import checksum_bytes, read_dataset
 
@@ -54,19 +55,33 @@ class TestGenData:
         assert tags[:3] == ["truncated_normal"] * 3
 
     def test_defaults_are_gen_configs(self, tmp_path):
-        # Without --sigma or --threshold the file's gen_config line holds
-        # GenConfig's own defaults.
+        # Without --qubits, --samples-per-client, --sigma or --threshold
+        # the file's gen_config line holds GenConfig's own defaults; a
+        # train run on it without the local-training flags runs with
+        # those of OptimizerConfig and TrainConfig.
+        path = tmp_path / "data.qfd"
+        assert main(["gen-data", "--clients", "2", "--out", str(path)]) == 0
         defaults = {f.name: f.default for f in dataclasses.fields(GenConfig)}
-        header = next(line for line in _gen(tmp_path).read_text().splitlines()
+        header = next(line for line in path.read_text().splitlines()
                       if line.startswith("gen_config "))
         values = dict(token.split("=") for token in header.split()[1:])
-        for name in ("trunc_normal_sigma", "excitation_threshold"):
-            assert float(values[name]) == defaults[name]
+        for name in ("n_qubits", "samples_per_client", "trunc_normal_sigma",
+                     "excitation_threshold"):
+            assert type(defaults[name])(values[name]) == defaults[name]
+        out = tmp_path / "m.jsonl"
+        assert main(["train", "--dataset", str(path), "--rounds", "0",
+                     "--train-clients", "1", "--test-clients", "1",
+                     "--out", str(out)]) == 0
+        opt = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
+        run = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        for row in read_metrics(out):
+            assert (row["optimizer"], row["lr"], row["epochs"], row["batch_size"]) == \
+                (opt["kind"], opt["learning_rate"], run["epochs"], run["batch_size"])
 
     def test_bad_sample_count_exits_2(self, tmp_path, capsys):
         # Also a non-finite sigma, which would keep the truncated-normal
         # draw from ever accepting.
-        for bad in (["--samples-per-client", "7"],
+        for bad in (["--samples-per-client", "7"], ["--samples-per-client", "-8"],
                     ["--samples-per-client", "8", "--sigma", "nan",
                      "--non-iid-fraction", "1"],
                     ["--samples-per-client", "8", "--sigma", "inf",

@@ -36,6 +36,7 @@ from qflsim.federated import (
     run_training,
 )
 from qflsim.model import (
+    ArchitectureSpec,
     ModelEvaluator,
     ParamVector,
     Sample,
@@ -365,6 +366,48 @@ class TestLocalTransport:
         for other_records, other_values in runs[1:]:
             assert other_records == records
             assert np.array_equal(other_values, values)
+
+    @pytest.mark.parametrize("arch", [ArchitectureSpec(2, 0, 0),
+                                      ArchitectureSpec(2, 0, 1, include_fc=True)],
+                             ids=["gateless", "fc-only"])
+    def test_zero_stage_model_runs_alike_for_any_helper_count(self, monkeypatch, arch):
+        # A gateless model has no parameter to broadcast: every run refuses
+        # it before round 0 and forks no helper. The fc unit alone is a
+        # model, which trains the same with a helper as without.
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=2, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1, arch=arch)
+        pairs = []
+        real_socketpair = socket.socketpair
+
+        def counting_socketpair(*args):
+            pairs.append(real_socketpair(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(socket, "socketpair", counting_socketpair)
+        runs = []
+        for n_helpers in (0, 1):
+            _forced_helpers(monkeypatch, n_helpers)
+            rounds = []
+
+            def on_round(record, _server):
+                rounds.append((record, len(multiprocessing.active_children())))
+
+            if arch.include_fc:
+                runs.append(run_training(ds, cfg, on_round=on_round))
+                assert [helpers for _record, helpers in rounds] == [n_helpers] * 3
+            else:
+                with pytest.raises(ConfigError, match="a model needs at least one gate"):
+                    run_training(ds, cfg, on_round=on_round)
+                assert rounds == []
+            assert not multiprocessing.active_children()
+        if arch.include_fc:
+            assert runs[0] == runs[1] and len(pairs) == 1
+        else:
+            with pytest.raises(ConfigError, match="a model needs at least one gate"):
+                build_run(ds, cfg, in_process=False)
+            assert pairs == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,

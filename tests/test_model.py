@@ -777,15 +777,16 @@ class TestGradient:
                 prep, circuit.ops, bindings, names, arch.readout_qubit, arch.n_qubits)
             assert np.max(np.abs(dz[:, i] - literal)) < 1e-12
 
-    def test_gateless_model_reads_the_prepared_state(self):
+    def test_gateless_or_parameterless_model_refused(self):
+        # A model needs a gate and a parameter: the wire cannot carry an
+        # empty parameter list, so the evaluator refuses either gap.
         arch = ArchitectureSpec(2, 0, 1)
-        ev = ModelEvaluator(Model(arch, Circuit(2)), ("t",))
-        prep = ev.prep_states([Sample(Circuit(2, (h(1),)), 0), Sample(Circuit(2), 1)])
-        z, dz = ev.readout_z_and_gradient(prep, np.zeros(1))
-        assert z == pytest.approx([0.0, 1.0], abs=1e-15)
-        assert np.array_equal(dz, np.zeros((1, 2)))
-        assert np.array_equal(ev.readout_z(prep, np.zeros(1)), z)
-        assert np.array_equal(ev.readout_z_and_gradient(prep[:1], np.zeros(1))[0], z[:1])
+        with pytest.raises(ConfigError, match="a model needs at least one gate"):
+            ModelEvaluator(Model(arch, Circuit(2)), ("t",))
+        fixed = Circuit(2, (h(1), cnot(1, 0)))
+        assert fixed.symbols() == ()
+        with pytest.raises(ConfigError, match="a model needs at least one parameter"):
+            ModelEvaluator(Model(arch, fixed), fixed.symbols())
 
     def test_shared_symbol_sums_occurrences(self):
         # Two RX gates sharing one symbol: d<Z>/dt of RX(2t) is -2 sin(2t).

@@ -434,6 +434,16 @@ class TestDatasetContainer:
                                         "gen_config keys|bad client id"):
             read_dataset(path)
 
+    def test_negative_sample_count_in_gen_config_rejected(self, tmp_path):
+        # -8 divides by the 8 qubits, so only the sign can refuse it.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: body.replace(
+            b" samples_per_client=16 ", b" samples_per_client=-8 ", 1))
+        with pytest.raises(DatasetFormatError,
+                           match="bad gen_config line: samples_per_client must be >= 0"):
+            read_dataset(path)
+
     def test_client_read_matches_the_full_read(self, tmp_path):
         ds = _tiny_dataset(n_clients=3, samples=8)
         path = tmp_path / "data.qfd"
