@@ -117,9 +117,17 @@ def label_rule(angle: float, threshold: float) -> int:
     return int(abs(angle) > threshold)
 
 
+@functools.cache
+def _rx_template(qubit: int) -> GateOp:
+    """A checked RX on ``qubit``, which each sample on it copies with its
+    own angle."""
+    return rx(qubit, 0.0)
+
+
 def _excited_sample(config: GenConfig, target_qubit: int, angle: float) -> Sample:
     """Cluster state plus one RX(``angle``) on ``target_qubit``, labeled."""
-    prep = cluster_state_circuit(config.n_qubits).then(rx(target_qubit, angle))
+    rotation = _rx_template(target_qubit).with_angle(angle)
+    prep = cluster_state_circuit(config.n_qubits).then(rotation)
     return Sample(prep, label_rule(angle, config.excitation_threshold))
 
 

@@ -61,7 +61,11 @@ class GateOp:
 
     ``sign`` applies only to symbol references; the effective angle is
     ``sign * bound_value``, which lets a circuit contain the exact inverse
-    of a symbolic rotation.
+    of a symbolic rotation. A concrete angle must be finite.
+
+    ``with_angle`` copies a bound rotation with a new angle, checking only
+    that angle, for callers that build many rotations of one kind and
+    target set.
     """
 
     kind: str
@@ -98,7 +102,7 @@ class GateOp:
                     f"{self.kind} needs exactly one of angle or symbol"
                 )
             if self.angle is not None:
-                object.__setattr__(self, "angle", float(self.angle))
+                object.__setattr__(self, "angle", _finite_angle(self.kind, self.angle))
                 if self.sign != 1:
                     raise ConfigError("sign applies only to symbol references")
             if self.sign not in (1, -1):
@@ -114,6 +118,31 @@ class GateOp:
                 raise ConfigError(f"{self.kind} takes no angle or symbol")
             if self.sign != 1:
                 raise ConfigError(f"{self.kind} takes no sign, got {self.sign}")
+
+    def with_angle(self, angle: float) -> "GateOp":
+        """``GateOp(kind, targets, angle)`` for this bound rotation,
+        checking only ``angle``: this op's kind and targets passed
+        ``__post_init__``."""
+        if self.angle is None:
+            raise ConfigError(
+                f"{self.kind} {self.targets} has no bound angle to replace")
+        out = object.__new__(GateOp)
+        # Fields set in __init__'s order keep the instance as compact as
+        # a constructed one; a copied __dict__ would not be.
+        set_field = object.__setattr__
+        set_field(out, "kind", self.kind)
+        set_field(out, "targets", self.targets)
+        set_field(out, "angle", _finite_angle(self.kind, angle))
+        set_field(out, "symbol", self.symbol)
+        set_field(out, "sign", self.sign)
+        return out
+
+
+def _finite_angle(kind: str, angle) -> float:
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ConfigError(f"{kind} angle must be finite, got {angle!r}")
+    return angle
 
 
 @dataclass(frozen=True)
@@ -135,14 +164,15 @@ class Circuit:
             if max(op.targets) >= n:
                 raise _out_of_range(op, n)
 
-    def then(self, op: GateOp) -> "Circuit":
-        """``Circuit(n_qubits, ops + (op,))``, range-checking only ``op``:
-        this circuit's own ops passed the constructor's check."""
-        if max(op.targets) >= self.n_qubits:
-            raise _out_of_range(op, self.n_qubits)
+    def then(self, *ops: GateOp) -> "Circuit":
+        """``Circuit(n_qubits, self.ops + ops)``, range-checking only
+        ``ops``: this circuit's own ops passed the constructor's check."""
+        for op in ops:
+            if max(op.targets) >= self.n_qubits:
+                raise _out_of_range(op, self.n_qubits)
         out = object.__new__(Circuit)
         object.__setattr__(out, "n_qubits", self.n_qubits)
-        object.__setattr__(out, "ops", self.ops + (op,))
+        object.__setattr__(out, "ops", self.ops + ops)
         return out
 
     def symbols(self) -> tuple[str, ...]:

@@ -27,21 +27,25 @@ The checksum is the first 64 bits (16 hex chars) of SHA-256 over every
 byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
 
-A sample is its head (its header and every gate line but the last) plus
-its last gate, and each direction caches one head, the previous
-sample's. A write reuses the head's text for a sample with the same
-head ops and renders only its last gate. A read parses a sample with a
-new head whole and keeps the head's circuit, sharing the parsed ops; a
-sample that repeats it parses only its last line and extends that
-circuit with ``Circuit.then``. Every generated sample is the same
-cluster-state head plus one RX line, so a generated file costs one gate
-line per sample either way. A file whose heads all differ is rendered
-and parsed whole, sample by sample: on 30 clients x 160 samples that
-writes about 6 times and reads about 12 times slower than a generated
-file of the same shape (2-core machine). A socket worker reads only
+A write caches one head, the previous sample's header and every gate
+line but its last: a sample with the same head ops reuses the head's
+text and renders only its last gate, and a sample with another head is
+rendered whole. A read reuses the parsed ops of the longest run of
+leading lines, all but the last, that a sample shares with the previous
+one (a sample with a new header is parsed whole) and parses each line
+after it alone. A line whose tokens but its angle match a line parsed
+before under the same header takes that checked op as a template: a
+fixed gate is that op, a rotation a copy with its own angle
+(``GateOp.with_angle``). So a read checks each kind and target set
+about once, not once per sample. Every generated sample is the same
+cluster-state head plus one RX line, so a generated file costs one
+gate line per sample either way. On 30 clients x 160 samples, a file
+whose samples are the cluster state, an RX and an H, so that no two
+heads are equal, writes about 6 times slower than a generated file
+but reads about as fast (2-core machine). A socket worker reads only
 its own client: it verifies the checksum and every client header but
-parses only that client's samples; the server's full read
-validates every sample.
+parses only that client's samples; the server's full read validates
+every sample.
 """
 
 import dataclasses
@@ -297,7 +301,76 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
     )
 
 
-def _parse_sample(line: str, lineno: int, n_qubits: int, previous: list) -> Sample:
+class _SampleCircuits:
+    """parse_circuit over the ';'-joined circuit texts of one read's
+    samples, in file order, each without a symbol; the module docstring
+    gives the rule. A sample's head is the run of its leading lines that
+    it reuses. Each line after it is parsed alone: a line parses the same
+    in any circuit with the same qubit count, so the first line that
+    fails is the one a whole parse reports, with the same error. A
+    rotation copied from a template has its angle token parsed and
+    checked as ``_parse_op`` does. Tokens spell each number one way, so
+    the templates number at most one per kind and target set.
+    """
+
+    def __init__(self):
+        self.text: str | None = None  # the previous sample's text
+        self.circuit: Circuit | None = None  # and its circuit
+        self.shared = 0  # its head's line count
+        self.head = ""  # the head's text, each line with its ';'
+        self.head_circuit: Circuit | None = None
+        self.rest: list[str] = []  # its lines after the head
+        self.templates: dict[tuple[str, ...], GateOp] = {}  # see _op
+
+    def parse(self, text: str) -> Circuit:
+        if self.shared and text.startswith(self.head):
+            rest = text[len(self.head):].split(";")
+            if rest[0] != self.rest[0]:  # else the shared run is longer
+                return self._extend(text, rest)
+        lines = text.split(";")
+        previous = [] if self.text is None else self.text.split(";")
+        shared = 0
+        for line, before in zip(lines[:-1], previous):
+            if line != before:
+                break
+            shared += 1
+        if not shared:
+            circuit = parse_circuit(text.replace(";", "\n"))
+            self.templates.clear()  # checked for another header's qubit count
+            self.text, self.circuit, self.shared = text, circuit, 0
+            return circuit
+        if shared != self.shared:  # else the head is the same lines
+            n_ops = sum(1 for line in previous[1:shared] if line.strip())
+            self.shared, self.head = shared, ";".join(lines[:shared]) + ";"
+            self.head_circuit = Circuit(self.circuit.n_qubits, self.circuit.ops[:n_ops])
+        return self._extend(text, lines[shared:])
+
+    def _extend(self, text: str, rest: list[str]) -> Circuit:
+        """The head's circuit and the ops of the lines after it."""
+        n_qubits = self.head_circuit.n_qubits
+        ops = []
+        for lineno, line in enumerate(rest, start=self.shared + 1):
+            line = line.strip()
+            if line:
+                ops.append(self._op(line, lineno, n_qubits))
+        self.text, self.rest = text, rest
+        self.circuit = self.head_circuit.then(*ops)
+        return self.circuit
+
+    def _op(self, line: str, lineno: int, n_qubits: int) -> GateOp:
+        tokens = line.split()
+        rotation = tokens[0] in PARAMETRIZED_GATES
+        key = tuple(tokens[:-1] if rotation else tokens)
+        template = self.templates.get(key)
+        if template is None:
+            template = self.templates[key] = _parse_op(line, lineno, n_qubits)
+        elif rotation:
+            return template.with_angle(_parse_angle_token(tokens[-1], lineno)[0])
+        return template
+
+
+def _parse_sample(line: str, lineno: int, n_qubits: int,
+                  circuits: _SampleCircuits) -> Sample:
     parts = line.split(" ", 2)
     if len(parts) != 3 or parts[0] != "s":
         raise DatasetFormatError(f"line {lineno}: bad sample line")
@@ -309,33 +382,13 @@ def _parse_sample(line: str, lineno: int, n_qubits: int, previous: list) -> Samp
         raise DatasetFormatError(f"line {lineno}: label must be 0 or 1")
     if "$" in parts[2]:
         raise DatasetFormatError(f"line {lineno}: sample circuit has a symbol")
-    circuit = _parse_sample_circuit(parts[2], previous)
+    circuit = circuits.parse(parts[2])
     if circuit.n_qubits != n_qubits:
         raise DatasetFormatError(
             f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
             f"match dataset ({n_qubits})"
         )
     return Sample(circuit, label)
-
-
-def _parse_sample_circuit(text: str, previous: list) -> Circuit:
-    """parse_circuit over a sample's ';'-joined circuit text. ``previous``
-    holds the previous sample's head (the text before its last ';', None
-    for a text without one), its circuit and the number of its last line.
-    A sample with a new head is parsed whole, so its errors are a whole
-    parse's, and its head's circuit shares the parsed ops. A sample that
-    repeats the head parses only its last line and appends it with
-    Circuit.then: that line is the only one that can fail, with the
-    error a whole parse gives."""
-    head, sep, last = text.rpartition(";")
-    if sep and head == previous[0]:
-        circuit, lineno = previous[1:]
-        line = last.strip()
-        return circuit.then(_parse_op(line, lineno, circuit.n_qubits)) if line else circuit
-    circuit = parse_circuit(text.replace(";", "\n"))
-    ops = circuit.ops[:-1] if last.strip() else circuit.ops
-    previous[:] = head if sep else None, Circuit(circuit.n_qubits, ops), text.count(";") + 1
-    return circuit
 
 
 def _header_int(line: str, key: str, path) -> int:
@@ -391,7 +444,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
     gen_config = _parse_gen_config(lines[2])
 
     wanted = None if clients is None else set(clients)
-    previous: list = [None, None, 0]  # see _parse_sample_circuit
+    circuits = _SampleCircuits()
     parsed: list[ClientDataset] = []
     i = 3  # reported line numbers add 3: the magic and checksum lines
     while i < len(lines):
@@ -422,7 +475,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
         samples = ()
         if wanted is None or client_id in wanted:
             samples = tuple(
-                _parse_sample(lines[idx], idx + 3, gen_config.n_qubits, previous)
+                _parse_sample(lines[idx], idx + 3, gen_config.n_qubits, circuits)
                 for idx in range(i + 1, i + 1 + count))
         parsed.append(ClientDataset(client_id, samples, dist))
         i += 1 + count

@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from qflsim.datagen import GenConfig, generate_federated_dataset  # noqa: E402
 from qflsim.errors import (  # noqa: E402
@@ -191,9 +191,22 @@ def _sample_texts(draw):
     return texts
 
 
+# Samples with a line, "RX 1 <angle>" or the second "ZZ 0 1 <angle>",
+# whose tokens but the angle match a line read before, so the reader
+# copies a template.
+_TEMPLATED = ["QFLCIRC v1 qubits=2;H 0;RX 1 0.5", "QFLCIRC v1 qubits=2;H 0;RX 1 0.25",
+              "QFLCIRC v1 qubits=2;H 0;RX 1 -1.5", "QFLCIRC v1 qubits=2;ZZ 0 1 1;ZZ 0 1 2;H 1"]
+
+
 @given(texts=_sample_texts(), at=st.integers(0, 7), last_only=st.booleans(),
        edits=_edits(st.one_of(_GATE_LINE_2Q, _CIRCUIT_LINE, _ANY).filter(
            lambda piece: "$" not in piece and "\n" not in piece)).filter(bool))
+@example(texts=_TEMPLATED, at=2, last_only=True, edits=[("replace", 2, "0.5x")])
+@example(texts=_TEMPLATED, at=2, last_only=True, edits=[("replace", 2, "nan")])
+@example(texts=_TEMPLATED, at=2, last_only=True, edits=[("replace", 2, "1.0\t2")])
+@example(texts=_TEMPLATED, at=2, last_only=True, edits=[("replace", 2, "-1.5 7")])
+@example(texts=_TEMPLATED, at=3, last_only=False, edits=[("replace", 2, "ZZ 0 1 1e400")])
+@example(texts=_TEMPLATED, at=3, last_only=False, edits=[("replace", 2, "ZZ 0 1 -inf")])
 def test_dataset_samples_read_as_their_text_parses(files, texts, at, last_only, edits):
     # However the samples' heads repeat, each sample reads back as its
     # text parses whole; after an edit to one sample, the read raises

@@ -136,6 +136,37 @@ class TestGateOpValidation:
         op = GateOp("CZ", (np.int64(2), np.uint8(0)))
         assert op.targets == (2, 0) and all(type(q) is int for q in op.targets)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gate,targets", [(rx, (0,)), (ry, (1,)), (xx, (0, 1))])
+    def test_non_finite_angle(self, gate, targets, angle):
+        # Circuit text refuses it, so it would not round-trip.
+        with pytest.raises(ConfigError, match="angle must be finite"):
+            gate(*targets, angle)
+
+
+class TestGateOpWithAngle:
+    @pytest.mark.parametrize("template", [rx(2, 0.5), ry(0, -1.0), xx(1, 0, 3.0)])
+    def test_equals_the_constructed_op(self, template):
+        for angle in (0.25, -2.5, np.float64(1.5), 0):
+            copy = template.with_angle(angle)
+            assert copy == GateOp(template.kind, template.targets, angle)
+            assert type(copy.angle) is float and copy is not template
+        assert template.angle in (0.5, -1.0, 3.0)
+
+    def test_keeps_the_sign_of_zero(self):
+        assert math.copysign(1.0, rx(0, 0.5).with_angle(-0.0).angle) == -1.0
+
+    @pytest.mark.parametrize("op", [rx(0, symbol="a"), ry(1, symbol="b", sign=-1),
+                                    h(0), cz(0, 1)])
+    def test_refuses_an_op_without_a_bound_angle(self, op):
+        with pytest.raises(ConfigError, match="no bound angle to replace"):
+            op.with_angle(0.5)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_angle(self, angle):
+        with pytest.raises(ConfigError, match="RX angle must be finite"):
+            rx(0, 0.5).with_angle(angle)
+
 
 class TestCircuitThen:
     def test_equals_the_constructed_circuit(self):

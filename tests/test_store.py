@@ -23,7 +23,7 @@ from qflsim.errors import (
     QflError,
 )
 from qflsim.model import Sample
-from qflsim.sim import Circuit, cz, h, rx, ry, rz
+from qflsim.sim import Circuit, GateOp, cz, h, rx, ry, rz
 from qflsim.store import (
     checksum_bytes,
     parse_circuit,
@@ -276,6 +276,24 @@ class TestParseCircuit:
             ops = {id(op) for s in samples for op in s.prep_circuit.ops}
             assert len(ops) == len(samples) + 16
 
+    def test_negative_zero_angle_rewrites_byte_identically(self, tmp_path):
+        # "-0" reads back as -0.0 whether its sample is parsed whole, its
+        # RX line parsed alone or copied from a template.
+        angles = [-0.0, 0.5, -0.0, -0.0, 0.0, -0.0]
+        samples = tuple(Sample(Circuit(2, (h(0), h(1), cz(0, 1), rx(0, a))), 0)
+                        for a in angles)
+        ds = FederatedDataset(
+            (ClientDataset("a", samples, AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=2, samples_per_client=2))
+        write_dataset(ds, tmp_path / "a.qfd")
+        back = read_dataset(tmp_path / "a.qfd")
+        write_dataset(back, tmp_path / "b.qfd")
+        text = (tmp_path / "a.qfd").read_bytes()
+        assert text.count(b";RX 0 -0\n") == 4
+        assert (tmp_path / "b.qfd").read_bytes() == text
+        assert [math.copysign(1.0, s.prep_circuit.ops[-1].angle)
+                for s in back.clients[0].samples] == [math.copysign(1.0, a) for a in angles]
+
 
 class TestDatasetContainer:
     def test_round_trip_equality(self, tmp_path):
@@ -293,6 +311,26 @@ class TestDatasetContainer:
         back = read_dataset(path)
         assert back == ds
         assert back.clients[0].distribution_tag is AngleDistribution.TRUNCATED_NORMAL
+
+    def test_generation_and_read_check_each_gate_once(self, tmp_path, monkeypatch):
+        # Each RX is a copy of a checked template, so neither generating
+        # nor reading a paper-scale file (4 800 samples) runs GateOp's
+        # checks once per sample.
+        checks = []
+        check = GateOp.__post_init__
+
+        def counted(op):
+            checks.append(op.kind)
+            check(op)
+
+        monkeypatch.setattr(GateOp, "__post_init__", counted)
+        ds = generate_federated_dataset(GenConfig(n_clients=30, seed=5))
+        generated = len(checks)
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        checks.clear()
+        assert read_dataset(path) == ds
+        assert generated < 100 and len(checks) < 100, (generated, len(checks))
 
     def test_golden_bytes(self, tmp_path):
         # The file format is frozen: this small mixed dataset (one
