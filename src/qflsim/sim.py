@@ -255,14 +255,6 @@ def new_zero_state(n_qubits: int) -> StateVector:
     return psi
 
 
-def _infer_n_qubits(state: np.ndarray) -> int:
-    size = state.shape[-1]
-    n = size.bit_length() - 1
-    if size <= 0 or (1 << n) != size:
-        raise SimulationError(f"state length {size} is not a power of two")
-    return n
-
-
 def apply_matrix(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
                  n_qubits: int) -> np.ndarray:
     """Apply a 2x2 or 4x4 unitary on ``targets`` of a (batch, 2^n) state array
@@ -288,10 +280,10 @@ def apply_matrix(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """State after all gates of ``circuit``, applied in order; a symbolic
     gate raises UnresolvedParameterError (see gate_matrix)."""
-    n = _infer_n_qubits(state)
-    if n != circuit.n_qubits:
+    n = circuit.n_qubits
+    if state.shape[-1] != 1 << n:
         raise SimulationError(
-            f"state is on {n} qubits but circuit declares {circuit.n_qubits}"
+            f"state length {state.shape[-1]} does not match the circuit's {n} qubits"
         )
     psi = np.array(state[None, :], dtype=complex)
     for op in circuit.ops:

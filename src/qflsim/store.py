@@ -27,34 +27,34 @@ The checksum is the first 64 bits (16 hex chars) of SHA-256 over every
 byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
 
-A write caches one head, the previous sample's header and every gate
-line but its last: a sample with the same head ops reuses the head's
-text and renders only its last gate, and a sample with another head is
-rendered whole. A read reuses the parsed ops of the longest run of
-leading lines, all but the last, that a sample shares with the previous
-one (a sample with a new header is parsed whole) and parses each line
-after it alone. A line whose tokens but its angle match a line parsed
-before under the same header takes that checked op as a template: a
-fixed gate is that op, a rotation a copy with its own angle
-(``GateOp.with_angle``). So a read checks each kind and target set
-about once, not once per sample. Every generated sample is the same
-cluster-state head plus one RX line, so a generated file costs one
-gate line per sample either way. On 30 clients x 160 samples, a file
-whose samples are the cluster state, an RX and an H, so that no two
-heads are equal, writes about 6 times slower than a generated file
-but reads about as fast (2-core machine). A socket worker reads only
-its own client: it verifies the checksum and every client header but
-parses only that client's samples; the server's full read validates
-every sample.
+A write and a read follow one rule for repeated text: a sample reuses
+the longest run of leading ops, or lines, that it shares with the
+previous sample, and handles each op or line after that run alone. A
+write keeps the text of each leading run of the previous sample's ops,
+so it renders only the ops after the shared run. A read reuses the
+parsed ops of the shared run of lines, all but the last (a sample with a
+new header is parsed whole), and parses each line after it alone. A line
+whose tokens but its angle match a line parsed before under the same
+header takes that checked op as a template: a fixed gate is that op, a
+rotation a copy with its own angle (``GateOp.with_angle``). So a read
+checks each kind and target set about once, not once per sample. Every
+generated sample is the same cluster-state head plus one RX line, so a
+generated file costs one gate line per sample either way. On 30 clients
+x 160 samples, a file whose samples are the cluster state, an RX and an
+H, so that no two heads are equal, costs two lines per sample: it writes
+in about 1.3 times and reads in about 1.1 times a generated file's time
+(2-core machine). A socket worker reads only its own client: it verifies
+the checksum and every client header but parses only that client's
+samples; the server's full read validates every sample.
 """
 
 import dataclasses
 import hashlib
-import operator
 import os
 import re
 import tempfile
 from dataclasses import dataclass
+from operator import indexOf, is_
 from pathlib import Path
 
 from .datagen import AngleDistribution, ClientDataset, FederatedDataset, GenConfig
@@ -247,9 +247,12 @@ def _render_body(ds: FederatedDataset) -> str:
         _gen_config_line(ds.gen_config),
     ]
     n_qubits = ds.gen_config.n_qubits
-    # The previous sample's ops but its last, and their text. Ops are
+    # texts[k] is the header and the first k op lines of the previous
+    # sample's ops, ';'-joined (the module docstring's rule). Ops are
     # compared by identity: equal ops can render differently (0.0, -0.0).
-    head, head_text = (), f"{CIRCUIT_MAGIC} qubits={n_qubits}"
+    # Shared ops were checked for a symbol, the only text that could hold
+    # ';' or '$', when they were rendered.
+    previous, texts = (), [f"{CIRCUIT_MAGIC} qubits={n_qubits}"]
     for client in ds.clients:
         if not client_id_ok(client.client_id):
             raise ConfigError(f"client id {client.client_id!r} not storable")
@@ -263,15 +266,17 @@ def _render_body(ds: FederatedDataset) -> str:
                     f"client {client.client_id}: sample qubit count "
                     f"{sample.prep_circuit.n_qubits} does not match dataset ({n_qubits})")
             ops = sample.prep_circuit.ops
-            if len(ops) - 1 != len(head) or any(map(operator.is_not, ops, head)):
-                head = ops[:-1]
-                head_text = serialize_circuit(Circuit(n_qubits, head))
-            circ = f"{head_text}\n{_op_line(ops[-1])}" if ops else head_text
-            if ";" in circ:
-                raise ConfigError("circuit text may not contain ';'")
-            if "$" in circ:
-                raise ConfigError(f"client {client.client_id}: sample circuit has a symbol")
-            lines.append(f"s {sample.label} {circ.replace(chr(10), ';')}")
+            try:
+                shared = indexOf(map(is_, ops, previous), False)
+            except ValueError:  # one of the two is a prefix of the other
+                shared = min(len(ops), len(previous))
+            del texts[shared + 1:]
+            for op in ops[shared:]:
+                if op.symbol is not None:
+                    raise ConfigError(f"client {client.client_id}: sample circuit has a symbol")
+                texts.append(f"{texts[-1]};{_op_line(op)}")
+            previous = ops
+            lines.append(f"s {sample.label} {texts[-1]}")
     return "\n".join(lines) + "\n"
 
 
@@ -281,13 +286,12 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
     qubit count other than ``gen_config.n_qubits``) raises ConfigError
     before anything is written."""
     path = Path(path)
-    body = _render_body(ds)
-    checksum = checksum_bytes(body.encode("utf-8"))
-    blob = f"{DATA_MAGIC}\nchecksum={checksum}\n{body}"
+    body = _render_body(ds).encode("utf-8")
+    checksum = checksum_bytes(body)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(blob)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(f"{DATA_MAGIC}\nchecksum={checksum}\n".encode("ascii") + body)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -14,7 +14,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from qflsim.datagen import GenConfig, generate_federated_dataset  # noqa: E402
+from qflsim.datagen import (  # noqa: E402
+    AngleDistribution,
+    ClientDataset,
+    FederatedDataset,
+    GenConfig,
+    generate_federated_dataset,
+)
 from qflsim.errors import (  # noqa: E402
     CircuitParseError,
     DatasetFormatError,
@@ -22,8 +28,8 @@ from qflsim.errors import (  # noqa: E402
     QflError,
 )
 from qflsim.federated import ClientUpdate  # noqa: E402
-from qflsim.model import ParamVector  # noqa: E402
-from qflsim.sim import GATE_ARITY, PARAMETRIZED_GATES, Circuit, GateOp  # noqa: E402
+from qflsim.model import ParamVector, Sample  # noqa: E402
+from qflsim.sim import GATE_ARITY, PARAMETRIZED_GATES, Circuit, GateOp, cz, h, rx  # noqa: E402
 from qflsim.store import (  # noqa: E402
     checksum_bytes,
     client_id_ok,
@@ -236,6 +242,62 @@ def test_dataset_samples_read_as_their_text_parses(files, texts, at, last_only, 
             read_dataset(path)
         return
     assert [s.prep_circuit for s in read_dataset(path).clients[0].samples] == expected
+
+
+# Ops on 2 qubits; each RX is drawn afresh, so equal angles are other
+# objects, and rx(q, 0.0) == rx(q, -0.0) although they render apart.
+_OP_2Q = st.one_of(
+    st.sampled_from([h(0), h(1), cz(0, 1)]),
+    st.builds(rx, st.integers(0, 1), st.one_of(st.sampled_from([0.0, -0.0]), _FINITE)))
+
+
+@st.composite
+def _sample_circuits(draw):
+    """2-qubit circuits, each made from the one before it: the same op
+    objects, those ops and more, a prefix of them, a prefix and other
+    ops, or equal ops built afresh with each zero angle's sign drawn."""
+    circuits = [Circuit(2, tuple(draw(st.lists(_OP_2Q, max_size=4))))]
+    for _ in range(draw(st.integers(1, 8))):
+        ops = circuits[-1].ops
+        step = draw(st.sampled_from(("reuse", "extend", "shorten", "diverge", "repeat")))
+        cut = draw(st.integers(0, len(ops)))
+        more = tuple(draw(st.lists(_OP_2Q, min_size=1, max_size=3)))
+        if step == "reuse":
+            circuits.append(circuits[-1] if draw(st.booleans()) else Circuit(2, ops))
+        elif step == "extend":
+            circuits.append(Circuit(2, ops + more))
+        elif step == "shorten":
+            circuits.append(Circuit(2, ops[:cut]))
+        elif step == "diverge":
+            circuits.append(Circuit(2, ops[:cut] + more))
+        else:
+            circuits.append(Circuit(2, tuple(
+                rx(op.targets[0], draw(st.sampled_from([0.0, -0.0])))
+                if op.angle == 0.0 else GateOp(op.kind, op.targets, op.angle)
+                for op in ops)))
+    return circuits
+
+
+@given(circuits=_sample_circuits(), labels=st.lists(st.integers(0, 1), min_size=9, max_size=9),
+       cuts=st.lists(st.integers(0, 9), max_size=2))
+@example(circuits=[Circuit(2, (rx(1, 0.0),)), Circuit(2, (rx(1, -0.0),)), Circuit(2)],
+         labels=[0] * 9, cuts=[])
+def test_dataset_sample_lines_are_their_serialized_circuits(files, circuits, labels, cuts):
+    # However a sample's ops follow the previous sample's, in one client
+    # or across a client boundary, its line is its own circuit's text.
+    root, _base = files
+    samples = [Sample(c, label) for c, label in zip(circuits, labels)]
+    bounds = [0, *sorted(min(cut, len(samples)) for cut in cuts), len(samples)]
+    ds = FederatedDataset(
+        tuple(ClientDataset(f"c{k}", samples[a:b], AngleDistribution.UNIFORM_PI)
+              for k, (a, b) in enumerate(zip(bounds, bounds[1:]))),
+        GenConfig(n_clients=len(bounds) - 1, n_qubits=2, samples_per_client=2))
+    path = root / "written.qfd"
+    write_dataset(ds, path)
+    lines = [line for line in path.read_text().split("\n") if line.startswith("s ")]
+    assert lines == [f"s {s.label} " + serialize_circuit(s.prep_circuit).replace("\n", ";")
+                     for s in samples]
+    assert read_dataset(path) == ds
 
 
 # --- wire lines -------------------------------------------------------

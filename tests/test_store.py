@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qflsim import store
 from qflsim.datagen import (
     AngleDistribution,
     ClientDataset,
@@ -332,6 +333,33 @@ class TestDatasetContainer:
         assert read_dataset(path) == ds
         assert generated < 100 and len(checks) < 100, (generated, len(checks))
 
+    def test_write_renders_each_op_after_the_run_it_shares(self, tmp_path, monkeypatch):
+        # A sample reuses the text of the ops it shares with the previous
+        # one, so a paper-scale file whose heads all differ (the cluster
+        # state, an RX, then an H) renders about two lines per sample, not
+        # every line; a generated file renders one.
+        rendered = []
+        op_line = store._op_line
+
+        def counted(op):
+            rendered.append(op)
+            return op_line(op)
+
+        monkeypatch.setattr(store, "_op_line", counted)
+        ds = generate_federated_dataset(GenConfig(n_clients=30, seed=5))
+        distinct = FederatedDataset(tuple(
+            ClientDataset(c.client_id,
+                          tuple(Sample(s.prep_circuit.then(h((k + 3) % 8)), s.label)
+                                for k, s in enumerate(c.samples)),
+                          c.distribution_tag)
+            for c in ds.clients), ds.gen_config)
+        write_dataset(distinct, tmp_path / "distinct.qfd")
+        assert len(rendered) < 3 * 4800, len(rendered)
+        rendered.clear()
+        write_dataset(ds, tmp_path / "generated.qfd")
+        assert len(rendered) == 17 + 4799  # the first sample whole, then its RX
+        assert read_dataset(tmp_path / "distinct.qfd") == distinct
+
     def test_golden_bytes(self, tmp_path):
         # The file format is frozen: this small mixed dataset (one
         # truncated-normal client, two uniform) writes to these exact bytes.
@@ -395,6 +423,23 @@ class TestDatasetContainer:
         ds = FederatedDataset(
             (ClientDataset("a", (good,), AngleDistribution.UNIFORM_PI),
              ClientDataset("b", (Sample(circuit, 0),), AngleDistribution.UNIFORM_PI)),
+            GenConfig(n_clients=2, n_qubits=2, samples_per_client=2))
+        with pytest.raises(ConfigError, match=error):
+            write_dataset(ds, tmp_path / "data.qfd")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("client_id, circuit, error", [
+        ("a b", Circuit(2, (h(0),)), "client id 'a b' not storable"),
+        ("b", Circuit(2, (h(0), rx(1, symbol="a;b"))), "sample circuit has a symbol"),
+    ])
+    def test_write_refuses_a_later_client_or_symbol(self, tmp_path, client_id, circuit, error):
+        # The refusal comes after a first client has been rendered, and
+        # before any file exists; a symbol is refused whatever its name
+        # holds, a ';' included.
+        good = Sample(Circuit(2, (h(0), rx(1, 0.5))), 1)
+        ds = FederatedDataset(
+            (ClientDataset("a", (good, good), AngleDistribution.UNIFORM_PI),
+             ClientDataset(client_id, (Sample(circuit, 0),), AngleDistribution.UNIFORM_PI)),
             GenConfig(n_clients=2, n_qubits=2, samples_per_client=2))
         with pytest.raises(ConfigError, match=error):
             write_dataset(ds, tmp_path / "data.qfd")
