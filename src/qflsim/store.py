@@ -27,22 +27,24 @@ The checksum is the first 64 bits (16 hex chars) of SHA-256 over every
 byte after the checksum line. Clients and samples are written in dataset
 order, so serializing the same dataset twice is byte-identical.
 
-A write and a read follow one rule for repeated text: a sample reuses
-the longest run of leading ops, or lines, that it shares with the
-previous sample, and handles each op or line after that run alone. A
-write keeps the text of each leading run of the previous sample's ops,
-so it renders only the ops after the shared run. A read reuses the
-parsed ops of the shared run of lines, all but the last (a sample with a
-new header is parsed whole), and parses each line after it alone. A line
-whose tokens but its angle match a line parsed before under the same
-header takes that checked op as a template: a fixed gate is that op, a
-rotation a copy with its own angle (``GateOp.with_angle``). So a read
-checks each kind and target set about once, not once per sample. Every
-generated sample is the same cluster-state head plus one RX line, so a
-generated file costs one gate line per sample either way. On 30 clients
-x 160 samples, a file whose samples are the cluster state, an RX and an
-H, so that no two heads are equal, costs two lines per sample: it writes
-in about 1.3 times and reads in about 1.1 times a generated file's time
+A write and a read follow one rule for repeated text and keep one
+structure for it: the previous sample's prefixes, entry k being its
+header and first k ops, or lines. A sample reuses the longest run of
+leading ops, or lines, that it shares with the previous sample, cuts the
+list to that run and handles each op or line after it alone, appending
+its prefix. A write keeps each prefix's text, so it renders only the ops
+after the shared run. A read keeps each prefix's text and circuit, so it
+parses only the lines after the shared run; a sample that shares no
+line, the first or one with a new header, is parsed whole. A line whose
+tokens but its angle match a line parsed before under the same header
+takes that checked op as a template: a fixed gate is that op, a rotation
+a copy with its own angle (``GateOp.with_angle``). So a read checks each
+kind and target set about once, not once per sample. Every generated
+sample is the same cluster-state head plus one RX line, so a generated
+file costs one gate line per sample either way. On 30 clients x 160
+samples, a file whose samples are the cluster state, an RX and an H, so
+that no two heads are equal, costs two lines per sample: it writes in
+about 1.3 times and reads in about 1.2 times a generated file's time
 (2-core machine). A socket worker reads only its own client: it verifies
 the checksum and every client header but parses only that client's
 samples; the server's full read validates every sample.
@@ -75,6 +77,11 @@ FORMAT_VERSION = 1
 
 def format_angle(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def format_values(values) -> str:
+    """A parameter vector's text, on the wire and in params_checksum."""
+    return ",".join(map(format_angle, values))
 
 
 def checksum_bytes(data: bytes) -> str:
@@ -308,58 +315,43 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
 class _SampleCircuits:
     """parse_circuit over the ';'-joined circuit texts of one read's
     samples, in file order, each without a symbol; the module docstring
-    gives the rule. A sample's head is the run of its leading lines that
-    it reuses. Each line after it is parsed alone: a line parses the same
-    in any circuit with the same qubit count, so the first line that
-    fails is the one a whole parse reports, with the same error. A
-    rotation copied from a template has its angle token parsed and
-    checked as ``_parse_op`` does. Tokens spell each number one way, so
-    the templates number at most one per kind and target set.
+    gives the rule. ``texts[k]`` is the previous sample's header and
+    first k lines, each followed by its ';', and ``circuits[k]`` is the
+    circuit of those lines. A sample that shares no line with them is
+    parsed whole, and the lists restart from its header. Each line after
+    the shared run is parsed alone: a line parses the same in any circuit
+    with the same qubit count, so the first line that fails is the one a
+    whole parse reports, with the same error. A rotation copied from a
+    template has its angle token parsed and checked as ``_parse_op``
+    does. Tokens spell each number one way, so the templates number at
+    most one per kind and target set.
     """
 
     def __init__(self):
-        self.text: str | None = None  # the previous sample's text
-        self.circuit: Circuit | None = None  # and its circuit
-        self.shared = 0  # its head's line count
-        self.head = ""  # the head's text, each line with its ';'
-        self.head_circuit: Circuit | None = None
-        self.rest: list[str] = []  # its lines after the head
+        self.texts: list[str] = []
+        self.circuits: list[Circuit] = []
         self.templates: dict[tuple[str, ...], GateOp] = {}  # see _op
 
     def parse(self, text: str) -> Circuit:
-        if self.shared and text.startswith(self.head):
-            rest = text[len(self.head):].split(";")
-            if rest[0] != self.rest[0]:  # else the shared run is longer
-                return self._extend(text, rest)
-        lines = text.split(";")
-        previous = [] if self.text is None else self.text.split(";")
-        shared = 0
-        for line, before in zip(lines[:-1], previous):
-            if line != before:
-                break
-            shared += 1
-        if not shared:
-            circuit = parse_circuit(text.replace(";", "\n"))
+        text += ";"  # so that the last line, too, ends as in texts
+        texts, circuits = self.texts, self.circuits
+        k = len(texts)
+        while k and not text.startswith(texts[k - 1]):
+            k -= 1
+        if k:
+            del texts[k:], circuits[k:]
+        else:
+            n_qubits = parse_circuit(text[:-1].replace(";", "\n")).n_qubits
+            texts[:], circuits[:] = [text[:text.index(";") + 1]], [Circuit(n_qubits, ())]
             self.templates.clear()  # checked for another header's qubit count
-            self.text, self.circuit, self.shared = text, circuit, 0
-            return circuit
-        if shared != self.shared:  # else the head is the same lines
-            n_ops = sum(1 for line in previous[1:shared] if line.strip())
-            self.shared, self.head = shared, ";".join(lines[:shared]) + ";"
-            self.head_circuit = Circuit(self.circuit.n_qubits, self.circuit.ops[:n_ops])
-        return self._extend(text, lines[shared:])
-
-    def _extend(self, text: str, rest: list[str]) -> Circuit:
-        """The head's circuit and the ops of the lines after it."""
-        n_qubits = self.head_circuit.n_qubits
-        ops = []
-        for lineno, line in enumerate(rest, start=self.shared + 1):
-            line = line.strip()
-            if line:
-                ops.append(self._op(line, lineno, n_qubits))
-        self.text, self.rest = text, rest
-        self.circuit = self.head_circuit.then(*ops)
-        return self.circuit
+        n_qubits = circuits[0].n_qubits
+        lines = text[len(texts[-1]):].split(";")[:-1]
+        for lineno, line in enumerate(lines, start=len(texts) + 1):
+            stripped = line.strip()
+            circuits.append(circuits[-1].then(self._op(stripped, lineno, n_qubits))
+                            if stripped else circuits[-1])
+            texts.append(f"{texts[-1]}{line};")
+        return circuits[-1]
 
     def _op(self, line: str, lineno: int, n_qubits: int) -> GateOp:
         tokens = line.split()
@@ -499,5 +491,4 @@ def read_dataset(path, clients=None) -> FederatedDataset:
 
 def params_checksum(values) -> str:
     """Checksum of a parameter vector's canonical decimal rendering."""
-    text = ",".join(format_angle(v) for v in values)
-    return checksum_bytes(text.encode("ascii"))
+    return checksum_bytes(format_values(values).encode("ascii"))

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, ProtocolError, TrainingError
 from .federated import ClientState, ClientUpdate, local_train
 from .model import ParamVector
-from .store import client_id_ok, format_angle, parse_number
+from .store import client_id_ok, format_angle, format_values, parse_number
 
 PROTOCOL_VERSION = 3
 
@@ -108,10 +108,6 @@ class Done:
     pass
 
 
-def _format_values(values) -> str:
-    return ",".join(format_angle(v) for v in values)
-
-
 def _parse_values(text: str) -> tuple[float, ...]:
     try:
         values = tuple(parse_number(tok, float) for tok in text.split(","))
@@ -132,13 +128,13 @@ def encode_hello(client_id: str) -> str:
 
 
 def encode_global(round_index: int, values) -> str:
-    return f"GLOBAL {round_index} {_format_values(values)}\n"
+    return f"GLOBAL {round_index} {format_values(values)}\n"
 
 
 def encode_update(update: ClientUpdate) -> str:
     return (
         f"UPDATE {update.round} {update.client_id} {update.num_samples} "
-        f"{format_angle(update.local_loss)} {_format_values(update.params.values)}\n"
+        f"{format_angle(update.local_loss)} {format_values(update.params.values)}\n"
     )
 
 

@@ -316,7 +316,11 @@ class TestDatasetContainer:
     def test_generation_and_read_check_each_gate_once(self, tmp_path, monkeypatch):
         # Each RX is a copy of a checked template, so neither generating
         # nor reading a paper-scale file (4 800 samples) runs GateOp's
-        # checks once per sample.
+        # checks once per sample. Nor does reading one whose heads all
+        # differ (the cluster state, an RX, then an H): only its first
+        # sample is parsed whole, and every later one reuses the ops of
+        # the lines it shares with the previous sample.
+        hs = [h(q) for q in range(8)]
         checks = []
         check = GateOp.__post_init__
 
@@ -324,14 +328,38 @@ class TestDatasetContainer:
             checks.append(op.kind)
             check(op)
 
+        whole_parses = []
+        parse = store.parse_circuit
+
+        def counted_parse(text):
+            whole_parses.append(text)
+            return parse(text)
+
         monkeypatch.setattr(GateOp, "__post_init__", counted)
+        monkeypatch.setattr(store, "parse_circuit", counted_parse)
         ds = generate_federated_dataset(GenConfig(n_clients=30, seed=5))
+        distinct = FederatedDataset(tuple(
+            ClientDataset(c.client_id,
+                          tuple(Sample(s.prep_circuit.then(hs[(k + 3) % 8]), s.label)
+                                for k, s in enumerate(c.samples)),
+                          c.distribution_tag)
+            for c in ds.clients), ds.gen_config)
         generated = len(checks)
         path = tmp_path / "data.qfd"
         write_dataset(ds, path)
         checks.clear()
         assert read_dataset(path) == ds
         assert generated < 100 and len(checks) < 100, (generated, len(checks))
+
+        write_dataset(distinct, path)
+        checks.clear()
+        whole_parses.clear()
+        back = read_dataset(path)
+        assert len(checks) < 100 and len(whole_parses) == 1, (len(checks), len(whole_parses))
+        assert back == distinct
+        samples = [s for c in back.clients for s in c.samples]
+        cluster = samples[0].prep_circuit.ops[:16]
+        assert all(s.prep_circuit.ops[i] is op for s in samples for i, op in enumerate(cluster))
 
     def test_write_renders_each_op_after_the_run_it_shares(self, tmp_path, monkeypatch):
         # A sample reuses the text of the ops it shares with the previous
