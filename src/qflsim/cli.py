@@ -12,8 +12,10 @@ Every command appends line-delimited JSON rows to its --out file (see
 qflsim.metrics) and is fully determined by its flags and seeds, apart
 from wall_time. Every row of a training run carries the run's settings
 (optimizer, lr, train_clients, test_clients, rounds, epochs, batch_size)
-next to the values of its command's series. Exit codes: 0 success,
-2 configuration error, 3 I/O or dataset-format error, 4 training error.
+next to the values of its command's series. Every command checks its
+whole series before its first run, so a bad flag value exits 2 without
+writing a row. Exit codes: 0 success, 2 configuration error, 3 I/O or
+dataset-format error, 4 training error.
 """
 
 import argparse
@@ -29,8 +31,8 @@ from .federated import OPTIMIZER_KINDS, OptimizerConfig, TrainConfig, run_traini
 from .model import ArchitectureSpec, build_architecture
 from .store import read_dataset, write_dataset
 
-CLIENT_SWEEP_SPLITS = ((1, 1, 0), (6, 4, 2), (12, 9, 3), (18, 14, 4),
-                       (24, 19, 5), (30, 25, 5))
+CLIENT_SWEEP_SPLITS = ((6, 4, 2), (12, 9, 3), (18, 14, 4), (24, 19, 5),
+                       (30, 25, 5))
 DEFAULT_DATASIZES = (40, 80, 160, 320)
 
 # Seed-derivation namespace for per-sweep-point datasets.
@@ -127,8 +129,8 @@ def train_config(args, rounds: int, train_ids, test_ids, seed: int,
     )
 
 
-def _split_ids(dataset, n_train: int, n_test: int) -> tuple[tuple, tuple]:
-    ids = dataset.client_ids()
+def _split_ids(ids, n_train: int, n_test: int) -> tuple[tuple, tuple]:
+    """The first ``n_train`` and the last ``n_test`` of the client ids ``ids``."""
     if n_train < 1 or n_test < 1:
         raise ConfigError("need at least one training and one testing client")
     if n_train + n_test > len(ids):
@@ -201,7 +203,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = read_dataset(args.dataset)
-    train_ids, test_ids = _split_ids(dataset, args.train_clients, args.test_clients)
+    train_ids, test_ids = _split_ids(dataset.client_ids(), args.train_clients,
+                                     args.test_clients)
     arch = architecture_from_flags(args, dataset.gen_config.n_qubits)
     cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed, arch=arch)
     experiment = (f"train-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
@@ -215,48 +218,36 @@ def cmd_train(args) -> int:
 def cmd_sweep_clients(args) -> int:
     dataset = read_dataset(args.dataset)
     ids = dataset.client_ids()
-    max_k = max(total for total, _tr, _te in CLIENT_SWEEP_SPLITS)
-    if len(ids) < max_k:
-        raise ConfigError(
-            f"sweep needs {max_k} clients, dataset has {len(ids)}"
-        )
+    # Client count k trains the first clients and tests clients k - n_test
+    # to k - 1. The centralized point (k = 1) trains the largest split's
+    # first training client on that split's test clients.
+    points = {total: _split_ids(ids[:total], n_train, n_test)
+              for total, n_train, n_test in CLIENT_SWEEP_SPLITS}
+    train_ids, test_ids = points[max(points)]
+    points = {1: (train_ids[:1], test_ids), **points}
     experiment = f"sweep-clients-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
-    for total, n_train, n_test in CLIENT_SWEEP_SPLITS:
-        centralized = total == 1
-        if centralized:
-            # Centralized baseline: a run with one training client (the
-            # first), evaluated on the 5-client test block of the 30-client
-            # split.
-            train_ids = ids[:1]
-            test_ids = ids[25:30]
-        else:
-            train_ids = ids[:n_train]
-            test_ids = ids[total - n_test:total]
+    for total, (train_ids, test_ids) in points.items():
         cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed)
         final = _run_experiment(dataset, cfg, args.out, experiment,
-                                n_clients=total, centralized=centralized)
+                                n_clients=total, centralized=total == 1)
         print(f"clients={total:2d} train={len(train_ids):2d} "
               f"test={len(test_ids)} final_accuracy={final.test_accuracy:.4f}")
     return 0
 
 
 def cmd_sweep_datasize(args) -> int:
+    configs = {size: _gen_config(args, samples=size,
+                                 seed=_derived_seed(args.seed, size))
+               for size in args.sizes}
     experiment = f"sweep-datasize-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
-    for size in args.sizes:
-        if size % args.qubits != 0:
-            raise ConfigError(
-                f"per-client size {size} is not divisible by {args.qubits} qubits"
-            )
-    for size in args.sizes:
-        seed = _derived_seed(args.seed, size)
-        dataset = generate_federated_dataset(
-            _gen_config(args, samples=size, seed=seed))
-        train_ids, test_ids = _split_ids(dataset, args.train_clients,
-                                         args.test_clients)
+    for size, config in configs.items():
+        dataset = generate_federated_dataset(config)
+        train_ids, test_ids = _split_ids(dataset.client_ids(),
+                                         args.train_clients, args.test_clients)
         for centralized in (False, True):
             cfg = train_config(args, args.rounds,
                                train_ids[:1] if centralized else train_ids,
-                               test_ids, seed)
+                               test_ids, config.seed)
             final = _run_experiment(dataset, cfg, args.out, experiment,
                                     samples_per_client=size,
                                     centralized=centralized)
@@ -268,11 +259,13 @@ def cmd_sweep_datasize(args) -> int:
 
 def cmd_compare_iid(args) -> int:
     config = _gen_config(args)
+    datasets = {tag: (fraction, generate_federated_dataset(config, fraction))
+                for tag, fraction in (("iid", 0.0),
+                                      ("non_iid", args.non_iid_fraction))}
     experiment = f"compare-iid-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
-    for tag, fraction in (("iid", 0.0), ("non_iid", args.non_iid_fraction)):
-        dataset = generate_federated_dataset(config, fraction)
-        train_ids, test_ids = _split_ids(dataset, args.train_clients,
-                                         args.test_clients)
+    for tag, (fraction, dataset) in datasets.items():
+        train_ids, test_ids = _split_ids(dataset.client_ids(),
+                                         args.train_clients, args.test_clients)
         cfg = train_config(args, args.rounds, train_ids, test_ids, args.seed)
         final = _run_experiment(dataset, cfg, args.out, experiment,
                                 mse_x100=True, dataset=tag,
@@ -290,8 +283,8 @@ def cmd_error_bars(args) -> int:
     t0 = time.perf_counter()
     for seed in args.seeds:
         dataset = generate_federated_dataset(_gen_config(args, seed=seed))
-        train_ids, test_ids = _split_ids(dataset, args.train_clients,
-                                         args.test_clients)
+        train_ids, test_ids = _split_ids(dataset.client_ids(),
+                                         args.train_clients, args.test_clients)
         cfg = train_config(args, args.rounds, train_ids, test_ids, seed,
                            eval_train=True)
         final = _run_experiment(dataset, cfg, args.out, experiment)
@@ -300,12 +293,8 @@ def cmd_error_bars(args) -> int:
               f"train_accuracy={final.train_accuracy:.4f}")
     aggregate = {"kind": "summary", "experiment": experiment,
                  "wall_time": time.perf_counter() - t0, **_settings(cfg)}
-    for name in ("test_accuracy", "test_mse", "train_accuracy", "train_mse"):
-        vals = [getattr(record, name) for record in finals]
-        aggregate[f"{name}_mean"] = float(np.mean(vals))
-        aggregate[f"{name}_min"] = float(np.min(vals))
-        aggregate[f"{name}_max"] = float(np.max(vals))
-        aggregate[f"{name}_spread"] = float(np.max(vals) - np.min(vals))
+    for name, (field, statistic) in metrics.AGGREGATES.items():
+        aggregate[name] = float(statistic([getattr(r, field) for r in finals]))
     metrics.append_rows(args.out, [aggregate])
     print(f"test_accuracy spread={aggregate['test_accuracy_spread']:.4f} "
           f"(mean {aggregate['test_accuracy_mean']:.4f})")

@@ -10,9 +10,20 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MetricsSchemaError
 
 ROW_KINDS = ("round", "summary")
+
+# The aggregate fields of error-bars' last summary row: each statistic,
+# over the seeds, of each per-seed field, named "<field>_<statistic>".
+AGGREGATES = {
+    f"{field}_{stat}": (field, statistic)
+    for field in ("test_accuracy", "test_mse", "train_accuracy", "train_mse")
+    for stat, statistic in (("mean", np.mean), ("min", np.min),
+                            ("max", np.max), ("spread", np.ptp))
+}
 
 _REQUIRED = {
     "round": {
@@ -50,22 +61,7 @@ _OPTIONAL_TYPES = {
     "non_iid_fraction": float,
     "dataset": str,
     "centralized": bool,
-    "test_accuracy_mean": float,
-    "test_accuracy_min": float,
-    "test_accuracy_max": float,
-    "test_accuracy_spread": float,
-    "test_mse_mean": float,
-    "test_mse_min": float,
-    "test_mse_max": float,
-    "test_mse_spread": float,
-    "train_accuracy_mean": float,
-    "train_accuracy_min": float,
-    "train_accuracy_max": float,
-    "train_accuracy_spread": float,
-    "train_mse_mean": float,
-    "train_mse_min": float,
-    "train_mse_max": float,
-    "train_mse_spread": float,
+    **dict.fromkeys(AGGREGATES, float),
 }
 
 

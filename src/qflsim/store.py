@@ -396,14 +396,9 @@ def _header_int(line: str, key: str, path) -> int:
         raise DatasetFormatError(f"{path}: {key} is not an integer: {line!r}") from None
 
 
-def read_dataset(path, clients=None) -> FederatedDataset:
-    """Parse and checksum-verify a container written by write_dataset.
-
-    With ``clients``, a collection of client ids, only those clients'
-    sample lines are parsed; the checksum, every header and the client
-    count are still checked. Every client stays in file order, so its
-    ordinal is unchanged, and the clients not named have no samples.
-    """
+def _body_text(path) -> str:
+    """The text after the magic and checksum lines of the container at
+    ``path``, once both are checked; the file's bytes are freed on return."""
     raw = Path(path).read_bytes()
     head, sep, rest = raw.partition(b"\n")
     magic = head.decode("utf-8", errors="replace")
@@ -420,13 +415,23 @@ def read_dataset(path, clients=None) -> FederatedDataset:
         raise DatasetCorruptionError(
             f"{path}: checksum mismatch (declared {declared}, actual {actual})"
         )
-
     try:
-        lines = body.decode("utf-8").split("\n")
+        return body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(
             f"{path}: body is not UTF-8 (byte {exc.start} after the checksum line)"
         ) from None
+
+
+def read_dataset(path, clients=None) -> FederatedDataset:
+    """Parse and checksum-verify a container written by write_dataset.
+
+    With ``clients``, a collection of client ids, only those clients'
+    sample lines are parsed; the checksum, every header and the client
+    count are still checked. Every client stays in file order, so its
+    ordinal is unchanged, and the clients not named have no samples.
+    """
+    lines = _body_text(path).split("\n")
     if lines[-1] == "":
         del lines[-1]  # the body's final newline ends its last line
     if len(lines) < 3:

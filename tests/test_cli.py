@@ -11,10 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from qflsim import metrics
+from qflsim import cli, metrics
 from qflsim.cli import main
 from qflsim.datagen import GenConfig
-from qflsim.federated import OptimizerConfig, TrainConfig
+from qflsim.federated import OptimizerConfig, TrainConfig, run_training
 from qflsim.metrics import MetricsSchemaError, read_metrics, validate_row
 from qflsim.store import checksum_bytes, read_dataset
 
@@ -214,9 +214,42 @@ class TestTrain:
 
 class TestSweepClients:
     def test_requires_thirty_clients(self, tmp_path):
-        data = _gen(tmp_path)
+        # 20 clients allow the 6-, 12- and 18-client points, but the sweep
+        # must stop before its first run.
+        data = tmp_path / "twenty.qfd"
+        assert main(["gen-data", "--clients", "20", "--samples-per-client", "4",
+                     "--qubits", "2", "--out", str(data)]) == 0
+        out = tmp_path / "m.jsonl"
         assert main(["sweep-clients", "--dataset", str(data), *FAST_TRAIN,
-                     "--out", str(tmp_path / "m.jsonl")]) == 2
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_each_point_trains_and_tests_its_clients(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "big.qfd"
+        assert main(["gen-data", "--clients", "30", "--samples-per-client", "4",
+                     "--qubits", "2", "--seed", "2", "--out", str(path)]) == 0
+        configs = []
+
+        def recording(dataset, cfg, **kwargs):
+            configs.append(cfg)
+            return run_training(dataset, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_training", recording)
+        assert main(["sweep-clients", "--dataset", str(path), *FAST_TRAIN,
+                     "--out", str(tmp_path / "m.jsonl")]) == 0
+
+        def ids(first, stop):
+            return tuple(f"client_{k:03d}" for k in range(first, stop))
+
+        central, *federated = configs
+        assert central.train_clients == ids(0, 1)
+        assert central.test_clients == ids(25, 30)
+        splits = ((6, 4, 2), (12, 9, 3), (18, 14, 4), (24, 19, 5), (30, 25, 5))
+        assert len(federated) == len(splits)
+        for cfg, (k, n_train, n_test) in zip(federated, splits):
+            assert cfg.train_clients == ids(0, n_train)
+            assert cfg.test_clients == ids(k - n_test, k)
 
     def test_all_sweep_points_present(self, tmp_path):
         path = tmp_path / "big.qfd"
@@ -270,7 +303,7 @@ class TestSweepDatasize:
                      "--sizes", "4,7", "--rounds", "1",
                      "--train-clients", "4", "--test-clients", "2",
                      "--out", str(out)]) == 2
-        assert "size 7" in capsys.readouterr().err
+        assert "samples_per_client (7)" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -285,6 +318,16 @@ class TestCompareIid:
         for row in summaries:
             assert row["final_test_mse_x100"] == pytest.approx(
                 100 * row["final_test_mse"])
+
+    def test_bad_fraction_fails_before_any_run(self, tmp_path, capsys):
+        # The IID run could train; the bad non-IID fraction must still stop
+        # the comparison before it.
+        out = tmp_path / "m.jsonl"
+        assert main(["compare-iid", *TINY, *FAST_TRAIN,
+                     "--train-clients", "4", "--test-clients", "2",
+                     "--non-iid-fraction", "1.5", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorBars:
@@ -332,8 +375,20 @@ class TestErrorBars:
                      "--out", str(out)]) == 0
         rows = read_metrics(out)
         agg = rows[-1]
-        assert agg["test_accuracy_min"] <= agg["test_accuracy_mean"] \
-            <= agg["test_accuracy_max"]
+        finals = [r for r in rows
+                  if r["kind"] == "round" and r["round"] == r["rounds"]]
+        assert len(finals) == 3
+        assert len(metrics.AGGREGATES) == 16 and set(metrics.AGGREGATES) <= set(agg)
+        fields = {field for field, _stat in metrics.AGGREGATES.values()}
+        assert len(fields) == 4
+        for field in fields:
+            vals = [r[field] for r in finals]
+            lo, mean, hi, spread = (agg[f"{field}_{stat}"]
+                                    for stat in ("min", "mean", "max", "spread"))
+            assert (lo, hi) == (min(vals), max(vals))
+            assert mean == pytest.approx(sum(vals) / len(vals))
+            assert lo <= mean <= hi
+            assert spread == hi - lo
         per_seed = [r for r in rows if r["kind"] == "round"]
         assert {r["seed"] for r in per_seed} == {1, 2, 3}
         assert all("train_accuracy" in r for r in per_seed)
