@@ -21,6 +21,7 @@ dataset-format error, 4 training error.
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -236,9 +237,10 @@ def cmd_sweep_clients(args) -> int:
 
 
 def cmd_sweep_datasize(args) -> int:
-    configs = {size: _gen_config(args, samples=size,
-                                 seed=_derived_seed(args.seed, size))
-               for size in args.sizes}
+    # GenConfig checks the base seed before each size's seed derives from it.
+    configs = {size: _gen_config(args, samples=size) for size in args.sizes}
+    configs = {size: replace(config, seed=_derived_seed(config.seed, size))
+               for size, config in configs.items()}
     experiment = f"sweep-datasize-seed{args.seed}-{args.optimizer}-lr{args.lr:g}"
     for size, config in configs.items():
         dataset = generate_federated_dataset(config)

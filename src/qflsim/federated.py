@@ -27,9 +27,10 @@ qflsim.transport) is shared by a LocalTransport for in-process clients,
 whose forked helpers train shares of them on the other usable cores, and
 a SocketFedServer for clients in worker processes. One connection serves
 each helper or worker process and answers the round's broadcast with one
-line per client it holds. The server returns one ClientUpdate per client
+line per client it holds. The server returns one ClientUpdate (the
+client's id, its trained parameters and its mean local loss) per client
 of the round's order, which names each training client once, and
-run_round averages them and evaluates the result.
+run_round averages them, each weighing 1/K, and evaluates the result.
 """
 
 import contextlib
@@ -132,9 +133,7 @@ def prepare_clients(clients: Sequence[ClientDataset],
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: str
-    round: int
     params: ParamVector
-    num_samples: int
     local_loss: float
 
 
@@ -218,8 +217,7 @@ def _diverged(what: str):
         f"local training diverged: {what} not finite; try a lower learning rate")
 
 
-def local_train(client: ClientState, global_params: ParamVector,
-                round_index: int = 0) -> ClientUpdate:
+def local_train(client: ClientState, global_params: ParamVector) -> ClientUpdate:
     """Reset to the broadcast parameters, then run the seeded mini-batch
     steps of ``client.cfg`` (epochs, batch size, optimizer, seed).
 
@@ -253,13 +251,7 @@ def local_train(client: ClientState, global_params: ParamVector,
     mean_loss = float(np.mean(losses))
     if not math.isfinite(mean_loss):
         _diverged(f"the mean loss ({mean_loss}) is")
-    return ClientUpdate(
-        client_id=client.client_id,
-        round=round_index,
-        params=global_params.with_values(values),
-        num_samples=n_samples,
-        local_loss=mean_loss,
-    )
+    return ClientUpdate(client.client_id, global_params.with_values(values), mean_loss)
 
 
 def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:

@@ -97,13 +97,16 @@ def validate_row(row: dict) -> None:
 
 
 def append_rows(path, rows) -> None:
+    """Append each row to ``path`` as one JSON line. Every row is validated
+    before the file is opened, so a bad row leaves the file as it was."""
+    lines = []
+    for row in rows:
+        validate_row(row)
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as fh:
-        for row in rows:
-            validate_row(row)
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.writelines(lines)
 
 
 def read_metrics(path) -> list[dict]:

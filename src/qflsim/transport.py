@@ -6,12 +6,12 @@ with 17 significant digits, which round-trip float64 exactly):
 
     HELLO v<protocol> <client_id>
     GLOBAL <round> <p1,...,pP>
-    UPDATE <round> <client_id> <num_samples> <loss> <p1,...,pP>
+    UPDATE <round> <client_id> <loss> <p1,...,pP>
     ERROR <client_id> <round> <text>
     ALIVE
     DONE
 
-This is protocol v3. A socket client connects, says HELLO, then answers
+This is protocol v4. A socket client connects, says HELLO, then answers
 every GLOBAL broadcast with one UPDATE, or with ERROR (the reason on one
 line) if its local training fails, until the server sends DONE. The
 server keeps one in-flight round per connection. While connected, a
@@ -54,7 +54,7 @@ from .federated import ClientState, ClientUpdate, local_train
 from .model import ParamVector
 from .store import client_id_ok, format_angle, format_values, parse_number
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # Longest wait, in seconds, for one line from a connected client.
 READ_TIMEOUT_S = 300.0
@@ -86,7 +86,6 @@ class Global:
 class Update:
     round: int
     client_id: str
-    num_samples: int
     loss: float
     values: tuple[float, ...]
 
@@ -131,11 +130,9 @@ def encode_global(round_index: int, values) -> str:
     return f"GLOBAL {round_index} {format_values(values)}\n"
 
 
-def encode_update(update: ClientUpdate) -> str:
-    return (
-        f"UPDATE {update.round} {update.client_id} {update.num_samples} "
-        f"{format_angle(update.local_loss)} {format_values(update.params.values)}\n"
-    )
+def encode_update(round_index: int, update: ClientUpdate) -> str:
+    return (f"UPDATE {round_index} {update.client_id} {format_angle(update.local_loss)} "
+            f"{format_values(update.params.values)}\n")
 
 
 def encode_error(client_id: str, round_index: int, text: str) -> str:
@@ -183,16 +180,15 @@ def decode_message(line: str):
         except ValueError:
             raise ProtocolError(f"bad GLOBAL round: {line!r}") from None
     if parts[0] == "UPDATE":
-        if len(parts) != 6:
+        if len(parts) != 5:
             raise ProtocolError(f"bad UPDATE: {line!r}")
         try:
             update = Update(parse_number(parts[1]), _checked_id(parts[2], line),
-                            parse_number(parts[3]), parse_number(parts[4], float),
-                            _parse_values(parts[5]))
+                            parse_number(parts[3], float), _parse_values(parts[4]))
         except ValueError:
             raise ProtocolError(f"bad UPDATE fields: {line!r}") from None
-        if update.num_samples < 0 or not np.isfinite(update.loss):
-            raise ProtocolError(f"bad UPDATE sample count or loss: {line!r}")
+        if not np.isfinite(update.loss):
+            raise ProtocolError(f"bad UPDATE loss: {line!r}")
         return update
     if parts[0] == "ERROR":
         fields = line.split(" ", 3)
@@ -278,9 +274,7 @@ def _receive_update(link: _Link, cid: str, round_index: int, names) -> ClientUpd
         raise ProtocolError(
             f"client {cid} sent {len(msg.values)} parameters in round "
             f"{round_index}, expected {len(names)}")
-    return ClientUpdate(client_id=cid, round=msg.round,
-                        params=ParamVector(names, np.array(msg.values)),
-                        num_samples=msg.num_samples, local_loss=msg.loss)
+    return ClientUpdate(cid, ParamVector(names, np.array(msg.values)), msg.loss)
 
 
 class _Server:
@@ -312,7 +306,7 @@ class _Server:
         updates = {}
         for cid, client in self._own.items():
             try:
-                updates[cid] = local_train(client, params, round_index)
+                updates[cid] = local_train(client, params)
             except Exception as exc:
                 raise TrainingError(
                     f"client {cid} failed in round {round_index}: {exc}") from exc
@@ -414,12 +408,12 @@ class SocketFedServer(_Server):
 
 def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
     """The client loop: until DONE or EOF, read one GLOBAL from ``sock`` and
-    answer it with one UPDATE per client, in the order given. A local
-    training that raises, or a GLOBAL whose parameter count is not the
-    model's, is answered with ERROR, then raised again. One
-    thread says ALIVE every KEEPALIVE_S seconds while the loop runs (a
-    thread per training would cost a start and a join per client and
-    round)."""
+    answer it with one UPDATE per client, in the order given, each labelled
+    with the GLOBAL's round. A local training that raises, or a GLOBAL
+    whose parameter count is not the model's, is answered with ERROR, then
+    raised again. One thread says ALIVE every KEEPALIVE_S seconds while the
+    loop runs (a thread per training would cost a start and a join per
+    client and round)."""
     link = _Link(sock)
     done = threading.Event()
 
@@ -440,12 +434,12 @@ def _serve_clients(sock: socket.socket, clients: Sequence[ClientState]) -> None:
             names = clients[0].evaluator.param_names
             for client in clients:
                 try:  # a GLOBAL with the wrong count fails the first client
-                    update = local_train(client, ParamVector(names, msg.values), msg.round)
+                    update = local_train(client, ParamVector(names, msg.values))
                 except Exception as exc:
                     with contextlib.suppress(OSError):
                         link.send(encode_error(client.client_id, msg.round, str(exc)))
                     raise
-                link.send(encode_update(update))
+                link.send(encode_update(msg.round, update))
     finally:
         done.set()
         beat.join()

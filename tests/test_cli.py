@@ -306,6 +306,17 @@ class TestSweepDatasize:
         assert "samples_per_client (7)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # Each size's seed derives from the base seed, so GenConfig checks
+        # the base seed first.
+        out = tmp_path / "m.jsonl"
+        assert main(["sweep-datasize", "--clients", "6", "--qubits", "2",
+                     "--sizes", "4", "--rounds", "1",
+                     "--train-clients", "4", "--test-clients", "2",
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompareIid:
     def test_two_summary_rows_with_scaled_mse(self, tmp_path):
@@ -470,6 +481,19 @@ class TestMetricsSchema:
         with pytest.raises(MetricsSchemaError, match=(
                 f"^{re.escape(str(path))}:2: unknown metrics field 'mystery'$")):
             read_metrics(path)
+
+    def test_a_bad_row_writes_none_of_its_batch(self, tmp_path):
+        row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,
+               "test_accuracy": 0.5, "test_mse": 0.1, "wall_time": 0.0}
+        path = tmp_path / "m.jsonl"
+        metrics.append_rows(path, [row])
+        written = path.read_text()
+        with pytest.raises(MetricsSchemaError, match="unknown row kind 'nope'"):
+            metrics.append_rows(path, [row, {"kind": "nope"}])
+        assert path.read_text() == written
+        with pytest.raises(MetricsSchemaError):
+            metrics.append_rows(tmp_path / "new" / "m.jsonl", [row, {"kind": "nope"}])
+        assert not (tmp_path / "new").exists()
 
     def test_non_finite_numbers_never_written_or_read(self, tmp_path):
         row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,

@@ -63,8 +63,7 @@ def _pv(values):
 
 def _up(values):
     """A ClientUpdate carrying ``_pv(values)``."""
-    return ClientUpdate(client_id="c", round=1, params=_pv(values), num_samples=1,
-                        local_loss=0.0)
+    return ClientUpdate(client_id="c", params=_pv(values), local_loss=0.0)
 
 
 class TestOptimizerStep:
@@ -235,9 +234,9 @@ class TestLocalTrain:
 
     def test_update_metadata(self):
         client, params, _ = self._client(epochs=2, batch_size=4)
-        update = local_train(client, params, round_index=7)
-        assert update.round == 7
-        assert update.num_samples == 16
+        update = local_train(client, params)
+        assert [f.name for f in dataclasses.fields(update)] == \
+            ["client_id", "params", "local_loss"]
         assert update.client_id == client.client_id
         assert update.local_loss >= 0.0
         assert client.epochs_done == 2
@@ -251,7 +250,7 @@ class TestRunRound:
                           seed=3)
         server, clients, ctx = build_run(ds, cfg)
         (fresh,) = build_run(ds, cfg)[1]
-        expected = local_train(fresh, server.params, round_index=1)
+        expected = local_train(fresh, server.params)
         with LocalTransport(clients) as local:
             new_server, record = run_round(server, local, cfg, ctx)
         assert np.allclose(new_server.params.values, expected.params.values)
@@ -263,7 +262,7 @@ class TestRunRound:
         cfg = TrainConfig(rounds=1, train_clients=first, test_clients=(),
                           batch_size=4, seed=5, opt=OptimizerConfig(kind="adam"))
         _evaluator, params, clients = build_clients(ds, cfg, first * 2)
-        ups = [local_train(c, params, round_index=1) for c in clients]
+        ups = [local_train(c, params) for c in clients]
         assert np.array_equal(ups[0].params.values, ups[1].params.values)
         avg = federated_average(ups, [0.5, 0.5])
         assert np.allclose(avg.values, ups[0].params.values, atol=1e-12)
@@ -275,8 +274,7 @@ class TestRunRound:
                           batch_size=4, seed=11)
         server, clients, ctx = build_run(ds, cfg)
         server2, clients2, _ = build_run(ds, cfg)
-        expected_updates = [local_train(c, server2.params, round_index=1)
-                            for c in clients2]
+        expected_updates = [local_train(c, server2.params) for c in clients2]
         expected = federated_average(expected_updates, server2.client_weights)
         with LocalTransport(clients) as local:
             new_server, _record = run_round(server, local, cfg, ctx)
@@ -340,8 +338,7 @@ class TestLocalTransport:
         in_order, reversed_order = runs
         for cid, want in in_order.items():
             got = reversed_order[cid]
-            assert (got.round, got.num_samples, got.local_loss) == \
-                (want.round, want.num_samples, want.local_loss)
+            assert got.local_loss == want.local_loss
             assert np.array_equal(got.params.values, want.params.values)
 
     def test_records_and_states_identical_for_any_helper_count(self, monkeypatch):
@@ -470,10 +467,10 @@ class TestLocalTransport:
         server, clients, ctx = build_run(ds, cfg)
         parent = os.getpid()
 
-        def dying_local_train(client, params, round_index=0):
+        def dying_local_train(client, params):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return local_train(client, params, round_index)
+            return local_train(client, params)
 
         monkeypatch.setattr(transport, "local_train", dying_local_train)
         start = time.monotonic()
@@ -495,10 +492,10 @@ class TestLocalTransport:
         server, clients, ctx = build_run(ds, cfg)
         parent = os.getpid()
 
-        def hanging_local_train(client, params, round_index=0):
+        def hanging_local_train(client, params):
             if os.getpid() != parent:
                 time.sleep(60)
-            return local_train(client, params, round_index)
+            return local_train(client, params)
 
         monkeypatch.setattr(transport, "local_train", hanging_local_train)
         start = time.monotonic()
@@ -516,13 +513,13 @@ class TestLocalTransport:
         cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
                           batch_size=4, seed=1)
         server, clients, _ctx = build_run(ds, cfg)
-        expected = [local_train(c, server.params, 1) for c in build_run(ds, cfg)[1]]
+        expected = [local_train(c, server.params) for c in build_run(ds, cfg)[1]]
         parent = os.getpid()
 
-        def slow_local_train(client, params, round_index=0):
+        def slow_local_train(client, params):
             if os.getpid() != parent:
                 time.sleep(0.6)
-            return local_train(client, params, round_index)
+            return local_train(client, params)
 
         monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.3)
         monkeypatch.setattr(transport, "KEEPALIVE_S", 0.05)
@@ -531,8 +528,7 @@ class TestLocalTransport:
             assert len(multiprocessing.active_children()) == 1
             updates = local.round_trip(1, server.params, list(cfg.train_clients))
         for got, want in zip(updates, expected, strict=True):
-            assert (got.client_id, got.round, got.num_samples, got.local_loss) == \
-                (want.client_id, 1, want.num_samples, want.local_loss)
+            assert (got.client_id, got.local_loss) == (want.client_id, want.local_loss)
             assert np.array_equal(got.params.values, want.params.values)
 
     def test_unknown_client_is_named(self):
@@ -559,7 +555,7 @@ class TestLocalTransport:
         cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
                           batch_size=4, seed=1)
         server, clients, _ctx = build_run(ds, cfg)
-        expected = [local_train(c, server.params, 1) for c in build_run(ds, cfg)[1]]
+        expected = [local_train(c, server.params) for c in build_run(ds, cfg)[1]]
         raised = []
 
         def refused_round():
@@ -580,8 +576,7 @@ class TestLocalTransport:
             # Nothing was sent or trained: the next round is the first.
             updates = local.round_trip(1, server.params, list(cfg.train_clients))
         for got, want in zip(updates, expected, strict=True):
-            assert (got.client_id, got.num_samples, got.local_loss) == \
-                (want.client_id, want.num_samples, want.local_loss)
+            assert (got.client_id, got.local_loss) == (want.client_id, want.local_loss)
             assert np.array_equal(got.params.values, want.params.values)
 
 

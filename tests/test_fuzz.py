@@ -309,11 +309,11 @@ _VALUES = st.lists(_FINITE, min_size=1, max_size=6).map(tuple)
 # ERROR texts as encode_error writes them: one line, single spaces.
 _ERROR_TEXT = st.text(min_size=1, max_size=20).map(
     lambda text: " ".join(text.split())).filter(bool)
+_UPDATE = st.builds(Update, st.integers(-5, 10**6), _CLIENT_ID, _FINITE, _VALUES)
 _MESSAGE = st.one_of(
     st.builds(Hello, _CLIENT_ID, st.just(PROTOCOL_VERSION)),
     st.builds(Global, st.integers(-5, 10**6), _VALUES),
-    st.builds(Update, st.integers(-5, 10**6), _CLIENT_ID, st.integers(0, 10**6),
-              _FINITE, _VALUES),
+    _UPDATE,
     st.builds(Error, _CLIENT_ID, st.integers(-5, 10**6), _ERROR_TEXT),
     st.just(Alive()), st.just(Done()),
 )
@@ -327,9 +327,8 @@ def _encode(msg) -> str:
         return encode_global(msg.round, msg.values)
     if isinstance(msg, Update):
         names = tuple(f"p{i}" for i in range(len(msg.values)))
-        return encode_update(ClientUpdate(msg.client_id, msg.round,
-                                          ParamVector(names, msg.values),
-                                          msg.num_samples, msg.loss))
+        return encode_update(msg.round, ClientUpdate(
+            msg.client_id, ParamVector(names, msg.values), msg.loss))
     if isinstance(msg, Error):
         return encode_error(msg.client_id, msg.round, msg.text)
     return encode_alive() if isinstance(msg, Alive) else encode_done()
@@ -355,6 +354,15 @@ def test_wire_lines_decode_or_raise_typed(line):
 @given(_MESSAGE)
 def test_every_wire_message_round_trips(msg):
     assert decode_message(_encode(msg)) == msg
+
+
+@given(_UPDATE, st.integers(0, 10**6))
+def test_update_with_a_sample_count_is_refused(msg, num_samples):
+    # Protocol v3's UPDATE: <round> <client_id> <num_samples> <loss> <values>.
+    fields = _encode(msg).split(" ")
+    fields.insert(3, str(num_samples))
+    with pytest.raises(ProtocolError, match="bad UPDATE"):
+        decode_message(" ".join(fields))
 
 
 # Wire bytes: encoded messages, arbitrary text (multibyte UTF-8 too) and

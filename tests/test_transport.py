@@ -74,12 +74,10 @@ class TestMessageCodec:
         assert np.array_equal(np.array(msg.values), values)
 
     def test_update_round_trip(self):
-        update = ClientUpdate("c1", 2, ParamVector(("a", "b"),
-                                                   np.array([1.5, -0.25])),
-                              16, 0.125)
-        msg = decode_message(encode_update(update))
-        assert msg == Update(2, "c1", 16, 0.125,
-                             (1.5, -0.25))
+        update = ClientUpdate("c1", ParamVector(("a", "b"), np.array([1.5, -0.25])),
+                              0.125)
+        msg = decode_message(encode_update(2, update))
+        assert msg == Update(2, "c1", 0.125, (1.5, -0.25))
 
     def test_done(self):
         assert decode_message(encode_done()) == Done()
@@ -100,16 +98,25 @@ class TestMessageCodec:
         "UPDATE 1 c 16",
         "GLOBAL x 1.0",
         "WAT 1 2",
-        "UPDATE 1 c x 0.5 1.0",
+        "UPDATE 1 c x 1.0",
         "GLOBAL 1 nan,inf",
         "GLOBAL 1 1.0,-inf",
+        "UPDATE 1 c nan 1.0",
+        "UPDATE 1 c 0.5 nan",
+        "HELLO v2 ",
+        "UPDATE 1  0.5 1.0",
+        "HELLO v2 a\tb",
+        "GLOBAL 1_0 0.5",
+        "UPDATE \u0661 c1 0.5 1.0",
+        "UPDATE 1 c1 0_5 1.0",
+        # Protocol v3's five-field UPDATE, with a sample count, whatever
+        # its fields hold.
+        "UPDATE 1 c 16 0.5 1.0",
+        "UPDATE 1 c x 0.5 1.0",
         "UPDATE 1 c 16 nan 1.0",
         "UPDATE 1 c 16 0.5 nan",
         "UPDATE 1 c -1 0.5 1.0",
-        "HELLO v2 ",
         "UPDATE 1  16 0.5 1.0",
-        "HELLO v2 a\tb",
-        "GLOBAL 1_0 0.5",
         "UPDATE \u0661 c1 1_6 0.5 1.0",
         "ERROR c1 1",
         "ERROR c1 1 ",
@@ -197,6 +204,7 @@ class TestSocketRounds:
 
     @pytest.mark.parametrize("hello, error", [
         ("HELLO v99 c1", "protocol v99"),
+        ("HELLO v3 c1", "client c1 speaks protocol v3, server expects v4"),
         ("HELLO v{v} c0", "duplicate"),
         ("ALIVE", "expected HELLO"),
         ("HELLO", "bad HELLO"),
@@ -227,14 +235,36 @@ class TestSocketRounds:
                 reader = conn.makefile("r")
                 conn.sendall(encode_hello("c1").encode())
                 reader.readline()  # GLOBAL
-                conn.sendall(b"UPDATE 9 c1 4 0.5 0.0\n")
+                conn.sendall(b"UPDATE 9 c1 0.5 0.0\n")
                 reader.readline()
 
         t = threading.Thread(target=impostor)
         t.start()
         try:
             server.wait_for_clients(timeout=5)
-            with pytest.raises(ProtocolError, match="round"):
+            with pytest.raises(ProtocolError, match="client c1 answered round 9, expected 1"):
+                server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
+        finally:
+            server.shutdown()
+            t.join(timeout=5)
+
+    def test_update_from_another_client_rejected(self):
+        server = SocketFedServer(1, ("a",))
+        host, port = server.address
+
+        def impostor():
+            with socket.create_connection((host, port)) as conn:
+                reader = conn.makefile("r")
+                conn.sendall(encode_hello("c1").encode())
+                reader.readline()  # GLOBAL
+                conn.sendall(b"UPDATE 1 c2 0.5 0.0\n")
+                reader.readline()
+
+        t = threading.Thread(target=impostor)
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            with pytest.raises(ProtocolError, match="answer from 'c2' on 'c1''s connection"):
                 server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
         finally:
             server.shutdown()
@@ -249,7 +279,7 @@ class TestSocketRounds:
                 reader = conn.makefile("r")
                 conn.sendall(encode_hello("c1").encode())
                 reader.readline()  # GLOBAL
-                conn.sendall(b"UPDATE 4 c1 4 0.5 0.0,1.0\n")
+                conn.sendall(b"UPDATE 4 c1 0.5 0.0,1.0\n")
                 reader.readline()
 
         t = threading.Thread(target=short)
@@ -273,7 +303,7 @@ class TestSocketRounds:
                 reader = conn.makefile("r")
                 conn.sendall(encode_hello("c1").encode())
                 reader.readline()  # GLOBAL
-                conn.sendall(b"UPDATE 1 c1 4 0.5 0.25\xff\n")
+                conn.sendall(b"UPDATE 1 c1 0.5 0.25\xff\n")
                 reader.readline()
 
         t = threading.Thread(target=garbled)
@@ -301,7 +331,7 @@ class TestSocketRounds:
                 reader = conn.makefile("r")
                 conn.sendall(encode_hello("c1").encode())
                 reader.readline()  # GLOBAL
-                for byte in b"UPDATE 1 c1 4 0.5 0.25\n":
+                for byte in b"UPDATE 1 c1 0.5 0.25\n":
                     time.sleep(0.1)
                     conn.sendall(bytes([byte]))
                 reader.readline()  # DONE
@@ -380,7 +410,7 @@ class TestSocketRounds:
         server = SocketFedServer(1, ("a",))
         try:
             with socket.create_connection(server.address) as conn:
-                conn.sendall(encode_hello("c1").encode() + b"UPDATE 1 c1 4 0.5 0.25\n")
+                conn.sendall(encode_hello("c1").encode() + b"UPDATE 1 c1 0.5 0.25\n")
                 server.wait_for_clients(timeout=5)
                 (update,) = server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
                 assert update.params.values.tolist() == [0.25]
@@ -469,8 +499,7 @@ class TestSocketRounds:
                           batch_size=4, seed=5,
                           opt=OptimizerConfig(kind="adam", learning_rate=0.02))
         params = init_params(default_architecture(2), 1)
-        expected = transport.local_train(_make_client(ds, 0, cfg), params,
-                                         round_index=1)
+        expected = transport.local_train(_make_client(ds, 0, cfg), params)
         real_train = transport.local_train
 
         def slow_train(*args, **kwargs):
@@ -492,9 +521,8 @@ class TestSocketRounds:
             server.shutdown()
             t.join(timeout=10)
         assert not t.is_alive()
-        assert (update.client_id, update.round, update.num_samples,
-                update.local_loss) == (expected.client_id, 1, expected.num_samples,
-                                       expected.local_loss)
+        assert (update.client_id, update.local_loss) == \
+            (expected.client_id, expected.local_loss)
         assert np.array_equal(update.params.values, expected.params.values)
 
 
@@ -507,11 +535,11 @@ def test_client_loop_decodes_each_round_global_once(monkeypatch):
     cfg = TrainConfig(rounds=2, train_clients=ids[:3], test_clients=ids[3:],
                       batch_size=4, seed=3)
     params = [init_params(default_architecture(2), seed) for seed in (1, 2)]
-    expected = []
+    expected = {}
     for i in range(3):
         client = _make_client(ds, i, cfg)
-        expected += [transport.local_train(client, p, r)
-                     for r, p in enumerate(params, start=1)]
+        for r, p in enumerate(params, start=1):
+            expected[ids[i], r] = transport.local_train(client, p)
     decoded = []
     real_decode = transport.decode_message
 
@@ -542,8 +570,9 @@ def test_client_loop_decodes_each_round_global_once(monkeypatch):
     assert not loop.is_alive()
     assert decoded == ["GLOBAL", "GLOBAL", "DONE\n"]
     by_key = {(u.client_id, u.round): u for u in answers}
-    for want in expected:
-        got = by_key[want.client_id, want.round]
+    assert by_key.keys() == expected.keys()
+    for key, want in expected.items():
+        got = by_key[key]
         assert got.loss == want.local_loss
         assert got.values == tuple(want.params.values)
 
