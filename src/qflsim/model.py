@@ -192,7 +192,7 @@ class ParamVector:
         return ParamVector(self.names, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One labeled input: its state-preparation circuit and a binary label."""
 

@@ -54,7 +54,7 @@ _FIXED_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     """One gate application: a kind, target qubits, and (if parametrized)
     either a concrete angle in radians or a named symbol reference.
@@ -127,8 +127,6 @@ class GateOp:
             raise ConfigError(
                 f"{self.kind} {self.targets} has no bound angle to replace")
         out = object.__new__(GateOp)
-        # Fields set in __init__'s order keep the instance as compact as
-        # a constructed one; a copied __dict__ would not be.
         set_field = object.__setattr__
         set_field(out, "kind", self.kind)
         set_field(out, "targets", self.targets)
@@ -145,7 +143,7 @@ def _finite_angle(kind: str, angle) -> float:
     return angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """An ordered gate sequence on ``n_qubits`` indexed qubits."""
 

@@ -48,6 +48,16 @@ about 1.3 times and reads in about 1.2 times a generated file's time
 (2-core machine). A socket worker reads only its own client: it verifies
 the checksum and every client header but parses only that client's
 samples; the server's full read validates every sample.
+
+A write renders, encodes, hashes and writes one client block at a time
+after a placeholder checksum, which it fills in once the body is hashed,
+so it holds one block's text at once: 0.2 times the file's size for a
+generated 30 x 160 file, as tracemalloc counts it. A read checks the
+magic, the checksum and the UTF-8 in the file's bytes without copying
+them, then walks the decoded body line by line with no list of its
+lines. Besides the dataset it returns, which takes about 2.8 times the
+file, it holds the body's text, about 1.0 times the file; a worker's
+read slices no line of another client's samples.
 """
 
 import dataclasses
@@ -56,6 +66,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from operator import indexOf, is_
 from pathlib import Path
 
@@ -73,6 +84,7 @@ from .sim import GATE_ARITY, Circuit, GateOp, PARAMETRIZED_GATES
 CIRCUIT_MAGIC = "QFLCIRC v1"
 DATA_MAGIC = "QFLDATA v1"
 FORMAT_VERSION = 1
+_CHECKSUM_HEX = 16  # checksum characters: the first 64 bits of SHA-256
 
 
 def format_angle(x: float) -> str:
@@ -84,9 +96,9 @@ def format_values(values) -> str:
     return ",".join(map(format_angle, values))
 
 
-def checksum_bytes(data: bytes) -> str:
+def checksum_bytes(data: bytes | memoryview) -> str:
     """First 64 bits of SHA-256, as 16 hex characters."""
-    return hashlib.sha256(data).hexdigest()[:16]
+    return hashlib.sha256(data).hexdigest()[:_CHECKSUM_HEX]
 
 
 def _angle_token(op: GateOp) -> str:
@@ -247,12 +259,13 @@ def parse_number(token: str, kind: type = int):
     return kind(token)
 
 
-def _render_body(ds: FederatedDataset) -> str:
-    lines = [
-        f"format_version={FORMAT_VERSION}",
-        f"n_clients={len(ds.clients)}",
-        _gen_config_line(ds.gen_config),
-    ]
+def _render_body(ds: FederatedDataset):
+    """The body's text in pieces, the header lines and then one client
+    block each, every line ending in its newline; a piece is rendered
+    only once the one before it has been written."""
+    yield (f"format_version={FORMAT_VERSION}\n"
+           f"n_clients={len(ds.clients)}\n"
+           f"{_gen_config_line(ds.gen_config)}\n")
     n_qubits = ds.gen_config.n_qubits
     # texts[k] is the header and the first k op lines of the previous
     # sample's ops, ';'-joined (the module docstring's rule). Ops are
@@ -263,10 +276,10 @@ def _render_body(ds: FederatedDataset) -> str:
     for client in ds.clients:
         if not client_id_ok(client.client_id):
             raise ConfigError(f"client id {client.client_id!r} not storable")
-        lines.append(
+        lines = [
             f"client {client.client_id} {client.distribution_tag.value} "
             f"{len(client.samples)}"
-        )
+        ]
         for sample in client.samples:
             if sample.prep_circuit.n_qubits != n_qubits:
                 raise ConfigError(
@@ -284,21 +297,33 @@ def _render_body(ds: FederatedDataset) -> str:
                 texts.append(f"{texts[-1]};{_op_line(op)}")
             previous = ops
             lines.append(f"s {sample.label} {texts[-1]}")
-    return "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"
 
 
 def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
-    """Write atomically (temp file, then rename) and return a summary. A
-    dataset read_dataset would refuse (a sample with a symbol or with a
-    qubit count other than ``gen_config.n_qubits``) raises ConfigError
-    before anything is written."""
+    """Write atomically (temp file, then rename) and return a summary.
+
+    The body is rendered, hashed and written one client block at a time,
+    after a placeholder checksum that is filled in once the body is
+    hashed. A dataset read_dataset would refuse (a sample with a symbol
+    or with a qubit count other than ``gen_config.n_qubits``) raises
+    ConfigError before the target path is touched, and leaves no
+    temporary file."""
     path = Path(path)
-    body = _render_body(ds).encode("utf-8")
-    checksum = checksum_bytes(body)
+    digest = hashlib.sha256()
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(f"{DATA_MAGIC}\nchecksum={checksum}\n".encode("ascii") + body)
+            fh.write(f"{DATA_MAGIC}\nchecksum=".encode("ascii"))
+            checksum_at = fh.tell()
+            fh.write(b"0" * _CHECKSUM_HEX + b"\n")
+            for piece in _render_body(ds):
+                data = piece.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+            checksum = digest.hexdigest()[:_CHECKSUM_HEX]
+            fh.seek(checksum_at)
+            fh.write(checksum.encode("ascii"))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -398,29 +423,44 @@ def _header_int(line: str, key: str, path) -> int:
 
 def _body_text(path) -> str:
     """The text after the magic and checksum lines of the container at
-    ``path``, once both are checked; the file's bytes are freed on return."""
+    ``path``, once both are checked; the body is checked and decoded in
+    place, and the file's bytes are freed on return."""
     raw = Path(path).read_bytes()
-    head, sep, rest = raw.partition(b"\n")
-    magic = head.decode("utf-8", errors="replace")
-    if not sep or not magic.startswith("QFLDATA v"):
+    end = raw.find(b"\n")
+    if end < 0 or not raw.startswith(b"QFLDATA v"):
         raise DatasetFormatError(f"{path}: not a dataset container")
+    magic = raw[:end].decode("utf-8", errors="replace")
     if magic != DATA_MAGIC:
         raise DatasetVersionError(f"{path}: unsupported container {magic!r}")
-    checksum_line, sep, body = rest.partition(b"\n")
-    if not sep or not checksum_line.startswith(b"checksum="):
+    start, end = end + 1, raw.find(b"\n", end + 1)
+    if end < 0 or not raw.startswith(b"checksum=", start):
         raise DatasetFormatError(f"{path}: missing checksum line")
-    declared = checksum_line[len(b"checksum="):].decode("ascii", errors="replace")
+    declared = raw[start + len(b"checksum="):end].decode("ascii", errors="replace")
+    body = memoryview(raw)[end + 1:]
     actual = checksum_bytes(body)
     if declared != actual:
         raise DatasetCorruptionError(
             f"{path}: checksum mismatch (declared {declared}, actual {actual})"
         )
     try:
-        return body.decode("utf-8")
+        return str(body, "utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(
             f"{path}: body is not UTF-8 (byte {exc.start} after the checksum line)"
         ) from None
+
+
+def _line_spans(text: str):
+    """(start, end) of each line of ``text``, as ``text.split('\\n')``
+    cuts them but for the empty line after a final newline; the lines
+    themselves are left to the caller to slice."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield start, end
+        start = end + 1
 
 
 def read_dataset(path, clients=None) -> FederatedDataset:
@@ -431,25 +471,27 @@ def read_dataset(path, clients=None) -> FederatedDataset:
     count are still checked. Every client stays in file order, so its
     ordinal is unchanged, and the clients not named have no samples.
     """
-    lines = _body_text(path).split("\n")
-    if lines[-1] == "":
-        del lines[-1]  # the body's final newline ends its last line
-    if len(lines) < 3:
+    body = _body_text(path)
+    n_lines = body.count("\n") + (body[-1:] not in ("", "\n"))
+    if n_lines < 3:
         raise DatasetFormatError(f"{path}: truncated body")
-    version = _header_int(lines[0], "format_version", path)
+    spans = _line_spans(body)
+    header = [body[start:end] for start, end in islice(spans, 3)]
+    version = _header_int(header[0], "format_version", path)
     if not 1 <= version <= FORMAT_VERSION:
         raise DatasetVersionError(f"{path}: format_version {version} unsupported")
-    n_clients = _header_int(lines[1], "n_clients", path)
-    if not lines[2].startswith("gen_config "):
+    n_clients = _header_int(header[1], "n_clients", path)
+    if not header[2].startswith("gen_config "):
         raise DatasetFormatError(f"{path}: missing gen_config")
-    gen_config = _parse_gen_config(lines[2])
+    gen_config = _parse_gen_config(header[2])
 
     wanted = None if clients is None else set(clients)
     circuits = _SampleCircuits()
     parsed: list[ClientDataset] = []
-    i = 3  # reported line numbers add 3: the magic and checksum lines
-    while i < len(lines):
-        line = lines[i]
+    i = 3  # the line's index in the body; reported numbers add 3: the
+    # magic and checksum lines come first, and lines count from 1
+    for start, end in spans:
+        line = body[start:end]
         if not line:
             i += 1
             continue
@@ -471,13 +513,15 @@ def read_dataset(path, clients=None) -> FederatedDataset:
             count = -1  # reported below, like a negative count
         if count < 0:
             raise DatasetFormatError(f"line {i + 3}: bad sample count {parts[3]!r}")
-        if i + count >= len(lines):
+        if i + count >= n_lines:
             raise DatasetFormatError(f"{path}: truncated client {client_id}")
-        samples = ()
-        if wanted is None or client_id in wanted:
-            samples = tuple(
-                _parse_sample(lines[idx], idx + 3, gen_config.n_qubits, circuits)
-                for idx in range(i + 1, i + 1 + count))
+        # The block's lines are walked either way; another client's are
+        # never sliced into strings.
+        keep = wanted is None or client_id in wanted
+        samples = tuple(
+            _parse_sample(body[s:e], lineno, gen_config.n_qubits, circuits)
+            for lineno, (s, e) in enumerate(islice(spans, count), start=i + 4)
+            if keep)
         parsed.append(ClientDataset(client_id, samples, dist))
         i += 1 + count
     if len(parsed) != n_clients:

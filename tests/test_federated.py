@@ -642,6 +642,14 @@ class TestEvaluate:
 
 
 class TestRunTraining:
+    def test_train_config_defaults_are_the_papers(self):
+        # The default experiment's local training: one epoch per round,
+        # batch 16, Adam at 0.02; and seed 0.
+        cfg = TrainConfig(rounds=1, train_clients=("a",), test_clients=())
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (1, 16, 0)
+        assert cfg.opt == OptimizerConfig("adam", 0.02)
+        assert (cfg.eval_train, cfg.arch) == (False, None)
+
     def test_zero_rounds_gives_initial_evaluation(self):
         ds = _tiny_dataset()
         ids = ds.client_ids()

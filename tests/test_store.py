@@ -1,7 +1,10 @@
 """Circuit text grammar and the dataset container round trip."""
 
+import gc
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +57,19 @@ def _edit_sample(body, index, old, new):
     at = [i for i, line in enumerate(lines) if line.startswith(b"s ")][index]
     lines[at] = lines[at].replace(old, new, 1)
     return b"\n".join(lines)
+
+
+def _traced(fn):
+    """``fn()``, the peak of the memory it allocated as tracemalloc
+    traces it, and the part of that memory still held on return."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 class TestSerializeCircuit:
@@ -545,6 +561,34 @@ class TestDatasetContainer:
                                         "gen_config keys|bad client id"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("old,new,message", [
+        (b"client_000 uniform_pi 16\n", b"client_000 uniform_pi -1\n",
+         "line 6: bad sample count '-1'"),
+        (b"client_001 uniform_pi 16\n", b"client_001 uniform_pi 1_6\n",
+         "line 23: bad sample count '1_6'"),
+        (b"client_001 uniform_pi", b"client_0$1 uniform_pi",
+         "line 23: bad client id 'client_0$1'"),
+        (b"client_001 uniform_pi", b"client_001 uniform",
+         "line 23: unknown distribution 'uniform'"),
+    ], ids=["first-count", "second-count", "second-id", "second-distribution"])
+    def test_client_header_error_names_its_line(self, tmp_path, old, new, message):
+        # Two clients of 16 samples: the headers are the file's lines 6
+        # and 23 (magic, checksum, three header lines, then the blocks).
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: body.replace(old, new, 1))
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            read_dataset(path)
+
+    def test_last_line_without_its_newline_still_counts(self, tmp_path):
+        # The final newline ends the last line; a body without it keeps
+        # that line, so its last client is not truncated.
+        ds = _tiny_dataset()
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        _rewrite_body(path, lambda body: body[:-1])
+        assert read_dataset(path) == ds
+
     def test_negative_sample_count_in_gen_config_rejected(self, tmp_path):
         # -8 divides by the 8 qubits, so only the sign can refuse it.
         path = tmp_path / "data.qfd"
@@ -604,3 +648,27 @@ class TestDatasetContainer:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_dataset(tmp_path / "nope.qfd")
+
+
+class TestMemory:
+    def test_a_paper_scale_file_costs_its_text_about_once(self, tmp_path):
+        # 30 clients x 160 generated samples, a 0.66 MB file. The write
+        # holds one client block's text at a time (holding the whole
+        # body's text and bytes peaked at 3.4 times the file); the read
+        # holds the body's text, and no list of its lines, while it
+        # builds the dataset (with the list: 1.4 times).
+        ds = generate_federated_dataset(GenConfig(n_clients=30, seed=5))
+        path = tmp_path / "data.qfd"
+        _, write_peak, _ = _traced(lambda: write_dataset(ds, path))
+        size = path.stat().st_size
+        back, read_peak, held = _traced(lambda: read_dataset(path))
+        assert back == ds
+        assert write_peak < 0.5 * size, write_peak / size
+        assert read_peak - held < 1.2 * size, (read_peak - held) / size
+
+    def test_per_sample_values_have_no_instance_dict(self):
+        # A dataset holds one GateOp, Circuit and Sample per sample.
+        op = rx(0, 0.5)
+        circuit = Circuit(1, (h(0),)).then(op.with_angle(0.25))
+        for value in (op, op.with_angle(0.25), circuit, Sample(circuit, 1)):
+            assert not hasattr(value, "__dict__"), type(value)
