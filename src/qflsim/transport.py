@@ -497,7 +497,9 @@ class LocalTransport(_Server):
     Where the platform can pin processes, each helper and then the parent
     run on one core of the parent's affinity mask, dealt round-robin, so
     no two share a core while cores last (the kernel need not move a
-    forked helper off its parent's core). ``shutdown`` stops the helpers
+    forked helper off its parent's core). Pinning moves only the calling
+    thread, so a BLAS thread pool started before qflsim was imported (see
+    ``qflsim/__init__.py``) stays unpinned. ``shutdown`` stops the helpers
     at once, mid-round too, and gives the parent its mask back.
     """
 

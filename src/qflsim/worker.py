@@ -8,13 +8,15 @@ and trains whenever a round is broadcast:
 
 The architecture flags (--stages, --readout-qubit, --fc) are those of
 ``qflsim train`` and must match the server's. Exit codes are those of
-the ``qflsim`` command.
+the ``qflsim`` command: --port must lie in 1-65535, and any other port
+exits 2 before the dataset is read.
 """
 
 import argparse
 
 from .cli import (add_architecture_flags, add_local_training_flags,
                   architecture_from_flags, run_command, train_config)
+from .errors import ConfigError
 from .federated import build_clients
 from .store import read_dataset
 from .transport import run_socket_client
@@ -33,6 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def serve(args) -> int:
+    if not 1 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in 1-65535, got {args.port}")
     dataset = read_dataset(args.dataset, clients=(args.client_id,))
     arch = architecture_from_flags(args, dataset.gen_config.n_qubits)
     cfg = train_config(args, 0, (args.client_id,), (), args.seed, arch=arch)

@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -814,6 +816,20 @@ def test_pinned_run_records(n_qubits, non_iid, seed):
         [checksum for checksum, _mse in GOLDEN_RUNS[n_qubits, non_iid, seed]]
     for record, (_checksum, mse) in zip(records, GOLDEN_RUNS[n_qubits, non_iid, seed]):
         assert record.test_mse == pytest.approx(mse, abs=1e-12)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_pinned_run_records_for_any_blas_thread_count(blas_threads):
+    # The smaller pinned run, in a fresh interpreter whose numpy starts
+    # with the given OpenBLAS thread count.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import test_federated as t; t.test_pinned_run_records(4, 0.5, 12)"],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+             "PYTHONPATH": os.pathsep.join(
+                 [os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _centralized_params(ds, cfg):

@@ -1,6 +1,7 @@
 """Wire protocol: message codec, socket rounds, subprocess workers."""
 
 import argparse
+import os
 import socket
 import subprocess
 import sys
@@ -730,16 +731,41 @@ class TestWorkerProcess:
         assert proc.returncode == 4
         assert err.startswith("error: line is not UTF-8")
 
-    @pytest.mark.parametrize("dataset, client_id, code", [
-        ("tiny.qfd", "ghost", 2),
-        ("missing.qfd", "client_000", 3),
+    @pytest.mark.parametrize("dataset, client_id, code, port", [
+        pytest.param("tiny.qfd", "ghost", 2, "1", id="tiny.qfd-ghost-2"),
+        pytest.param("missing.qfd", "client_000", 3, "1",
+                     id="missing.qfd-client_000-3"),
+        # An out-of-range port is refused before the dataset is read, so
+        # the missing file is never reported (70000 would wrap to 4464).
+        *(pytest.param("missing.qfd", "client_000", 2, port, id=f"port-{port}")
+          for port in ("0", "-1", "65536", "70000")),
     ])
-    def test_bad_config_exit_codes(self, tmp_path, dataset, client_id, code):
+    def test_bad_config_exit_codes(self, tmp_path, dataset, client_id, code, port):
         write_dataset(_tiny_dataset(n_clients=2, samples=8), tmp_path / "tiny.qfd")
         # Fails before connecting, so no server is needed.
         proc = subprocess.run(
-            _worker_cmd("--port", "1", "--dataset", str(tmp_path / dataset),
+            _worker_cmd("--port", port, "--dataset", str(tmp_path / dataset),
                         "--client-id", client_id),
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_worker_starts_with_one_blas_thread(self, preset, expected):
+        # Importing qflsim before numpy asks OpenBLAS for one thread,
+        # unless the caller chose a count.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, qflsim.worker\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+             "if os.path.isdir('/proc/self/task'):\n"
+             "    print(len(os.listdir('/proc/self/task')))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        value, *threads = proc.stdout.split()
+        assert value == expected
+        if preset is None and sys.platform == "linux":
+            assert threads == ["1"]
