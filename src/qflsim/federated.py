@@ -84,7 +84,7 @@ class OptimizerState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
+    step: int
 
     @classmethod
     def zeros(cls, n_params: int) -> "OptimizerState":
@@ -208,23 +208,14 @@ class ClientState:
     epochs_done: int = 0
 
 
-def _shuffle_rng(base_seed: int, seed_key: int, epoch: int) -> np.random.Generator:
-    return stream_rng(base_seed, _SHUFFLE_STREAM, seed_key, epoch)
-
-
-def _diverged(what: str):
-    raise TrainingError(
-        f"local training diverged: {what} not finite; try a lower learning rate")
-
-
 def local_train(client: ClientState, global_params: ParamVector) -> ClientUpdate:
     """Reset to the broadcast parameters, then run the seeded mini-batch
     steps of ``client.cfg`` (epochs, batch size, optimizer, seed).
 
     Mutates the client's moments and epoch counter; returns the final
-    parameters with the mean per-batch loss, or raises TrainingError if
-    either is not finite (the optimizer diverged), at the first step whose
-    parameters are not.
+    parameters with the mean per-batch loss, or raises TrainingError at
+    the first step whose parameters are not finite (the optimizer
+    diverged); a loss of finite parameters is finite, so the mean is too.
     """
     cfg = client.cfg
     n_samples = len(client.data.samples)
@@ -234,8 +225,8 @@ def local_train(client: ClientState, global_params: ParamVector) -> ClientUpdate
     opt_state = client.opt_state
     losses = []
     for _ in range(cfg.epochs):
-        order = _shuffle_rng(
-            cfg.seed, client.seed_key, client.epochs_done
+        order = stream_rng(
+            cfg.seed, _SHUFFLE_STREAM, client.seed_key, client.epochs_done
         ).permutation(n_samples)
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -245,13 +236,13 @@ def local_train(client: ClientState, global_params: ParamVector) -> ClientUpdate
             values, opt_state = optimizer_step(opt_state, values, grad, cfg.opt)
             losses.append(loss)
             if not np.all(np.isfinite(values)):
-                _diverged(f"the parameters after step {len(losses)} are")
+                raise TrainingError(
+                    f"local training diverged: the parameters after step "
+                    f"{len(losses)} are not finite; try a lower learning rate")
         client.epochs_done += 1
     client.opt_state = opt_state
-    mean_loss = float(np.mean(losses))
-    if not math.isfinite(mean_loss):
-        _diverged(f"the mean loss ({mean_loss}) is")
-    return ClientUpdate(client.client_id, global_params.with_values(values), mean_loss)
+    return ClientUpdate(client.client_id, global_params.with_values(values),
+                        float(np.mean(losses)))
 
 
 def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:
@@ -266,10 +257,9 @@ def federated_average(updates: Sequence[ClientUpdate], weights) -> ParamVector:
         )
     if abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ConfigError(f"weights sum to {weights.sum()}, expected 1")
-    names = vectors[0].names
-    n = len(vectors[0])
+    names = vectors[0].names  # a ParamVector has one value per name
     for vec in vectors:
-        if vec.names != names or len(vec) != n:
+        if vec.names != names:
             raise ConfigError("updates carry inconsistent parameter vectors")
     stacked = np.stack([vec.values for vec in vectors])
     return ParamVector(names, weights @ stacked)

@@ -92,7 +92,7 @@ def validate_row(row: dict) -> None:
     if kind == "round" and row["round"] < 0:
         raise MetricsSchemaError("round must be >= 0")
     for key in ("test_accuracy", "train_accuracy", "final_test_accuracy"):
-        if key in row and row[key] is not None and not 0.0 <= row[key] <= 1.0:
+        if key in row and not 0.0 <= row[key] <= 1.0:
             raise MetricsSchemaError(f"{key} out of [0, 1]: {row[key]}")
 
 

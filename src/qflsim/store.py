@@ -311,7 +311,7 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
     temporary file."""
     path = Path(path)
     digest = hashlib.sha256()
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(f"{DATA_MAGIC}\nchecksum=".encode("ascii"))

@@ -344,7 +344,7 @@ class SocketFedServer(_Server):
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
+        return self._listener.getsockname()  # an AF_INET listener: (host, port)
 
     def wait_for_clients(self, timeout: float = 60.0):
         """Accept connections until every expected client said HELLO, or

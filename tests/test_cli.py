@@ -1,5 +1,6 @@
 """End-to-end command-line coverage on tiny datasets."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -39,9 +41,11 @@ class TestGenData:
     def test_writes_dataset_and_summary(self, tmp_path, capsys):
         path = _gen(tmp_path)
         out = capsys.readouterr().out
-        assert "6 clients" in out and "label balance" in out
         ds = read_dataset(path)
         assert len(ds.clients) == 6
+        labels = [s.label for c in ds.clients for s in c.samples]
+        assert "6 clients" in out
+        assert f"label balance {sum(labels) / len(labels):.3f}," in out
 
     def test_same_seed_same_bytes(self, tmp_path):
         a = _gen(tmp_path, "a.qfd")
@@ -93,6 +97,45 @@ class TestGenData:
             assert not (tmp_path / "x.qfd").exists()
 
 
+class TestDefaults:
+    # The paper's setting, which README's commands spell out: 30 clients,
+    # 25 of them training and 5 testing, 30 rounds, seed 42, the sizes
+    # 40-320 and the seeds 1-5.
+    DATASET = ("--dataset", "d.qfd")
+    EXPECTED = {
+        "gen-data": {"clients": 30, "seed": 42, "non_iid_fraction": 0.0},
+        "train": {"rounds": 30, "seed": 42, "train_clients": 25, "test_clients": 5},
+        "sweep-clients": {"rounds": 30, "seed": 42},
+        "sweep-datasize": {"clients": 30, "rounds": 30, "seed": 42,
+                           "sizes": (40, 80, 160, 320), "train_clients": 25,
+                           "test_clients": 5},
+        "compare-iid": {"clients": 30, "rounds": 30, "seed": 42,
+                        "non_iid_fraction": 0.5},
+        "error-bars": {"clients": 30, "rounds": 30, "seeds": (1, 2, 3, 4, 5),
+                       "train_clients": 25, "test_clients": 5},
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_documented_defaults(self, command):
+        extra = self.DATASET if command in ("train", "sweep-clients") else ()
+        args = vars(cli.build_parser().parse_args([command, *extra]))
+        assert {key: args[key] for key in self.EXPECTED[command]} == \
+            self.EXPECTED[command]
+
+    def test_lists_take_their_lower_bound(self):
+        # Seed 0 is a seed; a size must be at least 1, and the refusal
+        # names that bound.
+        parser = cli.build_parser()
+        assert parser.parse_args(["error-bars", "--seeds", "0,1,2"]).seeds == (0, 1, 2)
+        assert parser.parse_args(["sweep-datasize", "--sizes", "1"]).sizes == (1,)
+        with pytest.raises(argparse.ArgumentTypeError, match=">= 1, got '0'"):
+            cli._int_list(1)("0")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "gen-data" in capsys.readouterr().out
+
+
 class TestTrain:
     def test_metrics_rows_and_summary(self, tmp_path, capsys):
         data = _gen(tmp_path)
@@ -119,10 +162,12 @@ class TestTrain:
 
     def test_bad_split_exits_2(self, tmp_path, capsys):
         # Also a negative seed and a learning rate that is not a positive
-        # finite number; none of them may write a metrics row.
+        # finite number; none of them may write a metrics row. A negative
+        # count would slice the client list from its end.
         data = _gen(tmp_path)
         for bad in (["--train-clients", "5"], ["--seed", "-1"], ["--lr", "nan"],
-                    ["--lr", "inf"], ["--lr", "0"]):
+                    ["--lr", "inf"], ["--lr", "0"],
+                    ["--train-clients", "-3", "--test-clients", "1"]):
             args = ["--train-clients", "4", "--test-clients", "2", *bad]
             assert main(["train", "--dataset", str(data), *FAST_TRAIN, *args,
                          "--out", str(tmp_path / "m.jsonl")]) == 2
@@ -195,6 +240,17 @@ class TestTrain:
         first = len(read_metrics(out))
         assert main(args) == 0
         assert len(read_metrics(out)) == 2 * first
+
+    def test_wall_time_is_the_time_since_the_run_began(self, tmp_path):
+        data = _gen(tmp_path)
+        out = tmp_path / "m.jsonl"
+        start = time.perf_counter()
+        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
+                     "--train-clients", "4", "--test-clients", "2",
+                     "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - start
+        times = [row["wall_time"] for row in read_metrics(out)]
+        assert 0.0 <= times[0] <= times[1] <= times[2] <= elapsed
 
     def test_reproducible_apart_from_wall_time(self, tmp_path):
         data = _gen(tmp_path)
@@ -277,6 +333,16 @@ class TestSweepDatasize:
         got = {(r["samples_per_client"], r["centralized"]) for r in summaries}
         assert got == {(4, False), (4, True), (8, False), (8, True)}
 
+    def test_each_size_runs_on_its_pinned_derived_seed(self, tmp_path):
+        # Each size's dataset and runs take a seed derived from the base
+        # seed and the size; these values are what --seed 9 reproduces.
+        out = tmp_path / "m.jsonl"
+        assert main(["sweep-datasize", "--clients", "6", "--qubits", "2",
+                     "--sizes", "4,8", "--rounds", "0", "--train-clients", "4",
+                     "--test-clients", "2", "--seed", "9", "--out", str(out)]) == 0
+        seeds = {(r["samples_per_client"], r["seed"]) for r in read_metrics(out)}
+        assert seeds == {(4, 7832042947134182661), (8, 16540695545387017071)}
+
     def test_indivisible_size_exits_2(self, tmp_path, capsys):
         # Also a non-integer or nonpositive size, which the flag rejects
         # before anything runs.
@@ -330,6 +396,15 @@ class TestCompareIid:
             assert row["final_test_mse_x100"] == pytest.approx(
                 100 * row["final_test_mse"])
 
+    def test_printed_mse_x100_is_the_rows(self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        assert main(["compare-iid", *TINY, *FAST_TRAIN,
+                     "--train-clients", "4", "--test-clients", "2",
+                     "--seed", "4", "--out", str(out)]) == 0
+        printed = re.findall(r"mse_x100=(\S+)", capsys.readouterr().out)
+        summaries = [r for r in read_metrics(out) if r["kind"] == "summary"]
+        assert printed == [f"{r['final_test_mse_x100']:.3f}" for r in summaries]
+
     def test_bad_fraction_fails_before_any_run(self, tmp_path, capsys):
         # The IID run could train; the bad non-IID fraction must still stop
         # the comparison before it.
@@ -381,9 +456,11 @@ class TestErrorBars:
 
     def test_distinct_seeds_aggregate(self, tmp_path):
         out = tmp_path / "m.jsonl"
+        start = time.perf_counter()
         assert main(["error-bars", *TINY, *FAST_TRAIN, "--seeds", "1,2,3",
                      "--train-clients", "4", "--test-clients", "2",
                      "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - start
         rows = read_metrics(out)
         agg = rows[-1]
         finals = [r for r in rows
@@ -406,7 +483,7 @@ class TestErrorBars:
         # The aggregate row's wall_time covers every seed's run.
         summaries = [r for r in rows if r["kind"] == "summary"]
         assert len(summaries) == 4
-        assert agg["wall_time"] >= sum(r["wall_time"] for r in summaries[:-1])
+        assert elapsed >= agg["wall_time"] >= sum(r["wall_time"] for r in summaries[:-1])
 
 
 class TestRunSettings:
@@ -458,6 +535,27 @@ class TestMetricsSchema:
         with pytest.raises(MetricsSchemaError):
             validate_row({"kind": "summary", "experiment": "x",
                           "wall_time": 0.0, "mystery_field": 3})
+
+    def test_number_fields_refuse_bools_and_int_fields_fractions(self):
+        # JSON true is a Python bool, which is an int; neither kind of
+        # number field takes it, and an int field takes no float at all.
+        row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,
+               "test_accuracy": 0.5, "test_mse": 0.1, "wall_time": 0.0}
+        validate_row({**row, "test_mse": 0, "lr": 1, "n_clients": 6})
+        for key, bad in (("seed", True), ("seed", 1.5), ("round", 1.0),
+                         ("n_clients", False), ("test_mse", True)):
+            with pytest.raises(MetricsSchemaError, match=f"field '{key}' expects"):
+                validate_row({**row, key: bad})
+
+    def test_accuracy_bounds_are_inclusive(self):
+        row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,
+               "test_accuracy": 0.5, "test_mse": 0.1, "wall_time": 0.0}
+        for key in ("test_accuracy", "train_accuracy", "final_test_accuracy"):
+            for value in (0.0, 1.0):
+                validate_row({**row, key: value})
+            for value in (-0.01, 1.01):
+                with pytest.raises(MetricsSchemaError, match=f"{key} out of"):
+                    validate_row({**row, key: value})
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

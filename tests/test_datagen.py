@@ -8,6 +8,7 @@ import pytest
 import oracles
 from qflsim.datagen import (
     AngleDistribution,
+    ClientDataset,
     GenConfig,
     client_rng,
     cluster_state_circuit,
@@ -36,6 +37,8 @@ class TestClusterStateCircuit:
 
     def test_three_qubit_state_matches_dense_oracle(self):
         circuit = cluster_state_circuit(3)
+        assert [op.targets for op in circuit.ops if op.kind == "CZ"] == [
+            (0, 1), (1, 2), (2, 0)]
         got = apply_circuit(new_zero_state(3), circuit)
         want = oracles.run_circuit(circuit)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -123,6 +126,12 @@ class TestClientDataset:
             excited = sum(s.label for s in client.samples)
             assert 48 <= excited <= 112
 
+    def test_samples_must_share_a_qubit_count(self):
+        on = {n: _excited_sample(GenConfig(1, n, samples_per_client=0), 0, 0.5)
+              for n in (2, 3)}
+        with pytest.raises(ConfigError, match="share a qubit count"):
+            ClientDataset("c", (on[2], on[3], on[2]), AngleDistribution.UNIFORM_PI)
+
     def test_every_sample_well_formed(self):
         client = generate_client_dataset(GenConfig(n_clients=1, seed=2), 0)
         assert len(client.samples) == 160
@@ -206,8 +215,28 @@ class TestFederatedDataset:
         with pytest.raises(ConfigError):
             generate_federated_dataset(GenConfig(n_clients=2), 1.5)
 
+    def test_fraction_one_skews_every_client(self):
+        ds = generate_federated_dataset(
+            GenConfig(n_clients=3, samples_per_client=8), 1.0)
+        assert {c.distribution_tag for c in ds.clients} == {
+            AngleDistribution.TRUNCATED_NORMAL}
+
 
 class TestGenConfig:
+    def test_defaults_are_the_papers(self):
+        assert GenConfig(n_clients=1) == GenConfig(
+            n_clients=1, n_qubits=8, samples_per_client=160,
+            angle_distribution=AngleDistribution.UNIFORM_PI,
+            trunc_normal_sigma=math.pi / 2, excitation_threshold=math.pi / 2,
+            seed=0)
+
+    def test_zero_samples_allowed_and_sigma_must_be_positive(self):
+        assert GenConfig(n_clients=1, samples_per_client=0).samples_per_client == 0
+        assert GenConfig(n_clients=1, trunc_normal_sigma=0.5).trunc_normal_sigma == 0.5
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="trunc_normal_sigma"):
+                GenConfig(n_clients=1, trunc_normal_sigma=sigma)
+
     def test_samples_must_divide_by_qubits(self):
         with pytest.raises(ConfigError):
             GenConfig(n_clients=1, samples_per_client=100)

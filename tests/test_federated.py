@@ -149,6 +149,11 @@ class TestFederatedAverage:
         with pytest.raises(ConfigError):
             federated_average([], [])
 
+    def test_differently_named_vectors_refused(self):
+        renamed = ClientUpdate("b", ParamVector(("x", "z"), np.zeros(2)), 0.0)
+        with pytest.raises(ConfigError, match="inconsistent parameter vectors"):
+            federated_average([_up([1, 2]), renamed], [0.5, 0.5])
+
     def test_linearity(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -407,6 +412,53 @@ class TestLocalTransport:
             with pytest.raises(ConfigError, match="a model needs at least one gate"):
                 build_run(ds, cfg, in_process=False)
             assert pairs == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs affinity masks")
+    def test_parent_takes_the_core_no_helper_took(self, monkeypatch):
+        # On three cores the two helpers are dealt cores 0 and 1, so the
+        # parent pins itself to core 2. Pinning is recorded, not done.
+        _forced_helpers(monkeypatch, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda _pid, _mask: None)
+        pinned = []
+        monkeypatch.setattr(transport, "_pin_to", pinned.append)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        _server, clients, _ctx = build_run(ds, cfg)
+        with LocalTransport(clients):
+            assert len(multiprocessing.active_children()) == 2
+        assert pinned == [2]
+
+    def test_usable_cores_without_affinity_masks(self, monkeypatch):
+        # Where the platform has no affinity mask, every core counts, and
+        # one when the count is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert transport._usable_cores() == usable
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs affinity masks")
+    def test_a_helper_needs_500_samples_a_process(self, monkeypatch):
+        # On two usable cores a round that trains 1000 samples (2 clients
+        # x 250, 2 epochs) forks a helper, and one of 500 forks none and
+        # leaves the parent's affinity mask as it was.
+        monkeypatch.setattr(transport, "_usable_cores", lambda: 2)
+        ds = _tiny_dataset(n_clients=3, samples=250)
+        ids = ds.client_ids()
+        original = os.sched_getaffinity(0)
+        for epochs, helpers in ((2, 1), (1, 0)):
+            cfg = TrainConfig(rounds=1, train_clients=ids[:2], test_clients=ids[2:],
+                              epochs=epochs, batch_size=250, seed=1)
+            _server, clients, _ctx = build_run(ds, cfg)
+            with LocalTransport(clients):
+                assert len(multiprocessing.active_children()) == helpers
+                mask = os.sched_getaffinity(0)
+            assert os.sched_getaffinity(0) == original
+        assert mask == original
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
@@ -682,9 +734,10 @@ class TestRunTraining:
     def test_empty_split_rejected(self):
         ds = _tiny_dataset()
         ids = ds.client_ids()
-        with pytest.raises(ConfigError):
-            run_training(ds, TrainConfig(rounds=1, train_clients=ids,
-                                         test_clients=(), batch_size=4))
+        for train, test in ((ids, ()), ((), ids)):
+            with pytest.raises(ConfigError, match="must both be nonempty"):
+                run_training(ds, TrainConfig(rounds=1, train_clients=train,
+                                             test_clients=test, batch_size=4))
 
     def test_unknown_client_rejected(self):
         ds = _tiny_dataset()

@@ -231,6 +231,21 @@ class TestPoolUnit:
             pool_unit(0, 1, ["a", "b"])
 
 
+@pytest.mark.parametrize("unit, size", [
+    (lambda symbols: conv_unit(0, 1, symbols), 15),
+    (lambda symbols: pool_unit(0, 1, symbols), 6),
+    (lambda symbols: fc_unit(0, symbols), 3),
+], ids=["conv", "pool", "fc"])
+def test_unit_needs_its_count_of_distinct_symbols(unit, size):
+    # A repeated symbol at the right count is refused as well as a
+    # wrong count.
+    names = [f"s{i}" for i in range(size)]
+    for bad in (names[:-1] + names[:1], names[:-1], names + ["extra"]):
+        with pytest.raises(ConfigError, match=f"needs {size} distinct symbols"):
+            unit(bad)
+    assert len(unit(names)) >= size
+
+
 class TestModelCircuit:
     def test_default_symbol_set(self):
         circuit = build_model_circuit(default_architecture(8))
@@ -830,10 +845,11 @@ class TestParamVector:
         # angles and the first batch shuffle must not replay a dataset
         # client's draws.
         from qflsim.datagen import client_rng
-        from qflsim.federated import _shuffle_rng
+        from qflsim.federated import _SHUFFLE_STREAM
+        from qflsim.model import stream_rng
 
         init = init_params(default_architecture(8), seed).values + INIT_ANGLE_SCALE
-        shuffle = _shuffle_rng(seed, 0, 0).random(63)
+        shuffle = stream_rng(seed, _SHUFFLE_STREAM, 0, 0).random(63)
         assert not np.allclose(init, shuffle)
         for c in range(4):
             draws = client_rng(seed, c).random(63)

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import os
 import re
 import tracemalloc
 
@@ -489,6 +490,28 @@ class TestDatasetContainer:
             write_dataset(ds, tmp_path / "data.qfd")
         assert list(tmp_path.iterdir()) == []
 
+    def test_temporary_file_is_made_beside_the_target(self, tmp_path, monkeypatch):
+        # The rename is atomic only within one file system, so the
+        # temporary file goes in the target's directory, also for a bare
+        # file name.
+        made = []
+        mkstemp = store.tempfile.mkstemp
+
+        def recording(**kwargs):
+            fd, name = mkstemp(**kwargs)
+            made.append(name)
+            return fd, name
+
+        monkeypatch.setattr(store.tempfile, "mkstemp", recording)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for target in ("data.qfd", tmp_path / "sub" / "data.qfd"):
+            write_dataset(_tiny_dataset(), target)
+        assert [os.path.dirname(os.path.abspath(name)) for name in made] == [
+            str(tmp_path), str(tmp_path / "sub")]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "data.qfd", "data.qfd", "sub"]
+
     def test_labels_and_angles_bit_exact(self, tmp_path):
         ds = _tiny_dataset(seed=17)
         path = tmp_path / "data.qfd"
@@ -588,6 +611,20 @@ class TestDatasetContainer:
         write_dataset(ds, path)
         _rewrite_body(path, lambda body: body[:-1])
         assert read_dataset(path) == ds
+
+    def test_blank_lines_between_client_blocks_are_skipped(self, tmp_path):
+        # A blank line still counts for the line numbers after it, and
+        # the last client, after it, is not truncated.
+        ds = _tiny_dataset()
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        _rewrite_body(path, lambda body: body.replace(
+            b"client client_001", b"\nclient client_001", 1) + b"\n")
+        assert read_dataset(path) == ds
+        _rewrite_body(path, lambda body: body.replace(b"client_001 uniform_pi",
+                                                      b"client_0$1 uniform_pi", 1))
+        with pytest.raises(DatasetFormatError, match="^line 24: bad client id"):
+            read_dataset(path)
 
     def test_negative_sample_count_in_gen_config_rejected(self, tmp_path):
         # -8 divides by the 8 qubits, so only the sign can refuse it.

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from qflsim import worker
 from qflsim.cli import add_architecture_flags
 from qflsim.datagen import GenConfig, generate_federated_dataset
 from qflsim.errors import ConfigError, ProtocolError, TrainingError
@@ -739,6 +740,8 @@ class TestWorkerProcess:
         # the missing file is never reported (70000 would wrap to 4464).
         *(pytest.param("missing.qfd", "client_000", 2, port, id=f"port-{port}")
           for port in ("0", "-1", "65536", "70000")),
+        # The range's ends are ports: the missing file is reported.
+        pytest.param("missing.qfd", "client_000", 3, "65535", id="port-65535"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, dataset, client_id, code, port):
         write_dataset(_tiny_dataset(n_clients=2, samples=8), tmp_path / "tiny.qfd")
@@ -749,6 +752,18 @@ class TestWorkerProcess:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert proc.stderr.startswith("error: ")
+
+    def test_flag_defaults_are_a_default_train_configs(self):
+        # A worker given only the required flags trains as a TrainConfig
+        # with its defaults does, on the default architecture.
+        args = worker.build_parser().parse_args(
+            ["--port", "5000", "--dataset", "d.qfd", "--client-id", "c"])
+        cfg = TrainConfig(rounds=0, train_clients=(), test_clients=())
+        assert (args.host, args.seed, args.epochs, args.batch_size,
+                args.optimizer, args.lr) == (
+            "127.0.0.1", cfg.seed, cfg.epochs, cfg.batch_size, cfg.opt.kind,
+            cfg.opt.learning_rate)
+        assert (args.stages, args.readout_qubit, args.fc) == (None, None, False)
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_worker_starts_with_one_blas_thread(self, preset, expected):
