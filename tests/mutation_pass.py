@@ -1,6 +1,6 @@
 """Seeded single-mutant pass over one qflsim module.
 
-    python tests/mutation_pass.py MODULE [--sample N] [--seed S] [--tests FILE ...]
+    python tests/mutation_pass.py MODULE [--sample N] [--seed S]
 
 MODULE is a module of src/qflsim, such as ``store``. A mutant changes one
 site of it: it swaps one comparison, arithmetic or boolean operator, adds 1
@@ -13,10 +13,12 @@ only where it changes keys; without it every site is tried.
 The checkout, without .git and caches, is copied to a temporary
 directory, and only the copy is mutated. Each mutant runs the module's
 test files with ``-x``; a mutant they pass then runs the whole of tests/
-before it counts as a survivor. A run that outlives its time limit
-counts as a kill, so a loaded machine can kill a slow equivalent mutant.
-The pass prints each survivor's line and the module's kill rate. It is
-a script, not a test module, so the test suite never collects it.
+before it counts as a survivor. A run that outlives its time limit is
+stopped and reported as a timeout, apart from the kills: on a loaded
+machine a slow equivalent mutant can time out, so run a timed-out
+mutant's pass again alone before reading it as killed. The pass prints
+each survivor's and each timeout's line and the module's kill rate. It
+is a script, not a test module, so the test suite never collects it.
 Standard library only.
 """
 
@@ -138,8 +140,9 @@ def mutant_source(source: str, index: int) -> str:
     return ast.unparse(tree)
 
 
-def run_pytest(work: Path, args, timeout: float) -> tuple[bool, float, str]:
-    """(passed, seconds, output) of one pytest run in ``work``."""
+def run_pytest(work: Path, args, timeout: float) -> tuple[str, float, str]:
+    """(outcome, seconds, output) of one pytest run in ``work``; the
+    outcome is "passed", "failed" or "timeout"."""
     env = {**os.environ, "PYTHONPATH": str(work / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
@@ -149,10 +152,12 @@ def run_pytest(work: Path, args, timeout: float) -> tuple[bool, float, str]:
         stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
         out, _ = proc.communicate(timeout=timeout)
+        outcome = "passed" if proc.returncode == 0 else "failed"
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         out, _ = proc.communicate()
-    return proc.returncode == 0, time.perf_counter() - start, out
+        outcome = "timeout"
+    return outcome, time.perf_counter() - start, out
 
 
 def main(argv=None) -> int:
@@ -161,15 +166,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sample", type=int, default=None,
                         help="sites to draw (default: every site)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tests", nargs="+", default=None,
-                        help="test files under tests/ (default: the module's)")
     args = parser.parse_args(argv)
 
     name = Path(args.module).stem
     rel = Path("src", "qflsim", f"{name}.py")
     source = (ROOT / rel).read_text(encoding="utf-8")
-    tests = [f"tests/{t}" for t in
-             args.tests or MODULE_TESTS.get(name, [f"test_{name}.py"])]
+    tests = [f"tests/{t}" for t in MODULE_TESTS.get(name, [f"test_{name}.py"])]
     keys = list(site_keys(source))
     order = sorted(range(len(keys)), key=lambda i: hashlib.sha256(
         f"{args.seed}:{name}:{keys[i][2]}".encode()).hexdigest())
@@ -188,29 +190,30 @@ def main(argv=None) -> int:
         # Each run's time limit: three times the unmutated run's, plus 30 s.
         limits = []
         for paths in (tests, ["tests"]):
-            ok, seconds, out = run_pytest(work, paths, timeout=900)
-            if not ok:
-                print(f"the unmutated module fails {' '.join(paths)}; no pass "
-                      f"made:\n{out[-3000:]}")
+            outcome, seconds, out = run_pytest(work, paths, timeout=900)
+            if outcome != "passed":
+                print(f"the unmutated module's run of {' '.join(paths)} "
+                      f"{outcome}; no pass made:\n{out[-3000:]}")
                 return 1
             limits.append(3 * seconds + 30)
-        survivors = []
+        counts = {"failed": 0, "timeout": 0, "passed": 0}
         for n, index in enumerate(chosen, 1):
             lineno, what, _key = keys[index]
             target.write_text(mutant_source(source, index), encoding="utf-8")
-            ok = run_pytest(work, tests, timeout=limits[0])[0]
-            if ok:
-                ok = run_pytest(work, ["tests"], timeout=limits[1])[0]
-            if ok:
-                survivors.append(index)
-                print(f"  SURVIVED {rel}:{lineno}: {what}  |  "
+            outcome = run_pytest(work, tests, timeout=limits[0])[0]
+            if outcome == "passed":
+                outcome = run_pytest(work, ["tests"], timeout=limits[1])[0]
+            counts[outcome] += 1
+            if outcome != "failed":
+                label = "SURVIVED" if outcome == "passed" else "TIMEOUT"
+                print(f"  {label} {rel}:{lineno}: {what}  |  "
                       f"{lines[lineno - 1].strip()}", flush=True)
             elif n % 10 == 0:
                 print(f"  {n}/{len(chosen)} run", flush=True)
-    killed = len(chosen) - len(survivors)
+    killed = counts["failed"]
     print(f"{rel}: {killed} of {len(chosen)} mutants killed "
           f"({100 * killed / max(len(chosen), 1):.1f}%), "
-          f"{len(survivors)} survived")
+          f"{counts['timeout']} timed out, {counts['passed']} survived")
     return 0
 
 
