@@ -53,11 +53,14 @@ A write renders, encodes, hashes and writes one client block at a time
 after a placeholder checksum, which it fills in once the body is hashed,
 so it holds one block's text at once: 0.2 times the file's size for a
 generated 30 x 160 file, as tracemalloc counts it. A read checks the
-magic, the checksum and the UTF-8 in the file's bytes without copying
-them, then walks the decoded body line by line with no list of its
-lines. Besides the dataset it returns, which takes about 2.8 times the
-file, it holds the body's text, about 1.0 times the file; a worker's
-read slices no line of another client's samples.
+magic and the checksum line, hashes the rest of the file in chunks and
+compares the checksum before it parses any line, then reads the open
+file again line by line, decoding each line as it comes. It holds one
+client block's lines at a time: besides the dataset it returns, which
+takes about 2.8 times the file, its peak is about 0.07 times the file on
+a full read and 0.11 times on a worker's one-client read. A line that is
+not UTF-8 is reported when the read reaches it, after any earlier
+malformed line.
 """
 
 import dataclasses
@@ -96,7 +99,7 @@ def format_values(values) -> str:
     return ",".join(map(format_angle, values))
 
 
-def checksum_bytes(data: bytes | memoryview) -> str:
+def checksum_bytes(data: bytes) -> str:
     """First 64 bits of SHA-256, as 16 hex characters."""
     return hashlib.sha256(data).hexdigest()[:_CHECKSUM_HEX]
 
@@ -421,46 +424,38 @@ def _header_int(line: str, key: str, path) -> int:
         raise DatasetFormatError(f"{path}: {key} is not an integer: {line!r}") from None
 
 
-def _body_text(path) -> str:
-    """The text after the magic and checksum lines of the container at
-    ``path``, once both are checked; the body is checked and decoded in
-    place, and the file's bytes are freed on return."""
-    raw = Path(path).read_bytes()
-    end = raw.find(b"\n")
-    if end < 0 or not raw.startswith(b"QFLDATA v"):
+def _body_lines(path, fh):
+    """Each line of the open container ``fh`` after its magic and checksum
+    lines, decoded and without its newline. Both lines are checked, and
+    the rest of the file hashed in chunks against the checksum, before
+    the first line is yielded."""
+    magic = fh.readline()
+    if not magic.endswith(b"\n") or not magic.startswith(b"QFLDATA v"):
         raise DatasetFormatError(f"{path}: not a dataset container")
-    magic = raw[:end].decode("utf-8", errors="replace")
+    magic = magic[:-1].decode("utf-8", errors="replace")
     if magic != DATA_MAGIC:
         raise DatasetVersionError(f"{path}: unsupported container {magic!r}")
-    start, end = end + 1, raw.find(b"\n", end + 1)
-    if end < 0 or not raw.startswith(b"checksum=", start):
+    line = fh.readline()
+    if not line.endswith(b"\n") or not line.startswith(b"checksum="):
         raise DatasetFormatError(f"{path}: missing checksum line")
-    declared = raw[start + len(b"checksum="):end].decode("ascii", errors="replace")
-    body = memoryview(raw)[end + 1:]
-    actual = checksum_bytes(body)
+    declared = line[len(b"checksum="):-1].decode("ascii", errors="replace")
+    start, digest = fh.tell(), hashlib.sha256()
+    while chunk := fh.read(1 << 16):
+        digest.update(chunk)
+    actual = digest.hexdigest()[:_CHECKSUM_HEX]
     if declared != actual:
         raise DatasetCorruptionError(
             f"{path}: checksum mismatch (declared {declared}, actual {actual})"
         )
-    try:
-        return str(body, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(
-            f"{path}: body is not UTF-8 (byte {exc.start} after the checksum line)"
-        ) from None
-
-
-def _line_spans(text: str):
-    """(start, end) of each line of ``text``, as ``text.split('\\n')``
-    cuts them but for the empty line after a final newline; the lines
-    themselves are left to the caller to slice."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        yield start, end
-        start = end + 1
+    fh.seek(start)
+    offset = 0  # of the line in the body
+    for line in fh:
+        try:
+            yield line.decode("utf-8").removesuffix("\n")
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: body is not UTF-8 "
+                                     f"(byte {offset + exc.start} after the checksum line)") from None
+        offset += len(line)
 
 
 def read_dataset(path, clients=None) -> FederatedDataset:
@@ -471,59 +466,54 @@ def read_dataset(path, clients=None) -> FederatedDataset:
     count are still checked. Every client stays in file order, so its
     ordinal is unchanged, and the clients not named have no samples.
     """
-    body = _body_text(path)
-    n_lines = body.count("\n") + (body[-1:] not in ("", "\n"))
-    if n_lines < 3:
-        raise DatasetFormatError(f"{path}: truncated body")
-    spans = _line_spans(body)
-    header = [body[start:end] for start, end in islice(spans, 3)]
-    version = _header_int(header[0], "format_version", path)
-    if not 1 <= version <= FORMAT_VERSION:
-        raise DatasetVersionError(f"{path}: format_version {version} unsupported")
-    n_clients = _header_int(header[1], "n_clients", path)
-    if not header[2].startswith("gen_config "):
-        raise DatasetFormatError(f"{path}: missing gen_config")
-    gen_config = _parse_gen_config(header[2])
+    with open(path, "rb") as fh:
+        lines = _body_lines(path, fh)
+        header = list(islice(lines, 3))
+        if len(header) < 3:
+            raise DatasetFormatError(f"{path}: truncated body")
+        version = _header_int(header[0], "format_version", path)
+        if not 1 <= version <= FORMAT_VERSION:
+            raise DatasetVersionError(f"{path}: format_version {version} unsupported")
+        n_clients = _header_int(header[1], "n_clients", path)
+        if not header[2].startswith("gen_config "):
+            raise DatasetFormatError(f"{path}: missing gen_config")
+        gen_config = _parse_gen_config(header[2])
 
-    wanted = None if clients is None else set(clients)
-    circuits = _SampleCircuits()
-    parsed: list[ClientDataset] = []
-    i = 3  # the line's index in the body; reported numbers add 3: the
-    # magic and checksum lines come first, and lines count from 1
-    for start, end in spans:
-        line = body[start:end]
-        if not line:
-            i += 1
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "client":
-            raise DatasetFormatError(f"line {i + 3}: expected client header")
-        client_id = parts[1]
-        if not client_id_ok(client_id):
-            raise DatasetFormatError(f"line {i + 3}: bad client id {client_id!r}")
-        try:
-            dist = AngleDistribution(parts[2])
-        except ValueError:
-            raise DatasetFormatError(
-                f"line {i + 3}: unknown distribution {parts[2]!r}"
-            ) from None
-        try:
-            count = parse_number(parts[3])
-        except ValueError:
-            count = -1  # reported below, like a negative count
-        if count < 0:
-            raise DatasetFormatError(f"line {i + 3}: bad sample count {parts[3]!r}")
-        if i + count >= n_lines:
-            raise DatasetFormatError(f"{path}: truncated client {client_id}")
-        # The block's lines are walked either way; another client's are
-        # never sliced into strings.
-        keep = wanted is None or client_id in wanted
-        samples = tuple(
-            _parse_sample(body[s:e], lineno, gen_config.n_qubits, circuits)
-            for lineno, (s, e) in enumerate(islice(spans, count), start=i + 4)
-            if keep)
-        parsed.append(ClientDataset(client_id, samples, dist))
-        i += 1 + count
+        wanted = None if clients is None else set(clients)
+        circuits = _SampleCircuits()
+        parsed: list[ClientDataset] = []
+        lineno = 5  # the file's lines: magic, checksum and the three above
+        for line in lines:
+            lineno += 1
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "client":
+                raise DatasetFormatError(f"line {lineno}: expected client header")
+            client_id = parts[1]
+            if not client_id_ok(client_id):
+                raise DatasetFormatError(f"line {lineno}: bad client id {client_id!r}")
+            try:
+                dist = AngleDistribution(parts[2])
+            except ValueError:
+                raise DatasetFormatError(
+                    f"line {lineno}: unknown distribution {parts[2]!r}"
+                ) from None
+            try:
+                count = parse_number(parts[3])
+            except ValueError:
+                count = -1  # reported below, like a negative count
+            if count < 0:
+                raise DatasetFormatError(f"line {lineno}: bad sample count {parts[3]!r}")
+            block = list(islice(lines, count))
+            if len(block) < count:
+                raise DatasetFormatError(f"{path}: truncated client {client_id}")
+            keep = wanted is None or client_id in wanted
+            samples = tuple(
+                _parse_sample(text, n, gen_config.n_qubits, circuits)
+                for n, text in enumerate(block, start=lineno + 1) if keep)
+            parsed.append(ClientDataset(client_id, samples, dist))
+            lineno += count
     if len(parsed) != n_clients:
         raise DatasetFormatError(
             f"{path}: header declares {n_clients} clients, found {len(parsed)}"

@@ -338,13 +338,14 @@ class SocketFedServer(_Server):
         super().__init__()
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
-        self._listener = socket.create_server((host, port))
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((host, port), family=family)
         # Accepted connections without a whole HELLO yet.
         self._pending: list[_Link] = []
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()  # an AF_INET listener: (host, port)
+        return self._listener.getsockname()[:2]
 
     def wait_for_clients(self, timeout: float = 60.0):
         """Accept connections until every expected client said HELLO, or

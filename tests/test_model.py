@@ -803,6 +803,12 @@ class TestGradient:
         with pytest.raises(ConfigError, match="a model needs at least one parameter"):
             ModelEvaluator(Model(arch, fixed), fixed.symbols())
 
+    def test_repeated_parameter_name_refused(self):
+        model = build_model(default_architecture(8))
+        names = parameter_names(model.arch)
+        with pytest.raises(ConfigError, match="^parameter names must be unique$"):
+            ModelEvaluator(model, names + names[:1])
+
     def test_shared_symbol_sums_occurrences(self):
         # Two RX gates sharing one symbol: d<Z>/dt of RX(2t) is -2 sin(2t).
         arch = ArchitectureSpec(2, 0, 0)

@@ -160,6 +160,10 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="line 1"):
             parse_circuit("CIRCUIT qubits=1\nH 0")
 
+    def test_empty_symbol_name(self):
+        with pytest.raises(CircuitParseError, match="^line 2: empty symbol name$"):
+            parse_circuit("QFLCIRC v1 qubits=1\nRX 0 $")
+
     def test_duplicate_targets_rejected(self):
         with pytest.raises(CircuitParseError, match="line 2"):
             parse_circuit("QFLCIRC v1 qubits=2\nCZ 1 1")
@@ -603,6 +607,63 @@ class TestDatasetContainer:
         with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: re.sub(rb"\ns [01] ", b"\ns 2 ", body, count=1),
+         "line 7: label must be 0 or 1"),
+        (lambda body: re.sub(rb"\ns [01] ", b"\ns x ", body, count=1),
+         "line 7: bad label 'x'"),
+        (lambda body: re.sub(rb"\ns ([01]) [^\n]*", rb"\ns \1 QFLCIRC v1 qubits=4;H 0",
+                             body, count=1),
+         "line 7: sample qubit count 4 does not match dataset (8)"),
+        (lambda body: body.replace(b" seed=", b" seed ", 1),
+         "bad gen_config token 'seed'"),
+    ], ids=["label-2", "label-x", "sample-qubits", "gen-config-token"])
+    def test_sample_and_gen_config_errors_name_their_fault(self, tmp_path, edit, message):
+        # The first sample is the file's line 7, after the magic, the
+        # checksum, three header lines and its client's header.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, edit)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"", "not a dataset container"),
+        (b"hello world\n", "not a dataset container"),
+        (b"QFLDATA v1", "not a dataset container"),
+        (b"QFLDATA\nv1\n", "not a dataset container"),
+        (b"QFLDATA v1\n", "missing checksum line"),
+        (b"QFLDATA v1\nformat_version=1\n", "missing checksum line"),
+    ])
+    def test_first_two_lines_checked(self, tmp_path, blob, message):
+        path = tmp_path / "data.qfd"
+        path.write_bytes(blob)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_dataset(path)
+
+    def test_body_not_utf8_names_its_byte(self, tmp_path):
+        # The byte counts from the start of the body; a one-client read
+        # decodes the other clients' lines too.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: body.replace(b"\ns 0 QFLCIRC", b"\ns 0 \xffQFLCIRC", 1))
+        at = path.read_bytes().split(b"\n", 2)[2].index(b"\xff")
+        for clients in (None, ["client_001"]):
+            with pytest.raises(DatasetFormatError, match=(
+                    f"^{re.escape(str(path))}: body is not UTF-8 "
+                    f"\\(byte {at} after the checksum line\\)$")):
+                read_dataset(path, clients=clients)
+
+    def test_repeated_client_id(self, tmp_path):
+        # FederatedDataset's ConfigError, raised as a format error.
+        path = tmp_path / "data.qfd"
+        write_dataset(_tiny_dataset(), path)
+        _rewrite_body(path, lambda body: body.replace(b"client client_001", b"client client_000", 1))
+        for clients in (None, ["client_000"]):
+            with pytest.raises(DatasetFormatError,
+                               match=f"^{re.escape(str(path))}: client ids must be unique$"):
+                read_dataset(path, clients=clients)
+
     def test_last_line_without_its_newline_still_counts(self, tmp_path):
         # The final newline ends the last line; a body without it keeps
         # that line, so its last client is not truncated.
@@ -691,9 +752,10 @@ class TestMemory:
     def test_a_paper_scale_file_costs_its_text_about_once(self, tmp_path):
         # 30 clients x 160 generated samples, a 0.66 MB file. The write
         # holds one client block's text at a time (holding the whole
-        # body's text and bytes peaked at 3.4 times the file); the read
-        # holds the body's text, and no list of its lines, while it
-        # builds the dataset (with the list: 1.4 times).
+        # body's text and bytes peaked at 3.4 times the file). A read,
+        # full or of one client, holds one hashed chunk or one client
+        # block's lines at a time besides the dataset it builds (0.07
+        # and 0.11 times; holding the body's text: 1.02 and 1.89 times).
         ds = generate_federated_dataset(GenConfig(n_clients=30, seed=5))
         path = tmp_path / "data.qfd"
         _, write_peak, _ = _traced(lambda: write_dataset(ds, path))
@@ -701,7 +763,10 @@ class TestMemory:
         back, read_peak, held = _traced(lambda: read_dataset(path))
         assert back == ds
         assert write_peak < 0.5 * size, write_peak / size
-        assert read_peak - held < 1.2 * size, (read_peak - held) / size
+        assert read_peak - held < 0.5 * size, (read_peak - held) / size
+        part, read_peak, held = _traced(lambda: read_dataset(path, clients=("client_003",)))
+        assert part.clients[3] == ds.clients[3]
+        assert read_peak - held < 0.5 * size, (read_peak - held) / size
 
     def test_per_sample_values_have_no_instance_dict(self):
         # A dataset holds one GateOp, Circuit and Sample per sample.

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -131,6 +132,14 @@ class TestMessageCodec:
         with pytest.raises(ProtocolError):
             decode_message(line)
 
+    @pytest.mark.parametrize("line, message", [
+        ("GLOBAL 1 1.0,abc", "bad parameter list '1.0,abc'"),
+        ("HELLO vx c", "bad HELLO version: 'HELLO vx c'"),
+    ])
+    def test_malformed_line_names_its_fault(self, line, message):
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            decode_message(line)
+
 
 class TestSocketRounds:
     def test_socket_run_matches_in_process(self):
@@ -158,6 +167,31 @@ class TestSocketRounds:
             server.shutdown()
             for t in threads:
                 t.join(timeout=10)
+        assert records == reference
+
+    def test_socket_run_over_ipv6_matches_in_process(self):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("::1 cannot be bound here")
+        ds = _tiny_dataset()
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[2:],
+                          batch_size=4, seed=5)
+        reference = run_training(ds, cfg)
+        server = SocketFedServer(1, parameter_names(default_architecture(2)), host="::1")
+        host, port = server.address
+        assert host == "::1"
+        t = threading.Thread(target=run_socket_client,
+                             args=(host, port, _make_client(ds, 0, cfg)))
+        t.start()
+        try:
+            server.wait_for_clients()
+            records = run_training(ds, cfg, transport=server)
+        finally:
+            server.shutdown()
+            t.join(timeout=10)
         assert records == reference
 
     def test_socket_run_with_eval_train_matches_in_process(self, monkeypatch):
@@ -267,6 +301,29 @@ class TestSocketRounds:
         try:
             server.wait_for_clients(timeout=5)
             with pytest.raises(ProtocolError, match="answer from 'c2' on 'c1''s connection"):
+                server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
+        finally:
+            server.shutdown()
+            t.join(timeout=5)
+
+    def test_hello_in_place_of_an_update_rejected(self):
+        server = SocketFedServer(1, ("a",))
+        host, port = server.address
+
+        def again():
+            with socket.create_connection((host, port)) as conn:
+                reader = conn.makefile("r")
+                conn.sendall(encode_hello("c1").encode())
+                reader.readline()  # GLOBAL
+                conn.sendall(encode_hello("c1").encode())
+                reader.readline()
+
+        t = threading.Thread(target=again)
+        t.start()
+        try:
+            server.wait_for_clients(timeout=5)
+            with pytest.raises(ProtocolError, match=re.escape(
+                    f"expected UPDATE from c1, got {Hello('c1', PROTOCOL_VERSION)!r}")):
                 server.round_trip(1, ParamVector(("a",), np.zeros(1)), ["c1"])
         finally:
             server.shutdown()
@@ -642,6 +699,33 @@ def test_client_loop_refuses_a_global_that_is_not_utf8():
         theirs.close()
     assert not loop.is_alive()
     assert raised == ["line is not UTF-8: b'GLOBAL 1 0.5\\xff\\n'"]
+
+
+def test_client_loop_refuses_an_update():
+    ds = _tiny_dataset()
+    ids = ds.client_ids()
+    cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[1:],
+                      batch_size=4, seed=3)
+    client = _make_client(ds, 0, cfg)
+    raised = []
+
+    def serve():
+        try:
+            transport._serve_clients(theirs, [client])
+        except ProtocolError as exc:
+            raised.append(str(exc))
+
+    ours, theirs = socket.socketpair()
+    loop = threading.Thread(target=serve)
+    loop.start()
+    try:
+        ours.sendall(b"UPDATE 1 c1 0.5 1.0\n")
+        loop.join(timeout=10)
+    finally:
+        ours.close()
+        theirs.close()
+    assert not loop.is_alive()
+    assert raised == [f"expected GLOBAL or DONE, got {Update(1, 'c1', 0.5, (1.0,))!r}"]
 
 
 def _worker_cmd(*args):
