@@ -10,7 +10,7 @@ class ConfigError(QflError):
 
 
 class SimulationError(QflError):
-    """Internal inconsistency during circuit evaluation (e.g. dimension mismatch)."""
+    """A state vector whose length does not match the circuit's qubits."""
 
 
 class UnresolvedParameterError(QflError):

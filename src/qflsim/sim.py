@@ -256,15 +256,12 @@ def new_zero_state(n_qubits: int) -> StateVector:
 def apply_matrix(states: np.ndarray, mat: np.ndarray, targets: tuple[int, ...],
                  n_qubits: int) -> np.ndarray:
     """Apply a 2x2 or 4x4 unitary on ``targets`` of a (batch, 2^n) state array
+    (unchecked: every caller passes a gate's own matrix and targets)
     as one (2^k, 2^k) @ (2^k, rest) product: the state is viewed as
     (batch, 2, ..., 2), one axis per qubit with qubit q at axis n - q, and
     the targets' axes are moved to the front in target order, so the first
     target is the high bit of the matrix index."""
     k = len(targets)
-    if k not in (1, 2) or mat.shape != (1 << k, 1 << k):
-        raise SimulationError(
-            f"matrix shape {mat.shape} does not match {k} target(s)"
-        )
     axes = [n_qubits - q for q in targets]
     order = axes + [a for a in range(n_qubits + 1) if a not in axes]
     local = states.reshape((-1,) + (2,) * n_qubits).transpose(order)

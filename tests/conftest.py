@@ -2,9 +2,12 @@
 so every run draws the same examples and the suite's time stays fixed; a
 wall-clock limit per test, so a hang fails its test instead of stalling
 the suite; and a check that no test leaves a child process (such as a
-LocalTransport helper) running."""
+LocalTransport helper or a qflsim.worker subprocess) running."""
 
+import contextlib
+import glob
 import multiprocessing
+import os
 import signal
 
 import pytest
@@ -47,12 +50,30 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+def _child_pids() -> list[int]:
+    """This process's children, as the kernel lists them per thread in
+    /proc/<pid>/task/<tid>/children; none where there is no such file."""
+    pids = []
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with contextlib.suppress(OSError), open(path) as fh:  # a thread ended
+            pids += map(int, fh.read().split())
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_processes():
-    """Fail a test that leaves a multiprocessing child alive, then stop it."""
+    """Fail a test that leaves a child process, such as a multiprocessing
+    helper or a subprocess, alive or unreaped; then stop and reap it."""
     yield
     leaked = multiprocessing.active_children()
     for process in leaked:
         process.kill()
         process.join()
+    others = _child_pids()
+    for pid in others:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
     assert not leaked, f"test left child processes alive: {leaked}"
+    assert not others, f"test left child processes: {others}"

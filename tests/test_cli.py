@@ -84,16 +84,23 @@ class TestGenData:
 
     def test_bad_sample_count_exits_2(self, tmp_path, capsys):
         # Also a non-finite sigma, which would keep the truncated-normal
-        # draw from ever accepting.
-        for bad in (["--samples-per-client", "7"], ["--samples-per-client", "-8"],
-                    ["--samples-per-client", "8", "--sigma", "nan",
-                     "--non-iid-fraction", "1"],
-                    ["--samples-per-client", "8", "--sigma", "inf",
-                     "--non-iid-fraction", "1"]):
+        # draw from ever accepting, and a bad client or qubit count.
+        sigma = "trunc_normal_sigma must be positive and finite"
+        for bad, message in (
+                (["--samples-per-client", "7"],
+                 "samples_per_client (7) must be divisible by n_qubits (2)"),
+                (["--samples-per-client", "-8"],
+                 "samples_per_client must be >= 0, got -8"),
+                (["--samples-per-client", "8", "--sigma", "nan",
+                  "--non-iid-fraction", "1"], sigma),
+                (["--samples-per-client", "8", "--sigma", "inf",
+                  "--non-iid-fraction", "1"], sigma),
+                (["--clients", "-1"], "n_clients must be >= 0, got -1"),
+                (["--qubits", "1"], "n_qubits must be >= 2, got 1")):
             code = main(["gen-data", "--clients", "2", "--qubits", "2", *bad,
                          "--out", str(tmp_path / "x.qfd")])
             assert code == 2
-            assert "error" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "x.qfd").exists()
 
 
@@ -161,17 +168,25 @@ class TestTrain:
         assert [r["kind"] for r in rows] == ["round", "summary"]
 
     def test_bad_split_exits_2(self, tmp_path, capsys):
-        # Also a negative seed and a learning rate that is not a positive
-        # finite number; none of them may write a metrics row. A negative
-        # count would slice the client list from its end.
+        # Also a negative seed or round count, an empty batch and a
+        # learning rate that is not a positive finite number; none of them
+        # may write a metrics row. A negative count would slice the client
+        # list from its end.
         data = _gen(tmp_path)
-        for bad in (["--train-clients", "5"], ["--seed", "-1"], ["--lr", "nan"],
-                    ["--lr", "inf"], ["--lr", "0"],
-                    ["--train-clients", "-3", "--test-clients", "1"]):
+        lr = "learning_rate must be positive and finite"
+        for bad, message in (
+                (["--train-clients", "5"],
+                 "split 5/2 needs more clients than the dataset has (6)"),
+                (["--seed", "-1"], "seed must be a nonnegative integer"),
+                (["--lr", "nan"], lr), (["--lr", "inf"], lr), (["--lr", "0"], lr),
+                (["--train-clients", "-3", "--test-clients", "1"],
+                 "need at least one training and one testing client"),
+                (["--rounds", "-1"], "rounds must be >= 0"),
+                (["--batch-size", "0"], "batch_size must be >= 1")):
             args = ["--train-clients", "4", "--test-clients", "2", *bad]
             assert main(["train", "--dataset", str(data), *FAST_TRAIN, *args,
                          "--out", str(tmp_path / "m.jsonl")]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "m.jsonl").exists()
 
     def test_diverged_training_exits_4_without_nan_rows(self, tmp_path, capsys):
@@ -205,10 +220,16 @@ class TestTrain:
         assert [r["kind"] for r in fc] == ["round", "round", "summary"]
         assert [r["test_mse"] for r in fc[:2]] != [r["test_mse"] for r in plain[:2]]
 
-    def test_bad_stage_count_exits_2(self, tmp_path):
+    def test_bad_stage_count_exits_2(self, tmp_path, capsys):
+        # A 2-qubit model has exactly one stage.
         data = _gen(tmp_path)
-        assert main(["train", "--dataset", str(data), *FAST_TRAIN,
-                     "--stages", "2", "--out", str(tmp_path / "m.jsonl")]) == 2
+        for stages in ("2", "0"):
+            assert main(["train", "--dataset", str(data), *FAST_TRAIN,
+                         "--train-clients", "4", "--test-clients", "2",
+                         "--stages", stages, "--out", str(tmp_path / "m.jsonl")]) == 2
+            assert capsys.readouterr().err == \
+                "error: n_stages must be in [1, 1] for 2 qubits\n"
+            assert not (tmp_path / "m.jsonl").exists()
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert main(["train", "--dataset", str(tmp_path / "nope.qfd"),
@@ -571,14 +592,19 @@ class TestMetricsSchema:
             read_metrics(path)
 
     def test_schema_error_names_its_line(self, tmp_path):
+        # Blank lines are skipped, and still counted.
         row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,
                "test_accuracy": 0.5, "test_mse": 0.1, "wall_time": 0.0}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(row) + "\n"
-                        + json.dumps({**row, "mystery": 3}) + "\n")
-        with pytest.raises(MetricsSchemaError, match=(
-                f"^{re.escape(str(path))}:2: unknown metrics field 'mystery'$")):
-            read_metrics(path)
+        path.write_text(json.dumps(row) + "\n\n  \n" + json.dumps(row) + "\n")
+        assert read_metrics(path) == [row, row]
+        for bad, message in (({**row, "mystery": 3}, "unknown metrics field 'mystery'"),
+                             ([1], "row must be an object, got list"),
+                             ({**row, "round": -1}, "round must be >= 0")):
+            path.write_text(json.dumps(row) + "\n\n" + json.dumps(bad) + "\n")
+            with pytest.raises(MetricsSchemaError, match=(
+                    f"^{re.escape(str(path))}:3: {re.escape(message)}$")):
+                read_metrics(path)
 
     def test_a_bad_row_writes_none_of_its_batch(self, tmp_path):
         row = {"kind": "round", "experiment": "x", "seed": 1, "round": 1,

@@ -194,6 +194,12 @@ class TestLocalTrain:
         with pytest.raises(ConfigError):
             self._client(epochs=0, batch_size=4)
 
+    def test_unknown_client_rejected(self):
+        ds = _tiny_dataset(n_clients=1)
+        cfg = TrainConfig(rounds=1, train_clients=ds.client_ids(), test_clients=())
+        with pytest.raises(ConfigError, match="^unknown client 'client_999'$"):
+            build_clients(ds, cfg, ["client_999"])
+
     def test_tiny_lr_keeps_params_near_global(self):
         client, params, _ = self._client(
             batch_size=4, opt=OptimizerConfig(kind="sgd", learning_rate=1e-300))
@@ -431,6 +437,37 @@ class TestLocalTransport:
         with LocalTransport(clients):
             assert len(multiprocessing.active_children()) == 2
         assert pinned == [2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs affinity masks")
+    def test_a_failed_second_connection_stops_the_first_helper(self, monkeypatch):
+        # The first helper is running when the second socketpair fails:
+        # the transport stops and reaps it, leaves the parent's mask as it
+        # was, and raises the error.
+        _forced_helpers(monkeypatch, 2)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        _server, clients, _ctx = build_run(ds, cfg)
+        real_socketpair = socket.socketpair
+        running = []
+
+        def failing_socketpair(*args):
+            running.extend(p.pid for p in multiprocessing.active_children())
+            if running:
+                raise OSError("no socketpair left")
+            return real_socketpair(*args)
+
+        monkeypatch.setattr(socket, "socketpair", failing_socketpair)
+        original = os.sched_getaffinity(0)
+        with pytest.raises(OSError, match="no socketpair left"):
+            LocalTransport(clients)
+        assert len(running) == 1
+        assert not multiprocessing.active_children()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(running[0], os.WNOHANG)
+        assert os.sched_getaffinity(0) == original
 
     def test_usable_cores_without_affinity_masks(self, monkeypatch):
         # Where the platform has no affinity mask, every core counts, and

@@ -370,6 +370,10 @@ class TestPrepStates:
         with pytest.raises(ConfigError, match="sample on 4 qubits, model expects 8"):
             ev.prepare([good, Sample(cluster_state_circuit(4), 0)])
 
+    def test_sample_label_is_zero_or_one(self):
+        with pytest.raises(ConfigError, match="^label must be 0 or 1, got 2$"):
+            Sample(Circuit(1), 2)
+
     def test_grouped_preparation_matches_per_sample_simulation(self):
         # Generated samples share their cluster prefix and differ in the
         # excitation target and angle; random circuits share nothing.

@@ -113,6 +113,10 @@ class TestGateOpValidation:
         with pytest.raises(ConfigError):
             GateOp("RX", (0,), angle=0.5, sign=-1)
 
+    def test_symbol_sign_is_plus_or_minus_one(self):
+        with pytest.raises(ConfigError, match="^sign must be \\+1 or -1, got 2$"):
+            rx(0, symbol="a", sign=2)
+
     @pytest.mark.parametrize("kind,targets,sign", [("H", (0,), 5), ("CNOT", (0, 1), -1),
                                                    ("CZ", (1, 0), 0)])
     def test_fixed_gate_with_sign(self, kind, targets, sign):

@@ -168,6 +168,15 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="line 2"):
             parse_circuit("QFLCIRC v1 qubits=2\nCZ 1 1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("QFLCIRC v1 qubits=0", "line 1: n_qubits must be in [1, 16], got 0"),
+        ("QFLCIRC v1 qubits=17", "line 1: n_qubits must be in [1, 16], got 17"),
+        ("QFLCIRC v1 qubits=2\nH -1", "line 2: negative qubit index in (-1,)"),
+    ])
+    def test_bad_qubit_count_or_index_names_its_line(self, text, message):
+        with pytest.raises(CircuitParseError, match=f"^{re.escape(message)}$"):
+            parse_circuit(text)
+
     def test_read_reports_the_line_of_a_bad_gate_after_repeats(self, tmp_path):
         # The third sample's CZ 7 0 (circuit line 17) becomes CZ 7 7, after
         # two samples whose lines were all parsed already.

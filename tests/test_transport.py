@@ -463,6 +463,20 @@ class TestSocketRounds:
         finally:
             server.shutdown()
 
+    def test_shutdown_closes_a_connection_without_a_whole_hello(self):
+        server = SocketFedServer(1, ("a",))
+        try:
+            with socket.create_connection(server.address) as conn:
+                conn.sendall(f"HELLO v{PROTOCOL_VERSION} c1".encode())
+                with pytest.raises(TimeoutError):
+                    server.wait_for_clients(timeout=0.1)
+                assert len(server._pending) == 1
+                server.shutdown()
+                conn.settimeout(5)
+                assert conn.recv(1) == b""
+        finally:
+            server.shutdown()
+
     def test_bytes_after_hello_stay_with_the_link(self):
         # The HELLO is read up to its newline only, so an UPDATE sent in
         # the same packet is the link's first line.
