@@ -192,16 +192,23 @@ class ParamVector:
         return ParamVector(self.names, values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sample:
     """One labeled input: its state-preparation circuit and a binary label."""
 
     prep_circuit: Circuit
     label: int
 
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ConfigError(f"label must be 0 or 1, got {self.label}")
+    def __init__(self, prep_circuit: Circuit, label: int):
+        # A dataset holds one per sample: the slots' own setters skip the
+        # name lookups of a frozen dataclass's generated __init__.
+        if label not in (0, 1):
+            raise ConfigError(f"label must be 0 or 1, got {label}")
+        _SET_PREP_CIRCUIT(self, prep_circuit)
+        _SET_LABEL(self, label)
+
+
+_SET_PREP_CIRCUIT, _SET_LABEL = (vars(Sample)[name].__set__ for name in Sample.__slots__)
 
 
 def conv_unit(q_a: int, q_b: int, symbols: Sequence[str]) -> tuple[GateOp, ...]:
@@ -341,14 +348,13 @@ def _fuse_blocks(ops: Sequence[GateOp],
     return [(tuple(sorted(qubits, reverse=True)), run) for qubits, run in blocks]
 
 
-def _embed(mat: np.ndarray, targets: tuple[int, ...],
-           qubits: tuple[int, ...]) -> np.ndarray:
-    """A gate's 4x4 matrix in its block's basis, the block's first qubit
-    the high bit."""
-    if len(targets) == 2:
-        return mat if targets == qubits else \
+def _embed(mat: np.ndarray, local: tuple[int, ...]) -> np.ndarray:
+    """A gate's 4x4 matrix in its block's basis, given the places of its
+    targets among the block's two qubits, the first qubit the high bit."""
+    if len(local) == 2:
+        return mat if local == (0, 1) else \
             mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    if targets[0] == qubits[0]:
+    if local == (0,):
         return np.kron(mat, np.eye(2))
     return np.kron(np.eye(2), mat)
 
@@ -501,14 +507,26 @@ class ModelEvaluator:
         sin_part = np.zeros(shape + (4, 4), dtype=complex)
         self._sign = np.zeros(shape)
         self._param = np.full(shape, -1, dtype=np.int64)
+        # A fixed gate's matrix or a symbol's generator, embedded once per
+        # kind and local targets; a bound angle's rotation on its own.
+        embedded: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
         for k, (qubits, run) in enumerate(kind_runs):
             for j, op in enumerate(run):
+                local = tuple(map(qubits.index, op.targets))
+                if op.angle is not None:
+                    cos_part[j, k] = _embed(gate_matrix(op), local)
+                    continue
+                mat = embedded.get((op.kind, local))
+                if mat is None:
+                    mat = embedded[op.kind, local] = _embed(
+                        gate_matrix(op) if op.symbol is None else PAULI_GENERATORS[op.kind],
+                        local)
                 if op.symbol is None:
-                    cos_part[j, k] = _embed(gate_matrix(op), op.targets, qubits)
+                    cos_part[j, k] = mat
                     continue
                 if op.symbol not in name_to_idx:
                     raise ConfigError(f"model symbol {op.symbol!r} not in parameters")
-                sin_part[j, k] = -1j * _embed(PAULI_GENERATORS[op.kind], op.targets, qubits)
+                sin_part[j, k] = -1j * mat
                 self._param[j, k] = name_to_idx[op.symbol]
                 self._sign[j, k] = op.sign
         self._cos_part = _real_form(cos_part)
@@ -648,8 +666,9 @@ class ModelEvaluator:
         states: list[np.ndarray] = []
         # Rows of this call's states: a prefix's by its ops, a G C's (its
         # polarisation state follows it) by (prefix row, kind, targets).
+        # ``rows`` holds each sample's three rows in turn.
         row_of: dict[tuple, int] = {}
-        rows: list[tuple[int, int, int]] = []
+        rows: list[int] = []
         angles: list[float] = []
         prefix = None
         for sample in samples:
@@ -669,7 +688,7 @@ class ModelEvaluator:
                 if c == len(states):  # a symbolic gate raises here
                     states.append(apply_circuit(new_zero_state(n), Circuit(n, head)))
             if not rotation:
-                rows.append((c, c, c))
+                rows += (c, c, c)
                 angles.append(0.0)
                 continue
             op = ops[-1]
@@ -681,7 +700,7 @@ class ModelEvaluator:
                 psi = states[c]
                 flipped = apply_matrix(psi[None], PAULI_GENERATORS[op.kind], op.targets, n)[0]
                 states += [flipped, np.sqrt(0.5) * (psi - 1j * flipped)]
-            rows.append((c, g, g + 1))
+            rows += (c, g, g + 1)
             angles.append(op.angle)
         half = 0.5 * np.array(angles)
         basis = np.array(states, dtype=complex).reshape(-1, 1 << n)

@@ -127,13 +127,19 @@ class GateOp:
             raise ConfigError(
                 f"{self.kind} {self.targets} has no bound angle to replace")
         out = object.__new__(GateOp)
-        set_field = object.__setattr__
-        set_field(out, "kind", self.kind)
-        set_field(out, "targets", self.targets)
-        set_field(out, "angle", _finite_angle(self.kind, angle))
-        set_field(out, "symbol", self.symbol)
-        set_field(out, "sign", self.sign)
+        _SET_KIND(out, self.kind)
+        _SET_TARGETS(out, self.targets)
+        _SET_ANGLE(out, _finite_angle(self.kind, angle))
+        _SET_SYMBOL(out, self.symbol)
+        _SET_SIGN(out, self.sign)
         return out
+
+
+# The slots' own setters, for the copies with_angle makes: a frozen
+# dataclass refuses setattr, and object.__setattr__ would look each name
+# up again. Circuit's below serve Circuit.then alike.
+_SET_KIND, _SET_TARGETS, _SET_ANGLE, _SET_SYMBOL, _SET_SIGN = (
+    vars(GateOp)[name].__set__ for name in GateOp.__slots__)
 
 
 def _finite_angle(kind: str, angle) -> float:
@@ -162,15 +168,15 @@ class Circuit:
             if max(op.targets) >= n:
                 raise _out_of_range(op, n)
 
-    def then(self, *ops: GateOp) -> "Circuit":
-        """``Circuit(n_qubits, self.ops + ops)``, range-checking only
-        ``ops``: this circuit's own ops passed the constructor's check."""
-        for op in ops:
-            if max(op.targets) >= self.n_qubits:
-                raise _out_of_range(op, self.n_qubits)
+    def then(self, op: GateOp) -> "Circuit":
+        """``Circuit(n_qubits, self.ops + (op,))``, range-checking only
+        ``op``: this circuit's own ops passed the constructor's check."""
+        n = self.n_qubits
+        if max(op.targets) >= n:
+            raise _out_of_range(op, n)
         out = object.__new__(Circuit)
-        object.__setattr__(out, "n_qubits", self.n_qubits)
-        object.__setattr__(out, "ops", self.ops + ops)
+        _SET_N_QUBITS(out, n)
+        _SET_OPS(out, self.ops + (op,))
         return out
 
     def symbols(self) -> tuple[str, ...]:
@@ -180,6 +186,9 @@ class Circuit:
             if op.symbol is not None and op.symbol not in seen:
                 seen[op.symbol] = None
         return tuple(seen)
+
+
+_SET_N_QUBITS, _SET_OPS = (vars(Circuit)[name].__set__ for name in Circuit.__slots__)
 
 
 def _out_of_range(op: GateOp, n_qubits: int) -> ConfigError:

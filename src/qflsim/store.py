@@ -35,19 +35,22 @@ list to that run and handles each op or line after it alone, appending
 its prefix. A write keeps each prefix's text, so it renders only the ops
 after the shared run. A read keeps each prefix's text and circuit, so it
 parses only the lines after the shared run; a sample that shares no
-line, the first or one with a new header, is parsed whole. A line whose
-tokens but its angle match a line parsed before under the same header
-takes that checked op as a template: a fixed gate is that op, a rotation
-a copy with its own angle (``GateOp.with_angle``). So a read checks each
-kind and target set about once, not once per sample. Every generated
-sample is the same cluster-state head plus one RX line, so a generated
-file costs one gate line per sample either way. On 30 clients x 160
-samples, a file whose samples are the cluster state, an RX and an H, so
-that no two heads are equal, costs two lines per sample: it writes in
-about 1.3 times and reads in about 1.2 times a generated file's time
-(2-core machine). A socket worker reads only its own client: it verifies
-the checksum and every client header but parses only that client's
-samples; the server's full read validates every sample.
+line, the first or one with a new header, is parsed whole. A line spelt
+as written, one space between tokens, whose text but its angle matches
+a line parsed before under the same header takes that checked op as a
+template: a fixed gate is that op, a rotation a copy with its own angle
+(``GateOp.with_angle``). So a read checks each kind and target set
+about once, not once per sample, and a copied angle once for its form
+and once for finiteness. Every generated sample is the same
+cluster-state head plus one RX line, so a generated file costs one gate
+line per sample either way. On 30 clients x 160 samples, a file whose
+samples are the cluster state, an RX and an H, so that no two heads are
+equal, costs two lines per sample: it writes in about 1.25 times a
+generated file's time (16 against 13 ms) and reads in about 1.25 times
+(28 against 22 ms), best of 9 on a 2-core machine. A socket worker
+reads only its own client: it verifies the checksum and every client
+header but parses only that client's samples; the server's full read
+validates every sample.
 
 A write renders, encodes, hashes and writes one client block at a time
 after a placeholder checksum, which it fills in once the body is hashed,
@@ -250,6 +253,8 @@ _NUMBER_FORMS = {
     int: re.compile(r"0|-?[1-9][0-9]*"),
     float: re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?|-?inf|nan"),
 }
+_FLOAT_FORM = _NUMBER_FORMS[float].fullmatch
+_LABELS = {"0": 0, "1": 1}  # the labels parse_number reads as 0 or 1
 
 
 def parse_number(token: str, kind: type = int):
@@ -340,79 +345,95 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
     )
 
 
-class _SampleCircuits:
-    """parse_circuit over the ';'-joined circuit texts of one read's
-    samples, in file order, each without a symbol; the module docstring
-    gives the rule. ``texts[k]`` is the previous sample's header and
-    first k lines, each followed by its ';', and ``circuits[k]`` is the
-    circuit of those lines. A sample that shares no line with them is
-    parsed whole, and the lists restart from its header. Each line after
-    the shared run is parsed alone: a line parses the same in any circuit
-    with the same qubit count, so the first line that fails is the one a
-    whole parse reports, with the same error. A rotation copied from a
-    template has its angle token parsed and checked as ``_parse_op``
-    does. Tokens spell each number one way, so the templates number at
-    most one per kind and target set.
+class _SampleReader:
+    """The samples of one read's sample lines, in file order, each
+    without a symbol, their circuit texts ';'-joined; each reads as
+    parse_circuit reads its text, under the module docstring's rule.
+    ``texts[k]`` is the previous sample's header and first k lines, each
+    followed by its ';', and ``circuits[k]`` is the circuit of those
+    lines. A sample that shares no line with them is parsed whole, and
+    the lists restart from its header. Each line after the shared run is
+    parsed alone: a line parses the same in any circuit with the same
+    qubit count, so the first line that fails is the one a whole parse
+    reports, with the same error. A line spelt as written, one space
+    between tokens, is parsed once per header: ``fixed`` keeps a fixed
+    gate's op by its line, and ``rotations`` a rotation's by its line but
+    the angle, which a later line copies with its own angle. A copied
+    angle is checked once for its form and once for finiteness
+    (``GateOp.with_angle``), and a label is looked up; a token that
+    either refuses is parsed as a whole parse does, which raises that
+    parse's error.
     """
 
-    def __init__(self):
+    def __init__(self, n_qubits: int):
+        self.n_qubits = n_qubits
         self.texts: list[str] = []
         self.circuits: list[Circuit] = []
-        self.templates: dict[tuple[str, ...], GateOp] = {}  # see _op
+        self.fixed: dict[str, GateOp] = {}
+        self.rotations: dict[str, GateOp] = {}
 
-    def parse(self, text: str) -> Circuit:
-        text += ";"  # so that the last line, too, ends as in texts
+    def samples(self, lines, lineno: int) -> tuple[Sample, ...]:
+        """The samples of ``lines``, the first on file line ``lineno``."""
         texts, circuits = self.texts, self.circuits
-        k = len(texts)
-        while k and not text.startswith(texts[k - 1]):
-            k -= 1
-        if k:
-            del texts[k:], circuits[k:]
-        else:
-            n_qubits = parse_circuit(text[:-1].replace(";", "\n")).n_qubits
-            texts[:], circuits[:] = [text[:text.index(";") + 1]], [Circuit(n_qubits, ())]
-            self.templates.clear()  # checked for another header's qubit count
-        n_qubits = circuits[0].n_qubits
-        lines = text[len(texts[-1]):].split(";")[:-1]
-        for lineno, line in enumerate(lines, start=len(texts) + 1):
-            stripped = line.strip()
-            circuits.append(circuits[-1].then(self._op(stripped, lineno, n_qubits))
-                            if stripped else circuits[-1])
-            texts.append(f"{texts[-1]}{line};")
-        return circuits[-1]
-
-    def _op(self, line: str, lineno: int, n_qubits: int) -> GateOp:
-        tokens = line.split()
-        rotation = tokens[0] in PARAMETRIZED_GATES
-        key = tuple(tokens[:-1] if rotation else tokens)
-        template = self.templates.get(key)
-        if template is None:
-            template = self.templates[key] = _parse_op(line, lineno, n_qubits)
-        elif rotation:
-            return template.with_angle(_parse_angle_token(tokens[-1], lineno)[0])
-        return template
-
-
-def _parse_sample(line: str, lineno: int, n_qubits: int,
-                  circuits: _SampleCircuits) -> Sample:
-    parts = line.split(" ", 2)
-    if len(parts) != 3 or parts[0] != "s":
-        raise DatasetFormatError(f"line {lineno}: bad sample line")
-    try:
-        label = parse_number(parts[1])
-    except ValueError:
-        raise DatasetFormatError(f"line {lineno}: bad label {parts[1]!r}") from None
-    if label not in (0, 1):
-        raise DatasetFormatError(f"line {lineno}: label must be 0 or 1")
-    if "$" in parts[2]:
-        raise DatasetFormatError(f"line {lineno}: sample circuit has a symbol")
-    circuit = circuits.parse(parts[2])
-    if circuit.n_qubits != n_qubits:
-        raise DatasetFormatError(
-            f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
-            f"match dataset ({n_qubits})"
-        )
-    return Sample(circuit, label)
+        fixed, rotations = self.fixed, self.rotations
+        dataset_qubits, out = self.n_qubits, []
+        for lineno, line in enumerate(lines, lineno):
+            parts = line.split(" ", 2)
+            if len(parts) != 3 or parts[0] != "s":
+                raise DatasetFormatError(f"line {lineno}: bad sample line")
+            label = _LABELS.get(parts[1])
+            if label is None:
+                try:
+                    parse_number(parts[1])
+                except ValueError:
+                    raise DatasetFormatError(f"line {lineno}: bad label {parts[1]!r}") from None
+                raise DatasetFormatError(f"line {lineno}: label must be 0 or 1")
+            text = parts[2] + ";"  # so that the last line, too, ends as in texts
+            if "$" in text:
+                raise DatasetFormatError(f"line {lineno}: sample circuit has a symbol")
+            k = len(texts)
+            while k and not text.startswith(texts[k - 1]):
+                k -= 1
+            if k:
+                del texts[k:], circuits[k:]
+            else:
+                n_qubits = parse_circuit(text[:-1].replace(";", "\n")).n_qubits
+                texts[:], circuits[:] = [text[:text.index(";") + 1]], [Circuit(n_qubits, ())]
+                fixed.clear()  # checked for another header's qubit count
+                rotations.clear()
+                k = 1
+            circuit = circuits[-1]
+            end = len(texts[-1])
+            for n, op_line in enumerate(text[end:].split(";")[:-1], k + 1):
+                stripped = op_line.strip()
+                if stripped:
+                    head, _, token = stripped.rpartition(" ")
+                    op = rotations.get(head)
+                    if op is not None:
+                        try:
+                            op = _FLOAT_FORM(token) and op.with_angle(float(token))
+                        except ConfigError:  # not finite
+                            op = None
+                    else:
+                        op = fixed.get(stripped)
+                    if op is None:  # a new line, or an angle refused above
+                        op = _parse_op(stripped, n, circuit.n_qubits)
+                        if stripped == " ".join(stripped.split()):
+                            if op.angle is None:
+                                fixed[stripped] = op
+                            else:
+                                rotations[head] = op
+                    circuit = circuit.then(op)
+                end += len(op_line) + 1
+                texts.append(text[:end])
+                circuits.append(circuit)
+            if circuit.n_qubits != dataset_qubits:
+                raise DatasetFormatError(
+                    f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
+                    f"match dataset ({dataset_qubits})"
+                )
+            out.append(Sample(circuit, label))
+        return tuple(out)
 
 
 def _header_int(line: str, key: str, path) -> int:
@@ -448,14 +469,13 @@ def _body_lines(path, fh):
             f"{path}: checksum mismatch (declared {declared}, actual {actual})"
         )
     fh.seek(start)
-    offset = 0  # of the line in the body
     for line in fh:
         try:
             yield line.decode("utf-8").removesuffix("\n")
         except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"{path}: body is not UTF-8 "
-                                     f"(byte {offset + exc.start} after the checksum line)") from None
-        offset += len(line)
+            at = fh.tell() - len(line) - start + exc.start
+            raise DatasetFormatError(
+                f"{path}: body is not UTF-8 (byte {at} after the checksum line)") from None
 
 
 def read_dataset(path, clients=None) -> FederatedDataset:
@@ -480,7 +500,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
         gen_config = _parse_gen_config(header[2])
 
         wanted = None if clients is None else set(clients)
-        circuits = _SampleCircuits()
+        reader = _SampleReader(gen_config.n_qubits)
         parsed: list[ClientDataset] = []
         lineno = 5  # the file's lines: magic, checksum and the three above
         for line in lines:
@@ -509,9 +529,7 @@ def read_dataset(path, clients=None) -> FederatedDataset:
             if len(block) < count:
                 raise DatasetFormatError(f"{path}: truncated client {client_id}")
             keep = wanted is None or client_id in wanted
-            samples = tuple(
-                _parse_sample(text, n, gen_config.n_qubits, circuits)
-                for n, text in enumerate(block, start=lineno + 1) if keep)
+            samples = reader.samples(block, lineno + 1) if keep else ()
             parsed.append(ClientDataset(client_id, samples, dist))
             lineno += count
     if len(parsed) != n_clients:

@@ -338,7 +338,11 @@ class SocketFedServer(_Server):
         super().__init__()
         self.param_names = tuple(param_names)
         self.n_clients = n_clients
-        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        try:  # an IPv4 address needs no name lookup, which costs memory
+            socket.inet_pton(socket.AF_INET, host)
+            family = socket.AF_INET
+        except OSError:
+            family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
         self._listener = socket.create_server((host, port), family=family)
         # Accepted connections without a whole HELLO yet.
         self._pending: list[_Link] = []

@@ -6,9 +6,11 @@ MODULE is a module of src/qflsim, such as ``store``. A mutant changes one
 site of it: it swaps one comparison, arithmetic or boolean operator, adds 1
 to one integer constant, or negates one ``if``. Docstrings and annotations
 are never mutated. ``--sample N`` draws the N sites that rank first by a
-hash of the seed and each site's key (its change, the source text of its
-node and how many earlier sites share both), so an edit changes the draw
-only where it changes keys; without it every site is tried.
+hash of the seed and each site's key (the qualified name of the function
+that holds it, its change, the source text of its node and how many
+earlier sites of that function share all three), so an edit changes the
+draw only where it changes keys, within the functions it touches;
+without it every site is tried.
 
 The checkout, without .git and caches, is copied to a temporary
 directory, and only the copy is mutated. Each mutant runs the module's
@@ -70,10 +72,14 @@ SYMBOLS = {
 }
 
 
-def _nodes(node):
-    """Every node under ``node`` in a fixed order, leaving out docstrings
-    and annotations."""
-    yield node
+def _nodes(node, scope="<module>"):
+    """(node, scope) for every node under ``node`` in a fixed order,
+    leaving out docstrings and annotations. The scope is the qualified
+    name of the innermost function or class that holds the node, as
+    ``Class.method``, or ``<module>``."""
+    yield node, scope
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
     body = getattr(node, "body", None)
     docstring = (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                    ast.AsyncFunctionDef))
@@ -87,25 +93,26 @@ def _nodes(node):
             if docstring and child is body[0]:
                 continue
             if isinstance(child, ast.AST):
-                yield from _nodes(child)
+                yield from _nodes(child, scope)
 
 
 def _sites(tree):
-    """(node, slot, description) for each mutation site of ``tree``; slot
-    is the index of a comparison in its chain."""
-    for node in _nodes(tree):
+    """(node, slot, description, scope) for each mutation site of
+    ``tree``; slot is the index of a comparison in its chain, scope as
+    _nodes gives it."""
+    for node, scope in _nodes(tree):
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
                 new = SWAPS[type(op)]
-                yield node, i, f"{SYMBOLS[type(op)]} -> {SYMBOLS[new]}"
+                yield node, i, f"{SYMBOLS[type(op)]} -> {SYMBOLS[new]}", scope
         elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)):
             if type(node.op) in SWAPS:
                 new = SWAPS[type(node.op)]
-                yield node, None, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}"
+                yield node, None, f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}", scope
         elif (isinstance(node, ast.Constant) and type(node.value) is int):
-            yield node, None, f"{node.value} -> {node.value + 1}"
+            yield node, None, f"{node.value} -> {node.value + 1}", scope
         elif isinstance(node, ast.If):
-            yield node, None, "negate if"
+            yield node, None, "negate if", scope
 
 
 def _mutate(node, slot) -> None:
@@ -120,22 +127,26 @@ def _mutate(node, slot) -> None:
 
 
 def site_keys(source: str):
-    """(line, description, key) per site. The key is stable: the site's
-    description, the text of its node and the number of earlier sites
-    with the same two."""
+    """(line, description, key) per site. The key is stable: the
+    qualified name of the function that holds the site, its description,
+    the text of its node and the number of earlier sites of that function
+    with the same three. An edit to one function leaves every other
+    function's keys as they were."""
     seen, lines = {}, source.splitlines()
-    for node, slot, what in _sites(ast.parse(source)):
-        text = ast.get_source_segment(source, node) or lines[node.lineno - 1]
-        key = (what, text.splitlines()[0].strip())
+    for node, slot, what, scope in _sites(ast.parse(source)):
+        # The first line of the node's text; offsets count UTF-8 bytes.
+        line = lines[node.lineno - 1].encode()
+        end = node.end_col_offset if node.end_lineno == node.lineno else None
+        key = (scope, what, line[node.col_offset:end].decode().strip())
         seen[key] = seen.get(key, 0) + 1
         if isinstance(node, ast.Compare) and len(node.ops) > 1:
             what += f" (comparison {slot + 1} of {len(node.ops)})"
-        yield node.lineno, what, f"{key[0]}|{key[1]}|{seen[key]}"
+        yield node.lineno, what, "|".join(key) + f"|{seen[key]}"
 
 
 def mutant_source(source: str, index: int) -> str:
     tree = ast.parse(source)
-    node, slot, _what = list(_sites(tree))[index]
+    node, slot, _what, _scope = list(_sites(tree))[index]
     _mutate(node, slot)
     return ast.unparse(tree)
 

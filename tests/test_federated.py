@@ -423,19 +423,40 @@ class TestLocalTransport:
                         reason="needs affinity masks")
     def test_parent_takes_the_core_no_helper_took(self, monkeypatch):
         # On three cores the two helpers are dealt cores 0 and 1, so the
-        # parent pins itself to core 2. Pinning is recorded, not done.
+        # parent pins itself to core 2. Pinning is recorded, not done: a
+        # helper writes its core to a pipe. The mask read is the
+        # transport's own process's.
         _forced_helpers(monkeypatch, 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2})
+
+        def own_mask(pid):
+            assert pid == 0, pid
+            return {0, 1, 2}
+
+        monkeypatch.setattr(os, "sched_getaffinity", own_mask)
         monkeypatch.setattr(os, "sched_setaffinity", lambda _pid, _mask: None)
-        pinned = []
-        monkeypatch.setattr(transport, "_pin_to", pinned.append)
+        parent, pinned = os.getpid(), []
+        read_end, write_end = os.pipe()
+
+        def pin(core):
+            if os.getpid() == parent:
+                pinned.append(core)
+            else:
+                os.write(write_end, bytes([core]))
+
+        monkeypatch.setattr(transport, "_pin_to", pin)
         ds = _tiny_dataset(n_clients=4)
         ids = ds.client_ids()
         cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
                           batch_size=4, seed=1)
-        _server, clients, _ctx = build_run(ds, cfg)
-        with LocalTransport(clients):
-            assert len(multiprocessing.active_children()) == 2
+        server, clients, ctx = build_run(ds, cfg)
+        try:
+            with LocalTransport(clients) as local:
+                assert len(multiprocessing.active_children()) == 2
+                run_round(server, local, cfg, ctx)  # each helper pinned itself first
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as pins:
+            assert sorted(pins.read()) == [0, 1]
         assert pinned == [2]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -468,6 +489,22 @@ class TestLocalTransport:
         with pytest.raises(ChildProcessError):
             os.waitpid(running[0], os.WNOHANG)
         assert os.sched_getaffinity(0) == original
+
+    def test_without_fork_clients_train_in_process(self, monkeypatch):
+        # A platform without the fork start method gets no helper, however
+        # many cores and samples a round has.
+        _forced_helpers(monkeypatch, 2)
+        ds = _tiny_dataset(n_clients=4)
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:3], test_clients=ids[3:],
+                          batch_size=4, seed=1)
+        reference = run_training(ds, cfg)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        server, clients, ctx = build_run(ds, cfg)
+        with LocalTransport(clients) as local:
+            assert not multiprocessing.active_children()
+            _server, record = run_round(server, local, cfg, ctx)
+        assert record == reference[1]
 
     def test_usable_cores_without_affinity_masks(self, monkeypatch):
         # Where the platform has no affinity mask, every core counts, and

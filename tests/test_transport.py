@@ -194,6 +194,38 @@ class TestSocketRounds:
             t.join(timeout=10)
         assert records == reference
 
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+    def test_socket_run_looks_up_only_a_name(self, monkeypatch, host):
+        # An IPv4 address is listened on without getaddrinfo, which the
+        # server's thread here may not call; a name is still looked up.
+        ds = _tiny_dataset()
+        ids = ds.client_ids()
+        cfg = TrainConfig(rounds=1, train_clients=ids[:1], test_clients=ids[2:],
+                          batch_size=4, seed=5)
+        reference = run_training(ds, cfg)
+        lookup, looked_up = socket.getaddrinfo, []
+
+        def server_side_refused(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                looked_up.append(args[0])
+                if host == "127.0.0.1":
+                    raise OSError("no name lookup on the server")
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", server_side_refused)
+        server = SocketFedServer(1, parameter_names(default_architecture(2)), host=host)
+        t = threading.Thread(target=run_socket_client,
+                             args=(*server.address, _make_client(ds, 0, cfg)))
+        t.start()
+        try:
+            server.wait_for_clients()
+            records = run_training(ds, cfg, transport=server)
+        finally:
+            server.shutdown()
+            t.join(timeout=10)
+        assert records == reference
+        assert looked_up == ([] if host == "127.0.0.1" else ["localhost"])
+
     def test_socket_run_with_eval_train_matches_in_process(self, monkeypatch):
         ds = _tiny_dataset()
         ids = ds.client_ids()
@@ -489,6 +521,16 @@ class TestSocketRounds:
                 assert update.params.values.tolist() == [0.25]
         finally:
             server.shutdown()
+
+    def test_servers_listen_on_ports_of_their_own(self):
+        # The default port is 0, so each server takes a free port.
+        servers = [SocketFedServer(1, ("a",)) for _ in range(2)]
+        try:
+            ports = {server.address[1] for server in servers}
+            assert len(ports) == 2 and 0 not in ports
+        finally:
+            for server in servers:
+                server.shutdown()
 
     def test_overlong_hello_is_refused(self):
         server = SocketFedServer(1, ("a",))
