@@ -29,28 +29,31 @@ order, so serializing the same dataset twice is byte-identical.
 
 A write and a read follow one rule for repeated text and keep one
 structure for it: the previous sample's prefixes, entry k being its
-header and first k ops, or lines. A sample reuses the longest run of
-leading ops, or lines, that it shares with the previous sample, cuts the
-list to that run and handles each op or line after it alone, appending
-its prefix. A write keeps each prefix's text, so it renders only the ops
-after the shared run. A read keeps each prefix's text and circuit, so it
-parses only the lines after the shared run; a sample that shares no
-line, the first or one with a new header, is parsed whole. A line spelt
-as written, one space between tokens, whose text but its angle matches
-a line parsed before under the same header takes that checked op as a
-template: a fixed gate is that op, a rotation a copy with its own angle
-(``GateOp.with_angle``). So a read checks each kind and target set
-about once, not once per sample, and a copied angle once for its form
-and once for finiteness. Every generated sample is the same
-cluster-state head plus one RX line, so a generated file costs one gate
-line per sample either way. On 30 clients x 160 samples, a file whose
-samples are the cluster state, an RX and an H, so that no two heads are
-equal, costs two lines per sample: it writes in about 1.25 times a
-generated file's time (16 against 13 ms) and reads in about 1.25 times
-(28 against 22 ms), best of 9 on a 2-core machine. A socket worker
-reads only its own client: it verifies the checksum and every client
-header but parses only that client's samples; the server's full read
-validates every sample.
+header and first k ops, or lines, starting from the dataset's header
+(``QFLCIRC v1 qubits=<n>`` as written, n from gen_config) and its empty
+circuit. A sample reuses the longest run of leading ops, or lines, that
+it shares with the previous sample, cuts the list to that run and
+handles each op or line after it alone, appending its prefix. A write
+keeps each prefix's text and renders only the ops after the shared run;
+a read keeps its text and circuit and parses only the lines after it,
+each once. A read parses a sample with any other header (respelt,
+another qubit count, or none) whole, keeps none of its prefixes, and
+refuses it unless its count is the dataset's; a gen_config count above
+MAX_QUBITS seeds nothing, so each sample is refused. A line spelt as
+written, one space between tokens, whose text but its angle matches a
+line parsed before takes that checked op as a template: a fixed gate is
+that op, a rotation a copy with its own angle (``GateOp.with_angle``).
+So a read checks each kind and target set about once, not once per
+sample, and a copied angle once for its form and once for finiteness.
+Every generated sample is the same cluster-state head plus one RX line,
+so a generated file costs one gate line per sample either way. On 30
+clients x 160 samples, a file whose samples are the cluster state, an RX
+and an H, so that no two heads are equal, costs two lines per sample: it
+writes in about 1.25 times a generated file's time (16 against 13 ms)
+and reads in about 1.25 times (28 against 22 ms), best of 9 on a 2-core
+machine. A socket worker reads only its own client: it verifies the
+checksum and every client header but parses only that client's samples;
+the server's full read validates every sample.
 
 A write renders, encodes, hashes and writes one client block at a time
 after a placeholder checksum, which it fills in once the body is hashed,
@@ -85,7 +88,7 @@ from .errors import (
     DatasetVersionError,
 )
 from .model import Sample
-from .sim import GATE_ARITY, Circuit, GateOp, PARAMETRIZED_GATES
+from .sim import GATE_ARITY, MAX_QUBITS, Circuit, GateOp, PARAMETRIZED_GATES
 
 CIRCUIT_MAGIC = "QFLCIRC v1"
 DATA_MAGIC = "QFLDATA v1"
@@ -146,7 +149,7 @@ def _parse_angle_token(token: str, lineno: int) -> tuple[float | None, str | Non
 def parse_circuit(text: str) -> Circuit:
     """Inverse of serialize_circuit; errors carry a 1-based line number."""
     lines = text.split("\n")
-    header = lines[0].strip() if lines else ""
+    header = lines[0].strip()
     if not header.startswith(CIRCUIT_MAGIC + " qubits="):
         raise CircuitParseError(f"line 1: bad header {header!r}")
     try:
@@ -348,27 +351,25 @@ def write_dataset(ds: FederatedDataset, path) -> DatasetFile:
 class _SampleReader:
     """The samples of one read's sample lines, in file order, each
     without a symbol, their circuit texts ';'-joined; each reads as
-    parse_circuit reads its text, under the module docstring's rule.
-    ``texts[k]`` is the previous sample's header and first k lines, each
-    followed by its ';', and ``circuits[k]`` is the circuit of those
-    lines. A sample that shares no line with them is parsed whole, and
-    the lists restart from its header. Each line after the shared run is
-    parsed alone: a line parses the same in any circuit with the same
-    qubit count, so the first line that fails is the one a whole parse
-    reports, with the same error. A line spelt as written, one space
-    between tokens, is parsed once per header: ``fixed`` keeps a fixed
-    gate's op by its line, and ``rotations`` a rotation's by its line but
-    the angle, which a later line copies with its own angle. A copied
-    angle is checked once for its form and once for finiteness
-    (``GateOp.with_angle``), and a label is looked up; a token that
-    either refuses is parsed as a whole parse does, which raises that
+    parse_circuit reads its text, under the module docstring's rule: the
+    read starts from the dataset's header, as written, and parses a
+    sample with any other header whole. ``texts[k]`` is the previous
+    sample's header and first k lines, each followed by its ';', and
+    ``circuits[k]`` the circuit of those lines. A line after the shared
+    run parses the same in any circuit with the dataset's qubit count, so
+    the first line that fails is the one a whole parse reports, with the
+    same error. ``fixed`` keeps a fixed gate's op by its line, spelt as
+    written, and ``rotations`` a rotation's by its line but the angle. A
+    token that a template's checks refuse (an angle's form or finiteness,
+    a label's lookup) is parsed as a whole parse does, which raises that
     parse's error.
     """
 
     def __init__(self, n_qubits: int):
         self.n_qubits = n_qubits
-        self.texts: list[str] = []
-        self.circuits: list[Circuit] = []
+        readable = n_qubits <= MAX_QUBITS
+        self.texts = [f"{CIRCUIT_MAGIC} qubits={n_qubits};"] if readable else []
+        self.circuits = [Circuit(n_qubits, ())] if readable else []
         self.fixed: dict[str, GateOp] = {}
         self.rotations: dict[str, GateOp] = {}
 
@@ -376,7 +377,7 @@ class _SampleReader:
         """The samples of ``lines``, the first on file line ``lineno``."""
         texts, circuits = self.texts, self.circuits
         fixed, rotations = self.fixed, self.rotations
-        dataset_qubits, out = self.n_qubits, []
+        n_qubits, out = self.n_qubits, []
         for lineno, line in enumerate(lines, lineno):
             parts = line.split(" ", 2)
             if len(parts) != 3 or parts[0] != "s":
@@ -394,14 +395,16 @@ class _SampleReader:
             k = len(texts)
             while k and not text.startswith(texts[k - 1]):
                 k -= 1
-            if k:
-                del texts[k:], circuits[k:]
-            else:
-                n_qubits = parse_circuit(text[:-1].replace(";", "\n")).n_qubits
-                texts[:], circuits[:] = [text[:text.index(";") + 1]], [Circuit(n_qubits, ())]
-                fixed.clear()  # checked for another header's qubit count
-                rotations.clear()
-                k = 1
+            if not k:  # any header but the dataset's, as written
+                circuit = parse_circuit(text[:-1].replace(";", "\n"))
+                if circuit.n_qubits != n_qubits:
+                    raise DatasetFormatError(
+                        f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
+                        f"match dataset ({n_qubits})"
+                    )
+                out.append(Sample(circuit, label))
+                continue
+            del texts[k:], circuits[k:]
             circuit = circuits[-1]
             end = len(texts[-1])
             for n, op_line in enumerate(text[end:].split(";")[:-1], k + 1):
@@ -417,7 +420,7 @@ class _SampleReader:
                     else:
                         op = fixed.get(stripped)
                     if op is None:  # a new line, or an angle refused above
-                        op = _parse_op(stripped, n, circuit.n_qubits)
+                        op = _parse_op(stripped, n, n_qubits)
                         if stripped == " ".join(stripped.split()):
                             if op.angle is None:
                                 fixed[stripped] = op
@@ -427,11 +430,6 @@ class _SampleReader:
                 end += len(op_line) + 1
                 texts.append(text[:end])
                 circuits.append(circuit)
-            if circuit.n_qubits != dataset_qubits:
-                raise DatasetFormatError(
-                    f"line {lineno}: sample qubit count {circuit.n_qubits} does not "
-                    f"match dataset ({dataset_qubits})"
-                )
             out.append(Sample(circuit, label))
         return tuple(out)
 

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import operator
 import os
 import re
 import tracemalloc
@@ -153,8 +154,9 @@ class TestParseCircuit:
             parse_circuit(text)
 
     def test_non_finite_angle(self):
-        with pytest.raises(CircuitParseError):
-            parse_circuit("QFLCIRC v1 qubits=1\nRX 0 nan")
+        for token in ("nan", "inf", "-inf"):
+            with pytest.raises(CircuitParseError, match=f"^line 2: non-finite angle '{token}'$"):
+                parse_circuit(f"QFLCIRC v1 qubits=1\nRX 0 {token}")
 
     def test_bad_header(self):
         with pytest.raises(CircuitParseError, match="line 1"):
@@ -352,17 +354,61 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="line 4: qubit out of range for qubits=2"):
             read_dataset(path)
 
-    def test_read_shares_each_repeated_gate(self, tmp_path):
-        # Every generated sample is the same 16 cluster-state gates plus
-        # its own RX, both as generated and as read back.
-        ds = _tiny_dataset(n_clients=3)
+    @pytest.mark.parametrize("circuit,message", [
+        (b"QFLCIRC v1 qubits=17;H 16", "line 1: n_qubits must be in [1, 16], got 17"),
+        (b"QFLCIRC v1 qubits=17;H 16;RX 0 x", "line 3: malformed angle 'x'"),
+    ], ids=["count", "gate-first"])
+    def test_a_count_no_circuit_has_reads_only_without_samples(
+            self, tmp_path, circuit, message):
+        # GenConfig allows n_qubits=17, which Circuit refuses: such a file
+        # reads while it holds no sample. A qubits=17 sample is refused
+        # with Circuit's message, after any bad gate line in it.
+        ds = FederatedDataset(
+            (ClientDataset("a", (), AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=17, samples_per_client=0))
         path = tmp_path / "data.qfd"
         write_dataset(ds, path)
-        back = read_dataset(path)
-        for dataset in (ds, back):
-            samples = [s for c in dataset.clients for s in c.samples]
-            ops = {id(op) for s in samples for op in s.prep_circuit.ops}
-            assert len(ops) == len(samples) + 16
+        assert read_dataset(path) == ds
+        _rewrite_body(path, lambda body: body.replace(
+            b"client a uniform_pi 0\n", b"client a uniform_pi 1\ns 0 " + circuit + b"\n"))
+        with pytest.raises(CircuitParseError, match=f"^{re.escape(message)}$"):
+            read_dataset(path)
+
+    def test_read_parses_a_respelt_header_whole(self, tmp_path):
+        # " QFLCIRC v1 qubits=2 " is not the dataset's header as written:
+        # its sample reads as parse_circuit reads its text, and the
+        # canonical samples around it share their fixed-gate ops.
+        samples = tuple(Sample(Circuit(2, (h(0), h(1), cz(0, 1), rx(0, a))), 0)
+                        for a in (0.5, 0.25, 0.125, 0.0625))
+        ds = FederatedDataset(
+            (ClientDataset("a", samples, AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=2, samples_per_client=2))
+        path = tmp_path / "data.qfd"
+        write_dataset(ds, path)
+        _rewrite_body(path, lambda body: _edit_sample(
+            body, 1, b"QFLCIRC v1 qubits=2", b" QFLCIRC v1 qubits=2 "))
+        text = [line for line in path.read_text().split("\n") if line.startswith("s ")][1]
+        back = read_dataset(path).clients[0].samples
+        assert back[1].prep_circuit == parse_circuit(text.split(" ", 2)[2].replace(";", "\n"))
+        assert back == samples
+        fixed = back[2].prep_circuit.ops[:3]
+        for k in (0, 3):
+            assert all(map(operator.is_, back[k].prep_circuit.ops[:3], fixed)), k
+
+    def test_read_shares_each_repeated_gate(self, tmp_path):
+        # Every generated sample is the same 2n cluster-state gates plus
+        # its own RX, both as generated and as read back, up to the
+        # largest qubit count a circuit may have.
+        for n_qubits in (8, 16):
+            ds = generate_federated_dataset(GenConfig(
+                n_clients=3, n_qubits=n_qubits, samples_per_client=16, seed=1))
+            path = tmp_path / f"{n_qubits}.qfd"
+            write_dataset(ds, path)
+            back = read_dataset(path)
+            for dataset in (ds, back):
+                samples = [s for c in dataset.clients for s in c.samples]
+                ops = {id(op) for s in samples for op in s.prep_circuit.ops}
+                assert len(ops) == len(samples) + 2 * n_qubits, n_qubits
 
     def test_negative_zero_angle_rewrites_byte_identically(self, tmp_path):
         # "-0" reads back as -0.0 whether its sample is parsed whole, its
@@ -404,9 +450,9 @@ class TestDatasetContainer:
         # Each RX is a copy of a checked template, so neither generating
         # nor reading a paper-scale file (4 800 samples) runs GateOp's
         # checks once per sample. Nor does reading one whose heads all
-        # differ (the cluster state, an RX, then an H): only its first
-        # sample is parsed whole, and every later one reuses the ops of
-        # the lines it shares with the previous sample.
+        # differ (the cluster state, an RX, then an H): no sample is parsed
+        # whole, since each starts from the dataset's header, and every
+        # one reuses the ops of the lines it shares with the previous one.
         hs = [h(q) for q in range(8)]
         checks = []
         check = GateOp.__post_init__
@@ -436,15 +482,14 @@ class TestDatasetContainer:
         write_dataset(ds, path)
         checks.clear()
         assert read_dataset(path) == ds
-        # 8 H, 8 CZ and 8 RX templates; a read adds the first sample's
-        # whole parse (17 ops).
-        assert generated <= 24 and len(checks) <= 24 + 17, (generated, len(checks))
+        # 8 H, 8 CZ and 8 RX templates, each checked once.
+        assert generated <= 24 and len(checks) <= 24, (generated, len(checks))
 
         write_dataset(distinct, path)
         checks.clear()
         whole_parses.clear()
         back = read_dataset(path)
-        assert len(checks) <= 24 + 17 + 1 and len(whole_parses) == 1, (
+        assert len(checks) <= 24 and len(whole_parses) == 0, (
             len(checks), len(whole_parses))
         assert back == distinct
         samples = [s for c in back.clients for s in c.samples]
@@ -684,9 +729,14 @@ class TestDatasetContainer:
         (lambda body: re.sub(rb"\ns ([01]) [^\n]*", rb"\ns \1 QFLCIRC v1 qubits=4;H 0",
                              body, count=1),
          "line 7: sample qubit count 4 does not match dataset (8)"),
+        (lambda body: re.sub(rb"\ns ([01]) ", rb"\nt \1 ", body, count=1),
+         "line 7: bad sample line"),
+        (lambda body: re.sub(rb"\ns ([01]) [^\n]*", rb"\ns \1", body, count=1),
+         "line 7: bad sample line"),
         (lambda body: body.replace(b" seed=", b" seed ", 1),
          "bad gen_config token 'seed'"),
-    ], ids=["label-2", "label-x", "sample-qubits", "gen-config-token"])
+    ], ids=["label-2", "label-x", "sample-qubits", "sample-tag", "sample-no-circuit",
+            "gen-config-token"])
     def test_sample_and_gen_config_errors_name_their_fault(self, tmp_path, edit, message):
         # The first sample is the file's line 7, after the magic, the
         # checksum, three header lines and its client's header.
