@@ -8,19 +8,29 @@ the rotation magnitude exceeds the threshold, else 0.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import Sample
-from .sim import Circuit, GateOp, cz, h, rx
+from .sim import MAX_QUBITS, Circuit, GateOp, cz, h, rx
 
 
 class AngleDistribution(str, Enum):
     UNIFORM_PI = "uniform_pi"
     TRUNCATED_NORMAL = "truncated_normal"
+
+
+def _store_as_read(obj, name: str, kind: type) -> None:
+    """Store ``obj.name`` as the ``kind`` a dataset file reads back, else ConfigError."""
+    value = getattr(obj, name)
+    try:  # operator.index, as int() would truncate 42.5
+        object.__setattr__(obj, name, (operator.index if kind is int else kind)(value))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -34,10 +44,12 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            _store_as_read(self, f.name, f.type)
         if self.n_clients < 0:
             raise ConfigError(f"n_clients must be >= 0, got {self.n_clients}")
-        if self.n_qubits < 2:
-            raise ConfigError(f"n_qubits must be >= 2, got {self.n_qubits}")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
         if self.samples_per_client < 0:
             raise ConfigError(
                 f"samples_per_client must be >= 0, got {self.samples_per_client}")
@@ -52,9 +64,6 @@ class GenConfig:
             raise ConfigError("trunc_normal_sigma must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        object.__setattr__(
-            self, "angle_distribution", AngleDistribution(self.angle_distribution)
-        )
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,7 @@ class ClientDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
+        _store_as_read(self, "distribution_tag", AngleDistribution)
         sizes = {s.prep_circuit.n_qubits for s in self.samples}
         if len(sizes) > 1:
             raise ConfigError("all samples of a client must share a qubit count")

@@ -143,14 +143,6 @@ class ServerState:
     round: int
     client_weights: np.ndarray
 
-    def __post_init__(self):
-        weights = np.asarray(self.client_weights, dtype=float)
-        object.__setattr__(self, "client_weights", weights)
-        if np.any(weights < 0):
-            raise ConfigError("client weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ConfigError("client weights must sum to 1")
-
 
 @dataclass(frozen=True)
 class RoundRecord:

@@ -200,12 +200,12 @@ class Sample:
     label: int
 
     def __init__(self, prep_circuit: Circuit, label: int):
-        # A dataset holds one per sample: the slots' own setters skip the
-        # name lookups of a frozen dataclass's generated __init__.
-        if label not in (0, 1):
+        # A dataset holds one per sample: the slots' own setters skip a frozen
+        # dataclass's name lookups. The label is the int a file reads back.
+        if label != 0 and label != 1:
             raise ConfigError(f"label must be 0 or 1, got {label}")
         _SET_PREP_CIRCUIT(self, prep_circuit)
-        _SET_LABEL(self, label)
+        _SET_LABEL(self, 1 if label else 0)
 
 
 _SET_PREP_CIRCUIT, _SET_LABEL = (vars(Sample)[name].__set__ for name in Sample.__slots__)

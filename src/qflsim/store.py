@@ -31,29 +31,29 @@ A write and a read follow one rule for repeated text and keep one
 structure for it: the previous sample's prefixes, entry k being its
 header and first k ops, or lines, starting from the dataset's header
 (``QFLCIRC v1 qubits=<n>`` as written, n from gen_config) and its empty
-circuit. A sample reuses the longest run of leading ops, or lines, that
-it shares with the previous sample, cuts the list to that run and
-handles each op or line after it alone, appending its prefix. A write
-keeps each prefix's text and renders only the ops after the shared run;
-a read keeps its text and circuit and parses only the lines after it,
-each once. A read parses a sample with any other header (respelt,
-another qubit count, or none) whole, keeps none of its prefixes, and
-refuses it unless its count is the dataset's; a gen_config count above
-MAX_QUBITS seeds nothing, so each sample is refused. A line spelt as
-written, one space between tokens, whose text but its angle matches a
-line parsed before takes that checked op as a template: a fixed gate is
-that op, a rotation a copy with its own angle (``GateOp.with_angle``).
-So a read checks each kind and target set about once, not once per
-sample, and a copied angle once for its form and once for finiteness.
-Every generated sample is the same cluster-state head plus one RX line,
-so a generated file costs one gate line per sample either way. On 30
-clients x 160 samples, a file whose samples are the cluster state, an RX
-and an H, so that no two heads are equal, costs two lines per sample: it
-writes in about 1.25 times a generated file's time (16 against 13 ms)
-and reads in about 1.25 times (28 against 22 ms), best of 9 on a 2-core
-machine. A socket worker reads only its own client: it verifies the
-checksum and every client header but parses only that client's samples;
-the server's full read validates every sample.
+circuit, which every dataset has: GenConfig bounds n as Circuit does. A
+sample reuses the longest run of leading ops, or lines, that it shares
+with the previous sample, cuts the list to that run and handles each op
+or line after it alone, appending its prefix. A write keeps each
+prefix's text and renders only the ops after the shared run; a read
+keeps its text and circuit and parses only the lines after it, each
+once. A read parses a sample with any other header (respelt, another
+qubit count, or none) whole, keeps none of its prefixes, and refuses it
+unless its count is the dataset's. A line spelt as written, one space
+between tokens, whose text but its angle matches a line parsed before
+takes that checked op as a template: a fixed gate is that op, a rotation
+a copy with its own angle (``GateOp.with_angle``). So a read checks each
+kind and target set about once, not once per sample, and a copied angle
+once for its form and once for finiteness. Every generated sample is the
+same cluster-state head plus one RX line, so a generated file costs one
+gate line per sample either way. On 30 clients x 160 samples, a file
+whose samples are the cluster state, an RX and an H, so that no two
+heads are equal, costs two lines per sample: it writes in about 1.25
+times a generated file's time (16 against 13 ms) and reads in about 1.25
+times (28 against 22 ms), best of 9 on a 2-core machine. A socket worker
+reads only its own client: it verifies the checksum and every client
+header but parses only that client's samples; the server's full read
+validates every sample.
 
 A write renders, encodes, hashes and writes one client block at a time
 after a placeholder checksum, which it fills in once the body is hashed,
@@ -88,7 +88,7 @@ from .errors import (
     DatasetVersionError,
 )
 from .model import Sample
-from .sim import GATE_ARITY, MAX_QUBITS, Circuit, GateOp, PARAMETRIZED_GATES
+from .sim import GATE_ARITY, Circuit, GateOp, PARAMETRIZED_GATES
 
 CIRCUIT_MAGIC = "QFLCIRC v1"
 DATA_MAGIC = "QFLDATA v1"
@@ -219,8 +219,8 @@ def _gen_config_line(cfg: GenConfig) -> str:
 
 
 def _parse_gen_config(line: str) -> GenConfig:
-    """Inverse of _gen_config_line; each value is parsed by its field's
-    type, numbers by the one number rule."""
+    """Inverse of _gen_config_line; numbers are parsed by the one number
+    rule, and GenConfig stores each value as its field's type."""
     kv = {}
     for token in line.split()[1:]:
         key, sep, value = token.partition("=")
@@ -236,7 +236,7 @@ def _parse_gen_config(line: str) -> GenConfig:
             f"unknown {sorted(kv.keys() - types.keys())}")
     try:
         return GenConfig(**{
-            name: parse_number(kv[name], kind) if kind in (int, float) else kind(kv[name])
+            name: parse_number(kv[name], kind) if kind in (int, float) else kv[name]
             for name, kind in types.items()})
     except (ValueError, ConfigError) as exc:
         raise DatasetFormatError(f"bad gen_config line: {exc}") from None
@@ -352,24 +352,23 @@ class _SampleReader:
     """The samples of one read's sample lines, in file order, each
     without a symbol, their circuit texts ';'-joined; each reads as
     parse_circuit reads its text, under the module docstring's rule: the
-    read starts from the dataset's header, as written, and parses a
-    sample with any other header whole. ``texts[k]`` is the previous
-    sample's header and first k lines, each followed by its ';', and
-    ``circuits[k]`` the circuit of those lines. A line after the shared
-    run parses the same in any circuit with the dataset's qubit count, so
-    the first line that fails is the one a whole parse reports, with the
-    same error. ``fixed`` keeps a fixed gate's op by its line, spelt as
-    written, and ``rotations`` a rotation's by its line but the angle. A
-    token that a template's checks refuse (an angle's form or finiteness,
-    a label's lookup) is parsed as a whole parse does, which raises that
-    parse's error.
+    read starts from the dataset's header, as written, and its empty
+    circuit, and parses a sample with any other header whole.
+    ``texts[k]`` is the previous sample's header and first k lines, each
+    followed by its ';', and ``circuits[k]`` the circuit of those lines.
+    A line after the shared run parses the same in any circuit with the
+    dataset's qubit count, so the first line that fails is the one a
+    whole parse reports, with the same error. ``fixed`` keeps a fixed
+    gate's op by its line, spelt as written, and ``rotations`` a
+    rotation's by its line but the angle. A token that a template's
+    checks refuse (an angle's form or finiteness, a label's lookup) is
+    parsed as a whole parse does, which raises that parse's error.
     """
 
     def __init__(self, n_qubits: int):
         self.n_qubits = n_qubits
-        readable = n_qubits <= MAX_QUBITS
-        self.texts = [f"{CIRCUIT_MAGIC} qubits={n_qubits};"] if readable else []
-        self.circuits = [Circuit(n_qubits, ())] if readable else []
+        self.texts = [f"{CIRCUIT_MAGIC} qubits={n_qubits};"]
+        self.circuits = [Circuit(n_qubits, ())]
         self.fixed: dict[str, GateOp] = {}
         self.rotations: dict[str, GateOp] = {}
 

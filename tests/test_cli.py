@@ -96,7 +96,7 @@ class TestGenData:
                 (["--samples-per-client", "8", "--sigma", "inf",
                   "--non-iid-fraction", "1"], sigma),
                 (["--clients", "-1"], "n_clients must be >= 0, got -1"),
-                (["--qubits", "1"], "n_qubits must be >= 2, got 1")):
+                (["--qubits", "1"], "n_qubits must be in [2, 16], got 1")):
             code = main(["gen-data", "--clients", "2", "--qubits", "2", *bad,
                          "--out", str(tmp_path / "x.qfd")])
             assert code == 2

@@ -1,6 +1,7 @@
 """Cluster-state dataset generation: distributions, labels, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,12 @@ class TestClientDataset:
             excited = sum(s.label for s in client.samples)
             assert 48 <= excited <= 112
 
+    def test_tag_is_stored_as_a_file_reads_it(self):
+        assert ClientDataset("c", (), "uniform_pi").distribution_tag is AngleDistribution.UNIFORM_PI
+        with pytest.raises(ConfigError, match="^distribution_tag must be AngleDistribution, "
+                                              "got 'bogus'$"):
+            ClientDataset("c", (), "bogus")
+
     def test_samples_must_share_a_qubit_count(self):
         on = {n: _excited_sample(GenConfig(1, n, samples_per_client=0), 0, 0.5)
               for n in (2, 3)}
@@ -250,3 +257,25 @@ class TestGenConfig:
     def test_distribution_coerced_from_string(self):
         cfg = GenConfig(n_clients=1, angle_distribution="truncated_normal")
         assert cfg.angle_distribution is AngleDistribution.TRUNCATED_NORMAL
+
+    def test_fields_are_stored_as_a_file_reads_them(self):
+        cfg = GenConfig(n_clients=np.int64(1), n_qubits=np.int8(4), samples_per_client=8,
+                        trunc_normal_sigma=1, excitation_threshold=np.float32(0.5), seed=True)
+        assert [(type(v), v) for v in (cfg.n_clients, cfg.n_qubits, cfg.seed,
+                                       cfg.trunc_normal_sigma, cfg.excitation_threshold)] == [
+            (int, 1), (int, 4), (int, 1), (float, 1.0), (float, 0.5)]
+        for field, value, message in (
+                ("seed", 42.0, "seed must be int, got 42.0"),
+                ("n_qubits", "4", "n_qubits must be int, got '4'"),
+                ("trunc_normal_sigma", None, "trunc_normal_sigma must be float, got None"),
+                ("excitation_threshold", 10**400, "excitation_threshold must be float"),
+                ("angle_distribution", "bogus",
+                 "angle_distribution must be AngleDistribution, got 'bogus'")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                GenConfig(n_clients=1, **{field: value})
+
+    def test_qubit_count_is_bounded_as_a_circuits(self):
+        assert GenConfig(n_clients=1, n_qubits=16, samples_per_client=16).n_qubits == 16
+        for n in (1, 17):
+            with pytest.raises(ConfigError, match=rf"^n_qubits must be in \[2, 16\], got {n}$"):
+                GenConfig(n_clients=1, n_qubits=n, samples_per_client=0)

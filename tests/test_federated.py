@@ -25,7 +25,6 @@ from qflsim.federated import (
     EvalContext,
     OptimizerConfig,
     OptimizerState,
-    ServerState,
     TrainConfig,
     build_clients,
     build_run,
@@ -998,10 +997,6 @@ class TestSingleClientEquivalence:
 
 
 class TestServerState:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            ServerState(_pv([0.0]), 0, np.array([0.5, 0.6]))
-
     def test_uniform_default(self):
         ds = _tiny_dataset(n_clients=5, samples=8)
         cfg = TrainConfig(rounds=0, train_clients=ds.client_ids()[:4],

@@ -6,8 +6,10 @@ pieces replaced, inserted, deleted or spliced, and wire lines also
 arbitrary bytes read off a socket; examples are drawn by the profile in
 conftest.py."""
 
+import dataclasses
 import socket
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -19,10 +21,12 @@ from qflsim.datagen import (  # noqa: E402
     ClientDataset,
     FederatedDataset,
     GenConfig,
+    cluster_state_circuit,
     generate_federated_dataset,
 )
 from qflsim.errors import (  # noqa: E402
     CircuitParseError,
+    ConfigError,
     DatasetFormatError,
     ProtocolError,
     QflError,
@@ -298,6 +302,68 @@ def test_dataset_sample_lines_are_their_serialized_circuits(files, circuits, lab
     assert lines == [f"s {s.label} " + serialize_circuit(s.prep_circuit).replace("\n", ";")
                      for s in samples]
     assert read_dataset(path) == ds
+
+
+def _forms(value: int):
+    """``value`` as a caller may pass a number: an int, a numpy integer, a
+    float or numpy float of the same value, or a bool where it is 0 or 1."""
+    kinds = [int, np.int8, np.int64, float, np.float32, np.float64]
+    return st.sampled_from(kinds + [bool] * (value in (0, 1))).map(lambda kind: kind(value))
+
+
+_REFUSED = st.sampled_from([None, "x", 0.5, float("nan"), 10**400])
+_DISTRIBUTION = st.sampled_from([*AngleDistribution, "uniform_pi", "truncated_normal", "bogus"])
+# Each GenConfig field's values, valid or not, in every form; the dataset
+# below is otherwise n_clients=1, n_qubits=2, samples_per_client=16.
+_FIELD_VALUES = {
+    "n_clients": st.sampled_from([-1, 0, 1, 3]).flatmap(_forms),
+    "n_qubits": st.sampled_from([1, 2, 4, 16, 17]).flatmap(_forms),
+    "samples_per_client": st.sampled_from([-16, 0, 6, 16]).flatmap(_forms),
+    "angle_distribution": _DISTRIBUTION,
+    "trunc_normal_sigma": st.one_of(st.sampled_from([0, 1, 3]).flatmap(_forms), st.floats()),
+    "excitation_threshold": st.one_of(st.sampled_from([0, 1, 3]).flatmap(_forms), st.floats()),
+    "seed": st.sampled_from([-1, 0, 1, 42]).flatmap(_forms),
+}
+_LABEL = st.one_of(st.sampled_from([0, 1, 2]).flatmap(_forms), st.just("1"))
+
+
+@given(fields=st.dictionaries(st.sampled_from(sorted(_FIELD_VALUES)), _REFUSED, max_size=1)
+       .flatmap(lambda refused: st.fixed_dictionaries({}, optional=_FIELD_VALUES)
+                .map(lambda fields: {**fields, **refused})),
+       labels=st.lists(st.one_of(_LABEL, _REFUSED), min_size=1, max_size=3),
+       tag=_DISTRIBUTION)
+@example(fields={"seed": 42.0}, labels=[0], tag="uniform_pi")
+@example(fields={}, labels=[True, np.float64(1.0)], tag="truncated_normal")
+def test_every_constructed_dataset_round_trips(files, fields, labels, tag):
+    # A GenConfig field, a client's tag or a sample's label is stored as
+    # the type a dataset file reads it back as, in whatever form it was
+    # passed, or refused with ConfigError; so every dataset that
+    # constructs reads back equal to itself.
+    root, _base = files
+    try:
+        cfg = GenConfig(**{"n_clients": 1, "n_qubits": 2, "samples_per_client": 16, **fields})
+    except ConfigError:
+        cfg = GenConfig(n_clients=1, n_qubits=2, samples_per_client=16)
+    else:
+        for f in dataclasses.fields(GenConfig):
+            assert type(getattr(cfg, f.name)) is f.type
+            assert getattr(cfg, f.name) == fields.get(f.name, getattr(cfg, f.name))
+    samples = []
+    for label in labels:
+        try:
+            samples.append(Sample(cluster_state_circuit(cfg.n_qubits).then(rx(0, 0.5)), label))
+        except ConfigError:
+            continue
+        assert type(samples[-1].label) is int and samples[-1].label == label
+    try:
+        client = ClientDataset("a", samples, tag)
+    except ConfigError:
+        client = ClientDataset("a", samples, AngleDistribution.UNIFORM_PI)
+    else:
+        assert client.distribution_tag is AngleDistribution(tag)
+    ds = FederatedDataset((client,), cfg)
+    write_dataset(ds, root / "constructed.qfd")
+    assert read_dataset(root / "constructed.qfd") == ds
 
 
 # --- wire lines -------------------------------------------------------

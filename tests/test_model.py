@@ -373,6 +373,13 @@ class TestPrepStates:
     def test_sample_label_is_zero_or_one(self):
         with pytest.raises(ConfigError, match="^label must be 0 or 1, got 2$"):
             Sample(Circuit(1), 2)
+        # Stored as the int a dataset file reads back.
+        for label in (True, 1.0, np.float64(1), np.int8(1), False, -0.0, np.uint8(0)):
+            stored = Sample(Circuit(1), label).label
+            assert type(stored) is int and stored == label
+        for label in (0.5, "1", None, float("nan")):
+            with pytest.raises(ConfigError, match="^label must be 0 or 1"):
+                Sample(Circuit(1), label)
 
     def test_grouped_preparation_matches_per_sample_simulation(self):
         # Generated samples share their cluster prefix and differ in the

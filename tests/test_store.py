@@ -354,24 +354,18 @@ class TestParseCircuit:
         with pytest.raises(CircuitParseError, match="line 4: qubit out of range for qubits=2"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("circuit,message", [
-        (b"QFLCIRC v1 qubits=17;H 16", "line 1: n_qubits must be in [1, 16], got 17"),
-        (b"QFLCIRC v1 qubits=17;H 16;RX 0 x", "line 3: malformed angle 'x'"),
-    ], ids=["count", "gate-first"])
-    def test_a_count_no_circuit_has_reads_only_without_samples(
-            self, tmp_path, circuit, message):
-        # GenConfig allows n_qubits=17, which Circuit refuses: such a file
-        # reads while it holds no sample. A qubits=17 sample is refused
-        # with Circuit's message, after any bad gate line in it.
-        ds = FederatedDataset(
-            (ClientDataset("a", (), AngleDistribution.UNIFORM_PI),),
-            GenConfig(n_clients=1, n_qubits=17, samples_per_client=0))
+    def test_a_count_no_circuit_has_is_refused(self, tmp_path):
+        # GenConfig bounds n_qubits as Circuit does, so a dataset of 17
+        # qubits neither constructs nor reads, even with no sample.
+        with pytest.raises(ConfigError, match=r"^n_qubits must be in \[2, 16\], got 17$"):
+            GenConfig(n_clients=1, n_qubits=17, samples_per_client=0)
         path = tmp_path / "data.qfd"
-        write_dataset(ds, path)
-        assert read_dataset(path) == ds
-        _rewrite_body(path, lambda body: body.replace(
-            b"client a uniform_pi 0\n", b"client a uniform_pi 1\ns 0 " + circuit + b"\n"))
-        with pytest.raises(CircuitParseError, match=f"^{re.escape(message)}$"):
+        write_dataset(FederatedDataset(
+            (ClientDataset("a", (), AngleDistribution.UNIFORM_PI),),
+            GenConfig(n_clients=1, n_qubits=16, samples_per_client=0)), path)
+        _rewrite_body(path, lambda body: body.replace(b" n_qubits=16 ", b" n_qubits=17 "))
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                "bad gen_config line: n_qubits must be in [2, 16], got 17")):
             read_dataset(path)
 
     def test_read_parses_a_respelt_header_whole(self, tmp_path):
@@ -735,8 +729,10 @@ class TestDatasetContainer:
          "line 7: bad sample line"),
         (lambda body: body.replace(b" seed=", b" seed ", 1),
          "bad gen_config token 'seed'"),
+        (lambda body: body.replace(b"=uniform_pi ", b"=uniform ", 1),
+         "bad gen_config line: angle_distribution must be AngleDistribution, got 'uniform'"),
     ], ids=["label-2", "label-x", "sample-qubits", "sample-tag", "sample-no-circuit",
-            "gen-config-token"])
+            "gen-config-token", "gen-config-distribution"])
     def test_sample_and_gen_config_errors_name_their_fault(self, tmp_path, edit, message):
         # The first sample is the file's line 7, after the magic, the
         # checksum, three header lines and its client's header.
